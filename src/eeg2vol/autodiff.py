@@ -99,14 +99,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def check_finite(self, context=""):
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError(f"non-finite values encountered {context}".strip())
-        return self
-
     def backward(self, seed=None):
         if self._tape is None:
             raise ValueError("backward() on a tensor with no recorded tape")
@@ -478,6 +470,9 @@ def _scan_blocked(a, x):
     return h
 
 
+_SCAN_KERNELS = {"sequential": _scan_sequential, "blocked": _scan_blocked}
+
+
 def linear_scan(a, x, mode="sequential"):
     """h_t = a_t * h_{t-1} + x_t along the trailing axis, h_0 = 0.
 
@@ -488,7 +483,7 @@ def linear_scan(a, x, mode="sequential"):
         raise DimensionError("linear_scan: coefficient/input shape mismatch")
     if x.shape[-1] < 1:
         raise DimensionError("linear_scan: empty sequence")
-    kernel = {"sequential": _scan_sequential, "blocked": _scan_blocked}[mode]
+    kernel = _SCAN_KERNELS[mode]
     h = kernel(a.data, x.data)
     finite_per_step = np.isfinite(h).reshape(-1, h.shape[-1]).all(axis=0)
     if not finite_per_step.all():
@@ -507,6 +502,75 @@ def linear_scan(a, x, mode="sequential"):
         return (lam * h_prev, lam)
 
     return _make_output(h, (a, x), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused selective scan
+# ---------------------------------------------------------------------------
+
+def _selective_states(u, delta, a, b, mode):
+    """Time-major [L, C, S] transitions abar = exp(delta * A) and states h.
+
+    The [C, S, L] arrays linear_scan sees are views of time-major buffers,
+    so each recurrence step reads one contiguous [C, S] slice.
+    """
+    delta_t, u_t, b_t = (np.ascontiguousarray(v.T) for v in (delta, u, b))
+    abar = np.exp(delta_t[:, :, None] * a[None, :, :])
+    # delta > 0 and A < 0 put abar in (0, 1); float underflow at either end
+    # (exp saturating to 0.0 or 1.0) is tolerated
+    if not (np.all(abar >= 0.0) and np.all(abar <= 1.0)):
+        raise NumericError("selective_scan: discretized transition left [0, 1]")
+    bu = (delta_t * u_t)[:, :, None] * b_t[:, None, :]
+    h = linear_scan(
+        Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)), mode=mode
+    )
+    return abar, np.moveaxis(h.data, -1, 0)
+
+
+def selective_scan(u, delta, a, b, c, mode="sequential"):
+    """y[n, t] = sum_s c[s, t] * h[n, s, t], where h[n, s, 0] = 0 and
+    h[n, s, t] = exp(delta[n, t] a[n, s]) h[n, s, t-1] + delta[n, t] u[n, t] b[s, t].
+
+    u, delta: [C, L]; a: [C, S]; b, c: [S, L]. One tape node that keeps only
+    its inputs: backward recomputes the states instead of storing the
+    [C, S, L] intermediates (the recompute scheme of Mamba, arXiv:2312.00752).
+    mode selects the linear_scan kernel.
+    """
+    channels, length = u.shape
+    state = a.shape[-1]
+    if (delta.shape != (channels, length) or a.shape != (channels, state)
+            or b.shape != (state, length) or c.shape != (state, length)):
+        raise DimensionError(
+            f"selective_scan: shapes u {u.shape}, delta {delta.shape}, a {a.shape}, "
+            f"b {b.shape}, c {c.shape} do not fit [C,L], [C,L], [C,S], [S,L], [S,L]"
+        )
+    _abar, h = _selective_states(u.data, delta.data, a.data, b.data, mode)
+    y = np.einsum("tns,st->nt", h, c.data)
+
+    def backward(g):
+        abar, h = _selective_states(u.data, delta.data, a.data, b.data, mode)
+        # adjoint lam_t = c_t g_t + abar_{t+1} lam_{t+1}, run as a forward
+        # scan over reversed time r = L-1-t on time-major buffers
+        a_rev = np.empty_like(abar)
+        a_rev[0] = 0.0
+        a_rev[1:] = abar[:0:-1]
+        g_rev = np.ascontiguousarray(g.T[::-1])  # [L, C]
+        c_rev = np.ascontiguousarray(c.data.T[::-1])  # [L, S]
+        gh_rev = g_rev[:, :, None] * c_rev[:, None, :]
+        lam = _SCAN_KERNELS[mode](np.moveaxis(a_rev, 0, -1), np.moveaxis(gh_rev, 0, -1))
+        lam = np.moveaxis(lam, -1, 0)[::-1]  # d loss / d bu, [L, C, S]
+        # d loss / d(delta * A) = lam_t * h_{t-1} * abar_t
+        q = np.zeros_like(h)
+        q[1:] = lam[1:] * h[:-1] * abar[1:]
+        lam_b = np.einsum("tns,st->nt", lam, b.data)  # d loss / d(delta * u)
+        du = lam_b * delta.data
+        ddelta = lam_b * u.data + np.einsum("tns,ns->nt", q, a.data)
+        da = np.einsum("tns,nt->ns", q, delta.data)
+        db = np.einsum("tns,nt->st", lam, delta.data * u.data)
+        dc = np.einsum("tns,nt->st", h, g)
+        return (du, ddelta, da, db, dc)
+
+    return _make_output(y, (u, delta, a, b, c), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,7 @@ def bench_forward(seed=0):
     """Full-model forward latency for the three benchmark geometries."""
     rows = []
     for name in sorted(DATASET_PRESETS):
-        cfg = preset_config(name)
-        cfg.set("scan_mode", "blocked")
-        mcfg = ModelConfig.from_run_config(cfg)
+        mcfg = ModelConfig.from_run_config(preset_config(name))
         model = Model(mcfg, seed=seed)
         rng = np.random.default_rng(seed)
         c, t, f = mcfg.geometry[:3]

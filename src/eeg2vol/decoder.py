@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError
 from .layers import (
     ParamStore,
     channel_layer_norm_tokens,
@@ -89,7 +89,8 @@ def s6_scan(u, params, mode="sequential"):
     Per channel n and step t: abar = exp(delta_t * A_n), bbar = delta_t * B_t,
     h_t = abar * h_{t-1} + bbar * u_t (h_0 = 0), y_t = <C_t, h_t> + Dskip * u_t,
     with delta_t, B_t, C_t linear in the token u_t and delta made positive by
-    softplus. mode picks the sequential reference or the blocked kernel.
+    softplus. The recurrence is the fused ad.selective_scan, which keeps no
+    [channels, state, L] tensor on the tape; mode picks its scan kernel.
     """
     n, length = u.shape
     if length < 1:
@@ -98,22 +99,8 @@ def s6_scan(u, params, mode="sequential"):
     delta = ad.transpose(ad.softplus(ad.linear(tokens, params.w_delta, params.b_delta)))
     b_seq = ad.transpose(ad.linear(tokens, params.w_b))  # [state, L]
     c_seq = ad.transpose(ad.linear(tokens, params.w_c))
-    state = params.a_log.shape[1]
     a = ad.neg(ad.exp(params.a_log))  # strictly negative continuous-time poles
-    abar = ad.exp(
-        ad.reshape(delta, (n, 1, length)) * ad.reshape(a, (n, state, 1))
-    )
-    # delta > 0 and A < 0 put abar in (0, 1); float underflow at either end
-    # (exp saturating to 0.0 or 1.0) is tolerated
-    if not (np.all(abar.data >= 0.0) and np.all(abar.data <= 1.0)):
-        raise NumericError("s6_scan: discretized transition left [0, 1]")
-    bu = (
-        ad.reshape(delta, (n, 1, length))
-        * ad.reshape(b_seq, (1, state, length))
-        * ad.reshape(u, (n, 1, length))
-    )
-    h = ad.linear_scan(abar, bu, mode=mode)
-    y = ad.tsum(h * ad.reshape(c_seq, (1, state, length)), axis=1)
+    y = ad.selective_scan(u, delta, a, b_seq, c_seq, mode=mode)
     return y + ad.reshape(params.d_skip, (n, 1)) * u
 
 

@@ -27,11 +27,6 @@ def channels_first(x):
     return ad.permute(x, (2, 0, 1))
 
 
-def channel_layer_norm(x, gain, shift, eps=1e-5):
-    """LayerNorm over the channel axis of a [C, H, W] grid."""
-    return channels_first(channel_layer_norm_tokens(channels_last(x), gain, shift, eps))
-
-
 def channel_layer_norm_tokens(tokens, gain, shift, eps=1e-5):
     return ad.layer_norm(tokens, gain, shift, eps)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
+from eeg2vol.errors import NumericError
 from eeg2vol.model import Model, ModelConfig
 
 GRAD_TOL = 1e-4
@@ -139,6 +140,76 @@ def matmul_oracle(a, b):
             for p in range(k):
                 out[i, j] += a[i, p] * b[p, j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# unfused selective-scan reference
+# ---------------------------------------------------------------------------
+
+def s6_scan_reference(u, params, mode="sequential"):
+    """decoder.s6_scan composed from generic tape ops, each [C, S, L]
+    intermediate (abar, bu, h, h*C) a tape node: the oracle for the fused
+    ad.selective_scan."""
+    n, length = u.shape
+    tokens = ad.transpose(u)  # [L, channels]
+    delta = ad.transpose(ad.softplus(ad.linear(tokens, params.w_delta, params.b_delta)))
+    b_seq = ad.transpose(ad.linear(tokens, params.w_b))  # [state, L]
+    c_seq = ad.transpose(ad.linear(tokens, params.w_c))
+    state = params.a_log.shape[1]
+    a = ad.neg(ad.exp(params.a_log))
+    abar = ad.exp(
+        ad.reshape(delta, (n, 1, length)) * ad.reshape(a, (n, state, 1))
+    )
+    if not (np.all(abar.data >= 0.0) and np.all(abar.data <= 1.0)):
+        raise NumericError("s6_scan reference: discretized transition left [0, 1]")
+    bu = (
+        ad.reshape(delta, (n, 1, length))
+        * ad.reshape(b_seq, (1, state, length))
+        * ad.reshape(u, (n, 1, length))
+    )
+    h = ad.linear_scan(abar, bu, mode=mode)
+    y = ad.tsum(h * ad.reshape(c_seq, (1, state, length)), axis=1)
+    return y + ad.reshape(params.d_skip, (n, 1)) * u
+
+
+def selective_scan_inputs(rng, channels=2, state=3, length=5):
+    """Leaves u, delta > 0, a < 0, b, c for ad.selective_scan."""
+    return [
+        ad.Tensor(rng.standard_normal((channels, length)), requires_grad=True),
+        ad.Tensor(rng.uniform(0.1, 1.0, size=(channels, length)), requires_grad=True),
+        ad.Tensor(-rng.uniform(0.5, 2.0, size=(channels, state)), requires_grad=True),
+        ad.Tensor(rng.standard_normal((state, length)), requires_grad=True),
+        ad.Tensor(rng.standard_normal((state, length)), requires_grad=True),
+    ]
+
+
+def s6_output_and_grads(scan, u, params, weights, mode):
+    """y and the gradients of <weights, y> for u and the six S6Params."""
+    leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
+              params.w_c, params.d_skip]
+    for t in leaves:
+        t.grad = None
+    with ad.Tape() as tape:
+        y = scan(u, params, mode=mode)
+        loss = ad.tsum(y * ad.Tensor(weights))
+    tape.backward(loss)
+    out = [y.data] + [t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return out
+
+
+def s6_worst_vs_reference(scan, u, params, mode, seed=0):
+    """Largest difference between scan and s6_scan_reference over y and all
+    seven gradients, each relative to the reference's largest magnitude
+    (floor 1)."""
+    weights = np.random.default_rng(seed).standard_normal(u.shape)
+    fused = s6_output_and_grads(scan, u, params, weights, mode)
+    ref = s6_output_and_grads(s6_scan_reference, u, params, weights, mode)
+    return max(
+        float(np.max(np.abs(f - r))) / max(1.0, float(np.max(np.abs(r))))
+        for f, r in zip(fused, ref)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from conftest import (
     directional_grad_check,
     fd_grad_check,
     micro_model_config,
+    s6_worst_vs_reference,
+    selective_scan_inputs,
 )
 from test_data_train import micro_run_config, tree_hashes
 from test_decoder import random_s6_params
@@ -86,9 +88,13 @@ def per_op_gradient_pass(seed):
     )
     a = ad.Tensor(rng.uniform(0.1, 0.9, size=(2, 6)), requires_grad=True)
     u = ad.Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+    sel = selective_scan_inputs(rng)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
             lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
+        )
+        fd_grad_check(
+            lambda: ad.tsum(ad.sigmoid(ad.selective_scan(*sel, mode=mode))), sel
         )
 
 
@@ -129,15 +135,20 @@ def test_criterion_1_gradient_suite(capsys):
 
 def test_criterion_2_scan_oracles(capsys):
     start = time.perf_counter()
-    worst = 0.0
+    worst = fused_worst = 0.0
     for length in (37, 256, 1000, 1024, 4096):
         params = random_s6_params(3, 4, seed=length)
         rng = np.random.default_rng(length)
-        u = ad.Tensor(rng.standard_normal((3, length)) * 0.5)
+        u = ad.Tensor(rng.standard_normal((3, length)) * 0.5, requires_grad=True)
         seq = s6_scan(u, params, mode="sequential").data
         blk = s6_scan(u, params, mode="blocked").data
         worst = max(worst, float(np.max(np.abs(seq - blk))))
+        for mode in ("sequential", "blocked"):
+            fused_worst = max(
+                fused_worst, s6_worst_vs_reference(s6_scan, u, params, mode, seed=length)
+            )
     assert worst < 1e-10, f"blocked/sequential disagree by {worst:.3e}"
+    assert fused_worst < 1e-10, f"fused/unfused scan disagree by {fused_worst:.3e}"
 
     rng = np.random.default_rng(0)
     for h in range(1, 17):
@@ -150,7 +161,8 @@ def test_criterion_2_scan_oracles(capsys):
     announce(
         capsys,
         f"[criterion 2] PASS scan oracles: |seq-blocked| {worst:.2e} < 1e-10 "
-        f"up to L=4096; merge(expand) = 4x identity for all H,W <= 16 "
+        f"and fused vs unfused s6_scan (y and 7 gradients) {fused_worst:.2e} "
+        f"< 1e-10 up to L=4096; merge(expand) = 4x identity for all H,W <= 16 "
         f"({elapsed:.1f}s < 60s)",
     )
 

@@ -6,7 +6,13 @@ import pytest
 from eeg2vol import autodiff as ad
 from eeg2vol.errors import DimensionError, NumericError
 
-from conftest import conv2d_oracle, fd_grad_check, matmul_oracle, rel_err
+from conftest import (
+    conv2d_oracle,
+    fd_grad_check,
+    matmul_oracle,
+    rel_err,
+    selective_scan_inputs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,49 @@ def test_linear_scan_nonfinite_reports_step_index():
 def test_linear_scan_shape_mismatch():
     with pytest.raises(DimensionError):
         ad.linear_scan(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
+
+
+# ---------------------------------------------------------------------------
+# fused selective scan
+# ---------------------------------------------------------------------------
+
+SELECTIVE_SCAN_FAULTS = [
+    # (input index, position, value, message)
+    pytest.param(1, (1, 2), np.nan, r"discretized transition left \[0, 1\]",
+                 id="nan-delta"),
+    pytest.param(0, (0, 3), np.inf, "linear_scan: non-finite state at step 3",
+                 id="inf-token"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode", ["sequential", "blocked"])
+@pytest.mark.parametrize("index, position, value, message", SELECTIVE_SCAN_FAULTS)
+def test_selective_scan_forward_checks(index, position, value, message, mode):
+    inputs = selective_scan_inputs(np.random.default_rng(40), length=6)
+    inputs[index].data[position] = value
+    with pytest.raises(NumericError, match=message):
+        ad.selective_scan(*inputs, mode=mode)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode", ["sequential", "blocked"])
+@pytest.mark.parametrize("index, position, value, message", SELECTIVE_SCAN_FAULTS)
+def test_selective_scan_backward_recompute_checks(index, position, value, message, mode):
+    inputs = selective_scan_inputs(np.random.default_rng(41), length=6)
+    with ad.Tape():
+        loss = ad.tsum(ad.selective_scan(*inputs, mode=mode))
+    # the saved inputs change between forward and backward, so only the
+    # recompute in backward can see the fault
+    inputs[index].data[position] = value
+    with pytest.raises(NumericError, match=message):
+        loss.backward()
+
+
+def test_selective_scan_shape_mismatch():
+    u, delta, a, b, c = selective_scan_inputs(np.random.default_rng(42))
+    with pytest.raises(DimensionError, match="selective_scan"):
+        ad.selective_scan(u, delta, a, b, ad.Tensor(np.zeros((3, 4))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from eeg2vol.decoder import (
     scan_expand,
     scan_merge,
 )
-from eeg2vol.errors import ConfigError, DimensionError
+from eeg2vol.errors import ConfigError, DimensionError, NumericError
 from eeg2vol.layers import ParamStore
 
-from conftest import fd_grad_check, rel_err
+from conftest import fd_grad_check, rel_err, s6_worst_vs_reference
 
 
 def random_s6_params(channels, state, seed=0, scale=0.3):
@@ -155,6 +155,36 @@ def test_s6_gradients():
     for mode in ("sequential", "blocked"):
         fd_grad_check(lambda: ad.tmean(ad.sigmoid(s6_scan(u, params, mode=mode))),
                       leaves)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "blocked"])
+@pytest.mark.parametrize("length", [1, 37, 256, 1024, 4096])
+def test_s6_fused_matches_unfused_reference(length, mode):
+    params = random_s6_params(3, 4, seed=length)
+    rng = np.random.default_rng(length)
+    u = ad.Tensor(rng.standard_normal((3, length)) * 0.5, requires_grad=True)
+    assert s6_worst_vs_reference(s6_scan, u, params, mode, seed=length) < 1e-10
+
+
+def test_s6_tape_holds_no_state_sized_tensor():
+    """Memory bounded by design: no [channels, state, L] tensor is kept."""
+    channels, state, length = 8, 4, 64
+    params = random_s6_params(channels, state, seed=23)
+    u = ad.Tensor(np.random.default_rng(24).standard_normal((channels, length)), True)
+    with ad.Tape() as tape:
+        s6_scan(u, params)
+    assert tape.nodes
+    largest = max(out.data.size for out, _inputs, _backward in tape.nodes)
+    assert largest <= channels * length
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_s6_nan_token_raises():
+    params = random_s6_params(2, 3, seed=25)
+    u = np.random.default_rng(26).standard_normal((2, 6))
+    u[1, 4] = np.nan
+    with pytest.raises(NumericError, match=r"discretized transition left \[0, 1\]"):
+        s6_scan(ad.Tensor(u), params)
 
 
 # ---------------------------------------------------------------------------
