@@ -508,7 +508,7 @@ def linear_scan(a, x, mode="sequential"):
 # fused selective scan
 # ---------------------------------------------------------------------------
 
-def _selective_states(u, delta, a, b, mode):
+def _selective_states(u, delta, a, b):
     """Time-major [L, C, S] transitions abar = exp(delta * A) and states h.
 
     The [C, S, L] arrays linear_scan sees are views of time-major buffers,
@@ -521,20 +521,18 @@ def _selective_states(u, delta, a, b, mode):
     if not (np.all(abar >= 0.0) and np.all(abar <= 1.0)):
         raise NumericError("selective_scan: discretized transition left [0, 1]")
     bu = (delta_t * u_t)[:, :, None] * b_t[:, None, :]
-    h = linear_scan(
-        Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)), mode=mode
-    )
+    h = linear_scan(Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)))
     return abar, np.moveaxis(h.data, -1, 0)
 
 
-def selective_scan(u, delta, a, b, c, mode="sequential"):
+def selective_scan(u, delta, a, b, c):
     """y[n, t] = sum_s c[s, t] * h[n, s, t], where h[n, s, 0] = 0 and
     h[n, s, t] = exp(delta[n, t] a[n, s]) h[n, s, t-1] + delta[n, t] u[n, t] b[s, t].
 
     u, delta: [C, L]; a: [C, S]; b, c: [S, L]. One tape node that keeps only
     its inputs: backward recomputes the states instead of storing the
     [C, S, L] intermediates (the recompute scheme of Mamba, arXiv:2312.00752).
-    mode selects the linear_scan kernel.
+    Forward and adjoint recurrences both run the sequential kernel.
     """
     channels, length = u.shape
     state = a.shape[-1]
@@ -544,11 +542,11 @@ def selective_scan(u, delta, a, b, c, mode="sequential"):
             f"selective_scan: shapes u {u.shape}, delta {delta.shape}, a {a.shape}, "
             f"b {b.shape}, c {c.shape} do not fit [C,L], [C,L], [C,S], [S,L], [S,L]"
         )
-    _abar, h = _selective_states(u.data, delta.data, a.data, b.data, mode)
+    _abar, h = _selective_states(u.data, delta.data, a.data, b.data)
     y = np.einsum("tns,st->nt", h, c.data)
 
     def backward(g):
-        abar, h = _selective_states(u.data, delta.data, a.data, b.data, mode)
+        abar, h = _selective_states(u.data, delta.data, a.data, b.data)
         # adjoint lam_t = c_t g_t + abar_{t+1} lam_{t+1}, run as a forward
         # scan over reversed time r = L-1-t on time-major buffers
         a_rev = np.empty_like(abar)
@@ -557,7 +555,7 @@ def selective_scan(u, delta, a, b, c, mode="sequential"):
         g_rev = np.ascontiguousarray(g.T[::-1])  # [L, C]
         c_rev = np.ascontiguousarray(c.data.T[::-1])  # [L, S]
         gh_rev = g_rev[:, :, None] * c_rev[:, None, :]
-        lam = _SCAN_KERNELS[mode](np.moveaxis(a_rev, 0, -1), np.moveaxis(gh_rev, 0, -1))
+        lam = _scan_sequential(np.moveaxis(a_rev, 0, -1), np.moveaxis(gh_rev, 0, -1))
         lam = np.moveaxis(lam, -1, 0)[::-1]  # d loss / d bu, [L, C, S]
         # d loss / d(delta * A) = lam_t * h_{t-1} * abar_t
         q = np.zeros_like(h)

@@ -1,9 +1,8 @@
-"""Throughput comparison of the scan kernels and full-model forward latency."""
+"""Selective-scan throughput and full-model forward latency."""
 
 from __future__ import annotations
 
 import time
-import zlib
 
 import numpy as np
 
@@ -26,39 +25,19 @@ def _make_params(channels, state, rng):
     )
 
 
-def _checksum(array):
-    return f"{zlib.crc32(np.ascontiguousarray(array).tobytes()):08x}"
-
-
 def bench_scan(channels=32, state=8, seed=0, repeats=3):
-    """Rows: (L, seq tokens/s, blocked tokens/s, checksum_seq, checksum_blk)."""
+    """Rows {length, tok_s}: best-of-repeats s6_scan throughput per length."""
     rng = np.random.default_rng(seed)
     params = _make_params(channels, state, rng)
     rows = []
     for length in SCAN_LENGTHS:
         u = ad.Tensor(rng.standard_normal((channels, length)) * 0.5)
-        timings = {}
-        outputs = {}
-        for mode in ("sequential", "blocked"):
-            best = np.inf
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                y = s6_scan(u, params, mode=mode)
-                best = min(best, time.perf_counter() - t0)
-            timings[mode] = best
-            outputs[mode] = y.data
-        rows.append(
-            {
-                "length": length,
-                "sequential_tok_s": length / timings["sequential"],
-                "blocked_tok_s": length / timings["blocked"],
-                "checksum_sequential": _checksum(np.round(outputs["sequential"], 8)),
-                "checksum_blocked": _checksum(np.round(outputs["blocked"], 8)),
-                "max_abs_diff": float(
-                    np.max(np.abs(outputs["sequential"] - outputs["blocked"]))
-                ),
-            }
-        )
+        best = np.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            s6_scan(u, params)
+            best = min(best, time.perf_counter() - t0)
+        rows.append({"length": length, "tok_s": length / best})
     return rows
 
 
@@ -80,15 +59,11 @@ def bench_forward(seed=0):
 
 
 def run_bench(seed=0, include_forward=True):
-    lines = ["kind, key, sequential_tok_s, blocked_tok_s, checksum_equal, max_abs_diff"]
+    lines = ["kind, key, tok_s, forward_s"]
     for row in bench_scan(seed=seed):
-        equal = row["checksum_sequential"] == row["checksum_blocked"]
-        lines.append(
-            f"scan, {row['length']}, {row['sequential_tok_s']:.1f}, "
-            f"{row['blocked_tok_s']:.1f}, {equal}, {row['max_abs_diff']:.3e}"
-        )
+        lines.append(f"scan, {row['length']}, {row['tok_s']:.1f}, -")
     if include_forward:
         for row in bench_forward(seed=seed):
             geom = "x".join(str(v) for v in row["geometry"])
-            lines.append(f"forward, {row['dataset']} ({geom}), -, -, -, {row['forward_s']:.3f}s")
+            lines.append(f"forward, {row['dataset']} ({geom}), -, {row['forward_s']:.3f}")
     return lines

@@ -16,6 +16,7 @@ from .dsp import (
     DatasetManifest,
     EegRecording,
     build_pairs,
+    parse_manifest,
     read_manifest,
     write_manifest,
 )
@@ -66,7 +67,7 @@ def _build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("inputs", nargs="+", help="spectrogram S2VT files")
 
-    common(sub.add_parser("bench", help="scan-kernel throughput and forward latency"))
+    common(sub.add_parser("bench", help="selective-scan throughput and forward latency"))
     return parser
 
 
@@ -81,23 +82,7 @@ def _load_config(args):
 
 def _read_raw_manifest(path):
     """Raw-session manifest: name/fs/tr header plus `subject id: eeg vols`."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    header, sessions = {}, []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("subject "):
-            head, files = line.split(":", 1)
-            parts = files.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}: bad subject line {raw!r}")
-            sessions.append((head[len("subject ") :].strip(), parts[0], parts[1]))
-        elif "=" in line:
-            key, value = (s.strip() for s in line.split("=", 1))
-            header[key] = value
+    header, sessions = parse_manifest(path)
     for key in ("name", "fs", "tr"):
         if key not in header:
             raise DataError(f"{path}: raw manifest missing header key {key!r}")
@@ -114,8 +99,8 @@ def cmd_preprocess(args):
     geometry = None
     for sid, eeg_path, vol_path in sessions:
         try:
-            eeg = s2vt.read_tensor(base / eeg_path if not Path(eeg_path).is_absolute() else eeg_path)
-            vols = s2vt.read_tensor(base / vol_path if not Path(vol_path).is_absolute() else vol_path)
+            eeg = s2vt.read_tensor(base / eeg_path)
+            vols = s2vt.read_tensor(base / vol_path)
             pairs = build_pairs(
                 EegRecording(eeg, fs, sid),
                 vols,
@@ -191,7 +176,7 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     cfg = _load_config(args)
-    model = Model.from_checkpoint(args.checkpoint, run_cfg=cfg, seed=cfg.seed)
+    model = Model.from_checkpoint(args.checkpoint, seed=cfg.seed)
     c, t, f = model.cfg.geometry[:3]
     # geometry gate before any compute
     for path in args.inputs:

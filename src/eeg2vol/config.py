@@ -33,7 +33,6 @@ SCHEMA = {
     "attention_dropout": (0.0, float, "attention weight dropout probability"),
     "vss_blocks": (2, int, "state-space blocks per U-Net stage"),
     "state_dim": (8, int, "state dimension S of the selective scan"),
-    "scan_mode": ("sequential", str, "scan kernel: sequential | blocked"),
     # loss / metrics
     "lambda1": (0.5, float, "weight of the structural (1 - SSIM) term"),
     "lambda2": (0.5, float, "weight of the MSE term"),
@@ -57,7 +56,6 @@ SCHEMA = {
     "k_train": (16, int, "fixed-split training subjects"),
     "k_test": (4, int, "fixed-split test subjects"),
     "fold": (0, int, "which split fold to train/evaluate"),
-    "select": ("best", str, "checkpoint used for eval: best | last"),
     "seed": (0, int, "RNG seed"),
     "workers": (1, int, "parallel sample workers (determinism only at 1)"),
 }

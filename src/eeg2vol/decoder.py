@@ -83,14 +83,14 @@ class S6Params:
     d_skip: ad.Tensor  # [channels]
 
 
-def s6_scan(u, params, mode="sequential"):
+def s6_scan(u, params):
     """Selective scan over a [channels, L] sequence.
 
     Per channel n and step t: abar = exp(delta_t * A_n), bbar = delta_t * B_t,
     h_t = abar * h_{t-1} + bbar * u_t (h_0 = 0), y_t = <C_t, h_t> + Dskip * u_t,
     with delta_t, B_t, C_t linear in the token u_t and delta made positive by
     softplus. The recurrence is the fused ad.selective_scan, which keeps no
-    [channels, state, L] tensor on the tape; mode picks its scan kernel.
+    [channels, state, L] tensor on the tape.
     """
     n, length = u.shape
     if length < 1:
@@ -100,7 +100,7 @@ def s6_scan(u, params, mode="sequential"):
     b_seq = ad.transpose(ad.linear(tokens, params.w_b))  # [state, L]
     c_seq = ad.transpose(ad.linear(tokens, params.w_c))
     a = ad.neg(ad.exp(params.a_log))  # strictly negative continuous-time poles
-    y = ad.selective_scan(u, delta, a, b_seq, c_seq, mode=mode)
+    y = ad.selective_scan(u, delta, a, b_seq, c_seq)
     return y + ad.reshape(params.d_skip, (n, 1)) * u
 
 
@@ -115,7 +115,6 @@ class DecoderConfig:
     plane: tuple = (64, 64)  # (H, W)
     blocks_per_stage: int = 2
     state_dim: int = 8
-    scan_mode: str = "sequential"
     stage_widths: tuple = ()  # default (N, 2N, 4N)
 
     def __post_init__(self):
@@ -129,8 +128,6 @@ class DecoderConfig:
             raise ConfigError(
                 f"plane {h}x{w} must be divisible by 4 for two merge stages"
             )
-        if self.scan_mode not in ("sequential", "blocked"):
-            raise ConfigError(f"unknown scan mode {self.scan_mode!r}")
 
 
 class VssBlock:
@@ -172,7 +169,7 @@ class VssBlock:
             d_skip=p[f"{pre}.dir{d}.dskip"],
         )
 
-    def forward(self, x, scan_mode="sequential"):
+    def forward(self, x):
         """Pre-norm -> projected/gated SS2D -> norm, gate, project -> residual."""
         p, pre = self.store, self.prefix
         _, h, w = x.shape
@@ -183,10 +180,7 @@ class VssBlock:
         )
         gate = ad.silu(ad.linear(normed, p[f"{pre}.gate.weight"], p[f"{pre}.gate.bias"]))
         seqs = scan_expand(main)
-        scanned = [
-            s6_scan(seq, self.direction_params(d), mode=scan_mode)
-            for d, seq in enumerate(seqs)
-        ]
+        scanned = [s6_scan(seq, self.direction_params(d)) for d, seq in enumerate(seqs)]
         merged = channels_last(scan_merge(scanned, h, w))
         merged = channel_layer_norm_tokens(
             merged, p[f"{pre}.out_ln.gain"], p[f"{pre}.out_ln.shift"]
@@ -248,7 +242,7 @@ class Decoder:
 
     def _run(self, blocks, x):
         for block in blocks:
-            x = block.forward(x, scan_mode=self.cfg.scan_mode)
+            x = block.forward(x)
         return x
 
     def decode(self, fmap):

@@ -61,9 +61,6 @@ class DatasetManifest:
     def subject_ids(self):
         return [sid for sid, _ in self.subjects]
 
-    def all_pairs(self):
-        return [pair for _, pairs in self.subjects for pair in pairs]
-
 
 # ---------------------------------------------------------------------------
 # windowing
@@ -272,39 +269,48 @@ def write_manifest(path, manifest):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_manifest(path, validate=False):
+def parse_manifest(path):
+    """The line grammar shared by dataset and raw-session manifests.
+
+    `key = value` header lines and `subject <id>: <a> <b>` entry lines;
+    blank and `#` lines are skipped, anything else is a DataError.
+    Returns (header dict, [(subject_id, a, b), ...] in file order).
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    header = {}
-    subjects = {}
-    order = []
+    header, entries = {}, []
     for raw in path.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("subject "):
-            head, files = line.split(":", 1)
-            sid = head[len("subject ") :].strip()
+            head, _, files = line.partition(":")
             parts = files.split()
             if len(parts) != 2:
                 raise DataError(f"{path}: bad subject line {raw!r}")
-            if sid not in subjects:
-                subjects[sid] = []
-                order.append(sid)
-            subjects[sid].append((parts[0], parts[1]))
+            entries.append((head[len("subject ") :].strip(), parts[0], parts[1]))
         elif "=" in line:
             key, value = (s.strip() for s in line.split("=", 1))
             header[key] = value
         else:
             raise DataError(f"{path}: unparseable line {raw!r}")
+    return header, entries
+
+
+def read_manifest(path, validate=False):
+    path = Path(path)
+    header, entries = parse_manifest(path)
+    subjects = {}
+    for sid, spec_path, vol_path in entries:
+        subjects.setdefault(sid, []).append((spec_path, vol_path))
     try:
         manifest = DatasetManifest(
             name=header["name"],
             fs=float(header["fs"]),
             tr_s=float(header["tr"]),
             geometry=tuple(int(v) for v in header["geometry"].split()),
-            subjects=[(sid, subjects[sid]) for sid in order],
+            subjects=list(subjects.items()),
         )
     except KeyError as exc:
         raise DataError(f"{path}: manifest header missing key {exc}") from exc
@@ -322,8 +328,8 @@ def validate_manifest(manifest, base_dir="."):
     for sid, pairs in manifest.subjects:
         for spec_path, vol_path in pairs:
             for p, want in ((spec_path, (c, t, f)), (vol_path, (d, h, w))):
-                full = p if Path(p).is_absolute() else base / p
-                if not Path(full).exists():
+                full = base / p
+                if not full.exists():
                     raise DataError(f"subject {sid}: missing file {p}")
                 shape, _ = s2vt.read_header(full)
                 if tuple(shape) != want:
@@ -334,18 +340,12 @@ def validate_manifest(manifest, base_dir="."):
 
 
 def resolve_pair_paths(manifest, base_dir="."):
-    """Manifest with relative paths resolved against base_dir."""
+    """Manifest with relative paths resolved against base_dir (absolute
+    paths are kept, as pathlib's `/` does)."""
     base = Path(base_dir)
     subjects = []
     for sid, pairs in manifest.subjects:
-        resolved = [
-            (
-                str(p if Path(p).is_absolute() else base / p),
-                str(v if Path(v).is_absolute() else base / v),
-            )
-            for p, v in pairs
-        ]
-        subjects.append((sid, resolved))
+        subjects.append((sid, [(str(base / p), str(base / v)) for p, v in pairs]))
     return DatasetManifest(
         manifest.name, manifest.fs, manifest.tr_s, manifest.geometry, subjects
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 
 
 def conv_grid(x, kernel, bias=None, stride=(1, 1), padding=(0, 0)):
@@ -73,7 +73,7 @@ class ParamStore:
     def load_arrays(self, arrays):
         for name, tensor in self.params.items():
             if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name}")
+                raise DataError(f"checkpoint missing parameter {name}")
             if tuple(arrays[name].shape) != tensor.shape:
                 raise DimensionError(
                     f"checkpoint parameter {name} has shape "

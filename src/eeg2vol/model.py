@@ -23,7 +23,6 @@ class ModelConfig:
     attention_dropout: float = 0.0
     vss_blocks: int = 2
     state_dim: int = 8
-    scan_mode: str = "sequential"
 
     @classmethod
     def from_run_config(cls, cfg, geometry=None):
@@ -46,7 +45,6 @@ class ModelConfig:
             attention_dropout=cfg.attention_dropout,
             vss_blocks=cfg.vss_blocks,
             state_dim=cfg.state_dim,
-            scan_mode=cfg.scan_mode,
         )
 
 
@@ -75,7 +73,6 @@ class Model:
                 plane=(h, w),
                 blocks_per_stage=mcfg.vss_blocks,
                 state_dim=mcfg.state_dim,
-                scan_mode=mcfg.scan_mode,
             ),
             rng,
             store=self.store,
@@ -110,20 +107,8 @@ class Model:
             meta.update(extra)
         s2vt.save_checkpoint(directory, self.store.named_arrays(), extra=meta)
 
-    def load(self, directory):
-        params, extra = s2vt.load_checkpoint(directory)
-        if "geometry" in extra:
-            stored = tuple(int(v) for v in extra["geometry"].split())
-            if stored != tuple(self.cfg.geometry):
-                raise ConfigError(
-                    f"checkpoint geometry {stored} does not match model "
-                    f"geometry {tuple(self.cfg.geometry)}"
-                )
-        self.store.load_arrays(params)
-        return extra
-
     @classmethod
-    def from_checkpoint(cls, directory, run_cfg=None, seed=0):
+    def from_checkpoint(cls, directory, seed=0):
         """Rebuild a model from a checkpoint's recorded architecture."""
         params, extra = s2vt.load_checkpoint(directory)
         try:
@@ -134,7 +119,6 @@ class Model:
                 enc_stages=int(extra["enc_stages"]),
                 vss_blocks=int(extra["vss_blocks"]),
                 state_dim=int(extra["state_dim"]),
-                scan_mode=(run_cfg.scan_mode if run_cfg is not None else "sequential"),
             )
         except KeyError as exc:
             raise ConfigError(f"checkpoint index missing metadata {exc}") from exc

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import s2vt
-from .dsp import read_manifest, resolve_pair_paths
+from .dsp import resolve_pair_paths
 from .errors import ConfigError, DataError, NumericError
 from .losses import (
     LossWeights,
@@ -58,13 +57,16 @@ def ssim_config_from(cfg):
     )
 
 
-def _batch_grads(model, batch, weights, ssim_cfg, workers=1):
-    """Accumulate mean-loss gradients over one batch; returns the mean loss."""
+def _batch_grads(model, batch, weights, ssim_cfg, workers=1, rng=None):
+    """Accumulate mean-loss gradients over one batch; returns the mean loss.
+
+    rng draws the attention-dropout masks; nothing is drawn at dropout 0.
+    """
 
     def run_forward(sample):
         _sid, spec, vol = sample
         with ad.Tape() as tape:
-            pred = model.forward(ad.Tensor(spec), train=True)
+            pred = model.forward(ad.Tensor(spec), train=True, rng=rng)
             loss = hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)
         return tape, loss
 
@@ -186,7 +188,7 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
                 lr = lr_at(epoch, b / steps_per_epoch, schedule)
                 members = [train_samples[i] for i in order[b * batch : (b + 1) * batch]]
                 model.store.zero_grad()
-                loss = _batch_grads(model, members, weights, ssim_cfg, cfg.workers)
+                loss = _batch_grads(model, members, weights, ssim_cfg, cfg.workers, rng)
                 if cfg.grad_clip > 0:
                     _clip_gradients(model.store, cfg.grad_clip)
                 optimizer.step(lr=lr)
@@ -223,7 +225,7 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
 
 def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
     """Evaluate a checkpoint on the configured test fold; returns report rows."""
-    model = Model.from_checkpoint(checkpoint_dir, run_cfg=cfg, seed=cfg.seed)
+    model = Model.from_checkpoint(checkpoint_dir, seed=cfg.seed)
     check_geometry(manifest, model.cfg)
     _train_ids, test_ids = split_for(cfg, manifest)
     samples = load_pairs(manifest, base_dir, test_ids)

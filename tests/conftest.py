@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
+from eeg2vol.decoder import s6_scan
 from eeg2vol.errors import NumericError
 from eeg2vol.model import Model, ModelConfig
 
@@ -149,7 +150,7 @@ def matmul_oracle(a, b):
 def s6_scan_reference(u, params, mode="sequential"):
     """decoder.s6_scan composed from generic tape ops, each [C, S, L]
     intermediate (abar, bu, h, h*C) a tape node: the oracle for the fused
-    ad.selective_scan."""
+    ad.selective_scan. mode picks the linear_scan kernel of the oracle."""
     n, length = u.shape
     tokens = ad.transpose(u)  # [L, channels]
     delta = ad.transpose(ad.softplus(ad.linear(tokens, params.w_delta, params.b_delta)))
@@ -183,14 +184,14 @@ def selective_scan_inputs(rng, channels=2, state=3, length=5):
     ]
 
 
-def s6_output_and_grads(scan, u, params, weights, mode):
+def s6_output_and_grads(scan, u, params, weights):
     """y and the gradients of <weights, y> for u and the six S6Params."""
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
               params.w_c, params.d_skip]
     for t in leaves:
         t.grad = None
     with ad.Tape() as tape:
-        y = scan(u, params, mode=mode)
+        y = scan(u, params)
         loss = ad.tsum(y * ad.Tensor(weights))
     tape.backward(loss)
     out = [y.data] + [t.grad.copy() for t in leaves]
@@ -199,13 +200,15 @@ def s6_output_and_grads(scan, u, params, weights, mode):
     return out
 
 
-def s6_worst_vs_reference(scan, u, params, mode, seed=0):
-    """Largest difference between scan and s6_scan_reference over y and all
-    seven gradients, each relative to the reference's largest magnitude
-    (floor 1)."""
+def s6_worst_vs_reference(u, params, ref_mode, seed=0):
+    """Largest difference between decoder.s6_scan and s6_scan_reference on
+    the ref_mode linear_scan kernel, over y and all seven gradients, each
+    relative to the reference's largest magnitude (floor 1)."""
     weights = np.random.default_rng(seed).standard_normal(u.shape)
-    fused = s6_output_and_grads(scan, u, params, weights, mode)
-    ref = s6_output_and_grads(s6_scan_reference, u, params, weights, mode)
+    fused = s6_output_and_grads(s6_scan, u, params, weights)
+    ref = s6_output_and_grads(
+        lambda u, params: s6_scan_reference(u, params, mode=ref_mode), u, params, weights
+    )
     return max(
         float(np.max(np.abs(f - r))) / max(1.0, float(np.max(np.abs(r))))
         for f, r in zip(fused, ref)
@@ -219,7 +222,7 @@ def s6_worst_vs_reference(scan, u, params, mode, seed=0):
 MICRO_GEOMETRY = (4, 5, 6, 3, 8, 8)  # (C, T, F, D, H, W)
 
 
-def micro_model_config(scan_mode="sequential"):
+def micro_model_config():
     return ModelConfig(
         geometry=MICRO_GEOMETRY,
         embed=4,
@@ -227,7 +230,6 @@ def micro_model_config(scan_mode="sequential"):
         enc_stages=2,
         vss_blocks=1,
         state_dim=2,
-        scan_mode=scan_mode,
     )
 
 

@@ -26,6 +26,7 @@ from conftest import (
     directional_grad_check,
     fd_grad_check,
     micro_model_config,
+    s6_scan_reference,
     s6_worst_vs_reference,
     selective_scan_inputs,
 )
@@ -93,9 +94,7 @@ def per_op_gradient_pass(seed):
         fd_grad_check(
             lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
         )
-        fd_grad_check(
-            lambda: ad.tsum(ad.sigmoid(ad.selective_scan(*sel, mode=mode))), sel
-        )
+    fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.selective_scan(*sel))), sel)
 
 
 def test_criterion_1_gradient_suite(capsys):
@@ -140,12 +139,12 @@ def test_criterion_2_scan_oracles(capsys):
         params = random_s6_params(3, 4, seed=length)
         rng = np.random.default_rng(length)
         u = ad.Tensor(rng.standard_normal((3, length)) * 0.5, requires_grad=True)
-        seq = s6_scan(u, params, mode="sequential").data
-        blk = s6_scan(u, params, mode="blocked").data
+        seq = s6_scan(u, params).data
+        blk = s6_scan_reference(u, params, mode="blocked").data
         worst = max(worst, float(np.max(np.abs(seq - blk))))
         for mode in ("sequential", "blocked"):
             fused_worst = max(
-                fused_worst, s6_worst_vs_reference(s6_scan, u, params, mode, seed=length)
+                fused_worst, s6_worst_vs_reference(u, params, mode, seed=length)
             )
     assert worst < 1e-10, f"blocked/sequential disagree by {worst:.3e}"
     assert fused_worst < 1e-10, f"fused/unfused scan disagree by {fused_worst:.3e}"
@@ -244,7 +243,6 @@ def test_criterion_5_geometry_reproduction(capsys):
     }
     for name, (in_shape, out_shape) in expected.items():
         cfg = preset_config(name)
-        cfg.set("scan_mode", "blocked")
         model = Model(ModelConfig.from_run_config(cfg), seed=0)
         assert model.cfg.geometry == in_shape + out_shape, name
         rng = np.random.default_rng(0)
@@ -279,7 +277,6 @@ def test_criterion_6_learnability(capsys):
         enc_stages=2,
         vss_blocks=1,
         state_dim=2,
-        scan_mode="blocked",
     )
     model = Model(mcfg, seed=0)
     opt = AdamW(model.store.params, lr=1e-3, weight_decay=1e-2)

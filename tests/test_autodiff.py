@@ -305,31 +305,30 @@ def test_linear_scan_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 SELECTIVE_SCAN_FAULTS = [
-    # (input index, position, value, message)
+    # (input index, position, value, message); ids end in the scan kernel
+    # the fused op runs
     pytest.param(1, (1, 2), np.nan, r"discretized transition left \[0, 1\]",
-                 id="nan-delta"),
+                 id="nan-delta-sequential"),
     pytest.param(0, (0, 3), np.inf, "linear_scan: non-finite state at step 3",
-                 id="inf-token"),
+                 id="inf-token-sequential"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("mode", ["sequential", "blocked"])
 @pytest.mark.parametrize("index, position, value, message", SELECTIVE_SCAN_FAULTS)
-def test_selective_scan_forward_checks(index, position, value, message, mode):
+def test_selective_scan_forward_checks(index, position, value, message):
     inputs = selective_scan_inputs(np.random.default_rng(40), length=6)
     inputs[index].data[position] = value
     with pytest.raises(NumericError, match=message):
-        ad.selective_scan(*inputs, mode=mode)
+        ad.selective_scan(*inputs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("mode", ["sequential", "blocked"])
 @pytest.mark.parametrize("index, position, value, message", SELECTIVE_SCAN_FAULTS)
-def test_selective_scan_backward_recompute_checks(index, position, value, message, mode):
+def test_selective_scan_backward_recompute_checks(index, position, value, message):
     inputs = selective_scan_inputs(np.random.default_rng(41), length=6)
     with ad.Tape():
-        loss = ad.tsum(ad.selective_scan(*inputs, mode=mode))
+        loss = ad.tsum(ad.selective_scan(*inputs))
     # the saved inputs change between forward and backward, so only the
     # recompute in backward can see the fault
     inputs[index].data[position] = value

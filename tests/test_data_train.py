@@ -33,7 +33,6 @@ def micro_run_config(**overrides):
         "channels": 4, "t_bins": 5, "f_bins": 6,
         "depth": 3, "height": 8, "width": 8,
         "embed": 4, "heads": 2, "state_dim": 2, "vss_blocks": 1,
-        "scan_mode": "blocked",
         "epochs": 3, "batch_size": 4,
         "split_mode": "fixed", "k_train": 1, "k_test": 1,
     }

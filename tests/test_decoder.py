@@ -18,7 +18,7 @@ from eeg2vol.decoder import (
 from eeg2vol.errors import ConfigError, DimensionError, NumericError
 from eeg2vol.layers import ParamStore
 
-from conftest import fd_grad_check, rel_err, s6_worst_vs_reference
+from conftest import fd_grad_check, rel_err, s6_scan_reference, s6_worst_vs_reference
 
 
 def random_s6_params(channels, state, seed=0, scale=0.3):
@@ -132,11 +132,12 @@ def test_s6_zero_input_gives_zero_output():
 
 
 def test_s6_blocked_matches_sequential():
+    """The sequential-kernel s6_scan against the blocked-kernel oracle."""
     params = random_s6_params(3, 4, seed=7)
     rng = np.random.default_rng(8)
     u = ad.Tensor(rng.standard_normal((3, 32)) * 0.5)
-    seq = s6_scan(u, params, mode="sequential").data
-    blk = s6_scan(u, params, mode="blocked").data
+    seq = s6_scan(u, params).data
+    blk = s6_scan_reference(u, params, mode="blocked").data
     assert np.max(np.abs(seq - blk)) < 1e-10
 
 
@@ -152,9 +153,7 @@ def test_s6_gradients():
     u = ad.Tensor(rng.standard_normal((2, 5)) * 0.5, requires_grad=True)
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
               params.w_c, params.d_skip]
-    for mode in ("sequential", "blocked"):
-        fd_grad_check(lambda: ad.tmean(ad.sigmoid(s6_scan(u, params, mode=mode))),
-                      leaves)
+    fd_grad_check(lambda: ad.tmean(ad.sigmoid(s6_scan(u, params))), leaves)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "blocked"])
@@ -163,7 +162,7 @@ def test_s6_fused_matches_unfused_reference(length, mode):
     params = random_s6_params(3, 4, seed=length)
     rng = np.random.default_rng(length)
     u = ad.Tensor(rng.standard_normal((3, length)) * 0.5, requires_grad=True)
-    assert s6_worst_vs_reference(s6_scan, u, params, mode, seed=length) < 1e-10
+    assert s6_worst_vs_reference(u, params, mode, seed=length) < 1e-10
 
 
 def test_s6_tape_holds_no_state_sized_tensor():
@@ -289,25 +288,6 @@ def test_unet_input_shape_mismatch():
 def test_unet_divisibility_config_error():
     with pytest.raises(ConfigError, match="divisible"):
         DecoderConfig(in_channels=4, out_depth=3, plane=(10, 8))
-
-
-def test_unknown_scan_mode():
-    with pytest.raises(ConfigError, match="scan"):
-        DecoderConfig(in_channels=4, out_depth=3, plane=(8, 8), scan_mode="warp")
-
-
-def test_unet_scan_modes_agree():
-    rng_in = np.random.default_rng(19)
-    x = rng_in.standard_normal((4, 8, 8)) * 0.3
-    outputs = []
-    for mode in ("sequential", "blocked"):
-        cfg = DecoderConfig(
-            in_channels=4, out_depth=3, plane=(8, 8), blocks_per_stage=1,
-            state_dim=2, scan_mode=mode,
-        )
-        dec = Decoder(cfg, np.random.default_rng(20))
-        outputs.append(dec.decode(ad.Tensor(x)).data)
-    assert np.max(np.abs(outputs[0] - outputs[1])) < 1e-10
 
 
 def test_unet_gradients_spot_check():
