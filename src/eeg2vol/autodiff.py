@@ -215,12 +215,6 @@ def neg(a):
     return _make_output(-a.data, (a,), lambda g: (-g,))
 
 
-def powc(a, p):
-    """Elementwise power with a constant exponent."""
-    val = a.data**p
-    return _make_output(val, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
-
 def sqrt(a):
     val = np.sqrt(a.data)
     return _make_output(val, (a,), lambda g: (g * 0.5 / val,))
@@ -229,10 +223,6 @@ def sqrt(a):
 def exp(a):
     val = np.exp(a.data)
     return _make_output(val, (a,), lambda g: (g * val,))
-
-
-def log(a):
-    return _make_output(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sigmoid(a):
@@ -290,9 +280,10 @@ def reshape(a, shape):
 
 
 def permute(a, axes):
-    inv = np.argsort(axes)
     return _make_output(
-        np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),)
+        np.transpose(a.data, axes),
+        (a,),
+        lambda g: (np.moveaxis(g, range(len(axes)), axes),),
     )
 
 
@@ -338,18 +329,6 @@ def concat(tensors, axis=0):
         return tuple(out)
 
     return _make_output(val, tensors, backward)
-
-
-def gather_flat(a, idx, out_shape):
-    """Pick flat indices from a's row-major buffer; inverse scatter-adds."""
-    val = a.data.reshape(-1)[idx].reshape(out_shape)
-
-    def backward(g):
-        ga = np.zeros(a.data.size, dtype=a.data.dtype)
-        np.add.at(ga, idx, g.reshape(-1))
-        return (ga.reshape(a.shape),)
-
-    return _make_output(val, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

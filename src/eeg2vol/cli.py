@@ -46,7 +46,6 @@ def _build_parser():
         )
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="worker threads")
         return p
 
     p = common(sub.add_parser("preprocess", help="raw recordings -> paired dataset"))
@@ -75,8 +74,6 @@ def _load_config(args):
     cfg = Config.load(args.config, args.overrides)
     if args.seed is not None:
         cfg.set("seed", args.seed)
-    if getattr(args, "workers", None) is not None:
-        cfg.set("workers", args.workers)
     return cfg
 
 
@@ -86,7 +83,10 @@ def _read_raw_manifest(path):
     for key in ("name", "fs", "tr"):
         if key not in header:
             raise DataError(f"{path}: raw manifest missing header key {key!r}")
-    return header["name"], float(header["fs"]), float(header["tr"]), sessions
+    try:
+        return header["name"], float(header["fs"]), float(header["tr"]), sessions
+    except ValueError as exc:
+        raise DataError(f"{path}: raw manifest header value is not a number: {exc}") from exc
 
 
 def cmd_preprocess(args):
@@ -175,8 +175,8 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    cfg = _load_config(args)
-    model = Model.from_checkpoint(args.checkpoint, seed=cfg.seed)
+    _load_config(args)  # rejects unknown --set keys
+    model = Model.from_checkpoint(args.checkpoint)
     c, t, f = model.cfg.geometry[:3]
     # geometry gate before any compute
     for path in args.inputs:

@@ -101,9 +101,6 @@ class Config:
             cfg.set(k, v)
         return cfg
 
-    def dump(self):
-        return "\n".join(f"{k} = {v}" for k, v in sorted(self._values.items())) + "\n"
-
     @classmethod
     def load(cls, path=None, overrides=()):
         cfg = cls()

@@ -1,15 +1,16 @@
 """Volume decoder: a U-Net of visual state-space blocks.
 
 Each block runs a four-direction selective scan (SS2D): the feature grid is
-unfolded into four direction-ordered sequences, each sequence goes through an
-input-conditioned linear state-space recurrence, and the four results are
-folded back and summed. Spatial resampling is convolution-free 2x2 patch
-merging / expanding; the head maps channels to depth slices with a sigmoid.
+flattened row-major as is, with both axes flipped, with W flipped and with H
+flipped; each of the four sequences goes through an input-conditioned linear
+state-space recurrence, and the four results are flipped back and summed.
+Spatial resampling is convolution-free 2x2 patch merging / expanding; the head
+maps channels to depth slices with a sigmoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,43 +29,32 @@ from .layers import (
 # four-direction scan ordering
 # ---------------------------------------------------------------------------
 
-def scan_orders(h, w):
-    """Flat grid indices for the four scan directions.
+def scan_expand(x):
+    """[N, H, W] -> four [N, H*W] sequences, one per direction.
 
     1: row-major top-left -> bottom-right; 2: reverse of 1;
     3: row-major after horizontal flip (top-right -> bottom-left);
-    4: reverse of 3.
+    4: reverse of 3. As grids: no flip, both axes flipped, W flipped,
+    H flipped.
     """
-    d1 = np.arange(h * w)
-    d3 = d1.reshape(h, w)[:, ::-1].ravel()
-    return [d1, d1[::-1].copy(), d3, d3[::-1].copy()]
-
-
-def scan_expand(x):
-    """[N, H, W] -> four [N, H*W] sequences, one per direction."""
     n, h, w = x.shape
-    seqs = []
-    for order in scan_orders(h, w):
-        idx = (np.arange(n)[:, None] * (h * w) + order[None, :]).ravel()
-        seqs.append(ad.gather_flat(x, idx, (n, h * w)))
-    return seqs
+    d1 = ad.reshape(x, (n, h * w))
+    d3 = ad.reshape(x[:, :, ::-1], (n, h * w))
+    return [d1, d1[:, ::-1], d3, d3[:, ::-1]]
 
 
 def scan_merge(seqs, h, w):
-    """Invert each direction's ordering and sum the four grids."""
+    """Undo each direction's flips and sum the four grids."""
     lengths = {s.shape[-1] for s in seqs}
     if lengths != {h * w}:
         raise DimensionError(
             f"scan_merge: sequence lengths {sorted(lengths)} != {h * w}"
         )
-    n = seqs[0].shape[0]
-    total = None
-    for seq, order in zip(seqs, scan_orders(h, w)):
-        inv = np.argsort(order, kind="stable")
-        idx = (np.arange(n)[:, None] * (h * w) + inv[None, :]).ravel()
-        grid = ad.reshape(ad.gather_flat(seq, idx, (n, h * w)), (n, h, w))
-        total = grid if total is None else total + grid
-    return total
+    d1, d2, d3, d4 = seqs
+    n = d1.shape[0]
+    rows = ad.reshape(d1 + d2[:, ::-1], (n, h, w))
+    flipped = ad.reshape(d3 + d4[:, ::-1], (n, h, w))
+    return rows + flipped[:, :, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +105,8 @@ class DecoderConfig:
     plane: tuple = (64, 64)  # (H, W)
     blocks_per_stage: int = 2
     state_dim: int = 8
-    stage_widths: tuple = ()  # default (N, 2N, 4N)
 
     def __post_init__(self):
-        if not self.stage_widths:
-            n = self.in_channels
-            self.stage_widths = (n, 2 * n, 4 * n)
-        if len(self.stage_widths) != 3:
-            raise ConfigError("decoder expects widths for two downs plus bottleneck")
         h, w = self.plane
         if h % 4 or w % 4:
             raise ConfigError(
@@ -211,7 +195,8 @@ class Decoder:
         self.cfg = cfg
         self.store = store if store is not None else ParamStore()
         self.prefix = prefix
-        c0, c1, c2 = cfg.stage_widths
+        c0 = cfg.in_channels  # stage widths N, 2N, 4N
+        c1, c2 = 2 * c0, 4 * c0
         p = self.store
 
         def make_blocks(stage, width):

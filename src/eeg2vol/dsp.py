@@ -314,6 +314,8 @@ def read_manifest(path, validate=False):
         )
     except KeyError as exc:
         raise DataError(f"{path}: manifest header missing key {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: manifest header value is not a number: {exc}") from exc
     if len(manifest.geometry) != 6:
         raise DataError(f"{path}: geometry must list C T F D H W")
     if validate:

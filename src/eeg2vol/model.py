@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import dsp, s2vt
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
-from .errors import ConfigError
+from .errors import DataError
 from .layers import ParamStore
 
 
@@ -85,8 +85,14 @@ class Model:
         return self.decoder.decode(self.encoder.encode(x, train=train, rng=rng))
 
     def predict(self, x):
-        """Inference without recording a tape; numpy in, numpy out."""
-        return self.forward(ad.Tensor(np.asarray(x))).data
+        """Inference without recording a tape; numpy in, numpy out.
+
+        The volume is copied once the forward temporaries are freed, so the
+        array a caller keeps takes memory those temporaries released instead
+        of pinning the heap above them; a loop that keeps every prediction
+        then reuses freed heap rather than growing it.
+        """
+        return self.forward(ad.Tensor(np.asarray(x))).data.copy()
 
     # checkpointing ----------------------------------------------------------
 
@@ -108,7 +114,7 @@ class Model:
         s2vt.save_checkpoint(directory, self.store.named_arrays(), extra=meta)
 
     @classmethod
-    def from_checkpoint(cls, directory, seed=0):
+    def from_checkpoint(cls, directory):
         """Rebuild a model from a checkpoint's recorded architecture."""
         params, extra = s2vt.load_checkpoint(directory)
         try:
@@ -121,7 +127,11 @@ class Model:
                 state_dim=int(extra["state_dim"]),
             )
         except KeyError as exc:
-            raise ConfigError(f"checkpoint index missing metadata {exc}") from exc
-        model = cls(mcfg, seed=seed)
+            raise DataError(f"checkpoint index missing metadata {exc}") from exc
+        except ValueError as exc:
+            raise DataError(f"checkpoint metadata is not a number: {exc}") from exc
+        if len(mcfg.geometry) != 6:
+            raise DataError(f"checkpoint geometry {mcfg.geometry} must list C T F D H W")
+        model = cls(mcfg)
         model.store.load_arrays(params)
         return model

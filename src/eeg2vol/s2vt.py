@@ -36,23 +36,42 @@ def write_tensor(path, array):
         f.write(array.astype(_DTYPE_CODES[code], copy=False).tobytes())
 
 
-def read_tensor(path):
+def _read_exact(f, path, size):
+    data = f.read(size)
+    if len(data) != size:
+        raise DataError(f"{path}: truncated S2VT header")
+    return data
+
+
+def _parse_header(f, path):
+    """Read and check the header of an open S2VT file; returns (shape, dtype)
+    with f positioned at the payload."""
+    magic = _read_exact(f, path, 4)
+    if magic != MAGIC:
+        raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    version, code, rank = struct.unpack("<III", _read_exact(f, path, 12))
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported S2VT version {version}")
+    if code not in _DTYPE_CODES:
+        raise DataError(f"{path}: unknown dtype code {code}")
+    shape = struct.unpack(f"<{rank}I", _read_exact(f, path, 4 * rank))
+    return shape, _DTYPE_CODES[code]
+
+
+def _existing(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"tensor file not found: {path}")
+    return path
+
+
+def read_tensor(path):
+    path = _existing(path)
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, code, rank = struct.unpack("<III", f.read(12))
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported S2VT version {version}")
-        if code not in _DTYPE_CODES:
-            raise DataError(f"{path}: unknown dtype code {code}")
-        shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+        shape, dtype = _parse_header(f, path)
         payload = f.read()
-    array = np.frombuffer(payload, dtype=_DTYPE_CODES[code])
-    expected = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    array = np.frombuffer(payload, dtype=dtype)
+    expected = int(np.prod(shape, dtype=np.int64))
     if array.size != expected:
         raise DataError(
             f"{path}: payload holds {array.size} values, header promises {expected}"
@@ -62,12 +81,9 @@ def read_tensor(path):
 
 def read_header(path):
     """Shape and dtype without loading the payload."""
+    path = _existing(path)
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise DataError(f"{path}: not an S2VT file")
-        _version, code, rank = struct.unpack("<III", f.read(12))
-        shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
-    return shape, _DTYPE_CODES[code]
+        return _parse_header(f, path)
 
 
 def save_checkpoint(directory, named_params, extra=None):
@@ -100,10 +116,13 @@ def load_checkpoint(directory):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            _, key, value = line.split(" ", 2)
-            extra[key] = value
-            continue
-        name, fname = line.rsplit(" ", 1)
+        try:
+            if line.startswith("#"):
+                _, key, value = line.split(" ", 2)
+                extra[key] = value
+                continue
+            name, fname = line.rsplit(" ", 1)
+        except ValueError:
+            raise DataError(f"{index}: malformed line {line!r}") from None
         params[name] = read_tensor(directory / fname)
     return params, extra

@@ -225,7 +225,7 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
 
 def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
     """Evaluate a checkpoint on the configured test fold; returns report rows."""
-    model = Model.from_checkpoint(checkpoint_dir, seed=cfg.seed)
+    model = Model.from_checkpoint(checkpoint_dir)
     check_geometry(manifest, model.cfg)
     _train_ids, test_ids = split_for(cfg, manifest)
     samples = load_pairs(manifest, base_dir, test_ids)

@@ -55,9 +55,7 @@ def per_op_gradient_pass(seed):
         (lambda: scalarize(x / y), [x, y]),
         (lambda: scalarize(ad.neg(x)), [x]),
         (lambda: scalarize(ad.exp(x)), [x]),
-        (lambda: scalarize(ad.log(x)), [x]),
         (lambda: scalarize(ad.sqrt(x)), [x]),
-        (lambda: scalarize(ad.powc(x, 2.5)), [x]),
         (lambda: scalarize(ad.sigmoid(x)), [x]),
         (lambda: scalarize(ad.silu(x)), [x]),
         (lambda: scalarize(ad.softplus(x)), [x]),
@@ -67,6 +65,7 @@ def per_op_gradient_pass(seed):
         (lambda: scalarize(ad.reshape(x, (3, 2))), [x]),
         (lambda: scalarize(ad.permute(x, (1, 0))), [x]),
         (lambda: scalarize(x[:, 1:]), [x]),
+        (lambda: scalarize(x[:, ::-1]), [x]),
         (lambda: scalarize(ad.pad(x, ((1, 0), (0, 2)))), [x]),
         (lambda: scalarize(ad.concat([x, y], axis=0)), [x, y]),
         (lambda: scalarize(ad.matmul(x, ad.transpose(y))), [x, y]),
@@ -77,7 +76,6 @@ def per_op_gradient_pass(seed):
             ),
             [x],
         ),
-        (lambda: scalarize(ad.gather_flat(x, np.array([0, 5, 2, 2]), (4,))), [x]),
     ]
     for func, leaves in cases:
         fd_grad_check(func, leaves)

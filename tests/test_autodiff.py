@@ -182,17 +182,16 @@ def test_no_tape_means_plain_forward():
 
 UNARY_OPS = [
     ad.exp,
-    ad.log,
     ad.sqrt,
     ad.sigmoid,
     ad.silu,
     ad.softplus,
     ad.neg,
-    lambda t: ad.powc(t, 3.0),
     lambda t: ad.softmax(t, axis=-1),
     lambda t: ad.reshape(t, (2, 3)),
     lambda t: ad.permute(ad.reshape(t, (2, 3)), (1, 0)),
     lambda t: t[2:5],
+    lambda t: t[::-1],
     lambda t: ad.pad(t, ((1, 2),)),
     lambda t: ad.tmean(t, keepdims=True),
     lambda t: ad.tsum(t, keepdims=True),
@@ -251,22 +250,6 @@ def test_scan_gradients_both_modes(seed):
         fd_grad_check(
             lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, x, mode=mode))), [a, x]
         )
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_gather_flat_gradients(seed):
-    rng = np.random.default_rng(500 + seed)
-    x = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    idx = rng.integers(0, 6, size=8)
-    fd_grad_check(lambda: ad.tsum(ad.powc(ad.gather_flat(x, idx, (8,)), 2.0)), [x])
-
-
-def test_gather_flat_repeated_indices_accumulate():
-    x = ad.Tensor(np.arange(4.0), requires_grad=True)
-    with ad.Tape():
-        out = ad.gather_flat(x, np.array([1, 1, 3]), (3,))
-        ad.tsum(out).backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

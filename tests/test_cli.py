@@ -210,6 +210,96 @@ def test_predict_checkpoint_missing_parameter_exit_3(trained_run, tmp_path, caps
     assert "checkpoint missing parameter dec.head.bias" in capsys.readouterr().err
 
 
+def rewrite(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def predict_args(run, tmp, spec=None):
+    """predict with the case's checkpoint copy tmp/ckpt on spec (default: a
+    trained_run spectrogram)."""
+    spec = spec or run / "data/sub00/pair0000_spec.s2vt"
+    return ["predict", "--checkpoint", str(tmp / "ckpt"), "--out", str(tmp / "pred"), str(spec)]
+
+
+def raw_fs_not_a_number(run, tmp):
+    raw = write_raw_tree(tmp / "raw")
+    rewrite(raw, "fs = 250", "fs = abc")
+    return ["preprocess", "--manifest-in", str(raw), "--out", str(tmp / "out")]
+
+
+def manifest_geometry_not_a_number(run, tmp):
+    shutil.copytree(run / "data", tmp / "data")
+    manifest = tmp / "data/manifest.txt"
+    rewrite(manifest, "geometry = 4 5 6", "geometry = 4 5 x")
+    return ["train", "--manifest", str(manifest), "--out", str(tmp / "run")] + MICRO_SETS
+
+
+def checkpoint_metadata_not_a_number(run, tmp):
+    rewrite(tmp / "ckpt/index.txt", "# geometry 4 5 6", "# geometry 4 5 six")
+    return predict_args(run, tmp)
+
+
+def checkpoint_geometry_too_short(run, tmp):
+    rewrite(tmp / "ckpt/index.txt", "# geometry 4 5 6 3 8 8", "# geometry 4 5 6 3 8")
+    return predict_args(run, tmp)
+
+
+def checkpoint_metadata_missing(run, tmp):
+    rewrite(tmp / "ckpt/index.txt", "# embed 4\n", "")
+    return predict_args(run, tmp)
+
+
+def index_line_without_file(run, tmp):
+    rewrite(tmp / "ckpt/index.txt", "dec.head.bias dec.head.bias.s2vt", "dec.head.bias")
+    return predict_args(run, tmp)
+
+
+def predict_missing_input(run, tmp):
+    return predict_args(run, tmp, tmp / "gone_spec.s2vt")
+
+
+def predict_truncated_header(run, tmp):
+    spec = tmp / "cut_spec.s2vt"
+    # 16 fixed bytes plus 2 of the 12 extent bytes
+    spec.write_bytes((run / "data/sub00/pair0000_spec.s2vt").read_bytes()[:18])
+    return predict_args(run, tmp, spec)
+
+
+def predict_unknown_dtype(run, tmp):
+    data = bytearray((run / "data/sub00/pair0000_spec.s2vt").read_bytes())
+    data[8] = 9  # low byte of the u32 LE dtype code
+    spec = tmp / "odd_spec.s2vt"
+    spec.write_bytes(bytes(data))
+    return predict_args(run, tmp, spec)
+
+
+MALFORMED_INPUTS = [
+    (raw_fs_not_a_number, "raw manifest header value is not a number"),
+    (manifest_geometry_not_a_number, "manifest header value is not a number"),
+    (checkpoint_metadata_not_a_number, "checkpoint metadata is not a number"),
+    (checkpoint_geometry_too_short, "must list C T F D H W"),
+    (checkpoint_metadata_missing, "checkpoint index missing metadata 'embed'"),
+    (index_line_without_file, "malformed line 'dec.head.bias'"),
+    (predict_missing_input, "tensor file not found"),
+    (predict_truncated_header, "truncated S2VT header"),
+    (predict_unknown_dtype, "unknown dtype code 9"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", MALFORMED_INPUTS, ids=[build.__name__ for build, _ in MALFORMED_INPUTS]
+)
+def test_malformed_input_exit_3(trained_run, tmp_path, capsys, build, message):
+    """Malformed manifests, checkpoints and S2VT files exit 3 with a message,
+    not 1 with a traceback."""
+    shutil.copytree(trained_run / "run/best.ckpt", tmp_path / "ckpt")
+    rc = cli.main(build(trained_run, tmp_path))
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_predict_noddi_geometry(tmp_path):
     """An untrained NODDI-geometry checkpoint maps a spectrogram to 30x64x64."""
     from eeg2vol.model import Model, ModelConfig

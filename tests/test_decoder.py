@@ -85,16 +85,24 @@ def test_merge_three_zero_plus_one_expansion():
 
 
 def test_merge_reassembly_oracle():
+    """Cell (i, j) sums the four positions that visit it: row-major i*w + j
+    in direction 1, its reverse in 2, the W-mirrored i*w + (w-1-j) in 3 and
+    its reverse in 4."""
     rng = np.random.default_rng(3)
     h, w = 3, 5
     seq_data = [rng.standard_normal((2, h * w)) for _ in range(4)]
     merged = scan_merge([ad.Tensor(s) for s in seq_data], h, w).data
-    from eeg2vol.decoder import scan_orders
-
+    d1, d2, d3, d4 = seq_data
+    last = h * w - 1
     want = np.zeros((2, h, w))
-    for seq, order in zip(seq_data, scan_orders(h, w)):
-        for pos, flat_idx in enumerate(order):
-            want[:, flat_idx // w, flat_idx % w] += seq[:, pos]
+    for i in range(h):
+        for j in range(w):
+            row_major = i * w + j
+            mirrored = i * w + (w - 1 - j)
+            want[:, i, j] = (
+                d1[:, row_major] + d2[:, last - row_major]
+                + d3[:, mirrored] + d4[:, last - mirrored]
+            )
     np.testing.assert_allclose(merged, want, atol=1e-15)
 
 
