@@ -4,32 +4,19 @@ Tensors wrap numpy arrays (float64 by default). Operations executed while a
 Tape is active record backward rules on that tape; Tensor.backward() replays
 the tape in reverse and accumulates gradients into requires_grad leaves.
 Without an active tape, operations are plain forward computations.
-
-Each training step owns a private tape, so batch members may be evaluated in
-parallel worker threads as long as each worker opens its own Tape.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
 
-_LOCAL = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = _LOCAL.tapes = []
-    return stack
+_TAPES = []  # open tapes, innermost last
 
 
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
@@ -39,11 +26,11 @@ class Tape:
         self.nodes = []  # (out, inputs, backward_fn)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _TAPES.pop()
         return False
 
     def backward(self, out, seed=None):

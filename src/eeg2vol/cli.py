@@ -135,6 +135,8 @@ def cmd_preprocess(args):
 
 def cmd_synth_data(args):
     cfg = _load_config(args)
+    if args.subjects < 1 or args.pairs < 1:
+        raise ConfigError("--subjects and --pairs must be >= 1")
     geometry = ModelConfig.from_run_config(cfg).geometry
     manifest = synth_dataset(
         geometry,
@@ -178,7 +180,9 @@ def cmd_predict(args):
     _load_config(args)  # rejects unknown --set keys
     model = Model.from_checkpoint(args.checkpoint)
     c, t, f = model.cfg.geometry[:3]
-    # geometry gate before any compute
+    out = Path(args.out)
+    targets = {}  # output path -> input path
+    # geometry and output-name gate before any compute
     for path in args.inputs:
         shape, _ = s2vt.read_header(path)
         if tuple(shape) != (c, t, f):
@@ -186,12 +190,14 @@ def cmd_predict(args):
                 f"{path}: spectrogram shape {tuple(shape)} does not match "
                 f"checkpoint geometry {(c, t, f)}"
             )
-    out = Path(args.out)
+        target = out / (Path(path).stem.replace("_spec", "") + "_vol.s2vt")
+        if target in targets:
+            raise ConfigError(f"{targets[target]} and {path} would both write {target}")
+        targets[target] = path
     out.mkdir(parents=True, exist_ok=True)
-    for path in args.inputs:
+    for target, path in targets.items():
         spec = s2vt.read_tensor(path)
         volume = model.predict(spec)
-        target = out / (Path(path).stem.replace("_spec", "") + "_vol.s2vt")
         s2vt.write_tensor(target, volume)
         print(f"{path} -> {target} {volume.shape}")
 

@@ -57,7 +57,7 @@ SCHEMA = {
     "k_test": (4, int, "fixed-split test subjects"),
     "fold": (0, int, "which split fold to train/evaluate"),
     "seed": (0, int, "RNG seed"),
-    "workers": (1, int, "parallel sample workers (determinism only at 1)"),
+    "workers": (1, int, "sample workers; only 1 is supported"),
 }
 
 

@@ -18,7 +18,6 @@ from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 from .layers import (
     ParamStore,
-    channel_layer_norm_tokens,
     channels_first,
     channels_last,
     pointwise,
@@ -158,7 +157,7 @@ class VssBlock:
         p, pre = self.store, self.prefix
         _, h, w = x.shape
         tokens = channels_last(x)
-        normed = channel_layer_norm_tokens(tokens, p[f"{pre}.ln.gain"], p[f"{pre}.ln.shift"])
+        normed = ad.layer_norm(tokens, p[f"{pre}.ln.gain"], p[f"{pre}.ln.shift"])
         main = channels_first(
             ad.linear(normed, p[f"{pre}.in_proj.weight"], p[f"{pre}.in_proj.bias"])
         )
@@ -166,9 +165,7 @@ class VssBlock:
         seqs = scan_expand(main)
         scanned = [s6_scan(seq, self.direction_params(d)) for d, seq in enumerate(seqs)]
         merged = channels_last(scan_merge(scanned, h, w))
-        merged = channel_layer_norm_tokens(
-            merged, p[f"{pre}.out_ln.gain"], p[f"{pre}.out_ln.shift"]
-        )
+        merged = ad.layer_norm(merged, p[f"{pre}.out_ln.gain"], p[f"{pre}.out_ln.shift"])
         out = ad.linear(merged * gate, p[f"{pre}.out_proj.weight"], p[f"{pre}.out_proj.bias"])
         return x + channels_first(out)
 

@@ -14,7 +14,6 @@ from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 from .layers import (
     ParamStore,
-    channel_layer_norm_tokens,
     channels_first,
     channels_last,
     conv_grid,
@@ -32,6 +31,8 @@ class EncoderConfig:
     attention_dropout: float = 0.0
 
     def __post_init__(self):
+        if self.heads < 1 or self.embed < 1:
+            raise ConfigError("embed width and heads must be >= 1")
         if self.embed % self.heads != 0:
             raise ConfigError(
                 f"embed width {self.embed} not divisible by {self.heads} heads"
@@ -107,7 +108,7 @@ class Encoder:
         fused = pointwise(branches, p[f"{s}.fuse.weight"], p[f"{s}.fuse.bias"])
         tokens = channels_last(x + fused)
         return channels_first(
-            channel_layer_norm_tokens(tokens, p[f"{s}.ln1.gain"], p[f"{s}.ln1.shift"])
+            ad.layer_norm(tokens, p[f"{s}.ln1.gain"], p[f"{s}.ln1.shift"])
         )
 
     def global_block(self, x, stage, train=False, rng=None):
@@ -134,9 +135,7 @@ class Encoder:
         mixed = ad.matmul(weights, v)  # [heads, T*F, dh]
         mixed = ad.reshape(ad.permute(mixed, (1, 0, 2)), (t * f, n))
         attended = ad.linear(mixed, p[f"{s}.attn.wo"], p[f"{s}.attn.bo"])
-        out = channel_layer_norm_tokens(
-            tokens + attended, p[f"{s}.ln2.gain"], p[f"{s}.ln2.shift"]
-        )
+        out = ad.layer_norm(tokens + attended, p[f"{s}.ln2.gain"], p[f"{s}.ln2.shift"])
         return channels_first(ad.reshape(out, (t, f, n)))
 
     def freq_downsample(self, x, stage):

@@ -27,10 +27,6 @@ def channels_first(x):
     return ad.permute(x, (2, 0, 1))
 
 
-def channel_layer_norm_tokens(tokens, gain, shift, eps=1e-5):
-    return ad.layer_norm(tokens, gain, shift, eps)
-
-
 def pointwise(x, weight, bias=None):
     """1x1 channel mapping on a [C, H, W] grid via a [C_out, C] weight."""
     if x.shape[0] != weight.shape[1]:

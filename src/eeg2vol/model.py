@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import dsp, s2vt
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .layers import ParamStore
 
 
@@ -23,6 +23,12 @@ class ModelConfig:
     attention_dropout: float = 0.0
     vss_blocks: int = 2
     state_dim: int = 8
+
+    def __post_init__(self):
+        if len(self.geometry) != 6 or min(self.geometry) < 1:
+            raise ConfigError(
+                f"geometry {tuple(self.geometry)} must list C T F D H W, each >= 1"
+            )
 
     @classmethod
     def from_run_config(cls, cfg, geometry=None):
@@ -130,8 +136,8 @@ class Model:
             raise DataError(f"checkpoint index missing metadata {exc}") from exc
         except ValueError as exc:
             raise DataError(f"checkpoint metadata is not a number: {exc}") from exc
-        if len(mcfg.geometry) != 6:
-            raise DataError(f"checkpoint geometry {mcfg.geometry} must list C T F D H W")
+        except ConfigError as exc:
+            raise DataError(f"checkpoint metadata rejected: {exc}") from exc
         model = cls(mcfg)
         model.store.load_arrays(params)
         return model

@@ -19,6 +19,8 @@ class ScheduleConfig:
     total_epochs: int = 50
 
     def __post_init__(self):
+        if self.total_epochs < 1:
+            raise ConfigError("training needs at least 1 epoch")
         if self.restart_period_epochs < 1:
             raise ConfigError("restart period must be >= 1 epoch")
         if self.min_lr > self.base_lr:

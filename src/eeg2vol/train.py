@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -57,33 +56,27 @@ def ssim_config_from(cfg):
     )
 
 
-def _batch_grads(model, batch, weights, ssim_cfg, workers=1, rng=None):
+def _batch_grads(model, batch, weights, ssim_cfg, rng=None):
     """Accumulate mean-loss gradients over one batch; returns the mean loss.
 
-    rng draws the attention-dropout masks; nothing is drawn at dropout 0.
+    Each sample runs forward, loss and backward before the next one starts,
+    so one sample's tape is alive at a time. rng draws the attention-dropout
+    masks in sample order; nothing is drawn at dropout 0.
     """
-
-    def run_forward(sample):
-        _sid, spec, vol = sample
+    total = 0.0
+    scale = 1.0 / len(batch)
+    for _sid, spec, vol in batch:
         with ad.Tape() as tape:
             pred = model.forward(ad.Tensor(spec), train=True, rng=rng)
             loss = hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)
-        return tape, loss
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_forward, batch))
-    else:
-        results = [run_forward(s) for s in batch]
-
-    total = 0.0
-    scale = 1.0 / len(batch)
-    for tape, loss in results:  # backward serialized in submission order
         value = loss.item()
         if not math.isfinite(value):
             raise NumericError("non-finite training loss")
         total += value * scale
         tape.backward(loss, seed=np.full_like(loss.data, scale))
+        # nodes hold outputs that point back at the tape; breaking that cycle
+        # frees this sample's arrays now instead of at the next cyclic GC
+        tape.nodes.clear()
     return total
 
 
@@ -135,9 +128,13 @@ def split_for(cfg, manifest):
 def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     """Full training run: returns {'best_ssim', 'history', 'model', ...}.
 
-    Deterministic for a fixed seed in single-worker mode. best.ckpt holds the
-    highest held-out SSIM, last.ckpt the most recent completed epoch.
+    Deterministic for a fixed seed. best.ckpt holds the highest held-out
+    SSIM, last.ckpt the most recent completed epoch.
     """
+    if cfg.workers != 1:
+        raise ConfigError(f"workers = {cfg.workers}: only 1 is supported")
+    if cfg.batch_size < 1:
+        raise ConfigError(f"batch_size = {cfg.batch_size}: must be >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mcfg = ModelConfig.from_run_config(cfg, geometry=manifest.geometry)
@@ -170,16 +167,14 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
         log.write(f"# {key} = {value}\n")
     log.write(f"# train_subjects = {' '.join(train_ids)}\n")
     log.write(f"# test_subjects = {' '.join(test_ids)}\n")
-    if cfg.workers > 1:
-        log.write("# determinism guaranteed only in single-worker mode\n")
     log.write("epoch, step, lr, loss, eval_ssim, eval_psnr\n")
 
     best_ssim = -math.inf
     history = []
     step = 0
     n = len(train_samples)
-    batch = max(1, min(cfg.batch_size, n))
-    steps_per_epoch = max(1, n // batch)
+    batch = min(cfg.batch_size, n)
+    steps_per_epoch = n // batch
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
@@ -188,7 +183,7 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
                 lr = lr_at(epoch, b / steps_per_epoch, schedule)
                 members = [train_samples[i] for i in order[b * batch : (b + 1) * batch]]
                 model.store.zero_grad()
-                loss = _batch_grads(model, members, weights, ssim_cfg, cfg.workers, rng)
+                loss = _batch_grads(model, members, weights, ssim_cfg, rng)
                 if cfg.grad_clip > 0:
                     _clip_gradients(model.store, cfg.grad_clip)
                 optimizer.step(lr=lr)

@@ -246,6 +246,11 @@ def checkpoint_geometry_too_short(run, tmp):
     return predict_args(run, tmp)
 
 
+def checkpoint_geometry_zero(run, tmp):
+    rewrite(tmp / "ckpt/index.txt", "# geometry 4 5 6 3 8 8", "# geometry 4 5 6 3 8 0")
+    return predict_args(run, tmp)
+
+
 def checkpoint_metadata_missing(run, tmp):
     rewrite(tmp / "ckpt/index.txt", "# embed 4\n", "")
     return predict_args(run, tmp)
@@ -280,6 +285,7 @@ MALFORMED_INPUTS = [
     (manifest_geometry_not_a_number, "manifest header value is not a number"),
     (checkpoint_metadata_not_a_number, "checkpoint metadata is not a number"),
     (checkpoint_geometry_too_short, "must list C T F D H W"),
+    (checkpoint_geometry_zero, "must list C T F D H W, each >= 1"),
     (checkpoint_metadata_missing, "checkpoint index missing metadata 'embed'"),
     (index_line_without_file, "malformed line 'dec.head.bias'"),
     (predict_missing_input, "tensor file not found"),
@@ -298,6 +304,51 @@ def test_malformed_input_exit_3(trained_run, tmp_path, capsys, build, message):
     rc = cli.main(build(trained_run, tmp_path))
     assert rc == 3
     assert message in capsys.readouterr().err
+
+
+def test_predict_colliding_output_names_exit_2(trained_run, tmp_path, capsys):
+    """Two inputs that map to one output file are rejected before any write."""
+    first = trained_run / "data/sub00/pair0000_spec.s2vt"
+    second = trained_run / "data/sub01/pair0000_spec.s2vt"
+    rc = cli.main(
+        ["predict", "--checkpoint", str(trained_run / "run/best.ckpt"),
+         "--out", str(tmp_path / "pred"), str(first), str(second)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    assert not (tmp_path / "pred").exists()
+
+
+BAD_VALUES = [
+    ("train", ["--set", "heads=0"], "embed width and heads must be >= 1"),
+    ("train", ["--set", "embed=0"], "embed width and heads must be >= 1"),
+    ("synth-data", ["--set", "depth=0"], "must list C T F D H W, each >= 1"),
+    ("synth-data", ["--set", "t_bins=-1"], "must list C T F D H W, each >= 1"),
+    ("train", ["--set", "batch_size=0"], "batch_size = 0: must be >= 1"),
+    ("train", ["--set", "batch_size=-3"], "batch_size = -3: must be >= 1"),
+    ("train", ["--set", "epochs=0"], "at least 1 epoch"),
+    ("synth-data", ["--subjects", "0"], "--subjects and --pairs must be >= 1"),
+    ("synth-data", ["--pairs", "0"], "--subjects and --pairs must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    BAD_VALUES,
+    ids=[f"{command}-{'='.join(extra).replace('--set=', '').lstrip('-')}"
+         for command, extra, _ in BAD_VALUES],
+)
+def test_bad_values_exit_2(trained_run, tmp_path, capsys, command, extra, message):
+    """Values that would crash or be silently replaced are rejected up front."""
+    if command == "train":
+        argv = train_args(trained_run, tmp_path / "run")
+    else:
+        argv = ["synth-data", "--out", str(tmp_path / "data")] + MICRO_SETS
+    rc = cli.main(argv + extra)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_predict_noddi_geometry(tmp_path):

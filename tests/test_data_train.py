@@ -1,20 +1,25 @@
 """Synthetic data generation and the training/evaluation harness."""
 
+import gc
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eeg2vol import autodiff as ad
+from eeg2vol import cli
 from eeg2vol.config import Config
 from eeg2vol.data import synth_dataset, synth_pair_stream
 from eeg2vol.dsp import read_manifest
 from eeg2vol.errors import DataError
-from eeg2vol.losses import SsimConfig
-from eeg2vol.train import evaluate_samples, load_pairs, train_run
+from eeg2vol.losses import LossWeights, SsimConfig, hybrid_loss
+from eeg2vol.model import Model
+from eeg2vol.train import _batch_grads, evaluate_samples, load_pairs, train_run
 
-from conftest import MICRO_GEOMETRY
+from conftest import MICRO_GEOMETRY, micro_model_config
 
 
 def tree_hashes(root):
@@ -128,6 +133,78 @@ def test_empty_subject_selection_is_error(tmp_path):
     manifest = synth_dataset(MICRO_GEOMETRY, 2, 2, seed=5, out_dir=tmp_path)
     with pytest.raises(DataError, match="no samples"):
         load_pairs(manifest, tmp_path, subjects=[])
+
+
+def micro_batch(size, seed=0):
+    stream = synth_pair_stream(MICRO_GEOMETRY, seed=seed)
+    return [("sub00",) + next(stream) for _ in range(size)]
+
+
+def forwards_first_grads(model, batch, weights, ssim_cfg, rng):
+    """Oracle: every forward pass before any backward, backwards in order."""
+    results = []
+    for _sid, spec, vol in batch:
+        with ad.Tape() as tape:
+            pred = model.forward(ad.Tensor(spec), train=True, rng=rng)
+            results.append((tape, hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)))
+    total = 0.0
+    scale = 1.0 / len(batch)
+    for tape, loss in results:
+        total += loss.item() * scale
+        tape.backward(loss, seed=np.full_like(loss.data, scale))
+    return total
+
+
+def test_batch_grads_match_forwards_first_order():
+    """Per-sample backward gives the gradients and loss of the order that ran
+    all forwards first, bit for bit, with attention dropout drawing masks."""
+    mcfg = micro_model_config()
+    mcfg.attention_dropout = 0.1
+    model = Model(mcfg, seed=0)
+    batch = micro_batch(3)
+    weights, ssim_cfg = LossWeights(0.5, 0.5), SsimConfig()
+    runs = []
+    for grads_of in (_batch_grads, forwards_first_grads):
+        model.store.zero_grad()
+        loss = grads_of(model, batch, weights, ssim_cfg, rng=np.random.default_rng(5))
+        runs.append((loss, {k: t.grad for k, t in model.store.params.items()}))
+    (loss, grads), (oracle_loss, oracle_grads) = runs
+    assert loss == oracle_loss
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, oracle_grads[name]), name
+
+
+def batch_grads_peak(model, batch):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _batch_grads(model, batch, LossWeights(0.5, 0.5), SsimConfig())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_grads_memory_independent_of_batch_size():
+    """One sample's tape is alive at a time, so a batch of 8 peaks near a
+    batch of 1."""
+    model = Model(micro_model_config(), seed=0)
+    batch = micro_batch(8)
+    batch_grads_peak(model, batch[:1])  # warm-up
+    single = batch_grads_peak(model, batch[:1])
+    eight = batch_grads_peak(model, batch)
+    assert eight <= 1.5 * single, (single, eight)
+
+
+def test_train_workers_other_than_1_exit_2(tmp_path, capsys):
+    synth_dataset(MICRO_GEOMETRY, 2, 2, seed=3, out_dir=tmp_path / "data")
+    rc = cli.main(
+        ["train", "--manifest", str(tmp_path / "data/manifest.txt"),
+         "--out", str(tmp_path / "run"), "--set", "workers=2"]
+    )
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "run/train.log").exists()
 
 
 # ---------------------------------------------------------------------------
