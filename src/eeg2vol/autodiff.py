@@ -83,9 +83,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, seed=None):
         if self._tape is None:
             raise ValueError("backward() on a tensor with no recorded tape")

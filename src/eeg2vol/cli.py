@@ -102,7 +102,7 @@ def cmd_preprocess(args):
             eeg = s2vt.read_tensor(base / eeg_path)
             vols = s2vt.read_tensor(base / vol_path)
             pairs = build_pairs(
-                EegRecording(eeg, fs, sid),
+                EegRecording(eeg, fs),
                 vols,
                 tr_s,
                 frame_len=cfg.frame_len or None,

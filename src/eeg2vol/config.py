@@ -95,12 +95,6 @@ class Config:
             raise ConfigError("volume_target must be 'D H W'")
         return tuple(int(v) for v in raw)
 
-    def copy(self, **updates):
-        cfg = Config(dict(self._values))
-        for k, v in updates.items():
-            cfg.set(k, v)
-        return cfg
-
     @classmethod
     def load(cls, path=None, overrides=()):
         cfg = cls()

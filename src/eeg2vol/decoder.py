@@ -97,22 +97,6 @@ def s6_scan(u, params):
 # VSS block and the U-Net
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecoderConfig:
-    in_channels: int
-    out_depth: int
-    plane: tuple = (64, 64)  # (H, W)
-    blocks_per_stage: int = 2
-    state_dim: int = 8
-
-    def __post_init__(self):
-        h, w = self.plane
-        if h % 4 or w % 4:
-            raise ConfigError(
-                f"plane {h}x{w} must be divisible by 4 for two merge stages"
-            )
-
-
 class VssBlock:
     def __init__(self, width, state_dim, rng, store, prefix):
         self.width = width
@@ -188,18 +172,20 @@ def patch_expand(x):
 
 
 class Decoder:
+    """Built from a model.ModelConfig; maps [embed, H, W] to [D, H, W]."""
+
     def __init__(self, cfg, rng, store=None, prefix="dec"):
         self.cfg = cfg
         self.store = store if store is not None else ParamStore()
         self.prefix = prefix
-        c0 = cfg.in_channels  # stage widths N, 2N, 4N
+        c0 = cfg.embed  # stage widths N, 2N, 4N
         c1, c2 = 2 * c0, 4 * c0
         p = self.store
 
         def make_blocks(stage, width):
             return [
                 VssBlock(width, cfg.state_dim, rng, p, f"{prefix}.{stage}.block{j}")
-                for j in range(cfg.blocks_per_stage)
+                for j in range(cfg.vss_blocks)
             ]
 
         self.down0 = make_blocks("down0", c0)
@@ -219,8 +205,9 @@ class Decoder:
         p.weight(f"{prefix}.reduce0.weight", (c0, 2 * c0), 2 * c0, rng)
         p.zeros(f"{prefix}.reduce0.bias", (c0,))
         self.up0 = make_blocks("up0", c0)
-        p.weight(f"{prefix}.head.weight", (cfg.out_depth, c0), c0, rng)
-        p.zeros(f"{prefix}.head.bias", (cfg.out_depth,))
+        depth = cfg.geometry[3]
+        p.weight(f"{prefix}.head.weight", (depth, c0), c0, rng)
+        p.zeros(f"{prefix}.head.bias", (depth,))
 
     def _run(self, blocks, x):
         for block in blocks:
@@ -229,11 +216,10 @@ class Decoder:
 
     def decode(self, fmap):
         """[N, H, W] feature map -> [D, H, W] volume in (0, 1)."""
-        cfg = self.cfg
-        if fmap.shape != (cfg.in_channels,) + tuple(cfg.plane):
+        want = (self.cfg.embed,) + self.cfg.geometry[4:]
+        if fmap.shape != want:
             raise ConfigError(
-                f"decoder input shape {fmap.shape} does not match configured "
-                f"{(cfg.in_channels,) + tuple(cfg.plane)}"
+                f"decoder input shape {fmap.shape} does not match configured {want}"
             )
         p, pre = self.store, self.prefix
         skip0 = self._run(self.down0, fmap)

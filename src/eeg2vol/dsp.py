@@ -23,7 +23,6 @@ class EegRecording:
 
     channels: np.ndarray  # [C, samples]
     fs: float
-    subject_id: str = ""
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.float64)

@@ -6,8 +6,6 @@ zero-padding onto the target volume plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -21,44 +19,18 @@ from .layers import (
 )
 
 
-@dataclass
-class EncoderConfig:
-    in_channels: int
-    embed: int = 32
-    heads: int = 4
-    num_stages: int = 2
-    target_plane: tuple = (64, 64)  # (H, W)
-    attention_dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.heads < 1 or self.embed < 1:
-            raise ConfigError("embed width and heads must be >= 1")
-        if self.embed % self.heads != 0:
-            raise ConfigError(
-                f"embed width {self.embed} not divisible by {self.heads} heads"
-            )
-        if self.num_stages < 1:
-            raise ConfigError("encoder needs at least one stage")
-        if not 0.0 <= self.attention_dropout < 1.0:
-            raise ConfigError("attention_dropout must lie in [0, 1)")
-
-
-def downsampled_freq(f, stages):
-    for _ in range(stages):
-        f = (f + 1) // 2
-    return f
-
-
 class Encoder:
+    """Built from a model.ModelConfig; the target plane is its (H, W)."""
+
     def __init__(self, cfg, rng, store=None, prefix="enc"):
         self.cfg = cfg
         self.store = store if store is not None else ParamStore()
         self.prefix = prefix
-        n = cfg.embed
+        n, c = cfg.embed, cfg.geometry[0]
         p = self.store
-        p.weight(f"{prefix}.proj.kernel", (n, cfg.in_channels, 3, 3), cfg.in_channels * 9, rng)
+        p.weight(f"{prefix}.proj.kernel", (n, c, 3, 3), c * 9, rng)
         p.zeros(f"{prefix}.proj.bias", (n,))
-        for k in range(cfg.num_stages):
+        for k in range(cfg.enc_stages):
             s = f"{prefix}.stage{k}"
             p.weight(f"{s}.temporal.kernel", (n, n, 3, 1), n * 3, rng)
             p.weight(f"{s}.frequency.kernel", (n, n, 1, 3), n * 3, rng)
@@ -79,9 +51,9 @@ class Encoder:
 
     def project(self, x):
         """[C, T, F] -> SiLU(conv3x3(x)) at the embedding width."""
-        if x.shape[0] != self.cfg.in_channels:
+        if x.shape[0] != self.cfg.geometry[0]:
             raise DimensionError(
-                f"expected {self.cfg.in_channels} input channels, got {x.shape[0]}"
+                f"expected {self.cfg.geometry[0]} input channels, got {x.shape[0]}"
             )
         p = self.store
         return ad.silu(
@@ -111,8 +83,11 @@ class Encoder:
             ad.layer_norm(tokens, p[f"{s}.ln1.gain"], p[f"{s}.ln1.shift"])
         )
 
-    def global_block(self, x, stage, train=False, rng=None):
-        """Scaled dot-product MHSA over the T*F token grid, residual + LN."""
+    def global_block(self, x, stage, rng=None):
+        """Scaled dot-product MHSA over the T*F token grid, residual + LN.
+
+        rng, when given, draws the attention-dropout masks.
+        """
         p = self.store
         s = f"{self.prefix}.stage{stage}"
         n, t, f = x.shape
@@ -127,9 +102,7 @@ class Encoder:
         scores = ad.matmul(q, ad.transpose(k)) * (1.0 / np.sqrt(dh))
         weights = ad.softmax(scores, axis=-1)
         drop = self.cfg.attention_dropout
-        if train and drop > 0.0:
-            if rng is None:
-                raise ConfigError("attention dropout in training mode needs an rng")
+        if rng is not None and drop > 0.0:
             mask = (rng.random(weights.shape) >= drop) / (1.0 - drop)
             weights = weights * ad.Tensor(mask)
         mixed = ad.matmul(weights, v)  # [heads, T*F, dh]
@@ -154,14 +127,14 @@ class Encoder:
 
     # full pass --------------------------------------------------------------
 
-    def encode(self, x, train=False, rng=None):
+    def encode(self, x, rng=None):
         """[C, T, F] -> [N, H, W] with zero-padding onto the target plane."""
         y = self.project(x)
-        for k in range(self.cfg.num_stages):
+        for k in range(self.cfg.enc_stages):
             y = self.local_block(y, k)
-            y = self.global_block(y, k, train=train, rng=rng)
+            y = self.global_block(y, k, rng=rng)
             y = self.freq_downsample(y, k)
-        h, w = self.cfg.target_plane
+        h, w = self.cfg.geometry[4:]
         _, t_cur, f_cur = y.shape
         if t_cur > h or f_cur > w:
             raise ConfigError(

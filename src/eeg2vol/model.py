@@ -8,10 +8,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dsp, s2vt
-from .decoder import Decoder, DecoderConfig
-from .encoder import Encoder, EncoderConfig
+from .decoder import Decoder
+from .encoder import Encoder
 from .errors import ConfigError, DataError
 from .layers import ParamStore
+
+
+# architecture keys shared by the run config, ModelConfig and checkpoint
+# metadata; attention_dropout is training-only and stays out of checkpoints
+ARCH_KEYS = ("embed", "heads", "enc_stages", "vss_blocks", "state_dim")
 
 
 @dataclass
@@ -25,10 +30,28 @@ class ModelConfig:
     state_dim: int = 8
 
     def __post_init__(self):
+        self.geometry = tuple(self.geometry)
         if len(self.geometry) != 6 or min(self.geometry) < 1:
             raise ConfigError(
-                f"geometry {tuple(self.geometry)} must list C T F D H W, each >= 1"
+                f"geometry {self.geometry} must list C T F D H W, each >= 1"
             )
+        if self.heads < 1 or self.embed < 1:
+            raise ConfigError("embed width and heads must be >= 1")
+        if self.embed % self.heads != 0:
+            raise ConfigError(
+                f"embed width {self.embed} not divisible by {self.heads} heads"
+            )
+        if self.enc_stages < 1:
+            raise ConfigError("encoder needs at least one stage")
+        if not 0.0 <= self.attention_dropout < 1.0:
+            raise ConfigError("attention_dropout must lie in [0, 1)")
+        h, w = self.geometry[4:]
+        if h % 4 or w % 4:
+            raise ConfigError(
+                f"plane {h}x{w} must be divisible by 4 for two merge stages"
+            )
+        if self.vss_blocks < 1 or self.state_dim < 1:
+            raise ConfigError("vss_blocks and state_dim must be >= 1")
 
     @classmethod
     def from_run_config(cls, cfg, geometry=None):
@@ -44,51 +67,29 @@ class ModelConfig:
                 t, f = dsp.spectrogram_geometry(n_samples, cfg.fs, frame, hop, cfg.cutoff_hz)
             geometry = (cfg.channels, t, f, cfg.depth, cfg.height, cfg.width)
         return cls(
-            geometry=tuple(geometry),
-            embed=cfg.embed,
-            heads=cfg.heads,
-            enc_stages=cfg.enc_stages,
+            geometry,
             attention_dropout=cfg.attention_dropout,
-            vss_blocks=cfg.vss_blocks,
-            state_dim=cfg.state_dim,
+            **{k: getattr(cfg, k) for k in ARCH_KEYS},
         )
 
 
 class Model:
     def __init__(self, mcfg, seed=0):
         self.cfg = mcfg
-        c, t, f, d, h, w = mcfg.geometry
         rng = np.random.default_rng(seed)
         self.store = ParamStore()
-        self.encoder = Encoder(
-            EncoderConfig(
-                in_channels=c,
-                embed=mcfg.embed,
-                heads=mcfg.heads,
-                num_stages=mcfg.enc_stages,
-                target_plane=(h, w),
-                attention_dropout=mcfg.attention_dropout,
-            ),
-            rng,
-            store=self.store,
-        )
-        self.decoder = Decoder(
-            DecoderConfig(
-                in_channels=mcfg.embed,
-                out_depth=d,
-                plane=(h, w),
-                blocks_per_stage=mcfg.vss_blocks,
-                state_dim=mcfg.state_dim,
-            ),
-            rng,
-            store=self.store,
-        )
+        # the encoder draws its initial weights first, from the same rng
+        self.encoder = Encoder(mcfg, rng, store=self.store)
+        self.decoder = Decoder(mcfg, rng, store=self.store)
 
-    def forward(self, x, train=False, rng=None):
-        """[C, T, F] tensor -> [D, H, W] tensor in (0, 1)."""
+    def forward(self, x, rng=None):
+        """[C, T, F] tensor -> [D, H, W] tensor in (0, 1).
+
+        rng, when given, draws the attention-dropout masks (training).
+        """
         if not isinstance(x, ad.Tensor):
             x = ad.Tensor(x)
-        return self.decoder.decode(self.encoder.encode(x, train=train, rng=rng))
+        return self.decoder.decode(self.encoder.encode(x, rng=rng))
 
     def predict(self, x):
         """Inference without recording a tape; numpy in, numpy out.
@@ -102,19 +103,9 @@ class Model:
 
     # checkpointing ----------------------------------------------------------
 
-    def checkpoint_extra(self):
-        g = self.cfg.geometry
-        return {
-            "geometry": " ".join(str(v) for v in g),
-            "embed": str(self.cfg.embed),
-            "heads": str(self.cfg.heads),
-            "enc_stages": str(self.cfg.enc_stages),
-            "vss_blocks": str(self.cfg.vss_blocks),
-            "state_dim": str(self.cfg.state_dim),
-        }
-
     def save(self, directory, extra=None):
-        meta = self.checkpoint_extra()
+        meta = {"geometry": " ".join(str(v) for v in self.cfg.geometry)}
+        meta.update((k, str(getattr(self.cfg, k))) for k in ARCH_KEYS)
         if extra:
             meta.update(extra)
         s2vt.save_checkpoint(directory, self.store.named_arrays(), extra=meta)
@@ -125,12 +116,8 @@ class Model:
         params, extra = s2vt.load_checkpoint(directory)
         try:
             mcfg = ModelConfig(
-                geometry=tuple(int(v) for v in extra["geometry"].split()),
-                embed=int(extra["embed"]),
-                heads=int(extra["heads"]),
-                enc_stages=int(extra["enc_stages"]),
-                vss_blocks=int(extra["vss_blocks"]),
-                state_dim=int(extra["state_dim"]),
+                tuple(int(v) for v in extra["geometry"].split()),
+                **{k: int(extra[k]) for k in ARCH_KEYS},
             )
         except KeyError as exc:
             raise DataError(f"checkpoint index missing metadata {exc}") from exc

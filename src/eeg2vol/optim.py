@@ -43,6 +43,8 @@ class AdamW:
     """Decoupled-weight-decay Adam over a named-parameter store."""
 
     def __init__(self, params, lr=1e-3, weight_decay=1e-2, betas=(0.9, 0.999), eps=1e-8):
+        if not all(0.0 <= b < 1.0 for b in betas):
+            raise ConfigError(f"Adam betas {tuple(betas)} must lie in [0, 1)")
         self.params = params  # dict name -> Tensor
         self.lr = lr
         self.weight_decay = weight_decay

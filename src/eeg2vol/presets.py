@@ -36,7 +36,7 @@ DATASET_PRESETS = {
 CN_EPFL_RAW_VOLUME = (54, 108, 108)
 
 
-def preset_config(name, base=None):
+def preset_config(name):
     from .config import Config
     from .errors import ConfigError
 
@@ -44,7 +44,7 @@ def preset_config(name, base=None):
         raise ConfigError(
             f"unknown dataset preset {name!r}; known: {', '.join(sorted(DATASET_PRESETS))}"
         )
-    cfg = base.copy() if base is not None else Config()
+    cfg = Config()
     for key, value in DATASET_PRESETS[name].items():
         cfg.set(key, value)
     return cfg

@@ -39,14 +39,6 @@ def load_pairs(manifest, base_dir=".", subjects=None):
     return out
 
 
-def check_geometry(manifest, mcfg):
-    if tuple(manifest.geometry) != tuple(mcfg.geometry):
-        raise ConfigError(
-            f"manifest geometry {tuple(manifest.geometry)} does not match "
-            f"model geometry {tuple(mcfg.geometry)}"
-        )
-
-
 def ssim_config_from(cfg):
     return SsimConfig(
         window=cfg.ssim_window,
@@ -67,7 +59,7 @@ def _batch_grads(model, batch, weights, ssim_cfg, rng=None):
     scale = 1.0 / len(batch)
     for _sid, spec, vol in batch:
         with ad.Tape() as tape:
-            pred = model.forward(ad.Tensor(spec), train=True, rng=rng)
+            pred = model.forward(ad.Tensor(spec), rng=rng)
             loss = hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)
         value = loss.item()
         if not math.isfinite(value):
@@ -135,10 +127,9 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
         raise ConfigError(f"workers = {cfg.workers}: only 1 is supported")
     if cfg.batch_size < 1:
         raise ConfigError(f"batch_size = {cfg.batch_size}: must be >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if cfg.grad_clip < 0:
+        raise ConfigError(f"grad_clip = {cfg.grad_clip}: must be >= 0 (0 = off)")
     mcfg = ModelConfig.from_run_config(cfg, geometry=manifest.geometry)
-    check_geometry(manifest, mcfg)
     train_ids, test_ids = split_for(cfg, manifest)
     train_samples = load_pairs(manifest, base_dir, train_ids)
     test_samples = load_pairs(manifest, base_dir, test_ids)
@@ -161,6 +152,8 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     ssim_cfg = ssim_config_from(cfg)
     rng = np.random.default_rng(cfg.seed)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / log_name
     log = open(log_path, "w")
     for key, value in sorted(cfg.items()):
@@ -221,7 +214,11 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
 def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
     """Evaluate a checkpoint on the configured test fold; returns report rows."""
     model = Model.from_checkpoint(checkpoint_dir)
-    check_geometry(manifest, model.cfg)
+    if tuple(manifest.geometry) != model.cfg.geometry:
+        raise ConfigError(
+            f"manifest geometry {tuple(manifest.geometry)} does not match "
+            f"model geometry {model.cfg.geometry}"
+        )
     _train_ids, test_ids = split_for(cfg, manifest)
     samples = load_pairs(manifest, base_dir, test_ids)
     rows, _mean_ssim, _psnrs = evaluate_samples(model, samples, ssim_config_from(cfg))

@@ -171,6 +171,21 @@ def test_eval_writes_report(trained_run, capsys):
     assert "ALL, " in report
 
 
+def test_eval_checkpoint_geometry_mismatch_exit_2(trained_run, tmp_path, capsys):
+    """eval takes the model geometry from the checkpoint and rejects a
+    manifest that disagrees with it."""
+    from eeg2vol.model import Model, ModelConfig
+
+    mcfg = ModelConfig((4, 5, 6, 3, 8, 12), embed=4, heads=2, vss_blocks=1, state_dim=2)
+    Model(mcfg, seed=0).save(tmp_path / "wide.ckpt")
+    rc = cli.main(
+        ["eval", "--manifest", str(trained_run / "data/manifest.txt"),
+         "--checkpoint", str(tmp_path / "wide.ckpt"), "--out", str(tmp_path / "eval")]
+    )
+    assert rc == 2
+    assert "does not match model geometry (4, 5, 6, 3, 8, 12)" in capsys.readouterr().err
+
+
 def test_predict_writes_volume(trained_run, capsys):
     spec_path = trained_run / "data/sub00/pair0000_spec.s2vt"
     rc = cli.main(
@@ -328,6 +343,11 @@ BAD_VALUES = [
     ("train", ["--set", "batch_size=0"], "batch_size = 0: must be >= 1"),
     ("train", ["--set", "batch_size=-3"], "batch_size = -3: must be >= 1"),
     ("train", ["--set", "epochs=0"], "at least 1 epoch"),
+    ("train", ["--set", "state_dim=0"], "vss_blocks and state_dim must be >= 1"),
+    ("train", ["--set", "vss_blocks=0"], "vss_blocks and state_dim must be >= 1"),
+    ("train", ["--set", "beta1=2"], "must lie in [0, 1)"),
+    ("train", ["--set", "beta2=-1"], "must lie in [0, 1)"),
+    ("train", ["--set", "grad_clip=-1"], "grad_clip = -1.0: must be >= 0"),
     ("synth-data", ["--subjects", "0"], "--subjects and --pairs must be >= 1"),
     ("synth-data", ["--pairs", "0"], "--subjects and --pairs must be >= 1"),
 ]
@@ -348,7 +368,7 @@ def test_bad_values_exit_2(trained_run, tmp_path, capsys, command, extra, messag
     rc = cli.main(argv + extra)
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
 
 
 def test_predict_noddi_geometry(tmp_path):
@@ -369,6 +389,20 @@ def test_predict_noddi_geometry(tmp_path):
     assert rc == 0
     out = s2vt.read_tensor(tmp_path / "pred/x_vol.s2vt")
     assert out.shape == (30, 64, 64)
+
+
+def test_checkpoint_reloads_every_architecture_key(tmp_path):
+    """Every architecture key off its default survives save/from_checkpoint."""
+    from eeg2vol.model import Model, ModelConfig
+
+    mcfg = ModelConfig((3, 5, 7, 2, 8, 12), embed=6, heads=3, enc_stages=3,
+                       vss_blocks=1, state_dim=3)
+    model = Model(mcfg, seed=4)
+    model.save(tmp_path / "arch.ckpt")
+    reloaded = Model.from_checkpoint(tmp_path / "arch.ckpt")
+    assert reloaded.cfg == model.cfg
+    spec = np.random.default_rng(1).random((3, 5, 7))
+    assert np.array_equal(reloaded.predict(spec), model.predict(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def forwards_first_grads(model, batch, weights, ssim_cfg, rng):
     results = []
     for _sid, spec, vol in batch:
         with ad.Tape() as tape:
-            pred = model.forward(ad.Tensor(spec), train=True, rng=rng)
+            pred = model.forward(ad.Tensor(spec), rng=rng)
             results.append((tape, hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)))
     total = 0.0
     scale = 1.0 / len(batch)

@@ -6,7 +6,6 @@ import pytest
 from eeg2vol import autodiff as ad
 from eeg2vol.decoder import (
     Decoder,
-    DecoderConfig,
     S6Params,
     VssBlock,
     patch_expand,
@@ -17,6 +16,7 @@ from eeg2vol.decoder import (
 )
 from eeg2vol.errors import ConfigError, DimensionError, NumericError
 from eeg2vol.layers import ParamStore
+from eeg2vol.model import ModelConfig
 
 from conftest import fd_grad_check, rel_err, s6_scan_reference, s6_worst_vs_reference
 
@@ -274,9 +274,7 @@ def test_patch_merge_stacks_neighborhoods():
 # ---------------------------------------------------------------------------
 
 def test_unet_micro_shapes_and_range():
-    cfg = DecoderConfig(
-        in_channels=4, out_depth=3, plane=(8, 8), blocks_per_stage=1, state_dim=2
-    )
+    cfg = ModelConfig((1, 1, 1, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
     dec = Decoder(cfg, np.random.default_rng(16))
     rng = np.random.default_rng(17)
     out = dec.decode(ad.Tensor(rng.standard_normal((4, 8, 8)) * 0.3))
@@ -285,9 +283,7 @@ def test_unet_micro_shapes_and_range():
 
 
 def test_unet_input_shape_mismatch():
-    cfg = DecoderConfig(
-        in_channels=4, out_depth=3, plane=(8, 8), blocks_per_stage=1, state_dim=2
-    )
+    cfg = ModelConfig((1, 1, 1, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
     dec = Decoder(cfg, np.random.default_rng(18))
     with pytest.raises(ConfigError, match="shape"):
         dec.decode(ad.Tensor(np.zeros((4, 8, 12))))
@@ -295,13 +291,11 @@ def test_unet_input_shape_mismatch():
 
 def test_unet_divisibility_config_error():
     with pytest.raises(ConfigError, match="divisible"):
-        DecoderConfig(in_channels=4, out_depth=3, plane=(10, 8))
+        ModelConfig((1, 1, 1, 3, 10, 8), embed=4)
 
 
 def test_unet_gradients_spot_check():
-    cfg = DecoderConfig(
-        in_channels=4, out_depth=2, plane=(4, 4), blocks_per_stage=1, state_dim=2
-    )
+    cfg = ModelConfig((1, 1, 1, 2, 4, 4), embed=4, vss_blocks=1, state_dim=2)
     dec = Decoder(cfg, np.random.default_rng(21))
     rng = np.random.default_rng(22)
     x = ad.Tensor(rng.standard_normal((4, 4, 4)) * 0.3)

@@ -1,22 +1,21 @@
 """Encoder: projection, local/global blocks, frequency down-sampling, padding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
-from eeg2vol.encoder import Encoder, EncoderConfig, downsampled_freq
+from eeg2vol.encoder import Encoder
 from eeg2vol.errors import ConfigError, DimensionError
+from eeg2vol.model import ModelConfig
 
 from conftest import conv2d_oracle, fd_grad_check
 
 
 def make_encoder(in_channels=2, embed=4, heads=2, stages=2, plane=(8, 8), seed=0):
-    cfg = EncoderConfig(
-        in_channels=in_channels,
-        embed=embed,
-        heads=heads,
-        num_stages=stages,
-        target_plane=plane,
+    cfg = ModelConfig(
+        (in_channels, 1, 1, 1) + plane, embed=embed, heads=heads, enc_stages=stages
     )
     return Encoder(cfg, np.random.default_rng(seed))
 
@@ -32,12 +31,13 @@ def np_channel_ln(tokens, gain, shift, eps=1e-5):
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_bad_combinations():
+    geometry = (2, 1, 1, 1, 8, 8)
     with pytest.raises(ConfigError, match="divisible"):
-        EncoderConfig(in_channels=2, embed=6, heads=4)
+        ModelConfig(geometry, embed=6, heads=4)
     with pytest.raises(ConfigError, match="stage"):
-        EncoderConfig(in_channels=2, num_stages=0)
+        ModelConfig(geometry, enc_stages=0)
     with pytest.raises(ConfigError, match="dropout"):
-        EncoderConfig(in_channels=2, attention_dropout=1.0)
+        ModelConfig(geometry, attention_dropout=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +197,21 @@ def test_global_block_token_permutation_invariance():
     assert np.max(np.abs(base - unpermuted)) < 1e-9
 
 
-def test_attention_dropout_needs_rng_in_training():
-    cfg = EncoderConfig(in_channels=2, embed=4, heads=2, attention_dropout=0.5)
-    enc = Encoder(cfg, np.random.default_rng(0))
-    x = ad.Tensor(np.zeros((4, 2, 2)))
-    with pytest.raises(ConfigError, match="rng"):
-        enc.global_block(x, 0, train=True)
+def test_attention_dropout_draws_masks_only_with_rng():
+    """Without an rng the dropout model attends like the dropout-free one."""
+    cfg = ModelConfig((2, 1, 1, 1, 8, 8), embed=4, heads=2, attention_dropout=0.5)
+    dropped = Encoder(cfg, np.random.default_rng(0))
+    plain = Encoder(replace(cfg, attention_dropout=0.0), np.random.default_rng(0))
+    x = ad.Tensor(np.random.default_rng(1).standard_normal((4, 3, 3)))
+    want = plain.global_block(x, 0).data
+    np.testing.assert_array_equal(dropped.global_block(x, 0).data, want)
+    masked = dropped.global_block(x, 0, rng=np.random.default_rng(2)).data
+    assert not np.allclose(masked, want)
 
 
 # ---------------------------------------------------------------------------
 # frequency down-sampling
 # ---------------------------------------------------------------------------
-
-def test_downsampled_freq_formula():
-    assert downsampled_freq(25, 1) == 13
-    assert downsampled_freq(25, 2) == 7
-    assert downsampled_freq(64, 1) == 32
-
 
 def test_freq_downsample_shapes():
     enc = make_encoder()
