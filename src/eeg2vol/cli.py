@@ -1,13 +1,11 @@
-"""Command-line entry point: preprocess, synth-data, train, eval, predict,
-and bench subcommands over the library modules."""
+"""Command-line entry point: preprocess, synth-data, train, eval and predict
+subcommands over the library modules."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import s2vt
 from .config import Config, schema_help
@@ -18,11 +16,15 @@ from .dsp import (
     build_pairs,
     parse_manifest,
     read_manifest,
+    stft_params,
     write_manifest,
 )
 from .errors import ConfigError, DataError, Eeg2VolError
-from .model import Model, ModelConfig
+from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
+
+# keys eval takes from the checkpoint, never from the run config
+CHECKPOINT_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width") + ARCH_KEYS
 
 
 def _build_parser():
@@ -34,47 +36,40 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="K=V",
-            help="override one config key (repeatable)",
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
+    def command(name, help_text, config=True):
+        p = sub.add_parser(name, help=help_text)
+        if config:
+            p.add_argument("--config", default=None, help="key = value config file")
+            p.add_argument(
+                "--set",
+                dest="overrides",
+                action="append",
+                default=[],
+                metavar="K=V",
+                help="override one config key (repeatable)",
+            )
         p.add_argument("--out", default="out", help="output directory")
         return p
 
-    p = common(sub.add_parser("preprocess", help="raw recordings -> paired dataset"))
+    p = command("preprocess", "raw recordings -> paired dataset")
     p.add_argument("--manifest-in", required=True, help="raw-session manifest")
 
-    p = common(sub.add_parser("synth-data", help="generate a synthetic paired dataset"))
+    p = command("synth-data", "generate a synthetic paired dataset")
     p.add_argument("--subjects", type=int, default=4)
     p.add_argument("--pairs", type=int, default=16)
 
-    p = common(sub.add_parser("train", help="train a model on a paired dataset"))
+    p = command("train", "train a model on a paired dataset")
     p.add_argument("--manifest", required=True)
 
-    p = common(sub.add_parser("eval", help="evaluate a checkpoint"))
+    p = command("eval", "evaluate a checkpoint")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
 
-    p = common(sub.add_parser("predict", help="spectrograms -> volume files"))
+    # the checkpoint fixes everything predict computes, so it takes no config
+    p = command("predict", "spectrograms -> volume files", config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("inputs", nargs="+", help="spectrogram S2VT files")
-
-    common(sub.add_parser("bench", help="selective-scan throughput and forward latency"))
     return parser
-
-
-def _load_config(args):
-    cfg = Config.load(args.config, args.overrides)
-    if args.seed is not None:
-        cfg.set("seed", args.seed)
-    return cfg
 
 
 def _read_raw_manifest(path):
@@ -90,8 +85,10 @@ def _read_raw_manifest(path):
 
 
 def cmd_preprocess(args):
-    cfg = _load_config(args)
+    cfg = Config.load(args.config, args.overrides)
     name, fs, tr_s, sessions = _read_raw_manifest(args.manifest_in)
+    frame_len, hop = stft_params(fs, cfg.frame_len, cfg.hop)
+    volume_target = cfg.volume_target_tuple()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = Path(args.manifest_in).parent
@@ -105,13 +102,13 @@ def cmd_preprocess(args):
                 EegRecording(eeg, fs),
                 vols,
                 tr_s,
-                frame_len=cfg.frame_len or None,
-                hop=cfg.hop or None,
+                frame_len=frame_len,
+                hop=hop,
                 cutoff_hz=cfg.cutoff_hz,
                 pairing_mode=cfg.pairing_mode,
                 span_s=cfg.span_s,
                 lag_s=cfg.lag_s,
-                volume_target=cfg.volume_target_tuple(),
+                volume_target=volume_target,
             )
         except Eeg2VolError as exc:
             raise type(exc)(f"subject {sid} ({eeg_path}): {exc}") from exc
@@ -134,7 +131,7 @@ def cmd_preprocess(args):
 
 
 def cmd_synth_data(args):
-    cfg = _load_config(args)
+    cfg = Config.load(args.config, args.overrides)
     if args.subjects < 1 or args.pairs < 1:
         raise ConfigError("--subjects and --pairs must be >= 1")
     geometry = ModelConfig.from_run_config(cfg).geometry
@@ -153,7 +150,7 @@ def cmd_synth_data(args):
 
 
 def cmd_train(args):
-    cfg = _load_config(args)
+    cfg = Config.load(args.config, args.overrides)
     manifest = read_manifest(args.manifest, validate=True)
     result = train_run(cfg, manifest, Path(args.manifest).parent, args.out)
     print(f"best held-out SSIM {result['best_ssim']:.4f}")
@@ -161,10 +158,14 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args)
+    cfg = Config.load(args.config, args.overrides)
+    set_keys = {item.split("=", 1)[0].strip() for item in args.overrides}
+    ignored = [k for k in CHECKPOINT_KEYS if k in set_keys]
+    if ignored:
+        raise ConfigError(
+            f"eval takes {', '.join(ignored)} from the checkpoint; drop these --set keys"
+        )
     manifest = read_manifest(args.manifest, validate=True)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
     lines = evaluate_run(
         cfg,
         manifest,
@@ -177,7 +178,6 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    _load_config(args)  # rejects unknown --set keys
     model = Model.from_checkpoint(args.checkpoint)
     c, t, f = model.cfg.geometry[:3]
     out = Path(args.out)
@@ -202,26 +202,12 @@ def cmd_predict(args):
         print(f"{path} -> {target} {volume.shape}")
 
 
-def cmd_bench(args):
-    from .bench import run_bench
-
-    cfg = _load_config(args)
-    lines = run_bench(seed=cfg.seed)
-    for line in lines:
-        print(line)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bench.csv").write_text("\n".join(lines) + "\n")
-
-
 _COMMANDS = {
     "preprocess": cmd_preprocess,
     "synth-data": cmd_synth_data,
     "train": cmd_train,
     "eval": cmd_eval,
     "predict": cmd_predict,
-    "bench": cmd_bench,
 }
 
 

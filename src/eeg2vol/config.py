@@ -88,12 +88,15 @@ class Config:
         return self._values.items()
 
     def volume_target_tuple(self):
-        raw = self._values["volume_target"].split()
-        if not raw:
+        raw = self._values["volume_target"]
+        fields = raw.split()
+        if not fields:
             return None
-        if len(raw) != 3:
-            raise ConfigError("volume_target must be 'D H W'")
-        return tuple(int(v) for v in raw)
+        if len(fields) != 3 or not all(v.isdecimal() and int(v) >= 1 for v in fields):
+            raise ConfigError(
+                f"volume_target = {raw!r}: must be 'D H W', three integers >= 1"
+            )
+        return tuple(int(v) for v in fields)
 
     @classmethod
     def load(cls, path=None, overrides=()):

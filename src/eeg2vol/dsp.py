@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from .errors import AlignmentError, DataError, DimensionError
+from .errors import AlignmentError, ConfigError, DataError, DimensionError
 from . import s2vt
 
 
@@ -39,13 +39,11 @@ class EegRecording:
 @dataclass
 class SpectrogramSample:
     data: np.ndarray  # [C, T, F], values in [0, 1]
-    window_end_offset_s: float = 0.0
 
 
 @dataclass
 class VolumeSample:
     data: np.ndarray  # [D, H, W], values in [0, 1]
-    tr_s: float = 0.0
 
 
 @dataclass
@@ -123,11 +121,14 @@ def stft(window, fs, frame_len, hop):
     return np.abs(np.fft.rfft(frames, axis=-1))
 
 
-def default_stft_params(fs):
-    """frame = fs/5 rounded to even, hop = frame/2."""
-    frame = int(round(fs / 5.0 / 2.0)) * 2
-    frame = max(frame, 2)
-    return frame, frame // 2
+def stft_params(fs, frame_len=None, hop=None):
+    """(frame, hop) in samples: 0 or None derives frame = fs/5 rounded to
+    even and hop = frame/2."""
+    for key, value in (("frame_len", frame_len), ("hop", hop)):
+        if (value or 0) < 0:
+            raise ConfigError(f"{key} = {value}: must be >= 0 (0 = derive)")
+    frame = frame_len or max(int(round(fs / 5.0 / 2.0)) * 2, 2)
+    return frame, hop or max(frame // 2, 1)
 
 
 def spectrogram_geometry(n_samples, fs, frame_len, hop, cutoff_hz=250.0):
@@ -215,10 +216,7 @@ def build_pairs(
     volumes = np.asarray(volumes, dtype=np.float64)
     if volumes.ndim != 4:
         raise DimensionError("volumes must be a [V, D, H, W] stack")
-    if frame_len is None or hop is None:
-        d_frame, d_hop = default_stft_params(recording.fs)
-        frame_len = frame_len or d_frame
-        hop = hop or d_hop
+    frame_len, hop = stft_params(recording.fs, frame_len, hop)
 
     if pairing_mode == "tr":
         windows = segment_windows(recording, tr_s)
@@ -240,12 +238,7 @@ def build_pairs(
         if volume_target is not None and tuple(volume_target) != vol.shape:
             vol = dct_downsample(vol, volume_target)
         spec = spectrogram_from_window(window, recording.fs, frame_len, hop, cutoff_hz)
-        pairs.append(
-            (
-                SpectrogramSample(spec, window_end_offset_s=lag_s if pairing_mode == "lag" else 0.0),
-                VolumeSample(minmax_normalize(vol), tr_s=tr_s),
-            )
-        )
+        pairs.append((SpectrogramSample(spec), VolumeSample(minmax_normalize(vol))))
     if not pairs:
         raise DataError("no viable EEG/volume pairs could be built")
     return pairs

@@ -42,6 +42,11 @@ class SsimConfig:
         if self.aggregation not in ("sliding-mean", "global"):
             raise ConfigError(f"unknown SSIM aggregation {self.aggregation!r}")
 
+    def check_extent(self, h, w):
+        """The sliding window must fit in an h x w slice."""
+        if self.aggregation == "sliding-mean" and self.window > min(h, w):
+            raise ConfigError(f"SSIM window {self.window} exceeds slice extent {h}x{w}")
+
 
 def _as3d(t):
     t = t if isinstance(t, ad.Tensor) else ad.Tensor(t)
@@ -72,11 +77,10 @@ def ssim(x, y, cfg=None):
     if x.shape != y.shape:
         raise DimensionError(f"ssim: shape mismatch {x.shape} vs {y.shape}")
     d, h, w = x.shape
+    cfg.check_extent(h, w)
 
     if cfg.aggregation == "sliding-mean":
         k = cfg.window
-        if k > h or k > w:
-            raise ConfigError(f"SSIM window {k} exceeds slice extent {h}x{w}")
         kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
         box = lambda t: ad.conv2d(ad.reshape(t, (d, 1, h, w)), kernel)
         mu_x, mu_y = box(x), box(y)

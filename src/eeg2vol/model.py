@@ -58,8 +58,7 @@ class ModelConfig:
         if geometry is None:
             t, f = cfg.t_bins, cfg.f_bins
             if t == 0 or f == 0:
-                frame = cfg.frame_len or dsp.default_stft_params(cfg.fs)[0]
-                hop = cfg.hop or frame // 2
+                frame, hop = dsp.stft_params(cfg.fs, cfg.frame_len, cfg.hop)
                 if cfg.pairing_mode == "lag":
                     n_samples = int(round(cfg.span_s * cfg.fs))
                 else:

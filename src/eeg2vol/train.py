@@ -130,6 +130,8 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     if cfg.grad_clip < 0:
         raise ConfigError(f"grad_clip = {cfg.grad_clip}: must be >= 0 (0 = off)")
     mcfg = ModelConfig.from_run_config(cfg, geometry=manifest.geometry)
+    ssim_cfg = ssim_config_from(cfg)
+    ssim_cfg.check_extent(*mcfg.geometry[4:])
     train_ids, test_ids = split_for(cfg, manifest)
     train_samples = load_pairs(manifest, base_dir, train_ids)
     test_samples = load_pairs(manifest, base_dir, test_ids)
@@ -149,7 +151,6 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
         total_epochs=cfg.epochs,
     )
     weights = LossWeights(cfg.lambda1, cfg.lambda2)
-    ssim_cfg = ssim_config_from(cfg)
     rng = np.random.default_rng(cfg.seed)
 
     out_dir = Path(out_dir)
@@ -224,5 +225,6 @@ def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
     rows, _mean_ssim, _psnrs = evaluate_samples(model, samples, ssim_config_from(cfg))
     lines = [f"# checkpoint = {checkpoint_dir}", REPORT_HEADER] + rows
     if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text("\n".join(lines) + "\n")
     return lines

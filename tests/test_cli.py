@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from eeg2vol import cli, s2vt
-from eeg2vol.bench import SCAN_LENGTHS, bench_scan, run_bench
 from eeg2vol.config import SCHEMA
 from eeg2vol.data import synth_raw_session
 
@@ -60,6 +59,21 @@ def test_preprocess_rerun_byte_identical(tmp_path):
             ["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / name)]
         ) == 0
     assert tree_hashes(tmp_path / "o1") == tree_hashes(tmp_path / "o2")
+
+
+def test_preprocess_frame_len_matches_model_geometry(tmp_path):
+    """A given frame_len derives its hop (frame/2) the same way in preprocess
+    output and in the geometry the run config describes."""
+    from eeg2vol.config import Config
+    from eeg2vol.model import ModelConfig
+
+    raw = write_raw_tree(tmp_path / "raw")
+    rc = cli.main(["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "out"),
+                   "--set", "frame_len=100"])
+    assert rc == 0
+    spec = s2vt.read_tensor(tmp_path / "out/s01/pair0000_spec.s2vt")
+    geometry = ModelConfig.from_run_config(Config({"frame_len": 100})).geometry
+    assert spec.shape[1:] == geometry[1:3] == (9, 50)
 
 
 def test_preprocess_missing_file_exit_3(tmp_path, capsys):
@@ -163,7 +177,6 @@ def test_eval_writes_report(trained_run, capsys):
          "--checkpoint", str(trained_run / "run/best.ckpt"),
          "--out", str(trained_run / "eval"),
          "--set", "split_mode=fixed", "--set", "k_train=1", "--set", "k_test=1"]
-        + MICRO_SETS
     )
     assert rc == 0
     report = (trained_run / "eval/report.txt").read_text()
@@ -190,7 +203,7 @@ def test_predict_writes_volume(trained_run, capsys):
     spec_path = trained_run / "data/sub00/pair0000_spec.s2vt"
     rc = cli.main(
         ["predict", "--checkpoint", str(trained_run / "run/best.ckpt"),
-         "--out", str(trained_run / "pred"), str(spec_path)] + MICRO_SETS
+         "--out", str(trained_run / "pred"), str(spec_path)]
     )
     assert rc == 0
     out = s2vt.read_tensor(trained_run / "pred/pair0000_vol.s2vt")
@@ -203,7 +216,7 @@ def test_predict_geometry_mismatch_exit_2(trained_run, tmp_path, capsys):
     s2vt.write_tensor(bad, np.zeros((4, 9, 9)))
     rc = cli.main(
         ["predict", "--checkpoint", str(trained_run / "run/best.ckpt"),
-         "--out", str(tmp_path), str(bad)] + MICRO_SETS
+         "--out", str(tmp_path), str(bad)]
     )
     assert rc == 2
     err = capsys.readouterr().err
@@ -348,6 +361,16 @@ BAD_VALUES = [
     ("train", ["--set", "beta1=2"], "must lie in [0, 1)"),
     ("train", ["--set", "beta2=-1"], "must lie in [0, 1)"),
     ("train", ["--set", "grad_clip=-1"], "grad_clip = -1.0: must be >= 0"),
+    ("train", ["--set", "ssim_window=9"], "SSIM window 9 exceeds slice extent 8x8"),
+    ("preprocess", ["--set", "volume_target=-1 8 8"], "volume_target = '-1 8 8': must be"),
+    ("preprocess", ["--set", "volume_target=3 x 8"], "volume_target = '3 x 8': must be"),
+    ("preprocess", ["--set", "volume_target=0 8 8"], "volume_target = '0 8 8': must be"),
+    ("preprocess", ["--set", "frame_len=-4"], "frame_len = -4: must be >= 0"),
+    ("preprocess", ["--set", "hop=-2"], "hop = -2: must be >= 0"),
+    ("eval", ["--set", "embed=64"], "eval takes embed from the checkpoint"),
+    ("eval", ["--set", "embed=64", "--set", "height=16"],
+     "eval takes height, embed from the checkpoint"),
+    ("eval", ["--set", "ssim_window=9"], "SSIM window 9 exceeds slice extent 8x8"),
     ("synth-data", ["--subjects", "0"], "--subjects and --pairs must be >= 1"),
     ("synth-data", ["--pairs", "0"], "--subjects and --pairs must be >= 1"),
 ]
@@ -363,6 +386,12 @@ def test_bad_values_exit_2(trained_run, tmp_path, capsys, command, extra, messag
     """Values that would crash or be silently replaced are rejected up front."""
     if command == "train":
         argv = train_args(trained_run, tmp_path / "run")
+    elif command == "eval":
+        argv = ["eval", "--manifest", str(trained_run / "data/manifest.txt"),
+                "--checkpoint", str(trained_run / "run/best.ckpt"), "--out", str(tmp_path / "run")]
+    elif command == "preprocess":
+        raw = write_raw_tree(tmp_path / "raw")
+        argv = ["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "data")]
     else:
         argv = ["synth-data", "--out", str(tmp_path / "data")] + MICRO_SETS
     rc = cli.main(argv + extra)
@@ -455,22 +484,16 @@ def test_help_enumerates_config_keys(capsys):
         assert key in out
 
 
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def test_bench_scan_rows_and_checksums():
-    rows = bench_scan(channels=8, state=4, seed=0, repeats=1)
-    assert [r["length"] for r in rows] == list(SCAN_LENGTHS) == [256, 1024, 4096]
-    for row in rows:
-        assert set(row) == {"length", "tok_s"} and row["tok_s"] > 0
-
-
-def test_run_bench_lines_format():
-    lines = run_bench(seed=0, include_forward=False)
-    assert lines[0] == "kind, key, tok_s, forward_s"
-    assert len(lines) == 4
-    for line, length in zip(lines[1:], SCAN_LENGTHS):
-        fields = line.split(", ")
-        assert fields[0] == "scan" and int(fields[1]) == length
-        assert float(fields[2]) > 0 and fields[3] == "-"
+def test_removed_flags_and_commands_exit_2(tmp_path, capsys):
+    """predict takes no config, --seed duplicated --set seed=N and bench
+    duplicated the benchmark's timings; each is now an argparse error."""
+    for command in (
+        "predict --checkpoint c --set embed=64 x_spec.s2vt",
+        "train --manifest m.txt --seed 3",
+        "bench",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command.split() + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

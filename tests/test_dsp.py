@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeg2vol import dsp
-from eeg2vol.errors import AlignmentError, DataError, DimensionError
+from eeg2vol.errors import AlignmentError, ConfigError, DataError, DimensionError
 
 from conftest import dft_oracle
 
@@ -99,10 +99,17 @@ def test_stft_frame_longer_than_segment():
         dsp.stft(np.zeros(32), 250.0, 64, 32)
 
 
-def test_default_stft_params():
-    assert dsp.default_stft_params(250.0) == (50, 25)
-    assert dsp.default_stft_params(1000.0) == (200, 100)
-    assert dsp.default_stft_params(5000.0) == (1000, 500)
+def test_stft_params():
+    """0 or None derives frame = fs/5 (even) and hop = frame/2; the hop
+    follows a given frame, not the derived one."""
+    assert dsp.stft_params(250.0) == (50, 25)
+    assert dsp.stft_params(1000.0, 0, 0) == (200, 100)
+    assert dsp.stft_params(5000.0, None, None) == (1000, 500)
+    assert dsp.stft_params(250.0, 100, 0) == (100, 50)
+    assert dsp.stft_params(250.0, 0, 10) == (50, 10)
+    for frame_len, hop, key in ((-4, 0, "frame_len = -4"), (0, -1, "hop = -1")):
+        with pytest.raises(ConfigError, match=key):
+            dsp.stft_params(250.0, frame_len, hop)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +225,11 @@ def test_build_pairs_lag_mode_skips_early_volumes():
     pairs = dsp.build_pairs(rec, volumes, tr, pairing_mode="lag")
     # bold_time (i+1)*2 must be >= 26 s, so volumes 0..11 are skipped
     assert len(pairs) == 8
-    assert pairs[0][0].window_end_offset_s == 6.0
+    # the last pair's window is the 20 s ending 6 s before the slice at 40 s
+    window = rec.channels[:, int(fs * 14) : int(fs * 34)]
+    spec, vol = pairs[-1]
+    np.testing.assert_array_equal(spec.data, dsp.spectrogram_from_window(window, fs, 50, 25))
+    np.testing.assert_array_equal(vol.data, dsp.minmax_normalize(volumes[19]))
 
 
 def test_build_pairs_volume_target():
