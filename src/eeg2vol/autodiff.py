@@ -367,16 +367,16 @@ def softmax(x, axis=-1):
 # ---------------------------------------------------------------------------
 
 def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
-    """2D cross-correlation (no kernel flip) over NCHW input.
+    """2D cross-correlation (no kernel flip) over NHWC input.
 
-    x: [N, C, H, W], kernel: [O, C, kh, kw] -> [N, O, H', W'] with
+    x: [N, H, W, C], kernel: [O, C, kh, kw] -> [N, H', W', O] with
     H' = floor((H + 2*ph - kh)/sh) + 1, likewise W'.
     """
     sh, sw = stride
     ph, pw = padding
     if sh < 1 or sw < 1:
         raise DimensionError("conv2d: stride components must be >= 1")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     o, ck, kh, kw = kernel.shape
     if c != ck:
         raise DimensionError(
@@ -385,23 +385,23 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise DimensionError("conv2d: kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]  # [N, C, H', W', kh, kw]
-    val = np.einsum("nchwuv,ocuv->nohw", windows, kernel.data, optimize=True)
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::sh, ::sw]  # [N, H', W', C, kh, kw]
+    val = np.einsum("nhwcuv,ocuv->nhwo", windows, kernel.data, optimize=True)
 
     def backward(g):
-        gk = np.einsum("nchwuv,nohw->ocuv", windows, g, optimize=True)
+        gk = np.einsum("nhwcuv,nhwo->ocuv", windows, g, optimize=True)
         gxp = np.zeros_like(xp)
-        hout, wout = g.shape[2], g.shape[3]
+        hout, wout = g.shape[1], g.shape[2]
         # scatter each kernel offset back onto the padded input grid
-        contrib = np.einsum("nohw,ocuv->nchwuv", g, kernel.data, optimize=True)
+        contrib = np.einsum("nhwo,ocuv->nhwcuv", g, kernel.data, optimize=True)
         for u in range(kh):
             for v in range(kw):
-                gxp[:, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += (
-                    contrib[:, :, :, :, u, v]
+                gxp[:, u : u + hout * sh : sh, v : v + wout * sw : sw] += (
+                    contrib[..., u, v]
                 )
-        gx = gxp[:, :, ph : ph + h, pw : pw + w]
+        gx = gxp[:, ph : ph + h, pw : pw + w]
         return (gx, gk)
 
     return _make_output(val, (x, kernel), backward)
@@ -477,36 +477,36 @@ def _selective_states(u, delta, a, b):
     The [C, S, L] arrays linear_scan sees are views of time-major buffers,
     so each recurrence step reads one contiguous [C, S] slice.
     """
-    delta_t, u_t, b_t = (np.ascontiguousarray(v.T) for v in (delta, u, b))
-    abar = np.exp(delta_t[:, :, None] * a[None, :, :])
+    abar = np.exp(delta[:, :, None] * a[None, :, :])
     # delta > 0 and A < 0 put abar in (0, 1); float underflow at either end
     # (exp saturating to 0.0 or 1.0) is tolerated
     if not (np.all(abar >= 0.0) and np.all(abar <= 1.0)):
         raise NumericError("selective_scan: discretized transition left [0, 1]")
-    bu = (delta_t * u_t)[:, :, None] * b_t[:, None, :]
+    bu = (delta * u)[:, :, None] * b[:, None, :]
     h = linear_scan(Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)))
     return abar, np.moveaxis(h.data, -1, 0)
 
 
 def selective_scan(u, delta, a, b, c):
-    """y[n, t] = sum_s c[s, t] * h[n, s, t], where h[n, s, 0] = 0 and
-    h[n, s, t] = exp(delta[n, t] a[n, s]) h[n, s, t-1] + delta[n, t] u[n, t] b[s, t].
+    """y[t, n] = sum_s c[t, s] * h[t, n, s], where h[-1] = 0 and
+    h[t, n, s] = exp(delta[t, n] a[n, s]) h[t-1, n, s] + delta[t, n] u[t, n] b[t, s].
 
-    u, delta: [C, L]; a: [C, S]; b, c: [S, L]. One tape node that keeps only
-    its inputs: backward recomputes the states instead of storing the
-    [C, S, L] intermediates (the recompute scheme of Mamba, arXiv:2312.00752).
-    Forward and adjoint recurrences both run the sequential kernel.
+    Time-major: u, delta: [L, C]; a: [C, S]; b, c: [L, S]; y: [L, C]. One
+    tape node that keeps only its inputs: backward recomputes the states
+    instead of storing the [L, C, S] intermediates (the recompute scheme of
+    Mamba, arXiv:2312.00752). Forward and adjoint recurrences both run the
+    sequential kernel.
     """
-    channels, length = u.shape
+    length, channels = u.shape
     state = a.shape[-1]
-    if (delta.shape != (channels, length) or a.shape != (channels, state)
-            or b.shape != (state, length) or c.shape != (state, length)):
+    if (delta.shape != (length, channels) or a.shape != (channels, state)
+            or b.shape != (length, state) or c.shape != (length, state)):
         raise DimensionError(
             f"selective_scan: shapes u {u.shape}, delta {delta.shape}, a {a.shape}, "
-            f"b {b.shape}, c {c.shape} do not fit [C,L], [C,L], [C,S], [S,L], [S,L]"
+            f"b {b.shape}, c {c.shape} do not fit [L,C], [L,C], [C,S], [L,S], [L,S]"
         )
     _abar, h = _selective_states(u.data, delta.data, a.data, b.data)
-    y = np.einsum("tns,st->nt", h, c.data)
+    y = np.einsum("tns,ts->tn", h, c.data)
 
     def backward(g):
         abar, h = _selective_states(u.data, delta.data, a.data, b.data)
@@ -515,20 +515,18 @@ def selective_scan(u, delta, a, b, c):
         a_rev = np.empty_like(abar)
         a_rev[0] = 0.0
         a_rev[1:] = abar[:0:-1]
-        g_rev = np.ascontiguousarray(g.T[::-1])  # [L, C]
-        c_rev = np.ascontiguousarray(c.data.T[::-1])  # [L, S]
-        gh_rev = g_rev[:, :, None] * c_rev[:, None, :]
+        gh_rev = g[::-1, :, None] * c.data[::-1, None, :]
         lam = _scan_sequential(np.moveaxis(a_rev, 0, -1), np.moveaxis(gh_rev, 0, -1))
         lam = np.moveaxis(lam, -1, 0)[::-1]  # d loss / d bu, [L, C, S]
         # d loss / d(delta * A) = lam_t * h_{t-1} * abar_t
         q = np.zeros_like(h)
         q[1:] = lam[1:] * h[:-1] * abar[1:]
-        lam_b = np.einsum("tns,st->nt", lam, b.data)  # d loss / d(delta * u)
+        lam_b = np.einsum("tns,ts->tn", lam, b.data)  # d loss / d(delta * u)
         du = lam_b * delta.data
-        ddelta = lam_b * u.data + np.einsum("tns,ns->nt", q, a.data)
-        da = np.einsum("tns,nt->ns", q, delta.data)
-        db = np.einsum("tns,nt->st", lam, delta.data * u.data)
-        dc = np.einsum("tns,nt->st", h, g)
+        ddelta = lam_b * u.data + np.einsum("tns,ns->tn", q, a.data)
+        da = np.einsum("tns,tn->ns", q, delta.data)
+        db = np.einsum("tns,tn->ts", lam, delta.data * u.data)
+        dc = np.einsum("tns,tn->ts", h, g)
         return (du, ddelta, da, db, dc)
 
     return _make_output(y, (u, delta, a, b, c), backward)

@@ -19,7 +19,7 @@ from .dsp import (
     stft_params,
     write_manifest,
 )
-from .errors import ConfigError, DataError, Eeg2VolError
+from .errors import ConfigError, DataError, DimensionError, Eeg2VolError
 from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
@@ -78,10 +78,42 @@ def _read_raw_manifest(path):
     for key in ("name", "fs", "tr"):
         if key not in header:
             raise DataError(f"{path}: raw manifest missing header key {key!r}")
+    if not sessions:
+        raise DataError(f"{path}: raw manifest lists no subject sessions")
     try:
         return header["name"], float(header["fs"]), float(header["tr"]), sessions
     except ValueError as exc:
         raise DataError(f"{path}: raw manifest header value is not a number: {exc}") from exc
+
+
+def _check_sessions(sessions, base, volume_target):
+    """Read every session's S2VT headers before preprocess writes anything.
+
+    Each volume_target extent must fit its raw volume (exit 2), and every
+    session must give the same EEG channel count and output volume shape, so
+    that one manifest geometry describes them all (exit 3).
+    """
+    first = None
+    for sid, eeg_path, vol_path in sessions:
+        try:
+            eeg_shape, _ = s2vt.read_header(base / eeg_path)
+            vol_shape, _ = s2vt.read_header(base / vol_path)
+        except DataError as exc:
+            raise DataError(f"subject {sid} ({eeg_path}): {exc}") from exc
+        if len(eeg_shape) != 2:
+            raise DimensionError(f"subject {sid}: EEG {eeg_shape} is not a [C, samples] array")
+        if len(vol_shape) != 4:
+            raise DimensionError(f"subject {sid}: volumes {vol_shape} are not a [V, D, H, W] stack")
+        raw = tuple(vol_shape[1:])
+        if volume_target is not None and any(t > r for t, r in zip(volume_target, raw)):
+            raise ConfigError(
+                f"subject {sid}: volume_target {volume_target} exceeds raw volume {raw}"
+            )
+        found = f"{eeg_shape[0]} EEG channels, volumes {volume_target or raw}"
+        if first is None:
+            first = (sid, found)
+        elif found != first[1]:
+            raise DataError(f"subject {sid}: {found}; subject {first[0]}: {first[1]}")
 
 
 def cmd_preprocess(args):
@@ -89,9 +121,10 @@ def cmd_preprocess(args):
     name, fs, tr_s, sessions = _read_raw_manifest(args.manifest_in)
     frame_len, hop = stft_params(fs, cfg.frame_len, cfg.hop)
     volume_target = cfg.volume_target_tuple()
+    base = Path(args.manifest_in).parent
+    _check_sessions(sessions, base, volume_target)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = Path(args.manifest_in).parent
     subjects = []
     geometry = None
     for sid, eeg_path, vol_path in sessions:

@@ -5,7 +5,8 @@ flattened row-major as is, with both axes flipped, with W flipped and with H
 flipped; each of the four sequences goes through an input-conditioned linear
 state-space recurrence, and the four results are flipped back and summed.
 Spatial resampling is convolution-free 2x2 patch merging / expanding; the head
-maps channels to depth slices with a sigmoid.
+maps channels to depth slices with a sigmoid. Feature grids are channel-last,
+[H, W, C], and sequences [L, C].
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .layers import (
-    ParamStore,
-    channels_first,
-    channels_last,
-    pointwise,
-)
+from .layers import ParamStore
 
 
 # ---------------------------------------------------------------------------
@@ -29,31 +25,31 @@ from .layers import (
 # ---------------------------------------------------------------------------
 
 def scan_expand(x):
-    """[N, H, W] -> four [N, H*W] sequences, one per direction.
+    """[H, W, N] -> four [H*W, N] sequences, one per direction.
 
     1: row-major top-left -> bottom-right; 2: reverse of 1;
     3: row-major after horizontal flip (top-right -> bottom-left);
     4: reverse of 3. As grids: no flip, both axes flipped, W flipped,
     H flipped.
     """
-    n, h, w = x.shape
-    d1 = ad.reshape(x, (n, h * w))
-    d3 = ad.reshape(x[:, :, ::-1], (n, h * w))
-    return [d1, d1[:, ::-1], d3, d3[:, ::-1]]
+    h, w, n = x.shape
+    d1 = ad.reshape(x, (h * w, n))
+    d3 = ad.reshape(x[:, ::-1], (h * w, n))
+    return [d1, d1[::-1], d3, d3[::-1]]
 
 
 def scan_merge(seqs, h, w):
     """Undo each direction's flips and sum the four grids."""
-    lengths = {s.shape[-1] for s in seqs}
+    lengths = {s.shape[0] for s in seqs}
     if lengths != {h * w}:
         raise DimensionError(
             f"scan_merge: sequence lengths {sorted(lengths)} != {h * w}"
         )
     d1, d2, d3, d4 = seqs
-    n = d1.shape[0]
-    rows = ad.reshape(d1 + d2[:, ::-1], (n, h, w))
-    flipped = ad.reshape(d3 + d4[:, ::-1], (n, h, w))
-    return rows + flipped[:, :, ::-1]
+    n = d1.shape[-1]
+    rows = ad.reshape(d1 + d2[::-1], (h, w, n))
+    flipped = ad.reshape(d3 + d4[::-1], (h, w, n))
+    return rows + flipped[:, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +69,22 @@ class S6Params:
 
 
 def s6_scan(u, params):
-    """Selective scan over a [channels, L] sequence.
+    """Selective scan over an [L, channels] token sequence.
 
     Per channel n and step t: abar = exp(delta_t * A_n), bbar = delta_t * B_t,
     h_t = abar * h_{t-1} + bbar * u_t (h_0 = 0), y_t = <C_t, h_t> + Dskip * u_t,
     with delta_t, B_t, C_t linear in the token u_t and delta made positive by
     softplus. The recurrence is the fused ad.selective_scan, which keeps no
-    [channels, state, L] tensor on the tape.
+    [L, channels, state] tensor on the tape.
     """
-    n, length = u.shape
-    if length < 1:
+    if u.shape[0] < 1:
         raise DimensionError("s6_scan: empty sequence")
-    tokens = ad.transpose(u)  # [L, channels]
-    delta = ad.transpose(ad.softplus(ad.linear(tokens, params.w_delta, params.b_delta)))
-    b_seq = ad.transpose(ad.linear(tokens, params.w_b))  # [state, L]
-    c_seq = ad.transpose(ad.linear(tokens, params.w_c))
+    delta = ad.softplus(ad.linear(u, params.w_delta, params.b_delta))
+    b_seq = ad.linear(u, params.w_b)  # [L, state]
+    c_seq = ad.linear(u, params.w_c)
     a = ad.neg(ad.exp(params.a_log))  # strictly negative continuous-time poles
     y = ad.selective_scan(u, delta, a, b_seq, c_seq)
-    return y + ad.reshape(params.d_skip, (n, 1)) * u
+    return y + params.d_skip * u
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,6 @@ def s6_scan(u, params):
 
 class VssBlock:
     def __init__(self, width, state_dim, rng, store, prefix):
-        self.width = width
         self.store = store
         self.prefix = prefix
         p = store
@@ -139,40 +132,37 @@ class VssBlock:
     def forward(self, x):
         """Pre-norm -> projected/gated SS2D -> norm, gate, project -> residual."""
         p, pre = self.store, self.prefix
-        _, h, w = x.shape
-        tokens = channels_last(x)
-        normed = ad.layer_norm(tokens, p[f"{pre}.ln.gain"], p[f"{pre}.ln.shift"])
-        main = channels_first(
-            ad.linear(normed, p[f"{pre}.in_proj.weight"], p[f"{pre}.in_proj.bias"])
-        )
+        h, w, _ = x.shape
+        normed = ad.layer_norm(x, p[f"{pre}.ln.gain"], p[f"{pre}.ln.shift"])
+        main = ad.linear(normed, p[f"{pre}.in_proj.weight"], p[f"{pre}.in_proj.bias"])
         gate = ad.silu(ad.linear(normed, p[f"{pre}.gate.weight"], p[f"{pre}.gate.bias"]))
         seqs = scan_expand(main)
         scanned = [s6_scan(seq, self.direction_params(d)) for d, seq in enumerate(seqs)]
-        merged = channels_last(scan_merge(scanned, h, w))
+        merged = scan_merge(scanned, h, w)
         merged = ad.layer_norm(merged, p[f"{pre}.out_ln.gain"], p[f"{pre}.out_ln.shift"])
         out = ad.linear(merged * gate, p[f"{pre}.out_proj.weight"], p[f"{pre}.out_proj.bias"])
-        return x + channels_first(out)
+        return x + out
 
 
 def patch_merge(x):
-    """[C, H, W] -> [4C, H/2, W/2] by stacking each 2x2 neighborhood."""
-    c, h, w = x.shape
-    y = ad.reshape(x, (c, h // 2, 2, w // 2, 2))
-    y = ad.permute(y, (2, 4, 0, 1, 3))
-    return ad.reshape(y, (4 * c, h // 2, w // 2))
+    """[H, W, C] -> [H/2, W/2, 4C] by stacking each 2x2 neighborhood."""
+    h, w, c = x.shape
+    y = ad.reshape(x, (h // 2, 2, w // 2, 2, c))
+    y = ad.permute(y, (0, 2, 1, 3, 4))
+    return ad.reshape(y, (h // 2, w // 2, 4 * c))
 
 
 def patch_expand(x):
-    """[4C, H, W] -> [C, 2H, 2W], the exact inverse layout of patch_merge."""
-    c4, h, w = x.shape
+    """[H, W, 4C] -> [2H, 2W, C], the exact inverse layout of patch_merge."""
+    h, w, c4 = x.shape
     c = c4 // 4
-    y = ad.reshape(x, (2, 2, c, h, w))
-    y = ad.permute(y, (2, 3, 0, 4, 1))
-    return ad.reshape(y, (c, 2 * h, 2 * w))
+    y = ad.reshape(x, (h, w, 2, 2, c))
+    y = ad.permute(y, (0, 2, 1, 3, 4))
+    return ad.reshape(y, (2 * h, 2 * w, c))
 
 
 class Decoder:
-    """Built from a model.ModelConfig; maps [embed, H, W] to [D, H, W]."""
+    """Built from a model.ModelConfig; maps [H, W, embed] to [H, W, D]."""
 
     def __init__(self, cfg, rng, store=None, prefix="dec"):
         self.cfg = cfg
@@ -215,34 +205,26 @@ class Decoder:
         return x
 
     def decode(self, fmap):
-        """[N, H, W] feature map -> [D, H, W] volume in (0, 1)."""
-        want = (self.cfg.embed,) + self.cfg.geometry[4:]
+        """[H, W, N] feature map -> [H, W, D] volume in (0, 1)."""
+        want = self.cfg.geometry[4:] + (self.cfg.embed,)
         if fmap.shape != want:
             raise ConfigError(
                 f"decoder input shape {fmap.shape} does not match configured {want}"
             )
         p, pre = self.store, self.prefix
+
+        def linear(x, name):
+            return ad.linear(x, p[f"{pre}.{name}.weight"], p[f"{pre}.{name}.bias"])
+
         skip0 = self._run(self.down0, fmap)
-        x = pointwise(patch_merge(skip0), p[f"{pre}.merge0.weight"], p[f"{pre}.merge0.bias"])
+        x = linear(patch_merge(skip0), "merge0")
         skip1 = self._run(self.down1, x)
-        x = pointwise(patch_merge(skip1), p[f"{pre}.merge1.weight"], p[f"{pre}.merge1.bias"])
+        x = linear(patch_merge(skip1), "merge1")
         x = self._run(self.bottleneck, x)
-        x = patch_expand(
-            pointwise(x, p[f"{pre}.expand1.weight"], p[f"{pre}.expand1.bias"])
-        )
-        x = pointwise(
-            ad.concat([x, skip1], axis=0),
-            p[f"{pre}.reduce1.weight"],
-            p[f"{pre}.reduce1.bias"],
-        )
+        x = patch_expand(linear(x, "expand1"))
+        x = linear(ad.concat([x, skip1], axis=-1), "reduce1")
         x = self._run(self.up1, x)
-        x = patch_expand(
-            pointwise(x, p[f"{pre}.expand0.weight"], p[f"{pre}.expand0.bias"])
-        )
-        x = pointwise(
-            ad.concat([x, skip0], axis=0),
-            p[f"{pre}.reduce0.weight"],
-            p[f"{pre}.reduce0.bias"],
-        )
+        x = patch_expand(linear(x, "expand0"))
+        x = linear(ad.concat([x, skip0], axis=-1), "reduce0")
         x = self._run(self.up0, x)
-        return ad.sigmoid(pointwise(x, p[f"{pre}.head.weight"], p[f"{pre}.head.bias"]))
+        return ad.sigmoid(linear(x, "head"))

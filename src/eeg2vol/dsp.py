@@ -1,8 +1,5 @@
 """EEG/volume preprocessing: windowing, STFT, band limiting, normalization,
 DCT down-sampling, and pairing into aligned training samples.
-
-All functions are pure over owned buffers and safe to parallelize per
-subject or per window.
 """
 
 from __future__ import annotations
@@ -114,7 +111,7 @@ def stft(window, fs, frame_len, hop):
         )
     if hop < 1:
         raise DimensionError("hop must be >= 1")
-    n_frames = (window.shape[-1] - frame_len) // hop + 1
+    n_frames = _frame_count(window.shape[-1], frame_len, hop)
     taper = hann_window(frame_len)
     idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = window[..., idx] * taper
@@ -131,22 +128,27 @@ def stft_params(fs, frame_len=None, hop=None):
     return frame, hop or max(frame // 2, 1)
 
 
+def _frame_count(n_samples, frame_len, hop):
+    """Frames stft cuts from n_samples: every whole frame at hop spacing."""
+    return (n_samples - frame_len) // hop + 1
+
+
+def _kept_bins(fs, frame_len, cutoff_hz):
+    """Mask over the frame_len // 2 + 1 rfft bins that band_limit keeps."""
+    freqs = np.arange(frame_len // 2 + 1) * fs / frame_len
+    cutoff = min(cutoff_hz, fs / 2.0)  # clamp to Nyquist
+    return (freqs > 0) & (freqs <= cutoff + 1e-9)
+
+
 def spectrogram_geometry(n_samples, fs, frame_len, hop, cutoff_hz=250.0):
     """(T, F) produced by stft + band_limit for a window of n_samples."""
-    t = (n_samples - frame_len) // hop + 1
-    freqs = np.arange(frame_len // 2 + 1) * fs / frame_len
-    cutoff = min(cutoff_hz, fs / 2.0)
-    f = int(np.count_nonzero((freqs > 0) & (freqs <= cutoff + 1e-9)))
-    return t, f
+    kept = _kept_bins(fs, frame_len, cutoff_hz)
+    return _frame_count(n_samples, frame_len, hop), int(np.count_nonzero(kept))
 
 
 def band_limit(spec, fs, frame_len, cutoff_hz=250.0):
     """Drop the DC bin and bins whose center frequency exceeds the cutoff."""
-    n_bins = spec.shape[-1]
-    freqs = np.arange(n_bins) * fs / frame_len
-    cutoff = min(cutoff_hz, fs / 2.0)  # clamp to Nyquist
-    keep = (freqs > 0) & (freqs <= cutoff + 1e-9)
-    return spec[..., keep]
+    return spec[..., _kept_bins(fs, frame_len, cutoff_hz)]
 
 
 def minmax_normalize(t):

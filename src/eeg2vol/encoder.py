@@ -1,7 +1,8 @@
 """Spectrogram encoder: 3x3 projection, per-stage multi-directional
 convolutions fused behind a residual, multi-head self-attention over the
 time-frequency token grid, and stride-2 frequency down-sampling, finished by
-zero-padding onto the target volume plane.
+zero-padding onto the target volume plane. Feature grids are channel-last,
+[T, F, N].
 """
 
 from __future__ import annotations
@@ -10,13 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .layers import (
-    ParamStore,
-    channels_first,
-    channels_last,
-    conv_grid,
-    pointwise,
-)
+from .layers import ParamStore, conv_grid
 
 
 class Encoder:
@@ -50,10 +45,10 @@ class Encoder:
     # stage pieces -----------------------------------------------------------
 
     def project(self, x):
-        """[C, T, F] -> SiLU(conv3x3(x)) at the embedding width."""
-        if x.shape[0] != self.cfg.geometry[0]:
+        """[T, F, C] -> SiLU(conv3x3(x)) at the embedding width."""
+        if x.shape[-1] != self.cfg.geometry[0]:
             raise DimensionError(
-                f"expected {self.cfg.geometry[0]} input channels, got {x.shape[0]}"
+                f"expected {self.cfg.geometry[0]} input channels, got {x.shape[-1]}"
             )
         p = self.store
         return ad.silu(
@@ -66,7 +61,7 @@ class Encoder:
         )
 
     def local_block(self, x, stage):
-        """Three directional conv paths, fused pointwise, residual, LayerNorm."""
+        """Three directional conv paths, fused per token, residual, LayerNorm."""
         p = self.store
         s = f"{self.prefix}.stage{stage}"
         branches = ad.concat(
@@ -75,13 +70,10 @@ class Encoder:
                 conv_grid(x, p[f"{s}.frequency.kernel"], padding=(0, 1)),
                 conv_grid(x, p[f"{s}.joint.kernel"], padding=(1, 1)),
             ],
-            axis=0,
+            axis=-1,
         )
-        fused = pointwise(branches, p[f"{s}.fuse.weight"], p[f"{s}.fuse.bias"])
-        tokens = channels_last(x + fused)
-        return channels_first(
-            ad.layer_norm(tokens, p[f"{s}.ln1.gain"], p[f"{s}.ln1.shift"])
-        )
+        fused = ad.linear(branches, p[f"{s}.fuse.weight"], p[f"{s}.fuse.bias"])
+        return ad.layer_norm(x + fused, p[f"{s}.ln1.gain"], p[f"{s}.ln1.shift"])
 
     def global_block(self, x, stage, rng=None):
         """Scaled dot-product MHSA over the T*F token grid, residual + LN.
@@ -90,10 +82,10 @@ class Encoder:
         """
         p = self.store
         s = f"{self.prefix}.stage{stage}"
-        n, t, f = x.shape
+        t, f, n = x.shape
         heads = self.cfg.heads
         dh = n // heads
-        tokens = ad.reshape(channels_last(x), (t * f, n))
+        tokens = ad.reshape(x, (t * f, n))
         q = ad.linear(tokens, p[f"{s}.attn.wq"])
         k = ad.linear(tokens, p[f"{s}.attn.wk"])
         v = ad.linear(tokens, p[f"{s}.attn.wv"])
@@ -109,11 +101,11 @@ class Encoder:
         mixed = ad.reshape(ad.permute(mixed, (1, 0, 2)), (t * f, n))
         attended = ad.linear(mixed, p[f"{s}.attn.wo"], p[f"{s}.attn.bo"])
         out = ad.layer_norm(tokens + attended, p[f"{s}.ln2.gain"], p[f"{s}.ln2.shift"])
-        return channels_first(ad.reshape(out, (t, f, n)))
+        return ad.reshape(out, (t, f, n))
 
     def freq_downsample(self, x, stage):
         """1x3 stride-(1,2) convolution along frequency: F -> ceil(F/2)."""
-        if x.shape[2] < 2:
+        if x.shape[1] < 2:
             raise DimensionError("frequency axis too short to downsample")
         p = self.store
         s = f"{self.prefix}.stage{stage}"
@@ -128,14 +120,14 @@ class Encoder:
     # full pass --------------------------------------------------------------
 
     def encode(self, x, rng=None):
-        """[C, T, F] -> [N, H, W] with zero-padding onto the target plane."""
+        """[T, F, C] -> [H, W, N] with zero-padding onto the target plane."""
         y = self.project(x)
         for k in range(self.cfg.enc_stages):
             y = self.local_block(y, k)
             y = self.global_block(y, k, rng=rng)
             y = self.freq_downsample(y, k)
         h, w = self.cfg.geometry[4:]
-        _, t_cur, f_cur = y.shape
+        t_cur, f_cur, _ = y.shape
         if t_cur > h or f_cur > w:
             raise ConfigError(
                 f"encoded plane {t_cur}x{f_cur} exceeds target {h}x{w}; "
@@ -143,4 +135,4 @@ class Encoder:
             )
         dt, df = h - t_cur, w - f_cur
         top, left = dt // 2, df // 2
-        return ad.pad(y, ((0, 0), (top, dt - top), (left, df - left)))
+        return ad.pad(y, ((top, dt - top), (left, df - left), (0, 0)))

@@ -1,4 +1,4 @@
-"""Shared building blocks operating on single-sample channel-first grids."""
+"""Shared building blocks operating on single-sample channel-last grids."""
 
 from __future__ import annotations
 
@@ -9,31 +9,12 @@ from .errors import DataError, DimensionError
 
 
 def conv_grid(x, kernel, bias=None, stride=(1, 1), padding=(0, 0)):
-    """conv2d over a [C, H, W] grid (batch axis added and removed)."""
+    """conv2d over an [H, W, C] grid (batch axis added and removed)."""
     y = ad.conv2d(ad.reshape(x, (1,) + x.shape), kernel, stride, padding)
     y = ad.reshape(y, y.shape[1:])
     if bias is not None:
-        y = y + ad.reshape(bias, (bias.shape[0], 1, 1))
+        y = y + bias
     return y
-
-
-def channels_last(x):
-    """[C, H, W] -> [H, W, C]."""
-    return ad.permute(x, (1, 2, 0))
-
-
-def channels_first(x):
-    """[H, W, C] -> [C, H, W]."""
-    return ad.permute(x, (2, 0, 1))
-
-
-def pointwise(x, weight, bias=None):
-    """1x1 channel mapping on a [C, H, W] grid via a [C_out, C] weight."""
-    if x.shape[0] != weight.shape[1]:
-        raise DimensionError(
-            f"pointwise: {x.shape[0]} channels vs weight expecting {weight.shape[1]}"
-        )
-    return channels_first(ad.linear(channels_last(x), weight, bias))
 
 
 class ParamStore:

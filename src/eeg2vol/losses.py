@@ -82,7 +82,7 @@ def ssim(x, y, cfg=None):
     if cfg.aggregation == "sliding-mean":
         k = cfg.window
         kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
-        box = lambda t: ad.conv2d(ad.reshape(t, (d, 1, h, w)), kernel)
+        box = lambda t: ad.conv2d(ad.reshape(t, (d, h, w, 1)), kernel)
         mu_x, mu_y = box(x), box(y)
         e_xx, e_yy, e_xy = box(x * x), box(y * y), box(x * y)
     else:

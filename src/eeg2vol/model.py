@@ -88,7 +88,10 @@ class Model:
         """
         if not isinstance(x, ad.Tensor):
             x = ad.Tensor(x)
-        return self.decoder.decode(self.encoder.encode(x, rng=rng))
+        # the model runs channel-last; these are its only layout conversions
+        tokens = ad.permute(x, (1, 2, 0))  # [T, F, C]
+        volume = self.decoder.decode(self.encoder.encode(tokens, rng=rng))
+        return ad.permute(volume, (2, 0, 1))  # [H, W, D] -> [D, H, W]
 
     def predict(self, x):
         """Inference without recording a tape; numpy in, numpy out.

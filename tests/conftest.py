@@ -100,21 +100,22 @@ def directional_grad_check(
 # ---------------------------------------------------------------------------
 
 def conv2d_oracle(x, kernel, stride=(1, 1), padding=(0, 0)):
-    """Quadruple-loop cross-correlation reference."""
+    """Quadruple-loop cross-correlation reference over NHWC input and
+    [O, C, kh, kw] kernels."""
     sh, sw = stride
     ph, pw = padding
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     o, _, kh, kw = kernel.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     hout = (h + 2 * ph - kh) // sh + 1
     wout = (w + 2 * pw - kw) // sw + 1
-    out = np.zeros((n, o, hout, wout))
+    out = np.zeros((n, hout, wout, o))
     for b in range(n):
         for oc in range(o):
             for i in range(hout):
                 for j in range(wout):
-                    patch = xp[b, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-                    out[b, oc, i, j] = np.sum(patch * kernel[oc])
+                    patch = xp[b, i * sh : i * sh + kh, j * sw : j * sw + kw, :]
+                    out[b, i, j, oc] = np.sum(patch * kernel[oc].transpose(1, 2, 0))
     return out
 
 
@@ -150,12 +151,14 @@ def matmul_oracle(a, b):
 def s6_scan_reference(u, params, mode="sequential"):
     """decoder.s6_scan composed from generic tape ops, each [C, S, L]
     intermediate (abar, bu, h, h*C) a tape node: the oracle for the fused
-    ad.selective_scan. mode picks the linear_scan kernel of the oracle."""
-    n, length = u.shape
-    tokens = ad.transpose(u)  # [L, channels]
-    delta = ad.transpose(ad.softplus(ad.linear(tokens, params.w_delta, params.b_delta)))
-    b_seq = ad.transpose(ad.linear(tokens, params.w_b))  # [state, L]
-    c_seq = ad.transpose(ad.linear(tokens, params.w_c))
+    ad.selective_scan. u is [L, C] tokens, as s6_scan takes; the composition
+    runs on their [C, L] transpose. mode picks the linear_scan kernel of the
+    oracle."""
+    length, n = u.shape
+    u_cl = ad.transpose(u)  # [channels, L]
+    delta = ad.transpose(ad.softplus(ad.linear(u, params.w_delta, params.b_delta)))
+    b_seq = ad.transpose(ad.linear(u, params.w_b))  # [state, L]
+    c_seq = ad.transpose(ad.linear(u, params.w_c))
     state = params.a_log.shape[1]
     a = ad.neg(ad.exp(params.a_log))
     abar = ad.exp(
@@ -166,21 +169,21 @@ def s6_scan_reference(u, params, mode="sequential"):
     bu = (
         ad.reshape(delta, (n, 1, length))
         * ad.reshape(b_seq, (1, state, length))
-        * ad.reshape(u, (n, 1, length))
+        * ad.reshape(u_cl, (n, 1, length))
     )
     h = ad.linear_scan(abar, bu, mode=mode)
     y = ad.tsum(h * ad.reshape(c_seq, (1, state, length)), axis=1)
-    return y + ad.reshape(params.d_skip, (n, 1)) * u
+    return ad.transpose(y + ad.reshape(params.d_skip, (n, 1)) * u_cl)
 
 
 def selective_scan_inputs(rng, channels=2, state=3, length=5):
-    """Leaves u, delta > 0, a < 0, b, c for ad.selective_scan."""
+    """Time-major leaves u, delta > 0, a < 0, b, c for ad.selective_scan."""
     return [
-        ad.Tensor(rng.standard_normal((channels, length)), requires_grad=True),
-        ad.Tensor(rng.uniform(0.1, 1.0, size=(channels, length)), requires_grad=True),
+        ad.Tensor(rng.standard_normal((length, channels)), requires_grad=True),
+        ad.Tensor(rng.uniform(0.1, 1.0, size=(length, channels)), requires_grad=True),
         ad.Tensor(-rng.uniform(0.5, 2.0, size=(channels, state)), requires_grad=True),
-        ad.Tensor(rng.standard_normal((state, length)), requires_grad=True),
-        ad.Tensor(rng.standard_normal((state, length)), requires_grad=True),
+        ad.Tensor(rng.standard_normal((length, state)), requires_grad=True),
+        ad.Tensor(rng.standard_normal((length, state)), requires_grad=True),
     ]
 
 

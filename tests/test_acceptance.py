@@ -79,7 +79,7 @@ def per_op_gradient_pass(seed):
     ]
     for func, leaves in cases:
         fd_grad_check(func, leaves)
-    conv_x = ad.Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+    conv_x = ad.Tensor(rng.standard_normal((1, 4, 4, 2)), requires_grad=True)
     conv_k = ad.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
         lambda: ad.tsum(ad.sigmoid(ad.conv2d(conv_x, conv_k, padding=(1, 1)))),
@@ -136,7 +136,7 @@ def test_criterion_2_scan_oracles(capsys):
     for length in (37, 256, 1000, 1024, 4096):
         params = random_s6_params(3, 4, seed=length)
         rng = np.random.default_rng(length)
-        u = ad.Tensor(rng.standard_normal((3, length)) * 0.5, requires_grad=True)
+        u = ad.Tensor(rng.standard_normal((length, 3)) * 0.5, requires_grad=True)
         seq = s6_scan(u, params).data
         blk = s6_scan_reference(u, params, mode="blocked").data
         worst = max(worst, float(np.max(np.abs(seq - blk))))
@@ -150,7 +150,7 @@ def test_criterion_2_scan_oracles(capsys):
     rng = np.random.default_rng(0)
     for h in range(1, 17):
         for w in range(1, 17):
-            x = ad.Tensor(rng.standard_normal((2, h, w)))
+            x = ad.Tensor(rng.standard_normal((h, w, 2)))
             merged = scan_merge(scan_expand(x), h, w)
             assert np.array_equal(merged.data, 4.0 * x.data), (h, w)
     elapsed = time.perf_counter() - start

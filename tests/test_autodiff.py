@@ -20,31 +20,31 @@ from conftest import (
 # ---------------------------------------------------------------------------
 
 def test_conv2d_identity_kernel():
-    x = ad.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
+    x = ad.Tensor([[[[1.0], [2.0]], [[3.0], [4.0]]]])
     k = ad.Tensor([[[[1.0]]]])
     out = ad.conv2d(x, k)
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_conv2d_window_sum():
-    x = ad.Tensor(np.ones((1, 1, 3, 3)))
+    x = ad.Tensor(np.ones((1, 3, 3, 1)))
     k = ad.Tensor(np.ones((1, 1, 3, 3)))
     assert ad.conv2d(x, k).data.reshape(()) == 9.0
 
 
 def test_conv2d_matches_quadruple_loop_oracle():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((2, 3, 8, 8))
+    x = rng.standard_normal((2, 8, 8, 3))
     k = rng.standard_normal((4, 3, 3, 3))
     out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), padding=(1, 1))
-    assert out.shape == (2, 4, 8, 8)
+    assert out.shape == (2, 8, 8, 4)
     assert np.max(np.abs(out.data - conv2d_oracle(x, k, padding=(1, 1)))) <= 1e-12
 
 
 def test_conv2d_oracle_all_small_extents():
     rng = np.random.default_rng(1)
     for h, w, kh, kw in [(4, 5, 2, 3), (8, 8, 3, 3), (6, 7, 1, 1), (5, 5, 5, 5)]:
-        x = rng.standard_normal((1, 2, h, w))
+        x = rng.standard_normal((1, h, w, 2))
         k = rng.standard_normal((3, 2, kh, kw))
         out = ad.conv2d(ad.Tensor(x), ad.Tensor(k))
         assert np.max(np.abs(out.data - conv2d_oracle(x, k))) <= 1e-12
@@ -52,7 +52,7 @@ def test_conv2d_oracle_all_small_extents():
 
 def test_conv2d_strided_matches_oracle():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((1, 2, 7, 9))
+    x = rng.standard_normal((1, 7, 9, 2))
     k = rng.standard_normal((2, 2, 1, 3))
     out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), stride=(1, 2), padding=(0, 1))
     assert np.max(
@@ -62,7 +62,7 @@ def test_conv2d_strided_matches_oracle():
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(DimensionError):
-        ad.conv2d(ad.Tensor(np.zeros((1, 2, 4, 4))), ad.Tensor(np.zeros((1, 3, 3, 3))))
+        ad.conv2d(ad.Tensor(np.zeros((1, 4, 4, 2))), ad.Tensor(np.zeros((1, 3, 3, 3))))
 
 
 def test_linear_identity_and_bias():
@@ -233,7 +233,7 @@ def test_matmul_linear_layernorm_gradients(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_conv2d_gradients(seed):
     rng = np.random.default_rng(300 + seed)
-    x = ad.Tensor(rng.standard_normal((1, 2, 4, 5)), requires_grad=True)
+    x = ad.Tensor(rng.standard_normal((1, 4, 5, 2)), requires_grad=True)
     k = ad.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
         lambda: ad.tsum(ad.sigmoid(ad.conv2d(x, k, stride=(1, 2), padding=(1, 1)))),
@@ -290,9 +290,9 @@ def test_linear_scan_shape_mismatch():
 SELECTIVE_SCAN_FAULTS = [
     # (input index, position, value, message); ids end in the scan kernel
     # the fused op runs
-    pytest.param(1, (1, 2), np.nan, r"discretized transition left \[0, 1\]",
+    pytest.param(1, (2, 1), np.nan, r"discretized transition left \[0, 1\]",
                  id="nan-delta-sequential"),
-    pytest.param(0, (0, 3), np.inf, "linear_scan: non-finite state at step 3",
+    pytest.param(0, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
                  id="inf-token-sequential"),
 ]
 

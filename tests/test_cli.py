@@ -121,6 +121,45 @@ def test_preprocess_missing_manifest_exit_3(tmp_path, capsys):
     assert "none.txt" in capsys.readouterr().err
 
 
+def test_preprocess_empty_raw_manifest_exit_3(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("name = demo\nfs = 250\ntr = 2.16\n")
+    rc = cli.main(["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert f"{raw}: raw manifest lists no subject sessions" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_volume_target_beyond_raw_volume_exit_2(tmp_path, capsys):
+    raw = write_raw_tree(tmp_path / "raw")  # raw volumes are 3x8x8
+    rc = cli.main(["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "out"),
+                   "--set", "volume_target=30 64 64"])
+    assert rc == 2
+    assert "subject s01: volume_target (30, 64, 64) exceeds raw volume (3, 8, 8)" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_channels, vol_shape, found", [
+    (3, (3, 8, 8), "3 EEG channels, volumes (3, 8, 8)"),
+    (2, (3, 8, 12), "2 EEG channels, volumes (3, 8, 12)"),
+], ids=["channels", "volume-shape"])
+def test_preprocess_mismatched_sessions_exit_3(tmp_path, capsys, n_channels, vol_shape, found):
+    """One manifest geometry must describe every session."""
+    raw = write_raw_tree(tmp_path / "raw")
+    eeg, vols = synth_raw_session(n_channels, 2000, 250.0, 3, vol_shape, 1, tr_s=2.16)
+    s2vt.write_tensor(tmp_path / "raw/s02_eeg.s2vt", eeg)
+    s2vt.write_tensor(tmp_path / "raw/s02_vols.s2vt", vols)
+    raw.write_text(raw.read_text() + "subject s02: s02_eeg.s2vt s02_vols.s2vt\n")
+    rc = cli.main(["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert f"subject s02: {found}; subject s01: 2 EEG channels, volumes (3, 8, 8)" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth-data / train / eval / predict
 # ---------------------------------------------------------------------------

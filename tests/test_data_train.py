@@ -196,6 +196,20 @@ def test_batch_grads_memory_independent_of_batch_size():
     assert eight <= 1.5 * single, (single, eight)
 
 
+# Nodes one micro training sample records (forward plus hybrid loss); a
+# layout permute around each linear or LayerNorm would raise it.
+MICRO_SAMPLE_TAPE_NODES = 708
+
+
+def test_micro_sample_tape_nodes_do_not_grow():
+    model = Model(micro_model_config(), seed=0)
+    spec, vol = next(synth_pair_stream(MICRO_GEOMETRY, seed=0))
+    with ad.Tape() as tape:
+        pred = model.forward(ad.Tensor(spec))
+        hybrid_loss(pred, ad.Tensor(vol), LossWeights(), SsimConfig())
+    assert len(tape.nodes) <= MICRO_SAMPLE_TAPE_NODES
+
+
 def test_train_workers_other_than_1_exit_2(tmp_path, capsys):
     synth_dataset(MICRO_GEOMETRY, 2, 2, seed=3, out_dir=tmp_path / "data")
     rc = cli.main(

@@ -142,6 +142,24 @@ def test_spectrogram_geometry_matches_presets():
     assert dsp.spectrogram_geometry(6400, 5000.0, 1000, 500) == (11, 50)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    frame=st.integers(2, 128),
+    extra=st.integers(0, 300),
+    hop=st.integers(1, 64),
+    fs=st.floats(50.0, 5000.0),
+    cutoff_frac=st.floats(0.0, 1.5),
+)
+def test_spectrogram_geometry_matches_computed_shape(frame, extra, hop, fs, cutoff_frac):
+    """The derived (T, F) is the shape the pipeline produces; the cutoff is
+    at least the first non-DC bin, so F >= 1."""
+    n_samples = frame + extra
+    cutoff = fs / frame + cutoff_frac * fs / 2.0
+    window = np.random.default_rng(0).standard_normal((2, n_samples))
+    spec = dsp.spectrogram_from_window(window, fs, frame, hop, cutoff)
+    assert dsp.spectrogram_geometry(n_samples, fs, frame, hop, cutoff) == spec.shape[1:]
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
