@@ -16,15 +16,20 @@ from .dsp import (
     build_pairs,
     parse_manifest,
     read_manifest,
+    spectrogram_geometry,
     stft_params,
+    window_samples,
     write_manifest,
 )
 from .errors import ConfigError, DataError, DimensionError, Eeg2VolError
 from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
-# keys eval takes from the checkpoint, never from the run config
-CHECKPOINT_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width") + ARCH_KEYS
+# keys eval takes from the checkpoint and preprocess from the raw manifest and
+# its files, never from a --set
+GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
+CHECKPOINT_KEYS = GEOMETRY_KEYS + ARCH_KEYS
+RAW_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
 
 
 def _build_parser():
@@ -72,6 +77,16 @@ def _build_parser():
     return parser
 
 
+def _reject_set_keys(args, keys, source):
+    """Reject --set keys taken from source; a shared --config may hold them."""
+    set_keys = {item.split("=", 1)[0].strip() for item in args.overrides}
+    taken = [k for k in keys if k in set_keys]
+    if taken:
+        raise ConfigError(
+            f"{args.command} takes {', '.join(taken)} from {source}; drop these --set keys"
+        )
+
+
 def _read_raw_manifest(path):
     """Raw-session manifest: name/fs/tr header plus `subject id: eeg vols`."""
     header, sessions = parse_manifest(path)
@@ -90,8 +105,8 @@ def _check_sessions(sessions, base, volume_target):
     """Read every session's S2VT headers before preprocess writes anything.
 
     Each volume_target extent must fit its raw volume (exit 2), and every
-    session must give the same EEG channel count and output volume shape, so
-    that one manifest geometry describes them all (exit 3).
+    session must give the same EEG channel count and output volume shape, the
+    (C, D, H, W) returned, so one manifest geometry describes them all (exit 3).
     """
     first = None
     for sid, eeg_path, vol_path in sessions:
@@ -109,24 +124,28 @@ def _check_sessions(sessions, base, volume_target):
             raise ConfigError(
                 f"subject {sid}: volume_target {volume_target} exceeds raw volume {raw}"
             )
-        found = f"{eeg_shape[0]} EEG channels, volumes {volume_target or raw}"
+        shape = (eeg_shape[0],) + (volume_target or raw)
+        found = f"{shape[0]} EEG channels, volumes {shape[1:]}"
         if first is None:
-            first = (sid, found)
+            first = (sid, found, shape)
         elif found != first[1]:
             raise DataError(f"subject {sid}: {found}; subject {first[0]}: {first[1]}")
+    return first[2]
 
 
 def cmd_preprocess(args):
     cfg = Config.load(args.config, args.overrides)
+    _reject_set_keys(args, RAW_KEYS, "the raw manifest and its files (resize: volume_target)")
     name, fs, tr_s, sessions = _read_raw_manifest(args.manifest_in)
     frame_len, hop = stft_params(fs, cfg.frame_len, cfg.hop)
+    window = window_samples(fs, tr_s, cfg.pairing_mode, cfg.span_s)
+    t, f = spectrogram_geometry(window, fs, frame_len, hop, cfg.cutoff_hz)
     volume_target = cfg.volume_target_tuple()
     base = Path(args.manifest_in).parent
-    _check_sessions(sessions, base, volume_target)
+    c, d, h, w = _check_sessions(sessions, base, volume_target)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     subjects = []
-    geometry = None
     for sid, eeg_path, vol_path in sessions:
         try:
             eeg = s2vt.read_tensor(base / eeg_path)
@@ -152,13 +171,9 @@ def cmd_preprocess(args):
             s2vt.write_tensor(out / spec_rel, spec.data)
             s2vt.write_tensor(out / vol_rel, vol.data)
             entries.append((spec_rel, vol_rel))
-        if geometry is None:
-            c, t, f = pairs[0][0].data.shape
-            d, h, w = pairs[0][1].data.shape
-            geometry = (c, t, f, d, h, w)
         subjects.append((sid, entries))
         print(f"subject {sid}: {len(entries)} pairs")
-    manifest = DatasetManifest(name, fs, tr_s, geometry, subjects)
+    manifest = DatasetManifest(name, fs, tr_s, (c, t, f, d, h, w), subjects)
     write_manifest(out / "manifest.txt", manifest)
     print(f"wrote {out / 'manifest.txt'}")
 
@@ -192,12 +207,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = Config.load(args.config, args.overrides)
-    set_keys = {item.split("=", 1)[0].strip() for item in args.overrides}
-    ignored = [k for k in CHECKPOINT_KEYS if k in set_keys]
-    if ignored:
-        raise ConfigError(
-            f"eval takes {', '.join(ignored)} from the checkpoint; drop these --set keys"
-        )
+    _reject_set_keys(args, CHECKPOINT_KEYS, "the checkpoint")
     manifest = read_manifest(args.manifest, validate=True)
     lines = evaluate_run(
         cfg,

@@ -93,30 +93,21 @@ def s6_scan(u, params):
 
 class VssBlock:
     def __init__(self, width, state_dim, rng, store, prefix):
-        self.store = store
         self.prefix = prefix
-        p = store
-        p.ones(f"{prefix}.ln.gain", (width,))
-        p.zeros(f"{prefix}.ln.shift", (width,))
-        p.weight(f"{prefix}.in_proj.weight", (width, width), width, rng)
-        p.zeros(f"{prefix}.in_proj.bias", (width,))
-        p.weight(f"{prefix}.gate.weight", (width, width), width, rng)
-        p.zeros(f"{prefix}.gate.bias", (width,))
+        p = self.store = store
+        p.norm(f"{prefix}.ln", width)
+        p.linear(f"{prefix}.in_proj", width, width, rng)
+        p.linear(f"{prefix}.gate", width, width, rng)
         for d in range(4):
             # A initialized to -(1..S) per channel, stored as a log
-            p.add_array(
-                f"{prefix}.dir{d}.a_log",
-                np.log(np.tile(np.arange(1.0, state_dim + 1.0), (width, 1))),
-            )
-            p.weight(f"{prefix}.dir{d}.delta.weight", (width, width), width, rng)
-            p.zeros(f"{prefix}.dir{d}.delta.bias", (width,))
+            a_log = np.log(np.tile(np.arange(1.0, state_dim + 1.0), (width, 1)))
+            p.add_array(f"{prefix}.dir{d}.a_log", a_log)
+            p.linear(f"{prefix}.dir{d}.delta", width, width, rng)
             p.weight(f"{prefix}.dir{d}.wb", (state_dim, width), width, rng)
             p.weight(f"{prefix}.dir{d}.wc", (state_dim, width), width, rng)
             p.ones(f"{prefix}.dir{d}.dskip", (width,))
-        p.ones(f"{prefix}.out_ln.gain", (width,))
-        p.zeros(f"{prefix}.out_ln.shift", (width,))
-        p.weight(f"{prefix}.out_proj.weight", (width, width), width, rng)
-        p.zeros(f"{prefix}.out_proj.bias", (width,))
+        p.norm(f"{prefix}.out_ln", width)
+        p.linear(f"{prefix}.out_proj", width, width, rng)
 
     def direction_params(self, d):
         p, pre = self.store, self.prefix
@@ -133,15 +124,13 @@ class VssBlock:
         """Pre-norm -> projected/gated SS2D -> norm, gate, project -> residual."""
         p, pre = self.store, self.prefix
         h, w, _ = x.shape
-        normed = ad.layer_norm(x, p[f"{pre}.ln.gain"], p[f"{pre}.ln.shift"])
-        main = ad.linear(normed, p[f"{pre}.in_proj.weight"], p[f"{pre}.in_proj.bias"])
-        gate = ad.silu(ad.linear(normed, p[f"{pre}.gate.weight"], p[f"{pre}.gate.bias"]))
+        normed = p.apply_norm(f"{pre}.ln", x)
+        main = p.apply_linear(f"{pre}.in_proj", normed)
+        gate = ad.silu(p.apply_linear(f"{pre}.gate", normed))
         seqs = scan_expand(main)
         scanned = [s6_scan(seq, self.direction_params(d)) for d, seq in enumerate(seqs)]
-        merged = scan_merge(scanned, h, w)
-        merged = ad.layer_norm(merged, p[f"{pre}.out_ln.gain"], p[f"{pre}.out_ln.shift"])
-        out = ad.linear(merged * gate, p[f"{pre}.out_proj.weight"], p[f"{pre}.out_proj.bias"])
-        return x + out
+        merged = p.apply_norm(f"{pre}.out_ln", scan_merge(scanned, h, w))
+        return x + p.apply_linear(f"{pre}.out_proj", merged * gate)
 
 
 def patch_merge(x):
@@ -162,15 +151,23 @@ def patch_expand(x):
 
 
 class Decoder:
-    """Built from a model.ModelConfig; maps [H, W, embed] to [H, W, D]."""
+    """Built from a model.ModelConfig; maps [H, W, embed] to [H, W, D].
+
+    Level i runs at width embed * 2**i. Down: blocks `down{i}`, then a 2x2
+    patch merge and the linear `merge{i}` into level i + 1. The `bottleneck`
+    blocks run at the deepest level. Up: the linear `expand{i}` and a patch
+    expand from level i + 1, the linear `reduce{i}` over that joined with the
+    `down{i}` output, then blocks `up{i}`. The linear `head` maps level 0 to
+    the D depth slices.
+    """
+
+    LEVELS = 2  # patch merges; the plane must divide by 2**LEVELS
 
     def __init__(self, cfg, rng, store=None, prefix="dec"):
         self.cfg = cfg
-        self.store = store if store is not None else ParamStore()
         self.prefix = prefix
-        c0 = cfg.embed  # stage widths N, 2N, 4N
-        c1, c2 = 2 * c0, 4 * c0
-        p = self.store
+        p = self.store = store if store is not None else ParamStore()
+        widths = [cfg.embed * 2**i for i in range(self.LEVELS + 1)]
 
         def make_blocks(stage, width):
             return [
@@ -178,26 +175,17 @@ class Decoder:
                 for j in range(cfg.vss_blocks)
             ]
 
-        self.down0 = make_blocks("down0", c0)
-        p.weight(f"{prefix}.merge0.weight", (c1, 4 * c0), 4 * c0, rng)
-        p.zeros(f"{prefix}.merge0.bias", (c1,))
-        self.down1 = make_blocks("down1", c1)
-        p.weight(f"{prefix}.merge1.weight", (c2, 4 * c1), 4 * c1, rng)
-        p.zeros(f"{prefix}.merge1.bias", (c2,))
-        self.bottleneck = make_blocks("bottleneck", c2)
-        p.weight(f"{prefix}.expand1.weight", (4 * c1, c2), c2, rng)
-        p.zeros(f"{prefix}.expand1.bias", (4 * c1,))
-        p.weight(f"{prefix}.reduce1.weight", (c1, 2 * c1), 2 * c1, rng)
-        p.zeros(f"{prefix}.reduce1.bias", (c1,))
-        self.up1 = make_blocks("up1", c1)
-        p.weight(f"{prefix}.expand0.weight", (4 * c0, c1), c1, rng)
-        p.zeros(f"{prefix}.expand0.bias", (4 * c0,))
-        p.weight(f"{prefix}.reduce0.weight", (c0, 2 * c0), 2 * c0, rng)
-        p.zeros(f"{prefix}.reduce0.bias", (c0,))
-        self.up0 = make_blocks("up0", c0)
-        depth = cfg.geometry[3]
-        p.weight(f"{prefix}.head.weight", (depth, c0), c0, rng)
-        p.zeros(f"{prefix}.head.bias", (depth,))
+        self.down = []
+        for i in range(self.LEVELS):
+            self.down.append(make_blocks(f"down{i}", widths[i]))
+            p.linear(f"{prefix}.merge{i}", widths[i + 1], 4 * widths[i], rng)
+        self.bottleneck = make_blocks("bottleneck", widths[-1])
+        self.up = [None] * self.LEVELS
+        for i in reversed(range(self.LEVELS)):
+            p.linear(f"{prefix}.expand{i}", 4 * widths[i], widths[i + 1], rng)
+            p.linear(f"{prefix}.reduce{i}", widths[i], 2 * widths[i], rng)
+            self.up[i] = make_blocks(f"up{i}", widths[i])
+        p.linear(f"{prefix}.head", cfg.geometry[3], widths[0], rng)
 
     def _run(self, blocks, x):
         for block in blocks:
@@ -212,19 +200,13 @@ class Decoder:
                 f"decoder input shape {fmap.shape} does not match configured {want}"
             )
         p, pre = self.store, self.prefix
-
-        def linear(x, name):
-            return ad.linear(x, p[f"{pre}.{name}.weight"], p[f"{pre}.{name}.bias"])
-
-        skip0 = self._run(self.down0, fmap)
-        x = linear(patch_merge(skip0), "merge0")
-        skip1 = self._run(self.down1, x)
-        x = linear(patch_merge(skip1), "merge1")
+        x, skips = fmap, []
+        for i, blocks in enumerate(self.down):
+            skips.append(self._run(blocks, x))
+            x = p.apply_linear(f"{pre}.merge{i}", patch_merge(skips[-1]))
         x = self._run(self.bottleneck, x)
-        x = patch_expand(linear(x, "expand1"))
-        x = linear(ad.concat([x, skip1], axis=-1), "reduce1")
-        x = self._run(self.up1, x)
-        x = patch_expand(linear(x, "expand0"))
-        x = linear(ad.concat([x, skip0], axis=-1), "reduce0")
-        x = self._run(self.up0, x)
-        return ad.sigmoid(linear(x, "head"))
+        for i in reversed(range(self.LEVELS)):
+            x = patch_expand(p.apply_linear(f"{pre}.expand{i}", x))
+            x = p.apply_linear(f"{pre}.reduce{i}", ad.concat([x, skips.pop()], axis=-1))
+            x = self._run(self.up[i], x)
+        return ad.sigmoid(p.apply_linear(f"{pre}.head", x))

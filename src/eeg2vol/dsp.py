@@ -60,12 +60,19 @@ class DatasetManifest:
 # windowing
 # ---------------------------------------------------------------------------
 
+def window_samples(fs, tr_s, pairing_mode="tr", span_s=20.0):
+    """EEG samples per paired window: fs * tr, or fs * span_s in lag mode."""
+    if pairing_mode not in ("tr", "lag"):
+        raise ConfigError(f"unknown pairing mode {pairing_mode!r}; expected tr or lag")
+    return int(round(fs * (tr_s if pairing_mode == "tr" else span_s)))
+
+
 def segment_windows(recording, tr_s):
     """Split every channel into consecutive windows of round(fs * tr) samples.
 
     The trailing remainder is discarded. Returns [n_windows, C, win_len].
     """
-    win_len = int(round(recording.fs * tr_s))
+    win_len = window_samples(recording.fs, tr_s)
     n = recording.n_samples // win_len
     if n == 0:
         raise DataError(
@@ -85,7 +92,7 @@ def lag_aligned_window(recording, bold_time_s, span_s=20.0, lag_s=6.0):
             "before the recording"
         )
     i0 = int(round(start_s * recording.fs))
-    i1 = i0 + int(round(span_s * recording.fs))
+    i1 = i0 + window_samples(recording.fs, None, "lag", span_s)
     if i1 > recording.n_samples:
         raise AlignmentError(
             f"window for BOLD slice at {bold_time_s:g}s ends past the recording"
@@ -141,9 +148,14 @@ def _kept_bins(fs, frame_len, cutoff_hz):
 
 
 def spectrogram_geometry(n_samples, fs, frame_len, hop, cutoff_hz=250.0):
-    """(T, F) produced by stft + band_limit for a window of n_samples."""
-    kept = _kept_bins(fs, frame_len, cutoff_hz)
-    return _frame_count(n_samples, frame_len, hop), int(np.count_nonzero(kept))
+    """(T, F) that stft + band_limit give a window of n_samples; both >= 1."""
+    t = _frame_count(n_samples, frame_len, hop)
+    f = int(np.count_nonzero(_kept_bins(fs, frame_len, cutoff_hz)))
+    if t < 1 or f < 1:
+        raise ConfigError(
+            f"empty {max(t, 0)}x{f} spectrogram: check frame_len, hop, cutoff_hz and span_s"
+        )
+    return t, f
 
 
 def band_limit(spec, fs, frame_len, cutoff_hz=250.0):
@@ -219,11 +231,12 @@ def build_pairs(
     if volumes.ndim != 4:
         raise DimensionError("volumes must be a [V, D, H, W] stack")
     frame_len, hop = stft_params(recording.fs, frame_len, hop)
+    window_samples(recording.fs, tr_s, pairing_mode, span_s)  # rejects an unknown mode
 
     if pairing_mode == "tr":
         windows = segment_windows(recording, tr_s)
         indexed = [(i, windows[i]) for i in range(min(len(windows), len(volumes)))]
-    elif pairing_mode == "lag":
+    else:
         indexed = []
         for i in range(len(volumes)):
             bold_time = (i + 1) * tr_s
@@ -231,8 +244,6 @@ def build_pairs(
                 indexed.append((i, lag_aligned_window(recording, bold_time, span_s, lag_s)))
             except AlignmentError:
                 continue
-    else:
-        raise DataError(f"unknown pairing mode {pairing_mode!r}")
 
     pairs = []
     for i, window in indexed:

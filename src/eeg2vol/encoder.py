@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .layers import ParamStore, conv_grid
+from .layers import ParamStore
 
 
 class Encoder:
@@ -19,28 +19,22 @@ class Encoder:
 
     def __init__(self, cfg, rng, store=None, prefix="enc"):
         self.cfg = cfg
-        self.store = store if store is not None else ParamStore()
         self.prefix = prefix
+        p = self.store = store if store is not None else ParamStore()
         n, c = cfg.embed, cfg.geometry[0]
-        p = self.store
-        p.weight(f"{prefix}.proj.kernel", (n, c, 3, 3), c * 9, rng)
-        p.zeros(f"{prefix}.proj.bias", (n,))
+        p.conv(f"{prefix}.proj", n, c, 3, 3, rng, bias=True)
         for k in range(cfg.enc_stages):
             s = f"{prefix}.stage{k}"
-            p.weight(f"{s}.temporal.kernel", (n, n, 3, 1), n * 3, rng)
-            p.weight(f"{s}.frequency.kernel", (n, n, 1, 3), n * 3, rng)
-            p.weight(f"{s}.joint.kernel", (n, n, 3, 3), n * 9, rng)
-            p.weight(f"{s}.fuse.weight", (n, 3 * n), 3 * n, rng)
-            p.zeros(f"{s}.fuse.bias", (n,))
-            p.ones(f"{s}.ln1.gain", (n,))
-            p.zeros(f"{s}.ln1.shift", (n,))
+            p.conv(f"{s}.temporal", n, n, 3, 1, rng)
+            p.conv(f"{s}.frequency", n, n, 1, 3, rng)
+            p.conv(f"{s}.joint", n, n, 3, 3, rng)
+            p.linear(f"{s}.fuse", n, 3 * n, rng)
+            p.norm(f"{s}.ln1", n)
             for proj in ("wq", "wk", "wv", "wo"):
                 p.weight(f"{s}.attn.{proj}", (n, n), n, rng)
             p.zeros(f"{s}.attn.bo", (n,))
-            p.ones(f"{s}.ln2.gain", (n,))
-            p.zeros(f"{s}.ln2.shift", (n,))
-            p.weight(f"{s}.down.kernel", (n, n, 1, 3), n * 3, rng)
-            p.zeros(f"{s}.down.bias", (n,))
+            p.norm(f"{s}.ln2", n)
+            p.conv(f"{s}.down", n, n, 1, 3, rng, bias=True)
 
     # stage pieces -----------------------------------------------------------
 
@@ -50,30 +44,19 @@ class Encoder:
             raise DimensionError(
                 f"expected {self.cfg.geometry[0]} input channels, got {x.shape[-1]}"
             )
-        p = self.store
-        return ad.silu(
-            conv_grid(
-                x,
-                p[f"{self.prefix}.proj.kernel"],
-                p[f"{self.prefix}.proj.bias"],
-                padding=(1, 1),
-            )
-        )
+        return ad.silu(self.store.apply_conv(f"{self.prefix}.proj", x, padding=(1, 1)))
 
     def local_block(self, x, stage):
         """Three directional conv paths, fused per token, residual, LayerNorm."""
         p = self.store
         s = f"{self.prefix}.stage{stage}"
-        branches = ad.concat(
-            [
-                conv_grid(x, p[f"{s}.temporal.kernel"], padding=(1, 0)),
-                conv_grid(x, p[f"{s}.frequency.kernel"], padding=(0, 1)),
-                conv_grid(x, p[f"{s}.joint.kernel"], padding=(1, 1)),
-            ],
-            axis=-1,
-        )
-        fused = ad.linear(branches, p[f"{s}.fuse.weight"], p[f"{s}.fuse.bias"])
-        return ad.layer_norm(x + fused, p[f"{s}.ln1.gain"], p[f"{s}.ln1.shift"])
+        branches = [
+            p.apply_conv(f"{s}.temporal", x, padding=(1, 0)),
+            p.apply_conv(f"{s}.frequency", x, padding=(0, 1)),
+            p.apply_conv(f"{s}.joint", x, padding=(1, 1)),
+        ]
+        fused = p.apply_linear(f"{s}.fuse", ad.concat(branches, axis=-1))
+        return p.apply_norm(f"{s}.ln1", x + fused)
 
     def global_block(self, x, stage, rng=None):
         """Scaled dot-product MHSA over the T*F token grid, residual + LN.
@@ -86,9 +69,7 @@ class Encoder:
         heads = self.cfg.heads
         dh = n // heads
         tokens = ad.reshape(x, (t * f, n))
-        q = ad.linear(tokens, p[f"{s}.attn.wq"])
-        k = ad.linear(tokens, p[f"{s}.attn.wk"])
-        v = ad.linear(tokens, p[f"{s}.attn.wv"])
+        q, k, v = (ad.linear(tokens, p[f"{s}.attn.{w}"]) for w in ("wq", "wk", "wv"))
         split = lambda z: ad.permute(ad.reshape(z, (t * f, heads, dh)), (1, 0, 2))
         q, k, v = split(q), split(k), split(v)
         scores = ad.matmul(q, ad.transpose(k)) * (1.0 / np.sqrt(dh))
@@ -100,22 +81,15 @@ class Encoder:
         mixed = ad.matmul(weights, v)  # [heads, T*F, dh]
         mixed = ad.reshape(ad.permute(mixed, (1, 0, 2)), (t * f, n))
         attended = ad.linear(mixed, p[f"{s}.attn.wo"], p[f"{s}.attn.bo"])
-        out = ad.layer_norm(tokens + attended, p[f"{s}.ln2.gain"], p[f"{s}.ln2.shift"])
+        out = p.apply_norm(f"{s}.ln2", tokens + attended)
         return ad.reshape(out, (t, f, n))
 
     def freq_downsample(self, x, stage):
         """1x3 stride-(1,2) convolution along frequency: F -> ceil(F/2)."""
         if x.shape[1] < 2:
             raise DimensionError("frequency axis too short to downsample")
-        p = self.store
-        s = f"{self.prefix}.stage{stage}"
-        return conv_grid(
-            x,
-            p[f"{s}.down.kernel"],
-            p[f"{s}.down.bias"],
-            stride=(1, 2),
-            padding=(0, 1),
-        )
+        name = f"{self.prefix}.stage{stage}.down"
+        return self.store.apply_conv(name, x, stride=(1, 2), padding=(0, 1))
 
     # full pass --------------------------------------------------------------
 

@@ -1,4 +1,10 @@
-"""Shared building blocks operating on single-sample channel-last grids."""
+"""Parameter store and its layer helpers over channel-last [H, W, C] grids.
+
+Layers name their parameters `<name>.weight`/`.bias` (linear, [out, in]),
+`.gain`/`.shift` (LayerNorm), and `.kernel` ([out, in, kh, kw]) with an
+optional `.bias` (conv). A weight is drawn with its fan-in before its bias, so
+registration order fixes the seed's draws and with them every checkpoint.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, DimensionError
-
-
-def conv_grid(x, kernel, bias=None, stride=(1, 1), padding=(0, 0)):
-    """conv2d over an [H, W, C] grid (batch axis added and removed)."""
-    y = ad.conv2d(ad.reshape(x, (1,) + x.shape), kernel, stride, padding)
-    y = ad.reshape(y, y.shape[1:])
-    if bias is not None:
-        y = y + bias
-    return y
 
 
 class ParamStore:
@@ -40,6 +37,32 @@ class ParamStore:
 
     def add_array(self, name, array):
         return self.add(name, ad.Tensor(array, requires_grad=True))
+
+    def linear(self, name, n_out, n_in, rng):
+        self.weight(f"{name}.weight", (n_out, n_in), n_in, rng)
+        self.zeros(f"{name}.bias", (n_out,))
+
+    def norm(self, name, width):
+        self.ones(f"{name}.gain", (width,))
+        self.zeros(f"{name}.shift", (width,))
+
+    def conv(self, name, n_out, n_in, kh, kw, rng, bias=False):
+        self.weight(f"{name}.kernel", (n_out, n_in, kh, kw), n_in * kh * kw, rng)
+        if bias:
+            self.zeros(f"{name}.bias", (n_out,))
+
+    def apply_linear(self, name, x):
+        return ad.linear(x, self[f"{name}.weight"], self[f"{name}.bias"])
+
+    def apply_norm(self, name, x):
+        return ad.layer_norm(x, self[f"{name}.gain"], self[f"{name}.shift"])
+
+    def apply_conv(self, name, x, stride=(1, 1), padding=(0, 0)):
+        """conv2d over an [H, W, C] grid (batch axis added and removed)."""
+        y = ad.conv2d(ad.reshape(x, (1,) + x.shape), self[f"{name}.kernel"], stride, padding)
+        y = ad.reshape(y, y.shape[1:])
+        bias = self.params.get(f"{name}.bias")
+        return y if bias is None else y + bias
 
     def __getitem__(self, name):
         return self.params[name]

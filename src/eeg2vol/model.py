@@ -46,9 +46,11 @@ class ModelConfig:
         if not 0.0 <= self.attention_dropout < 1.0:
             raise ConfigError("attention_dropout must lie in [0, 1)")
         h, w = self.geometry[4:]
-        if h % 4 or w % 4:
+        scale = 2**Decoder.LEVELS
+        if h % scale or w % scale:
             raise ConfigError(
-                f"plane {h}x{w} must be divisible by 4 for two merge stages"
+                f"plane {h}x{w} must be divisible by {scale} for "
+                f"{Decoder.LEVELS} merge stages"
             )
         if self.vss_blocks < 1 or self.state_dim < 1:
             raise ConfigError("vss_blocks and state_dim must be >= 1")
@@ -59,10 +61,7 @@ class ModelConfig:
             t, f = cfg.t_bins, cfg.f_bins
             if t == 0 or f == 0:
                 frame, hop = dsp.stft_params(cfg.fs, cfg.frame_len, cfg.hop)
-                if cfg.pairing_mode == "lag":
-                    n_samples = int(round(cfg.span_s * cfg.fs))
-                else:
-                    n_samples = int(round(cfg.fs * cfg.tr))
+                n_samples = dsp.window_samples(cfg.fs, cfg.tr, cfg.pairing_mode, cfg.span_s)
                 t, f = dsp.spectrogram_geometry(n_samples, cfg.fs, frame, hop, cfg.cutoff_hz)
             geometry = (cfg.channels, t, f, cfg.depth, cfg.height, cfg.width)
         return cls(

@@ -406,6 +406,25 @@ BAD_VALUES = [
     ("preprocess", ["--set", "volume_target=0 8 8"], "volume_target = '0 8 8': must be"),
     ("preprocess", ["--set", "frame_len=-4"], "frame_len = -4: must be >= 0"),
     ("preprocess", ["--set", "hop=-2"], "hop = -2: must be >= 0"),
+    ("preprocess", ["--set", "pairing_mode=bogus"], "unknown pairing mode 'bogus'"),
+    ("synth-data", ["--set", "t_bins=0", "--set", "f_bins=0", "--set", "pairing_mode=bogus"],
+     "unknown pairing mode 'bogus'"),
+    ("preprocess", ["--set", "cutoff_hz=0"],
+     "empty 20x0 spectrogram: check frame_len, hop, cutoff_hz and span_s"),
+    ("preprocess", ["--set", "frame_len=100000"],
+     "empty 0x50000 spectrogram: check frame_len, hop, cutoff_hz and span_s"),
+    ("preprocess", ["--set", "pairing_mode=lag", "--set", "span_s=0"],
+     "empty 0x25 spectrogram: check frame_len, hop, cutoff_hz and span_s"),
+    ("preprocess", ["--set", "fs=500"],
+     "preprocess takes fs from the raw manifest and its files (resize: volume_target)"),
+    ("preprocess", ["--set", "tr=1"], "preprocess takes tr from the raw manifest"),
+    ("preprocess", ["--set", "dataset=other"], "preprocess takes dataset from the raw manifest"),
+    ("preprocess", ["--set", "channels=4"], "preprocess takes channels from the raw manifest"),
+    ("preprocess", ["--set", "t_bins=5", "--set", "f_bins=6"],
+     "preprocess takes t_bins, f_bins from the raw manifest"),
+    ("preprocess", ["--set", "width=4", "--set", "depth=2", "--set", "height=4"],
+     "preprocess takes depth, height, width from the raw manifest and its files "
+     "(resize: volume_target)"),
     ("eval", ["--set", "embed=64"], "eval takes embed from the checkpoint"),
     ("eval", ["--set", "embed=64", "--set", "height=16"],
      "eval takes height, embed from the checkpoint"),

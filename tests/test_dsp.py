@@ -266,7 +266,7 @@ def test_build_pairs_zero_pairs_is_error():
 
 def test_build_pairs_unknown_mode():
     rec = make_recording(1000)
-    with pytest.raises(DataError, match="pairing"):
+    with pytest.raises(ConfigError, match="pairing"):
         dsp.build_pairs(rec, np.zeros((1, 2, 2, 2)), 2.0, pairing_mode="bogus")
 
 
