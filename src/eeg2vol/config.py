@@ -1,64 +1,96 @@
 """Flat run configuration: one documented schema, `key = value` files, and
-`--set key=value` overrides. Unknown keys are rejected with the valid list."""
+`--set key=value` overrides. Unknown keys are rejected with the valid list,
+and every value is checked against its key's domain when it is set."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
 
-# key -> (default, type, help)
+# key -> (default, type, domain, help); a domain is a DOMAINS key, a tuple of
+# choices, or None for any text
 SCHEMA = {
     # data / geometry
-    "dataset": ("synth", str, "dataset name recorded in manifests and logs"),
-    "channels": (64, int, "EEG channel count C"),
-    "t_bins": (0, int, "spectrogram time bins T (0 = derive from fs/tr/stft)"),
-    "f_bins": (0, int, "spectrogram frequency bins F (0 = derive)"),
-    "depth": (30, int, "volume depth D"),
-    "height": (64, int, "volume height H"),
-    "width": (64, int, "volume width W"),
-    "fs": (250.0, float, "EEG sampling rate in Hz"),
-    "tr": (2.16, float, "fMRI repetition time in seconds"),
-    "frame_len": (0, int, "STFT frame length in samples (0 = fs/5 rounded even)"),
-    "hop": (0, int, "STFT hop in samples (0 = frame/2)"),
-    "cutoff_hz": (250.0, float, "spectrogram band-limit cutoff"),
-    "pairing_mode": ("tr", str, "EEG/volume pairing: tr | lag"),
-    "span_s": (20.0, float, "lag-mode window span in seconds"),
-    "lag_s": (6.0, float, "lag-mode window end offset before each BOLD slice"),
-    "volume_target": ("", str, "optional DCT down-sample target 'D H W'"),
+    "dataset": ("synth", str, None, "dataset name recorded in manifests and logs"),
+    "channels": (64, int, ">= 1", "EEG channel count C"),
+    "t_bins": (0, int, ">= 0", "spectrogram time bins T (0 = derive from fs/tr/stft)"),
+    "f_bins": (0, int, ">= 0", "spectrogram frequency bins F (0 = derive)"),
+    "depth": (30, int, ">= 1", "volume depth D"),
+    "height": (64, int, ">= 1", "volume height H"),
+    "width": (64, int, ">= 1", "volume width W"),
+    "fs": (250.0, float, "> 0", "EEG sampling rate in Hz"),
+    "tr": (2.16, float, "> 0", "fMRI repetition time in seconds"),
+    "frame_len": (0, int, ">= 0", "STFT frame length in samples (0 = fs/5 rounded even)"),
+    "hop": (0, int, ">= 0", "STFT hop in samples (0 = frame/2)"),
+    "cutoff_hz": (250.0, float, ">= 0", "spectrogram band-limit cutoff"),
+    "pairing_mode": ("tr", str, ("tr", "lag"), "EEG/volume pairing"),
+    "span_s": (20.0, float, "> 0", "lag-mode window span in seconds"),
+    "lag_s": (6.0, float, ">= 0", "lag-mode window end offset before each BOLD slice"),
+    "volume_target": ("", str, "'D H W' or ''", "optional DCT down-sample target"),
     # model
-    "embed": (32, int, "encoder embedding width N"),
-    "heads": (4, int, "attention heads"),
-    "enc_stages": (2, int, "encoder stage count"),
-    "attention_dropout": (0.0, float, "attention weight dropout probability"),
-    "vss_blocks": (2, int, "state-space blocks per U-Net stage"),
-    "state_dim": (8, int, "state dimension S of the selective scan"),
+    "embed": (32, int, ">= 1", "encoder embedding width N"),
+    "heads": (4, int, ">= 1", "attention heads"),
+    "enc_stages": (2, int, ">= 1", "encoder stage count"),
+    "attention_dropout": (0.0, float, "[0, 1)", "attention weight dropout probability"),
+    "vss_blocks": (2, int, ">= 1", "state-space blocks per U-Net stage"),
+    "state_dim": (8, int, ">= 1", "state dimension S of the selective scan"),
     # loss / metrics
-    "lambda1": (0.5, float, "weight of the structural (1 - SSIM) term"),
-    "lambda2": (0.5, float, "weight of the MSE term"),
-    "ssim_window": (7, int, "SSIM sliding window extent (odd)"),
-    "ssim_c1": (1e-4, float, "SSIM stabilizer c1"),
-    "ssim_c2": (9e-4, float, "SSIM stabilizer c2"),
-    "ssim_aggregation": ("sliding-mean", str, "SSIM mode: sliding-mean | global"),
+    "lambda1": (0.5, float, ">= 0", "weight of the structural (1 - SSIM) term"),
+    "lambda2": (0.5, float, ">= 0", "weight of the MSE term"),
+    "ssim_window": (7, int, "odd >= 1", "SSIM sliding window extent"),
+    "ssim_c1": (1e-4, float, "> 0", "SSIM stabilizer c1"),
+    "ssim_c2": (9e-4, float, "> 0", "SSIM stabilizer c2"),
+    "ssim_aggregation": ("sliding-mean", str, ("sliding-mean", "global"), "SSIM mode"),
     # optimization
-    "lr": (1e-3, float, "initial learning rate"),
-    "weight_decay": (1e-2, float, "decoupled weight decay"),
-    "beta1": (0.9, float, "Adam first-moment decay"),
-    "beta2": (0.999, float, "Adam second-moment decay"),
-    "adam_eps": (1e-8, float, "Adam denominator epsilon"),
-    "epochs": (50, int, "training epochs"),
-    "batch_size": (16, int, "mini-batch size"),
-    "restart_period": (10, int, "cosine hard-restart period in epochs"),
-    "min_lr": (0.0, float, "cosine schedule floor"),
-    "grad_clip": (0.0, float, "global gradient-norm clip (0 = off)"),
+    "lr": (1e-3, float, "> 0", "initial learning rate"),
+    "weight_decay": (1e-2, float, ">= 0", "decoupled weight decay"),
+    "beta1": (0.9, float, "[0, 1)", "Adam first-moment decay"),
+    "beta2": (0.999, float, "[0, 1)", "Adam second-moment decay"),
+    "adam_eps": (1e-8, float, "> 0", "Adam denominator epsilon"),
+    "epochs": (50, int, ">= 1", "training epochs"),
+    "batch_size": (16, int, ">= 1", "mini-batch size"),
+    "restart_period": (10, int, ">= 1", "cosine hard-restart period in epochs"),
+    "min_lr": (0.0, float, ">= 0", "cosine schedule floor"),
+    "grad_clip": (0.0, float, ">= 0", "global gradient-norm clip (0 = off)"),
     # protocol
-    "split_mode": ("loso", str, "train/test split: loso | fixed"),
-    "k_train": (16, int, "fixed-split training subjects"),
-    "k_test": (4, int, "fixed-split test subjects"),
-    "fold": (0, int, "which split fold to train/evaluate"),
-    "seed": (0, int, "RNG seed"),
-    "workers": (1, int, "sample workers; only 1 is supported"),
+    "split_mode": ("loso", str, ("loso", "fixed"), "train/test split"),
+    "k_train": (16, int, ">= 1", "fixed-split training subjects"),
+    "k_test": (4, int, ">= 1", "fixed-split test subjects"),
+    "fold": (0, int, ">= 0", "which split fold to train/evaluate"),
+    "seed": (0, int, ">= 0", "RNG seed"),
+    "workers": (1, int, (1,), "sample workers"),
 }
+
+# domain -> (test, what a value must do)
+DOMAINS = {
+    ">= 0": (lambda v: v >= 0, "be >= 0"),
+    "> 0": (lambda v: v > 0, "be > 0"),
+    ">= 1": (lambda v: v >= 1, "be >= 1"),
+    "[0, 1)": (lambda v: 0 <= v < 1, "lie in [0, 1)"),
+    "odd >= 1": (lambda v: v >= 1 and v % 2 == 1, "be odd >= 1"),
+    "'D H W' or ''": (lambda v: len(v.split()) in (0, 3)
+                      and all(f.isdecimal() and int(f) >= 1 for f in v.split()),
+                      "be 'D H W', three integers >= 1, or empty"),
+}
+
+
+def _rule(domain):
+    """(test, what a value must do) for a SCHEMA domain."""
+    if isinstance(domain, tuple):
+        return (lambda v: v in domain), "be one of " + " | ".join(map(str, domain))
+    return DOMAINS.get(domain, (lambda v: True, None))
+
+
+def check(key, value):
+    """Raise ConfigError, naming key and its domain, if value lies outside
+    key's SCHEMA domain or is a non-finite float."""
+    test, rule = _rule(SCHEMA[key][2])
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if not (finite and test(value)):
+        rule = rule if finite else "be finite and " + rule.removeprefix("be ")
+        raise ConfigError(f"{key} = {value!r}: must {rule}")
 
 
 class Config:
@@ -72,11 +104,13 @@ class Config:
         if key not in SCHEMA:
             valid = ", ".join(sorted(SCHEMA))
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-        _default, typ, _help = SCHEMA[key]
+        typ = SCHEMA[key][1]
         try:
-            self._values[key] = typ(raw)
+            value = typ(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key} expects {typ.__name__}: {exc}") from exc
+        check(key, value)
+        self._values[key] = value
 
     def __getattr__(self, key):
         try:
@@ -88,15 +122,7 @@ class Config:
         return self._values.items()
 
     def volume_target_tuple(self):
-        raw = self._values["volume_target"]
-        fields = raw.split()
-        if not fields:
-            return None
-        if len(fields) != 3 or not all(v.isdecimal() and int(v) >= 1 for v in fields):
-            raise ConfigError(
-                f"volume_target = {raw!r}: must be 'D H W', three integers >= 1"
-            )
-        return tuple(int(v) for v in fields)
+        return tuple(int(v) for v in self._values["volume_target"].split()) or None
 
     @classmethod
     def load(cls, path=None, overrides=()):
@@ -123,6 +149,8 @@ class Config:
 
 def schema_help():
     lines = []
-    for key, (default, _typ, help_text) in SCHEMA.items():
-        lines.append(f"  {key:<18} {help_text} (default: {default})")
+    for key, (default, _typ, domain, help_text) in SCHEMA.items():
+        rule = _rule(domain)[1]
+        rule = f"must {rule}; " if rule else ""
+        lines.append(f"  {key:<18} {help_text} ({rule}default: {default})")
     return "\n".join(lines)

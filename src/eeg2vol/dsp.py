@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
+from .config import check
 from .errors import AlignmentError, ConfigError, DataError, DimensionError
 from . import s2vt
 
@@ -62,9 +63,11 @@ class DatasetManifest:
 
 def window_samples(fs, tr_s, pairing_mode="tr", span_s=20.0):
     """EEG samples per paired window: fs * tr, or fs * span_s in lag mode."""
-    if pairing_mode not in ("tr", "lag"):
-        raise ConfigError(f"unknown pairing mode {pairing_mode!r}; expected tr or lag")
-    return int(round(fs * (tr_s if pairing_mode == "tr" else span_s)))
+    check("pairing_mode", pairing_mode)
+    name, seconds = ("tr", tr_s) if pairing_mode == "tr" else ("span_s", span_s)
+    if not 0.5 < fs * seconds < np.inf:  # rounds to at least one sample
+        raise ConfigError(f"fs * {name} = {fs:g} * {seconds:g}: must give >= 1 sample")
+    return int(round(fs * seconds))
 
 
 def segment_windows(recording, tr_s):
@@ -129,8 +132,7 @@ def stft_params(fs, frame_len=None, hop=None):
     """(frame, hop) in samples: 0 or None derives frame = fs/5 rounded to
     even and hop = frame/2."""
     for key, value in (("frame_len", frame_len), ("hop", hop)):
-        if (value or 0) < 0:
-            raise ConfigError(f"{key} = {value}: must be >= 0 (0 = derive)")
+        check(key, value or 0)
     frame = frame_len or max(int(round(fs / 5.0 / 2.0)) * 2, 2)
     return frame, hop or max(frame // 2, 1)
 

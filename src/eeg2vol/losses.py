@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import check
 from .errors import ConfigError, DimensionError
 
 
@@ -21,8 +22,8 @@ class LossWeights:
     lambda2: float = 0.5  # mean-squared-error term
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("loss weights must be non-negative")
+        check("lambda1", self.lambda1)
+        check("lambda2", self.lambda2)
         if self.lambda1 == 0 and self.lambda2 == 0:
             raise ConfigError("at least one loss weight must be positive")
 
@@ -35,12 +36,9 @@ class SsimConfig:
     aggregation: str = "sliding-mean"  # or "global"
 
     def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ConfigError("SSIM window must be odd and positive")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ConfigError("SSIM stabilizers c1, c2 must be positive")
-        if self.aggregation not in ("sliding-mean", "global"):
-            raise ConfigError(f"unknown SSIM aggregation {self.aggregation!r}")
+        for key, value in (("ssim_window", self.window), ("ssim_c1", self.c1),
+                           ("ssim_c2", self.c2), ("ssim_aggregation", self.aggregation)):
+            check(key, value)
 
     def check_extent(self, h, w):
         """The sliding window must fit in an h x w slice."""

@@ -10,6 +10,7 @@ from . import autodiff as ad
 from . import dsp, s2vt
 from .decoder import Decoder
 from .encoder import Encoder
+from .config import check
 from .errors import ConfigError, DataError
 from .layers import ParamStore
 
@@ -32,19 +33,11 @@ class ModelConfig:
     def __post_init__(self):
         self.geometry = tuple(self.geometry)
         if len(self.geometry) != 6 or min(self.geometry) < 1:
-            raise ConfigError(
-                f"geometry {self.geometry} must list C T F D H W, each >= 1"
-            )
-        if self.heads < 1 or self.embed < 1:
-            raise ConfigError("embed width and heads must be >= 1")
+            raise ConfigError(f"geometry {self.geometry} must list C T F D H W, each >= 1")
+        for key in ARCH_KEYS + ("attention_dropout",):
+            check(key, getattr(self, key))
         if self.embed % self.heads != 0:
-            raise ConfigError(
-                f"embed width {self.embed} not divisible by {self.heads} heads"
-            )
-        if self.enc_stages < 1:
-            raise ConfigError("encoder needs at least one stage")
-        if not 0.0 <= self.attention_dropout < 1.0:
-            raise ConfigError("attention_dropout must lie in [0, 1)")
+            raise ConfigError(f"embed width {self.embed} not divisible by {self.heads} heads")
         h, w = self.geometry[4:]
         scale = 2**Decoder.LEVELS
         if h % scale or w % scale:
@@ -52,8 +45,6 @@ class ModelConfig:
                 f"plane {h}x{w} must be divisible by {scale} for "
                 f"{Decoder.LEVELS} merge stages"
             )
-        if self.vss_blocks < 1 or self.state_dim < 1:
-            raise ConfigError("vss_blocks and state_dim must be >= 1")
 
     @classmethod
     def from_run_config(cls, cfg, geometry=None):
@@ -62,13 +53,11 @@ class ModelConfig:
             if t == 0 or f == 0:
                 frame, hop = dsp.stft_params(cfg.fs, cfg.frame_len, cfg.hop)
                 n_samples = dsp.window_samples(cfg.fs, cfg.tr, cfg.pairing_mode, cfg.span_s)
-                t, f = dsp.spectrogram_geometry(n_samples, cfg.fs, frame, hop, cfg.cutoff_hz)
+                t0, f0 = dsp.spectrogram_geometry(n_samples, cfg.fs, frame, hop, cfg.cutoff_hz)
+                t, f = t or t0, f or f0  # derive only the count that is 0
             geometry = (cfg.channels, t, f, cfg.depth, cfg.height, cfg.width)
-        return cls(
-            geometry,
-            attention_dropout=cfg.attention_dropout,
-            **{k: getattr(cfg, k) for k in ARCH_KEYS},
-        )
+        return cls(geometry, attention_dropout=cfg.attention_dropout,
+                   **{k: getattr(cfg, k) for k in ARCH_KEYS})
 
 
 class Model:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
 from .errors import ConfigError, NumericError
 
 
@@ -19,10 +20,8 @@ class ScheduleConfig:
     total_epochs: int = 50
 
     def __post_init__(self):
-        if self.total_epochs < 1:
-            raise ConfigError("training needs at least 1 epoch")
-        if self.restart_period_epochs < 1:
-            raise ConfigError("restart period must be >= 1 epoch")
+        check("epochs", self.total_epochs)
+        check("restart_period", self.restart_period_epochs)
         if self.min_lr > self.base_lr:
             raise ConfigError("min_lr must not exceed base_lr")
 
@@ -43,8 +42,9 @@ class AdamW:
     """Decoupled-weight-decay Adam over a named-parameter store."""
 
     def __init__(self, params, lr=1e-3, weight_decay=1e-2, betas=(0.9, 0.999), eps=1e-8):
-        if not all(0.0 <= b < 1.0 for b in betas):
-            raise ConfigError(f"Adam betas {tuple(betas)} must lie in [0, 1)")
+        for key, value in (("lr", lr), ("weight_decay", weight_decay), ("beta1", betas[0]),
+                           ("beta2", betas[1]), ("adam_eps", eps)):
+            check(key, value)
         self.params = params  # dict name -> Tensor
         self.lr = lr
         self.weight_decay = weight_decay

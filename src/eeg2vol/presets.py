@@ -44,7 +44,4 @@ def preset_config(name):
         raise ConfigError(
             f"unknown dataset preset {name!r}; known: {', '.join(sorted(DATASET_PRESETS))}"
         )
-    cfg = Config()
-    for key, value in DATASET_PRESETS[name].items():
-        cfg.set(key, value)
-    return cfg
+    return Config(DATASET_PRESETS[name])

@@ -40,12 +40,7 @@ def load_pairs(manifest, base_dir=".", subjects=None):
 
 
 def ssim_config_from(cfg):
-    return SsimConfig(
-        window=cfg.ssim_window,
-        c1=cfg.ssim_c1,
-        c2=cfg.ssim_c2,
-        aggregation=cfg.ssim_aggregation,
-    )
+    return SsimConfig(cfg.ssim_window, cfg.ssim_c1, cfg.ssim_c2, cfg.ssim_aggregation)
 
 
 def _batch_grads(model, batch, weights, ssim_cfg, rng=None):
@@ -78,12 +73,11 @@ def _clip_gradients(store, max_norm):
         if t.grad is not None:
             total += float(np.sum(t.grad * t.grad))
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    if norm > max_norm:
         factor = max_norm / norm
         for t in store.params.values():
             if t.grad is not None:
                 t.grad = t.grad * factor
-    return norm
 
 
 def evaluate_samples(model, samples, ssim_cfg):
@@ -123,12 +117,6 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     Deterministic for a fixed seed. best.ckpt holds the highest held-out
     SSIM, last.ckpt the most recent completed epoch.
     """
-    if cfg.workers != 1:
-        raise ConfigError(f"workers = {cfg.workers}: only 1 is supported")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size = {cfg.batch_size}: must be >= 1")
-    if cfg.grad_clip < 0:
-        raise ConfigError(f"grad_clip = {cfg.grad_clip}: must be >= 0 (0 = off)")
     mcfg = ModelConfig.from_run_config(cfg, geometry=manifest.geometry)
     ssim_cfg = ssim_config_from(cfg)
     ssim_cfg.check_extent(*mcfg.geometry[4:])
@@ -137,19 +125,10 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     test_samples = load_pairs(manifest, base_dir, test_ids)
 
     model = Model(mcfg, seed=cfg.seed)
-    optimizer = AdamW(
-        model.store.params,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        betas=(cfg.beta1, cfg.beta2),
-        eps=cfg.adam_eps,
-    )
-    schedule = ScheduleConfig(
-        base_lr=cfg.lr,
-        restart_period_epochs=cfg.restart_period,
-        min_lr=cfg.min_lr,
-        total_epochs=cfg.epochs,
-    )
+    optimizer = AdamW(model.store.params, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                      betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps)
+    schedule = ScheduleConfig(base_lr=cfg.lr, restart_period_epochs=cfg.restart_period,
+                              min_lr=cfg.min_lr, total_epochs=cfg.epochs)
     weights = LossWeights(cfg.lambda1, cfg.lambda2)
     rng = np.random.default_rng(cfg.seed)
 

@@ -388,15 +388,15 @@ def test_predict_colliding_output_names_exit_2(trained_run, tmp_path, capsys):
 
 
 BAD_VALUES = [
-    ("train", ["--set", "heads=0"], "embed width and heads must be >= 1"),
-    ("train", ["--set", "embed=0"], "embed width and heads must be >= 1"),
-    ("synth-data", ["--set", "depth=0"], "must list C T F D H W, each >= 1"),
-    ("synth-data", ["--set", "t_bins=-1"], "must list C T F D H W, each >= 1"),
+    ("train", ["--set", "heads=0"], "heads = 0: must be >= 1"),
+    ("train", ["--set", "embed=0"], "embed = 0: must be >= 1"),
+    ("synth-data", ["--set", "depth=0"], "depth = 0: must be >= 1"),
+    ("synth-data", ["--set", "t_bins=-1"], "t_bins = -1: must be >= 0"),
     ("train", ["--set", "batch_size=0"], "batch_size = 0: must be >= 1"),
     ("train", ["--set", "batch_size=-3"], "batch_size = -3: must be >= 1"),
-    ("train", ["--set", "epochs=0"], "at least 1 epoch"),
-    ("train", ["--set", "state_dim=0"], "vss_blocks and state_dim must be >= 1"),
-    ("train", ["--set", "vss_blocks=0"], "vss_blocks and state_dim must be >= 1"),
+    ("train", ["--set", "epochs=0"], "epochs = 0: must be >= 1"),
+    ("train", ["--set", "state_dim=0"], "state_dim = 0: must be >= 1"),
+    ("train", ["--set", "vss_blocks=0"], "vss_blocks = 0: must be >= 1"),
     ("train", ["--set", "beta1=2"], "must lie in [0, 1)"),
     ("train", ["--set", "beta2=-1"], "must lie in [0, 1)"),
     ("train", ["--set", "grad_clip=-1"], "grad_clip = -1.0: must be >= 0"),
@@ -406,15 +406,15 @@ BAD_VALUES = [
     ("preprocess", ["--set", "volume_target=0 8 8"], "volume_target = '0 8 8': must be"),
     ("preprocess", ["--set", "frame_len=-4"], "frame_len = -4: must be >= 0"),
     ("preprocess", ["--set", "hop=-2"], "hop = -2: must be >= 0"),
-    ("preprocess", ["--set", "pairing_mode=bogus"], "unknown pairing mode 'bogus'"),
+    ("preprocess", ["--set", "pairing_mode=bogus"],
+     "pairing_mode = 'bogus': must be one of tr | lag"),
     ("synth-data", ["--set", "t_bins=0", "--set", "f_bins=0", "--set", "pairing_mode=bogus"],
-     "unknown pairing mode 'bogus'"),
+     "pairing_mode = 'bogus': must be one of tr | lag"),
     ("preprocess", ["--set", "cutoff_hz=0"],
      "empty 20x0 spectrogram: check frame_len, hop, cutoff_hz and span_s"),
     ("preprocess", ["--set", "frame_len=100000"],
      "empty 0x50000 spectrogram: check frame_len, hop, cutoff_hz and span_s"),
-    ("preprocess", ["--set", "pairing_mode=lag", "--set", "span_s=0"],
-     "empty 0x25 spectrogram: check frame_len, hop, cutoff_hz and span_s"),
+    ("preprocess", ["--set", "pairing_mode=lag", "--set", "span_s=0"], "span_s = 0.0: must be > 0"),
     ("preprocess", ["--set", "fs=500"],
      "preprocess takes fs from the raw manifest and its files (resize: volume_target)"),
     ("preprocess", ["--set", "tr=1"], "preprocess takes tr from the raw manifest"),

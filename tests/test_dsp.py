@@ -39,6 +39,17 @@ def test_segment_windows_too_short():
         dsp.segment_windows(make_recording(100, fs=250.0), 2.16)
 
 
+def test_window_below_one_sample_is_config_error():
+    """A window that rounds to 0 samples is a ConfigError naming fs and tr
+    (or span_s), not a ZeroDivisionError in segment_windows."""
+    with pytest.raises(ConfigError, match=r"fs \* tr = 250 \* 0.001"):
+        dsp.segment_windows(dsp.EegRecording(np.zeros((2, 100)), 250.0), 0.001)
+    assert dsp.window_samples(250.0, 0.003) == 1  # 0.75 samples rounds up to 1
+    for seconds in (0.002, float("nan"), float("inf")):  # 0.5 samples rounds to 0
+        with pytest.raises(ConfigError, match=r"fs \* span_s = 250 \* "):
+            dsp.window_samples(250.0, 2.0, "lag", seconds)
+
+
 def test_lag_window_sample_ranges():
     rec = make_recording(10000, fs=250.0)
     win = dsp.lag_aligned_window(rec, 30.0)
