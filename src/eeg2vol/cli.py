@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import s2vt
-from .config import Config, schema_help
+from .config import Config, check, schema_help
 from .data import synth_dataset
 from .dsp import (
     DatasetManifest,
@@ -25,8 +25,8 @@ from .errors import ConfigError, DataError, DimensionError, Eeg2VolError
 from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
-# keys eval takes from the checkpoint and preprocess from the raw manifest and
-# its files, never from a --set
+# keys train takes from the dataset manifest, eval from the checkpoint and
+# preprocess from the raw manifest and its files, never from a --set
 GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
 CHECKPOINT_KEYS = GEOMETRY_KEYS + ARCH_KEYS
 RAW_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
@@ -96,9 +96,14 @@ def _read_raw_manifest(path):
     if not sessions:
         raise DataError(f"{path}: raw manifest lists no subject sessions")
     try:
-        return header["name"], float(header["fs"]), float(header["tr"]), sessions
+        fs, tr_s = float(header["fs"]), float(header["tr"])
+        check("fs", fs)
+        check("tr", tr_s)
     except ValueError as exc:
         raise DataError(f"{path}: raw manifest header value is not a number: {exc}") from exc
+    except ConfigError as exc:  # the data, not the config, is at fault
+        raise DataError(f"{path}: raw manifest header {exc}") from exc
+    return header["name"], fs, tr_s, sessions
 
 
 def _check_sessions(sessions, base, volume_target):
@@ -199,6 +204,7 @@ def cmd_synth_data(args):
 
 def cmd_train(args):
     cfg = Config.load(args.config, args.overrides)
+    _reject_set_keys(args, GEOMETRY_KEYS, "the dataset manifest")
     manifest = read_manifest(args.manifest, validate=True)
     result = train_run(cfg, manifest, Path(args.manifest).parent, args.out)
     print(f"best held-out SSIM {result['best_ssim']:.4f}")

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.fft
 
 from .config import check
-from .errors import AlignmentError, ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from . import s2vt
 
 
@@ -26,8 +26,8 @@ class EegRecording:
         self.channels = np.asarray(self.channels, dtype=np.float64)
         if self.channels.ndim != 2:
             raise DimensionError("EegRecording expects a [C, samples] array")
-        if self.fs <= 0:
-            raise DataError("sampling rate must be positive")
+        if not 0 < self.fs < np.inf:
+            raise DataError(f"sampling rate {self.fs:g} must be finite and positive")
 
     @property
     def n_samples(self):
@@ -62,45 +62,13 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 
 def window_samples(fs, tr_s, pairing_mode="tr", span_s=20.0):
-    """EEG samples per paired window: fs * tr, or fs * span_s in lag mode."""
+    """EEG samples in every paired window: fs * tr, or fs * span_s in lag
+    mode, rounded to the nearest whole sample."""
     check("pairing_mode", pairing_mode)
     name, seconds = ("tr", tr_s) if pairing_mode == "tr" else ("span_s", span_s)
     if not 0.5 < fs * seconds < np.inf:  # rounds to at least one sample
         raise ConfigError(f"fs * {name} = {fs:g} * {seconds:g}: must give >= 1 sample")
     return int(round(fs * seconds))
-
-
-def segment_windows(recording, tr_s):
-    """Split every channel into consecutive windows of round(fs * tr) samples.
-
-    The trailing remainder is discarded. Returns [n_windows, C, win_len].
-    """
-    win_len = window_samples(recording.fs, tr_s)
-    n = recording.n_samples // win_len
-    if n == 0:
-        raise DataError(
-            f"recording of {recording.n_samples} samples is shorter than one "
-            f"window ({win_len} samples)"
-        )
-    trimmed = recording.channels[:, : n * win_len]
-    return trimmed.reshape(recording.channels.shape[0], n, win_len).transpose(1, 0, 2)
-
-
-def lag_aligned_window(recording, bold_time_s, span_s=20.0, lag_s=6.0):
-    """Per-channel segment covering [bold - lag - span, bold - lag) seconds."""
-    start_s = bold_time_s - lag_s - span_s
-    if start_s < 0:
-        raise AlignmentError(
-            f"window for BOLD slice at {bold_time_s:g}s starts {-start_s:g}s "
-            "before the recording"
-        )
-    i0 = int(round(start_s * recording.fs))
-    i1 = i0 + window_samples(recording.fs, None, "lag", span_s)
-    if i1 > recording.n_samples:
-        raise AlignmentError(
-            f"window for BOLD slice at {bold_time_s:g}s ends past the recording"
-        )
-    return recording.channels[:, i0:i1]
 
 
 # ---------------------------------------------------------------------------
@@ -222,40 +190,39 @@ def build_pairs(
     lag_s=6.0,
     volume_target=None,
 ):
-    """Pair EEG windows with fMRI volumes.
+    """Pair EEG windows with fMRI volumes by one rule for both modes.
 
-    volumes: [V, D, H, W] stack, one volume per TR. pairing_mode "tr" uses
-    consecutive fs*TR windows; "lag" uses a span_s window ending lag_s before
-    each BOLD slice (volumes whose window underruns the recording are skipped).
+    volumes: [V, D, H, W] stack, one volume per TR. Volume i, acquired at
+    (i+1)*TR, pairs with the window_samples(...) samples that start at
+    round(fs * ((i+1)*TR - lag - span)): a window of span seconds ending lag
+    seconds before the slice, where (lag, span) is (0, TR) in "tr" mode and
+    (lag_s, span_s) in "lag" mode. Every start thus lies within half a
+    sample of its time. A volume whose window starts before 0 s or ends past
+    the recording is skipped.
     Returns a list of (SpectrogramSample, VolumeSample).
     """
     volumes = np.asarray(volumes, dtype=np.float64)
     if volumes.ndim != 4:
         raise DimensionError("volumes must be a [V, D, H, W] stack")
     frame_len, hop = stft_params(recording.fs, frame_len, hop)
-    window_samples(recording.fs, tr_s, pairing_mode, span_s)  # rejects an unknown mode
-
-    if pairing_mode == "tr":
-        windows = segment_windows(recording, tr_s)
-        indexed = [(i, windows[i]) for i in range(min(len(windows), len(volumes)))]
-    else:
-        indexed = []
-        for i in range(len(volumes)):
-            bold_time = (i + 1) * tr_s
-            try:
-                indexed.append((i, lag_aligned_window(recording, bold_time, span_s, lag_s)))
-            except AlignmentError:
-                continue
-
+    n = window_samples(recording.fs, tr_s, pairing_mode, span_s)
+    lag, span = (0.0, tr_s) if pairing_mode == "tr" else (lag_s, span_s)
     pairs = []
-    for i, window in indexed:
-        vol = volumes[i]
+    for i, vol in enumerate(volumes):
+        start_s = (i + 1) * tr_s - lag - span
+        start = int(round(recording.fs * start_s))
+        if start_s < 0 or start + n > recording.n_samples:
+            continue
         if volume_target is not None and tuple(volume_target) != vol.shape:
             vol = dct_downsample(vol, volume_target)
+        window = recording.channels[:, start : start + n]
         spec = spectrogram_from_window(window, recording.fs, frame_len, hop, cutoff_hz)
         pairs.append((SpectrogramSample(spec), VolumeSample(minmax_normalize(vol))))
     if not pairs:
-        raise DataError("no viable EEG/volume pairs could be built")
+        raise DataError(
+            f"no viable EEG/volume pairs: none of {len(volumes)} volumes has its "
+            f"{n}-sample window inside the {recording.n_samples}-sample recording"
+        )
     return pairs
 
 

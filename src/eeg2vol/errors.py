@@ -27,10 +27,6 @@ class DataError(Eeg2VolError):
     exit_code = 3
 
 
-class AlignmentError(DataError):
-    """A requested window falls outside the recorded signal."""
-
-
 class NumericError(Eeg2VolError):
     """Non-finite values encountered during computation."""
 

@@ -45,6 +45,17 @@ class ModelConfig:
                 f"plane {h}x{w} must be divisible by {scale} for "
                 f"{Decoder.LEVELS} merge stages"
             )
+        # the encoder keeps T and maps F to ceil(F/2) per stage, then pads onto the plane
+        t, f = self.geometry[1:3]
+        for _ in range(self.enc_stages):
+            if f < 2:
+                raise ConfigError(
+                    f"f_bins = {self.geometry[2]} is too few for {self.enc_stages} "
+                    "encoder stages: each needs >= 2 frequency bins to downsample"
+                )
+            f = (f + 1) // 2
+        if t > h or f > w:
+            raise ConfigError(f"encoded plane {t}x{f} exceeds target {h}x{w}")
 
     @classmethod
     def from_run_config(cls, cfg, geometry=None):

@@ -11,11 +11,14 @@ from eeg2vol.data import synth_raw_session
 
 from test_data_train import tree_hashes
 
-MICRO_SETS = [
+# the micro geometry for synth-data; train takes it from the dataset manifest
+GEOMETRY_SETS = [
     "--set", "channels=4", "--set", "t_bins=5", "--set", "f_bins=6",
     "--set", "depth=3", "--set", "height=8", "--set", "width=8",
-    "--set", "embed=4", "--set", "heads=2", "--set", "state_dim=2",
-    "--set", "vss_blocks=1",
+]
+# the micro architecture for train
+ARCH_SETS = [
+    "--set", "embed=4", "--set", "heads=2", "--set", "state_dim=2", "--set", "vss_blocks=1",
 ]
 
 
@@ -171,7 +174,7 @@ def train_args(root, out):
          "--out", str(root / out),
          "--set", "epochs=1", "--set", "batch_size=4",
          "--set", "split_mode=fixed", "--set", "k_train=1", "--set", "k_test=1"]
-        + MICRO_SETS
+        + ARCH_SETS
     )
 
 
@@ -187,7 +190,7 @@ def trained_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("clirun")
     rc = cli.main(
         ["synth-data", "--subjects", "2", "--pairs", "4",
-         "--out", str(root / "data")] + MICRO_SETS
+         "--out", str(root / "data")] + GEOMETRY_SETS
     )
     assert rc == 0
     assert cli.main(train_args(root, "run")) == 0
@@ -296,11 +299,22 @@ def raw_fs_not_a_number(run, tmp):
     return ["preprocess", "--manifest-in", str(raw), "--out", str(tmp / "out")]
 
 
+def raw_header(old, new):
+    """A preprocess of a raw tree whose header line old reads new instead."""
+    def build(run, tmp):
+        raw = write_raw_tree(tmp / "raw")
+        rewrite(raw, old, new)
+        return ["preprocess", "--manifest-in", str(raw), "--out", str(tmp / "out")]
+
+    build.__name__ = "raw_" + new.replace(" = ", "_")
+    return build
+
+
 def manifest_geometry_not_a_number(run, tmp):
     shutil.copytree(run / "data", tmp / "data")
     manifest = tmp / "data/manifest.txt"
     rewrite(manifest, "geometry = 4 5 6", "geometry = 4 5 x")
-    return ["train", "--manifest", str(manifest), "--out", str(tmp / "run")] + MICRO_SETS
+    return ["train", "--manifest", str(manifest), "--out", str(tmp / "run")] + ARCH_SETS
 
 
 def checkpoint_metadata_not_a_number(run, tmp):
@@ -349,6 +363,13 @@ def predict_unknown_dtype(run, tmp):
 
 MALFORMED_INPUTS = [
     (raw_fs_not_a_number, "raw manifest header value is not a number"),
+    (raw_header("fs = 250", "fs = nan"), "raw manifest header fs = nan: must be finite and > 0"),
+    (raw_header("fs = 250", "fs = inf"), "raw manifest header fs = inf: must be finite and > 0"),
+    (raw_header("fs = 250", "fs = 0"), "raw manifest header fs = 0.0: must be > 0"),
+    (raw_header("fs = 250", "fs = -250"), "raw manifest header fs = -250.0: must be > 0"),
+    (raw_header("tr = 2.16", "tr = nan"), "raw manifest header tr = nan: must be finite and > 0"),
+    (raw_header("tr = 2.16", "tr = 0"), "raw manifest header tr = 0.0: must be > 0"),
+    (raw_header("tr = 2.16", "tr = -2"), "raw manifest header tr = -2.0: must be > 0"),
     (manifest_geometry_not_a_number, "manifest header value is not a number"),
     (checkpoint_metadata_not_a_number, "checkpoint metadata is not a number"),
     (checkpoint_geometry_too_short, "must list C T F D H W"),
@@ -366,11 +387,12 @@ MALFORMED_INPUTS = [
 )
 def test_malformed_input_exit_3(trained_run, tmp_path, capsys, build, message):
     """Malformed manifests, checkpoints and S2VT files exit 3 with a message,
-    not 1 with a traceback."""
+    not 1 with a traceback, and a malformed raw manifest leaves no output."""
     shutil.copytree(trained_run / "run/best.ckpt", tmp_path / "ckpt")
     rc = cli.main(build(trained_run, tmp_path))
     assert rc == 3
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_colliding_output_names_exit_2(trained_run, tmp_path, capsys):
@@ -401,6 +423,15 @@ BAD_VALUES = [
     ("train", ["--set", "beta2=-1"], "must lie in [0, 1)"),
     ("train", ["--set", "grad_clip=-1"], "grad_clip = -1.0: must be >= 0"),
     ("train", ["--set", "ssim_window=9"], "SSIM window 9 exceeds slice extent 8x8"),
+    ("train", ["--set", "channels=99", "--set", "height=16"],
+     "train takes channels, height from the dataset manifest"),
+    ("train", ["--set", "t_bins=5"], "train takes t_bins from the dataset manifest"),
+    ("synth-data", ["--set", "t_bins=20", "--set", "height=8"],
+     "encoded plane 20x2 exceeds target 8x8"),
+    ("synth-data", ["--set", "f_bins=40"], "encoded plane 5x10 exceeds target 8x8"),
+    ("synth-data", ["--set", "f_bins=1"], "f_bins = 1 is too few for 2 encoder stages"),
+    ("synth-data", ["--set", "f_bins=3", "--set", "enc_stages=3"],
+     "f_bins = 3 is too few for 3 encoder stages"),
     ("preprocess", ["--set", "volume_target=-1 8 8"], "volume_target = '-1 8 8': must be"),
     ("preprocess", ["--set", "volume_target=3 x 8"], "volume_target = '3 x 8': must be"),
     ("preprocess", ["--set", "volume_target=0 8 8"], "volume_target = '0 8 8': must be"),
@@ -451,7 +482,7 @@ def test_bad_values_exit_2(trained_run, tmp_path, capsys, command, extra, messag
         raw = write_raw_tree(tmp_path / "raw")
         argv = ["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "data")]
     else:
-        argv = ["synth-data", "--out", str(tmp_path / "data")] + MICRO_SETS
+        argv = ["synth-data", "--out", str(tmp_path / "data")] + GEOMETRY_SETS
     rc = cli.main(argv + extra)
     assert rc == 2
     assert message in capsys.readouterr().err

@@ -14,7 +14,7 @@ from eeg2vol.dsp import read_manifest
 from eeg2vol.errors import ConfigError
 from eeg2vol.model import ModelConfig
 
-from test_cli import MICRO_SETS, write_raw_tree
+from test_cli import ARCH_SETS, GEOMETRY_SETS, write_raw_tree
 
 # one out-of-domain value per domain; choice domains use OUT_OF_CHOICES
 OUT_OF_DOMAIN = {
@@ -53,7 +53,7 @@ def micro_data(tmp_path_factory):
     """A two-subject micro dataset for `train` runs."""
     root = tmp_path_factory.mktemp("configdata")
     assert cli.main(["synth-data", "--subjects", "2", "--pairs", "4",
-                     "--out", str(root / "data")] + MICRO_SETS) == 0
+                     "--out", str(root / "data")] + GEOMETRY_SETS) == 0
     return root / "data/manifest.txt"
 
 
@@ -61,10 +61,17 @@ def micro_train(manifest, out, sets=()):
     """Exit code of a one-epoch micro `train` with extra `--set` values."""
     argv = (["train", "--manifest", str(manifest), "--out", str(out),
              "--set", "epochs=1", "--set", "batch_size=4", "--set", "split_mode=fixed",
-             "--set", "k_train=1", "--set", "k_test=1"] + MICRO_SETS)
+             "--set", "k_train=1", "--set", "k_test=1"] + ARCH_SETS)
     for item in sets:
         argv += ["--set", item]
     return cli.main(argv)
+
+
+def test_plain_micro_train_exits_0(micro_data, tmp_path):
+    """The baseline the domain cases perturb trains; an exit 2 there would
+    make every case below and the in-domain property pass vacuously."""
+    assert micro_train(micro_data, tmp_path / "run") == 0
+    assert (tmp_path / "run/last.ckpt/index.txt").exists()
 
 
 @pytest.mark.parametrize("key, raw", bad_values(), ids=[f"{k}={v}" for k, v in bad_values()])

@@ -276,7 +276,7 @@ def test_patch_merge_stacks_neighborhoods():
 # ---------------------------------------------------------------------------
 
 def test_unet_micro_shapes_and_range():
-    cfg = ModelConfig((1, 1, 1, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
+    cfg = ModelConfig((1, 1, 4, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
     dec = Decoder(cfg, np.random.default_rng(16))
     rng = np.random.default_rng(17)
     out = dec.decode(ad.Tensor(rng.standard_normal((8, 8, 4)) * 0.3))
@@ -285,7 +285,7 @@ def test_unet_micro_shapes_and_range():
 
 
 def test_unet_input_shape_mismatch():
-    cfg = ModelConfig((1, 1, 1, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
+    cfg = ModelConfig((1, 1, 4, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
     dec = Decoder(cfg, np.random.default_rng(18))
     with pytest.raises(ConfigError, match="shape"):
         dec.decode(ad.Tensor(np.zeros((8, 12, 4))))
@@ -293,11 +293,11 @@ def test_unet_input_shape_mismatch():
 
 def test_unet_divisibility_config_error():
     with pytest.raises(ConfigError, match="divisible"):
-        ModelConfig((1, 1, 1, 3, 10, 8), embed=4)
+        ModelConfig((1, 1, 4, 3, 10, 8), embed=4)
 
 
 def test_unet_gradients_spot_check():
-    cfg = ModelConfig((1, 1, 1, 2, 4, 4), embed=4, vss_blocks=1, state_dim=2)
+    cfg = ModelConfig((1, 1, 4, 2, 4, 4), embed=4, vss_blocks=1, state_dim=2)
     dec = Decoder(cfg, np.random.default_rng(21))
     rng = np.random.default_rng(22)
     x = ad.Tensor(rng.standard_normal((4, 4, 4)) * 0.3)  # [H, W, embed]

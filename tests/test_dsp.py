@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeg2vol import dsp
-from eeg2vol.errors import AlignmentError, ConfigError, DataError, DimensionError
+from eeg2vol.errors import ConfigError, DataError, DimensionError
 
 from conftest import dft_oracle
 
@@ -18,32 +18,49 @@ def make_recording(n_samples, fs=250.0, channels=2, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# windowing
+# windowing: build_pairs pairs volume i with the window_samples(...) samples
+# starting at round(fs * ((i+1)*TR - lag - span)), (lag, span) = (0, TR) in tr
+# mode and (lag_s, span_s) in lag mode
 # ---------------------------------------------------------------------------
 
-def test_segment_windows_noddi_arithmetic():
+def pair_specs(rec, n_volumes, tr_s, **kwargs):
+    """The spectrograms build_pairs gives n_volumes blank volumes, in order."""
+    pairs = dsp.build_pairs(rec, np.zeros((n_volumes, 1, 2, 2)), tr_s, **kwargs)
+    return [spec.data for spec, _vol in pairs]
+
+
+def spec_of(rec, i0, i1, frame_len=None, hop=None, cutoff_hz=250.0):
+    """The spectrogram of the window rec[:, i0:i1] at build_pairs' STFT."""
+    frame_len, hop = dsp.stft_params(rec.fs, frame_len, hop)
+    return dsp.spectrogram_from_window(rec.channels[:, i0:i1], rec.fs, frame_len, hop,
+                                       cutoff_hz)
+
+
+def test_tr_window_noddi_arithmetic():
     rec = make_recording(1000, fs=250.0)
-    windows = dsp.segment_windows(rec, 2.16)
-    assert windows.shape == (1, 2, 540)  # 250 * 2.16 = 540, remainder dropped
+    specs = pair_specs(rec, 3, 2.16)
+    assert len(specs) == 1  # 250 * 2.16 = 540, remainder dropped
+    np.testing.assert_array_equal(specs[0], spec_of(rec, 0, 540))
 
 
-def test_segment_windows_exact_fit():
+def test_tr_window_exact_fit():
     rec = make_recording(540, fs=250.0)
-    windows = dsp.segment_windows(rec, 2.16)
-    assert windows.shape == (1, 2, 540)
-    np.testing.assert_array_equal(windows[0], rec.channels)
+    specs = pair_specs(rec, 1, 2.16)
+    assert len(specs) == 1
+    np.testing.assert_array_equal(specs[0], spec_of(rec, 0, 540))
 
 
-def test_segment_windows_too_short():
-    with pytest.raises(DataError, match="shorter"):
-        dsp.segment_windows(make_recording(100, fs=250.0), 2.16)
+def test_tr_window_too_short():
+    """No window fits: a DataError naming the recording and window lengths."""
+    with pytest.raises(DataError, match="540-sample window inside the 100-sample recording"):
+        pair_specs(make_recording(100, fs=250.0), 3, 2.16)
 
 
 def test_window_below_one_sample_is_config_error():
     """A window that rounds to 0 samples is a ConfigError naming fs and tr
-    (or span_s), not a ZeroDivisionError in segment_windows."""
+    (or span_s), not a division by zero."""
     with pytest.raises(ConfigError, match=r"fs \* tr = 250 \* 0.001"):
-        dsp.segment_windows(dsp.EegRecording(np.zeros((2, 100)), 250.0), 0.001)
+        pair_specs(dsp.EegRecording(np.zeros((2, 100)), 250.0), 1, 0.001)
     assert dsp.window_samples(250.0, 0.003) == 1  # 0.75 samples rounds up to 1
     for seconds in (0.002, float("nan"), float("inf")):  # 0.5 samples rounds to 0
         with pytest.raises(ConfigError, match=r"fs \* span_s = 250 \* "):
@@ -51,13 +68,50 @@ def test_window_below_one_sample_is_config_error():
 
 
 def test_lag_window_sample_ranges():
+    """TR = 1 s: the slice at 26 s takes [0 s, 20 s), at 30 s [4 s, 24 s) and
+    at 46 s [20 s, 40 s); the slice at 25 s would start before the recording
+    and the one at 47 s would end past it, so both are skipped."""
     rec = make_recording(10000, fs=250.0)
-    win = dsp.lag_aligned_window(rec, 30.0)
-    np.testing.assert_array_equal(win, rec.channels[:, 1000:6000])
-    win = dsp.lag_aligned_window(rec, 26.0)
-    np.testing.assert_array_equal(win, rec.channels[:, 0:5000])
-    with pytest.raises(AlignmentError, match="25"):
-        dsp.lag_aligned_window(rec, 25.0)
+    specs = pair_specs(rec, 50, 1.0, pairing_mode="lag")
+    assert len(specs) == 21  # slices at 26 .. 46 s
+    np.testing.assert_array_equal(specs[0], spec_of(rec, 0, 5000))
+    np.testing.assert_array_equal(specs[4], spec_of(rec, 1000, 6000))
+    np.testing.assert_array_equal(specs[-1], spec_of(rec, 5000, 10000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    fs=st.integers(50, 5000),
+    n=st.integers(2, 600),
+    blocks=st.integers(1, 5),
+    remainder=st.integers(0, 599),
+    n_volumes=st.integers(1, 6),
+)
+def test_whole_sample_tr_windows_are_consecutive_blocks(fs, n, blocks, remainder,
+                                                        n_volumes):
+    """When fs * TR is n whole samples, pair i is the block [i*n, (i+1)*n) and
+    a trailing part-block is dropped, as consecutive blocks would give."""
+    fs = float(fs)
+    rec = make_recording(blocks * n + remainder % n, fs=fs)
+    stft = {"frame_len": min(n, 16), "hop": 4, "cutoff_hz": fs / 2}
+    specs = pair_specs(rec, n_volumes, n / fs, **stft)
+    assert len(specs) == min(n_volumes, blocks)
+    for i, spec in enumerate(specs):
+        np.testing.assert_array_equal(spec, spec_of(rec, i * n, (i + 1) * n, **stft))
+
+
+def test_tr_windows_do_not_drift_when_fs_tr_is_fractional():
+    """fs * TR = 487.5 samples: window k starts at the sample of k * TR
+    (k * 487.5 for even k), not at k * round(487.5), which runs 0.6 s late by
+    k = 300."""
+    fs, tr = 250.0, 1.95
+    n = dsp.window_samples(fs, tr)
+    rec = make_recording(int(fs * tr * 302), fs=fs)
+    specs = pair_specs(rec, 301, tr)
+    assert len(specs) == 301
+    for k in (2, 100, 300):
+        start = int(k * 487.5)
+        np.testing.assert_array_equal(specs[k], spec_of(rec, start, start + n))
 
 
 # ---------------------------------------------------------------------------

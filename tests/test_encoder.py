@@ -11,13 +11,15 @@ from eeg2vol import autodiff as ad
 from eeg2vol.encoder import Encoder
 from eeg2vol.errors import ConfigError, DimensionError
 from eeg2vol.model import ModelConfig
+from eeg2vol.presets import DATASET_PRESETS, preset_config
 
 from conftest import conv2d_oracle, fd_grad_check
 
 
 def make_encoder(in_channels=2, embed=4, heads=2, stages=2, plane=(8, 8), seed=0):
+    # the tests feed their own [T, F, C] grids; F = 2^stages just passes the config
     cfg = ModelConfig(
-        (in_channels, 1, 1, 1) + plane, embed=embed, heads=heads, enc_stages=stages
+        (in_channels, 1, 2**stages, 1) + plane, embed=embed, heads=heads, enc_stages=stages
     )
     return Encoder(cfg, np.random.default_rng(seed))
 
@@ -33,13 +35,29 @@ def np_channel_ln(tokens, gain, shift, eps=1e-5):
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_bad_combinations():
-    geometry = (2, 1, 1, 1, 8, 8)
+    geometry = (2, 1, 4, 1, 8, 8)
     with pytest.raises(ConfigError, match="divisible"):
         ModelConfig(geometry, embed=6, heads=4)
     with pytest.raises(ConfigError, match="stage"):
         ModelConfig(geometry, enc_stages=0)
     with pytest.raises(ConfigError, match="dropout"):
         ModelConfig(geometry, attention_dropout=1.0)
+
+
+def test_config_rejects_geometry_the_encoder_cannot_fit():
+    """The encoder keeps T and maps F to ceil(F/2) per stage, which needs
+    F >= 2; the encoded T x F plane must fit H x W. The three presets fit."""
+    with pytest.raises(ConfigError, match="f_bins = 1 is too few for 2 encoder stages"):
+        ModelConfig((2, 4, 1, 1, 8, 8))
+    with pytest.raises(ConfigError, match="f_bins = 4 is too few for 3 encoder stages"):
+        ModelConfig((2, 4, 4, 1, 8, 8), enc_stages=3)
+    with pytest.raises(ConfigError, match="encoded plane 9x1 exceeds target 8x8"):
+        ModelConfig((2, 9, 4, 1, 8, 8))
+    with pytest.raises(ConfigError, match="encoded plane 8x9 exceeds target 8x8"):
+        ModelConfig((2, 8, 33, 1, 8, 8))  # 33 -> 17 -> 9
+    ModelConfig((2, 8, 32, 1, 8, 8))  # 32 -> 16 -> 8 fills the plane
+    for name in DATASET_PRESETS:
+        ModelConfig.from_run_config(preset_config(name))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +219,7 @@ def test_global_block_token_permutation_invariance():
 
 def test_attention_dropout_draws_masks_only_with_rng():
     """Without an rng the dropout model attends like the dropout-free one."""
-    cfg = ModelConfig((2, 1, 1, 1, 8, 8), embed=4, heads=2, attention_dropout=0.5)
+    cfg = ModelConfig((2, 1, 4, 1, 8, 8), embed=4, heads=2, attention_dropout=0.5)
     dropped = Encoder(cfg, np.random.default_rng(0))
     plain = Encoder(replace(cfg, attention_dropout=0.0), np.random.default_rng(0))
     x = ad.Tensor(np.random.default_rng(1).standard_normal((3, 3, 4)))
