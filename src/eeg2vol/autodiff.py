@@ -411,24 +411,32 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
 # first-order linear recurrence (scan) kernel
 # ---------------------------------------------------------------------------
 
-def _scan_sequential(a, x):
-    h = np.empty_like(x)
-    prev = np.zeros(x.shape[:-1], dtype=x.dtype)
-    for t in range(x.shape[-1]):
-        prev = a[..., t] * prev + x[..., t]
-        h[..., t] = prev
+def _scan_sequential(a, x, h=None, prev=None):
+    """h[t] = a[t] * h[t-1] + x[t] over the leading (time) axis, h[-1] = prev
+    (zeros when None), written into h (allocated time-major when None, so
+    each step writes one contiguous slice). Each step is one multiply into
+    h[t] and one in-place add, so the loop allocates nothing."""
+    if h is None:
+        h = np.empty_like(x, order="C")
+    if prev is None:
+        prev = np.zeros(x.shape[1:], dtype=x.dtype)
+    for a_t, x_t, h_t in zip(a, x, h):
+        np.multiply(a_t, prev, out=h_t)
+        np.add(h_t, x_t, out=h_t)
+        prev = h_t
     return h
 
 
 def _scan_blocked(a, x):
-    """Doubling-pass inclusive scan; log2(L) vectorized sweeps over t."""
+    """Doubling-pass inclusive scan over the leading (time) axis; log2(L)
+    vectorized sweeps."""
     h = x.copy()
     coef = a.copy()
     shift = 1
-    length = x.shape[-1]
+    length = x.shape[0]
     while shift < length:
-        h[..., shift:] += coef[..., shift:] * h[..., :-shift]
-        coef[..., shift:] = coef[..., shift:] * coef[..., :-shift]
+        h[shift:] += coef[shift:] * h[:-shift]
+        coef[shift:] = coef[shift:] * coef[:-shift]
         shift *= 2
     return h
 
@@ -436,55 +444,71 @@ def _scan_blocked(a, x):
 _SCAN_KERNELS = {"sequential": _scan_sequential, "blocked": _scan_blocked}
 
 
+def _check_states(h, first_step=0):
+    """Raise NumericError naming the first time step (leading axis of h,
+    counted from first_step) that holds a non-finite state."""
+    finite_per_step = np.isfinite(h).all(axis=tuple(range(1, h.ndim)))
+    if not finite_per_step.all():
+        step = first_step + int(np.argmin(finite_per_step))
+        raise NumericError(f"linear_scan: non-finite state at step {step}")
+
+
 def linear_scan(a, x, mode="sequential"):
     """h_t = a_t * h_{t-1} + x_t along the trailing axis, h_0 = 0.
 
     mode selects the forward kernel: "sequential" (step-by-step reference)
     or "blocked" (doubling-pass restructuring); both compute the same values.
+    The kernels run on time-major views of a and x.
     """
     if a.shape != x.shape:
         raise DimensionError("linear_scan: coefficient/input shape mismatch")
     if x.shape[-1] < 1:
         raise DimensionError("linear_scan: empty sequence")
     kernel = _SCAN_KERNELS[mode]
-    h = kernel(a.data, x.data)
-    finite_per_step = np.isfinite(h).reshape(-1, h.shape[-1]).all(axis=0)
-    if not finite_per_step.all():
-        step = int(np.argmin(finite_per_step))
-        raise NumericError(f"linear_scan: non-finite state at step {step}")
+    a_tm = np.moveaxis(a.data, -1, 0)
+    h_tm = kernel(a_tm, np.moveaxis(x.data, -1, 0))
+    _check_states(h_tm)
 
     def backward(g):
         # adjoint recurrence lam_t = g_t + a_{t+1} * lam_{t+1}, run as a
         # forward scan on time-reversed arrays
-        a_next = np.roll(np.flip(a.data, axis=-1), 1, axis=-1)
-        a_next[..., 0] = 0.0
-        lam = kernel(a_next, np.flip(g, axis=-1))
-        lam = np.flip(lam, axis=-1)
-        h_prev = np.roll(h, 1, axis=-1)
-        h_prev[..., 0] = 0.0
-        return (lam * h_prev, lam)
+        a_next = np.empty_like(a_tm)
+        a_next[0] = 0.0
+        a_next[1:] = a_tm[:0:-1]
+        lam = kernel(a_next, np.moveaxis(g, -1, 0)[::-1])[::-1]
+        h_prev = np.empty_like(h_tm)
+        h_prev[0] = 0.0
+        h_prev[1:] = h_tm[:-1]
+        return (np.moveaxis(lam * h_prev, 0, -1), np.moveaxis(lam, 0, -1))
 
-    return _make_output(h, (a, x), backward)
+    return _make_output(np.moveaxis(h_tm, 0, -1), (a, x), backward)
 
 
 # ---------------------------------------------------------------------------
 # fused selective scan
 # ---------------------------------------------------------------------------
 
-def _selective_states(u, delta, a, b):
-    """Time-major [L, C, S] transitions abar = exp(delta * A) and states h.
+CHUNK = 128  # time steps per block of the selective-scan backward
 
-    The [C, S, L] arrays linear_scan sees are views of time-major buffers,
-    so each recurrence step reads one contiguous [C, S] slice.
-    """
+
+def _transitions(delta, a):
+    """Time-major [L, C, S] discretized transitions abar = exp(delta * A)."""
     abar = np.exp(delta[:, :, None] * a[None, :, :])
     # delta > 0 and A < 0 put abar in (0, 1); float underflow at either end
     # (exp saturating to 0.0 or 1.0) is tolerated
     if not (np.all(abar >= 0.0) and np.all(abar <= 1.0)):
         raise NumericError("selective_scan: discretized transition left [0, 1]")
+    return abar
+
+
+def _selective_states(u, delta, a, b):
+    """Time-major [L, C, S] states h of selective_scan, from one
+    linear_scan over [C, S, L] views of time-major buffers, so each
+    recurrence step reads one contiguous [C, S] slice."""
+    abar = _transitions(delta, a)
     bu = (delta * u)[:, :, None] * b[:, None, :]
     h = linear_scan(Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)))
-    return abar, np.moveaxis(h.data, -1, 0)
+    return np.moveaxis(h.data, -1, 0)
 
 
 def selective_scan(u, delta, a, b, c):
@@ -492,10 +516,17 @@ def selective_scan(u, delta, a, b, c):
     h[t, n, s] = exp(delta[t, n] a[n, s]) h[t-1, n, s] + delta[t, n] u[t, n] b[t, s].
 
     Time-major: u, delta: [L, C]; a: [C, S]; b, c: [L, S]; y: [L, C]. One
-    tape node that keeps only its inputs: backward recomputes the states
-    instead of storing the [L, C, S] intermediates (the recompute scheme of
-    Mamba, arXiv:2312.00752). Forward and adjoint recurrences both run the
-    sequential kernel.
+    tape node that keeps its inputs and the state entering each block of
+    CHUNK steps, [ceil(L / CHUNK), C, S], instead of the [L, C, S]
+    intermediates (the recompute scheme of Mamba, arXiv:2312.00752, over
+    the time chunks of Mamba-2, arXiv:2405.21060). The forward runs one
+    full-length linear_scan. The backward walks the chunks in reverse: it
+    recomputes each chunk's transitions and inputs, then runs the state
+    recompute (forward in time, from the saved entry state) and the adjoint
+    recurrence (backward in time, from the adjoint carried in from the next
+    chunk) as one stacked [2, C, S] sequential loop, and writes the chunk's
+    rows of every gradient but da. da sums over all of time, so it is one
+    contraction over a whole-length buffer.
     """
     length, channels = u.shape
     state = a.shape[-1]
@@ -505,28 +536,56 @@ def selective_scan(u, delta, a, b, c):
             f"selective_scan: shapes u {u.shape}, delta {delta.shape}, a {a.shape}, "
             f"b {b.shape}, c {c.shape} do not fit [L,C], [L,C], [C,S], [L,S], [L,S]"
         )
-    _abar, h = _selective_states(u.data, delta.data, a.data, b.data)
+    h = _selective_states(u.data, delta.data, a.data, b.data)
     y = np.einsum("tns,ts->tn", h, c.data)
+    # entries[k] = h[k * CHUNK - 1], the state entering chunk k
+    entries = np.concatenate([np.zeros((1, channels, state)), h[CHUNK - 1 : length - 1 : CHUNK]])
 
     def backward(g):
-        abar, h = _selective_states(u.data, delta.data, a.data, b.data)
-        # adjoint lam_t = c_t g_t + abar_{t+1} lam_{t+1}, run as a forward
-        # scan over reversed time r = L-1-t on time-major buffers
-        a_rev = np.empty_like(abar)
-        a_rev[0] = 0.0
-        a_rev[1:] = abar[:0:-1]
-        gh_rev = g[::-1, :, None] * c.data[::-1, None, :]
-        lam = _scan_sequential(np.moveaxis(a_rev, 0, -1), np.moveaxis(gh_rev, 0, -1))
-        lam = np.moveaxis(lam, -1, 0)[::-1]  # d loss / d bu, [L, C, S]
-        # d loss / d(delta * A) = lam_t * h_{t-1} * abar_t
-        q = np.zeros_like(h)
-        q[1:] = lam[1:] * h[:-1] * abar[1:]
-        lam_b = np.einsum("tns,ts->tn", lam, b.data)  # d loss / d(delta * u)
-        du = lam_b * delta.data
-        ddelta = lam_b * u.data + np.einsum("tns,ns->tn", q, a.data)
+        ud = delta.data * u.data
+        rows = min(CHUNK, length)
+        # stacked recurrences: [:, 0] the states h, [:, 1] the adjoints lam
+        coef = np.empty((rows, 2, channels, state))
+        drive = np.empty_like(coef)
+        states = np.empty_like(coef)
+        carry = np.zeros((2, channels, state))
+        q = np.empty((length, channels, state))  # d loss / d(delta * A)
+        du, ddelta = np.empty((length, channels)), np.empty((length, channels))
+        db, dc = np.empty((length, state)), np.empty((length, state))
+        for k in reversed(range(len(entries))):
+            t0 = k * CHUNK
+            t1 = min(t0 + CHUNK, length)
+            m = t1 - t0
+            abar = _transitions(delta.data[t0 : t1 + 1], a.data)  # and the next chunk's first row
+            # state h_t = abar_t h_{t-1} + bu_t, t = t0 .. t1-1
+            coef[:m, 0] = abar[:m]
+            np.multiply(ud[t0:t1, :, None], b.data[t0:t1, None, :], out=drive[:m, 0])
+            # adjoint lam_t = abar_{t+1} lam_{t+1} + c_t g_t, t = t1-1 .. t0;
+            # abar_L is 0
+            coef[0, 1] = abar[m] if t1 < length else 0.0
+            coef[1:m, 1] = abar[m - 1 : 0 : -1]
+            np.multiply(g[t0:t1][::-1, :, None], c.data[t0:t1][::-1, None, :], out=drive[:m, 1])
+            carry[0] = entries[k]
+            _scan_sequential(coef[:m], drive[:m], states[:m], carry)
+            hk = states[:m, 0]
+            _check_states(hk, t0)
+            lam = states[:m, 1][::-1]  # d loss / d bu
+            carry[1] = lam[0]
+            # q_t = lam_t * h_{t-1} * abar_t, and q_0 = 0
+            qk = q[t0:t1]
+            np.multiply(lam[1:], hk[:-1], out=qk[1:])
+            qk[1:] *= abar[1:m]
+            if t0:
+                np.multiply(lam[0], entries[k], out=qk[0])
+                qk[0] *= abar[0]
+            else:
+                qk[0] = 0.0
+            lam_b = np.einsum("tns,ts->tn", lam, b.data[t0:t1])  # d loss / d(delta * u)
+            du[t0:t1] = lam_b * delta.data[t0:t1]
+            ddelta[t0:t1] = lam_b * u.data[t0:t1] + np.einsum("tns,ns->tn", qk, a.data)
+            db[t0:t1] = np.einsum("tns,tn->ts", lam, ud[t0:t1])
+            dc[t0:t1] = np.einsum("tns,tn->ts", hk, g[t0:t1])
         da = np.einsum("tns,tn->ns", q, delta.data)
-        db = np.einsum("tns,tn->ts", lam, delta.data * u.data)
-        dc = np.einsum("tns,tn->ts", h, g)
         return (du, ddelta, da, db, dc)
 
     return _make_output(y, (u, delta, a, b, c), backward)

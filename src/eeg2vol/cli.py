@@ -22,12 +22,11 @@ from .dsp import (
     write_manifest,
 )
 from .errors import ConfigError, DataError, DimensionError, Eeg2VolError
-from .model import ARCH_KEYS, Model, ModelConfig
+from .model import ARCH_KEYS, GEOMETRY_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
 # keys train takes from the dataset manifest, eval from the checkpoint and
 # preprocess from the raw manifest and its files, never from a --set
-GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
 CHECKPOINT_KEYS = GEOMETRY_KEYS + ARCH_KEYS
 RAW_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
 
@@ -99,6 +98,7 @@ def _read_raw_manifest(path):
         fs, tr_s = float(header["fs"]), float(header["tr"])
         check("fs", fs)
         check("tr", tr_s)
+        window_samples(fs, tr_s)  # a TR window must hold at least one sample
     except ValueError as exc:
         raise DataError(f"{path}: raw manifest header value is not a number: {exc}") from exc
     except ConfigError as exc:  # the data, not the config, is at fault

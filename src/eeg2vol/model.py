@@ -18,6 +18,8 @@ from .layers import ParamStore
 # architecture keys shared by the run config, ModelConfig and checkpoint
 # metadata; attention_dropout is training-only and stays out of checkpoints
 ARCH_KEYS = ("embed", "heads", "enc_stages", "vss_blocks", "state_dim")
+# run-config keys of the six ModelConfig.geometry entries, in that order
+GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .losses import (
     ssim,
     REPORT_HEADER,
 )
-from .model import Model, ModelConfig
+from .model import GEOMETRY_KEYS, Model, ModelConfig
 from .optim import AdamW, ScheduleConfig, lr_at, make_splits
 
 
@@ -136,7 +136,9 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / log_name
     log = open(log_path, "w")
-    for key, value in sorted(cfg.items()):
+    # the geometry the model trains at comes from the manifest, not the config
+    header = dict(cfg.items(), **dict(zip(GEOMETRY_KEYS, mcfg.geometry)))
+    for key, value in sorted(header.items()):
         log.write(f"# {key} = {value}\n")
     log.write(f"# train_subjects = {' '.join(train_ids)}\n")
     log.write(f"# test_subjects = {' '.join(test_ids)}\n")

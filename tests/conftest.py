@@ -187,6 +187,41 @@ def selective_scan_inputs(rng, channels=2, state=3, length=5):
     ]
 
 
+def selective_scan_unchunked(u, delta, a, b, c, g):
+    """y and the gradients (du, ddelta, da, db, dc) of <g, y> for the fused
+    selective scan, computed from whole-length [L, C, S] states and adjoints
+    by plain step loops, the way ad.selective_scan computed them before its
+    backward ran in time chunks: the bit-for-bit oracle of the chunked op."""
+
+    def scan(coef, x):  # h[t] = coef[t] * h[t-1] + x[t], h[-1] = 0
+        h = np.empty_like(x)
+        prev = np.zeros(x.shape[1:])
+        for t in range(x.shape[0]):
+            prev = coef[t] * prev + x[t]
+            h[t] = prev
+        return h
+
+    abar = np.exp(delta[:, :, None] * a[None, :, :])
+    h = scan(abar, (delta * u)[:, :, None] * b[:, None, :])
+    y = np.einsum("tns,ts->tn", h, c)
+    # adjoint lam_t = c_t g_t + abar_{t+1} lam_{t+1}, over reversed time
+    a_rev = np.empty_like(abar)
+    a_rev[0] = 0.0
+    a_rev[1:] = abar[:0:-1]
+    lam = scan(a_rev, g[::-1, :, None] * c[::-1, None, :])[::-1]
+    q = np.zeros_like(h)
+    q[1:] = lam[1:] * h[:-1] * abar[1:]
+    lam_b = np.einsum("tns,ts->tn", lam, b)
+    return (
+        y,
+        lam_b * delta,
+        lam_b * u + np.einsum("tns,ns->tn", q, a),
+        np.einsum("tns,tn->ns", q, delta),
+        np.einsum("tns,tn->ts", lam, delta * u),
+        np.einsum("tns,tn->ts", h, g),
+    )
+
+
 def s6_output_and_grads(scan, u, params, weights):
     """y and the gradients of <weights, y> for u and the six S6Params."""
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,

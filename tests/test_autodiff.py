@@ -1,5 +1,7 @@
 """Tensor engine: forward examples, oracle agreement, and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from conftest import (
     matmul_oracle,
     rel_err,
     selective_scan_inputs,
+    selective_scan_unchunked,
 )
 
 
@@ -287,29 +290,36 @@ def test_linear_scan_shape_mismatch():
 # fused selective scan
 # ---------------------------------------------------------------------------
 
+LATER_CHUNK = 2 * ad.CHUNK + 5  # a sequence of three chunks
 SELECTIVE_SCAN_FAULTS = [
-    # (input index, position, value, message); ids end in the scan kernel
-    # the fused op runs
-    pytest.param(1, (2, 1), np.nan, r"discretized transition left \[0, 1\]",
+    # (length, input index, position, value, message); ids end in the scan
+    # kernel the fused op runs
+    pytest.param(6, 1, (2, 1), np.nan, r"discretized transition left \[0, 1\]",
                  id="nan-delta-sequential"),
-    pytest.param(0, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
+    pytest.param(6, 0, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
                  id="inf-token-sequential"),
+    # faults in the middle chunk, which the backward reaches after the last
+    pytest.param(LATER_CHUNK, 1, (ad.CHUNK + 3, 1), np.nan,
+                 r"discretized transition left \[0, 1\]", id="nan-delta-chunk1-sequential"),
+    pytest.param(LATER_CHUNK, 0, (ad.CHUNK + 3, 0), np.inf,
+                 f"linear_scan: non-finite state at step {ad.CHUNK + 3}$",
+                 id="inf-token-chunk1-sequential"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("index, position, value, message", SELECTIVE_SCAN_FAULTS)
-def test_selective_scan_forward_checks(index, position, value, message):
-    inputs = selective_scan_inputs(np.random.default_rng(40), length=6)
+@pytest.mark.parametrize("length, index, position, value, message", SELECTIVE_SCAN_FAULTS)
+def test_selective_scan_forward_checks(length, index, position, value, message):
+    inputs = selective_scan_inputs(np.random.default_rng(40), length=length)
     inputs[index].data[position] = value
     with pytest.raises(NumericError, match=message):
         ad.selective_scan(*inputs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("index, position, value, message", SELECTIVE_SCAN_FAULTS)
-def test_selective_scan_backward_recompute_checks(index, position, value, message):
-    inputs = selective_scan_inputs(np.random.default_rng(41), length=6)
+@pytest.mark.parametrize("length, index, position, value, message", SELECTIVE_SCAN_FAULTS)
+def test_selective_scan_backward_recompute_checks(length, index, position, value, message):
+    inputs = selective_scan_inputs(np.random.default_rng(41), length=length)
     with ad.Tape():
         loss = ad.tsum(ad.selective_scan(*inputs))
     # the saved inputs change between forward and backward, so only the
@@ -317,6 +327,40 @@ def test_selective_scan_backward_recompute_checks(index, position, value, messag
     inputs[index].data[position] = value
     with pytest.raises(NumericError, match=message):
         loss.backward()
+
+
+@pytest.mark.parametrize(
+    "length", [1, ad.CHUNK - 1, ad.CHUNK, ad.CHUNK + 1, 3 * ad.CHUNK + 17, 4096]
+)
+def test_selective_scan_matches_unchunked_oracle(length):
+    """The chunked backward reproduces the whole-length one bit for bit."""
+    rng = np.random.default_rng(length)
+    inputs = selective_scan_inputs(rng, channels=3, state=4, length=length)
+    g = rng.standard_normal((length, 3))
+    with ad.Tape():
+        y = ad.selective_scan(*inputs)
+        y.backward(seed=g)
+    want = selective_scan_unchunked(*[t.data for t in inputs], g)
+    for got, ref in zip([y.data] + [t.grad for t in inputs], want):
+        assert np.array_equal(got, ref)
+
+
+def test_selective_scan_backward_memory_is_bounded():
+    """The backward's transient memory stays within 2.5 state-sized
+    [L, C, S] arrays: only the da contraction buffer is whole-length."""
+    length, channels, state = 4096, 32, 8
+    rng = np.random.default_rng(43)
+    inputs = selective_scan_inputs(rng, channels=channels, state=state, length=length)
+    g = rng.standard_normal((length, channels))
+    with ad.Tape():
+        y = ad.selective_scan(*inputs)
+        tracemalloc.start()
+        try:
+            y.backward(seed=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2.5 * length * channels * state * 8
 
 
 def test_selective_scan_shape_mismatch():

@@ -203,6 +203,14 @@ def test_train_leaves_checkpoints(trained_run):
     assert (trained_run / "run/train.log").exists()
 
 
+def test_train_log_records_the_manifest_geometry(trained_run):
+    """train takes the geometry from the dataset manifest, so train.log's
+    header records that geometry, not the run config's defaults."""
+    header = (trained_run / "run/train.log").read_text().splitlines()
+    for key_value in GEOMETRY_SETS[1::2]:
+        assert f"# {key_value.replace('=', ' = ')}" in header
+
+
 def test_train_attention_dropout_seeded(trained_run):
     """Dropout masks come from the run's seeded rng: two runs match, and the
     losses differ from the dropout-free run."""
@@ -370,6 +378,8 @@ MALFORMED_INPUTS = [
     (raw_header("tr = 2.16", "tr = nan"), "raw manifest header tr = nan: must be finite and > 0"),
     (raw_header("tr = 2.16", "tr = 0"), "raw manifest header tr = 0.0: must be > 0"),
     (raw_header("tr = 2.16", "tr = -2"), "raw manifest header tr = -2.0: must be > 0"),
+    (raw_header("tr = 2.16", "tr = 0.001"),
+     "raw manifest header fs * tr = 250 * 0.001: must give >= 1 sample"),
     (manifest_geometry_not_a_number, "manifest header value is not a number"),
     (checkpoint_metadata_not_a_number, "checkpoint metadata is not a number"),
     (checkpoint_geometry_too_short, "must list C T F D H W"),

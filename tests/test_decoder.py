@@ -167,7 +167,10 @@ def test_s6_gradients():
 
 
 @pytest.mark.parametrize("mode", ["sequential", "blocked"])
-@pytest.mark.parametrize("length", [1, 37, 256, 1024, 4096])
+@pytest.mark.parametrize(
+    "length",
+    [1, 37, ad.CHUNK - 1, ad.CHUNK + 1, 2 * ad.CHUNK + 37, 256, 1024, 4096],
+)
 def test_s6_fused_matches_unfused_reference(length, mode):
     params = random_s6_params(3, 4, seed=length)
     rng = np.random.default_rng(length)
@@ -307,6 +310,27 @@ def test_unet_gradients_spot_check():
         dec.store["dec.up0.block0.gate.bias"],
     ]
     fd_grad_check(lambda: ad.tmean(dec.decode(x)), leaves)
+
+
+def test_unet_scan_shapes_follow_model_config(micro_model, monkeypatch):
+    """Level i scans embed * 2**i channels of state_dim over its
+    (H / 2**i)(W / 2**i) plane: the [C, S, L] linear_scan shapes that the
+    traced train-noddi check in perfbench/ expects at noddi geometry."""
+    cfg = micro_model.cfg
+    seen = set()
+    linear_scan = ad.linear_scan
+
+    def recording_scan(a, x, *args, **kwargs):
+        seen.add(a.shape)
+        return linear_scan(a, x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "linear_scan", recording_scan)
+    micro_model.forward(np.random.default_rng(27).standard_normal(cfg.geometry[:3]))
+    h, w = cfg.geometry[4:]
+    assert seen == {
+        (cfg.embed * 2**i, cfg.state_dim, (h // 2**i) * (w // 2**i))
+        for i in range(Decoder.LEVELS + 1)
+    }
 
 
 def test_rel_err_sanity():
