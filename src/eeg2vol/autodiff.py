@@ -330,36 +330,75 @@ def matmul(a, b):
     return _make_output(val, (a, b), backward)
 
 
+def _leading_sum(g):
+    """Sum over every axis but the trailing one."""
+    return g.sum(axis=tuple(range(g.ndim - 1)))
+
+
 def linear(x, weight, bias=None):
-    """Affine map over the trailing axis: y = x @ weight.T + bias."""
+    """Affine map over the trailing axis: y = x @ weight.T + bias.
+
+    One tape node; weight is [out, in], bias [out], x [..., in].
+    """
     if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
             f"linear: input extent {x.shape[-1]} != weight in-extent "
             f"{weight.shape[-1]}"
         )
-    y = matmul(x, transpose(weight))
+    val = np.matmul(x.data, weight.data.T)
     if bias is not None:
-        y = y + bias
-    return y
+        val = val + bias.data
+
+    def backward(g):
+        gx = np.matmul(g, weight.data) if x.requires_grad else None
+        gw = None
+        if weight.requires_grad:
+            rows = g.reshape(-1, g.shape[-1])
+            gw = rows.T @ x.data.reshape(-1, x.shape[-1])
+        gb = _leading_sum(g) if bias is not None and bias.requires_grad else None
+        return (gx, gw, gb)
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make_output(val, inputs, backward)
 
 
 def layer_norm(x, gain, shift, eps=1e-5):
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+
+    One tape node that keeps the normalized input xn and 1/std for the
+    closed-form backward.
+    """
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != shift.shape[-1]:
         raise DimensionError("layer_norm: gain/shift extent mismatch")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = tmean(xc * xc, axis=-1, keepdims=True)
-    xn = xc / sqrt(var + eps)
-    return xn * gain + shift
+    inv_n = 1.0 / x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xn = xc / std
+    inv_std = 1.0 / std
+
+    def backward(g):
+        gx = None
+        if x.requires_grad:
+            gn = g * gain.data
+            gx = inv_std * (
+                gn
+                - gn.mean(axis=-1, keepdims=True)
+                - xn * (gn * xn).mean(axis=-1, keepdims=True)
+            )
+        return (gx, _leading_sum(g * xn), _leading_sum(g))
+
+    return _make_output(xn * gain.data + shift.data, (x, gain, shift), backward)
 
 
 def softmax(x, axis=-1):
-    shifted = x - np.max(x.data, axis=axis, keepdims=True)
-    e = exp(shifted)
-    return e / tsum(e, axis=axis, keepdims=True)
+    """One tape node that keeps its output y; backward y * (g - sum(g * y))."""
+    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    return _make_output(
+        y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +444,38 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
         return (gx, gk)
 
     return _make_output(val, (x, kernel), backward)
+
+
+def _window_sums(a, k, axis):
+    """Sums of k consecutive entries along axis (valid windows only), as
+    differences of running sums."""
+    c = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)
+    out = c[k - 1 :].copy()
+    out[1:] -= c[:-k]
+    return np.moveaxis(out, 0, axis)
+
+
+def box_mean(x, k):
+    """Mean over every k x k window of the two trailing axes of [N, H, W]
+    (valid windows) -> [N, H-k+1, W-k+1].
+
+    Running sums, one axis at a time. The backward is the same box sum over
+    the gradient zero-padded by k-1 on both sides of each axis.
+    """
+    if x.ndim != 3:
+        raise DimensionError(f"box_mean: expected [N, H, W], got {x.shape}")
+    if not 1 <= k <= min(x.shape[1:]):
+        raise DimensionError(f"box_mean: window {k} does not fit {x.shape[1:]}")
+    scale = 1.0 / (k * k)
+
+    def box(a):
+        return _window_sums(_window_sums(a, k, 1), k, 2) * scale
+
+    return _make_output(
+        box(x.data),
+        (x,),
+        lambda g: (box(np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))),),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .train import evaluate_run, train_run
 
 # keys train takes from the dataset manifest, eval from the checkpoint and
 # preprocess from the raw manifest and its files, never from a --set
+MANIFEST_KEYS = ("dataset",) + GEOMETRY_KEYS
 CHECKPOINT_KEYS = GEOMETRY_KEYS + ARCH_KEYS
 RAW_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
 
@@ -204,7 +205,7 @@ def cmd_synth_data(args):
 
 def cmd_train(args):
     cfg = Config.load(args.config, args.overrides)
-    _reject_set_keys(args, GEOMETRY_KEYS, "the dataset manifest")
+    _reject_set_keys(args, MANIFEST_KEYS, "the dataset manifest")
     manifest = read_manifest(args.manifest, validate=True)
     result = train_run(cfg, manifest, Path(args.manifest).parent, args.out)
     print(f"best held-out SSIM {result['best_ssim']:.4f}")

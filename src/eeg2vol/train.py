@@ -136,8 +136,10 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / log_name
     log = open(log_path, "w")
-    # the geometry the model trains at comes from the manifest, not the config
-    header = dict(cfg.items(), **dict(zip(GEOMETRY_KEYS, mcfg.geometry)))
+    # the dataset and the geometry the model trains at come from the
+    # manifest, not the config
+    header = dict(cfg.items(), dataset=manifest.name)
+    header.update(zip(GEOMETRY_KEYS, mcfg.geometry))
     for key, value in sorted(header.items()):
         log.write(f"# {key} = {value}\n")
     log.write(f"# train_subjects = {' '.join(train_ids)}\n")

@@ -145,6 +145,58 @@ def matmul_oracle(a, b):
 
 
 # ---------------------------------------------------------------------------
+# fused ops composed from generic tape ops: the oracles of the one-node ops
+# ---------------------------------------------------------------------------
+
+def linear_composed(x, weight, bias=None):
+    """ad.linear as matmul, transpose and add nodes."""
+    y = ad.matmul(x, ad.transpose(weight))
+    if bias is not None:
+        y = y + bias
+    return y
+
+
+def layer_norm_composed(x, gain, shift, eps=1e-5):
+    """ad.layer_norm as eleven mean, difference, square-root and affine nodes."""
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = ad.tmean(xc * xc, axis=-1, keepdims=True)
+    xn = xc / ad.sqrt(var + eps)
+    return xn * gain + shift
+
+
+def softmax_composed(x, axis=-1):
+    """ad.softmax as shift, exp, sum and divide nodes."""
+    shifted = x - np.max(x.data, axis=axis, keepdims=True)
+    e = ad.exp(shifted)
+    return e / ad.tsum(e, axis=axis, keepdims=True)
+
+
+def box_mean_conv(x, k):
+    """ad.box_mean as an ad.conv2d with a uniform k x k kernel."""
+    n, h, w = x.shape
+    kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
+    y = ad.conv2d(ad.reshape(x, (n, h, w, 1)), kernel)
+    return ad.reshape(y, y.shape[:3])
+
+
+def outputs_and_grads(op, inputs, seed=0):
+    """op(*inputs).data and, for each input, the gradient of <r, op(*inputs)>
+    with r standard normal from seed (zeros for inputs that need none)."""
+    for t in inputs:
+        t.grad = None
+    with ad.Tape() as tape:
+        y = op(*inputs)
+    tape.backward(y, seed=np.random.default_rng(seed).standard_normal(y.shape))
+    out = [y.data] + [
+        t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs
+    ]
+    for t in inputs:
+        t.grad = None
+    return out
+
+
+# ---------------------------------------------------------------------------
 # unfused selective-scan reference
 # ---------------------------------------------------------------------------
 

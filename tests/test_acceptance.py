@@ -4,7 +4,10 @@ Each test prints one `[criterion N] PASS ...` line on success (failures raise
 with diagnostics). Runtime budgets are asserted where the criterion states one.
 """
 
+import ast
+import inspect
 import math
+import sys
 import time
 
 import numpy as np
@@ -93,6 +96,15 @@ def per_op_gradient_pass(seed):
             lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
         )
     fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.selective_scan(*sel))), sel)
+    x3 = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 2, 3)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
+    fd_grad_check(lambda: scalarize(ad.linear(x3, w, b)), [x3, w, b])
+    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
+    shift = ad.Tensor(rng.standard_normal(3), requires_grad=True)
+    fd_grad_check(lambda: scalarize(ad.layer_norm(x3, gain, shift)), [x3, gain, shift])
+    box_x = ad.Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+    fd_grad_check(lambda: scalarize(ad.box_mean(box_x, 3)), [box_x])
 
 
 def test_criterion_1_gradient_suite(capsys):
@@ -124,6 +136,39 @@ def test_criterion_1_gradient_suite(capsys):
         f"{len(model.store.params)} model parameter tensors, rel < 1e-4 "
         f"({elapsed:.1f}s < 120s)",
     )
+
+
+def tape_ops():
+    """Names of the autodiff functions that record a tape node: those whose
+    body calls _make_output."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_make_output"
+        and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make_output"
+                for node in ast.walk(fn))
+    }
+
+
+def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
+    """Each op that records a tape node records one inside criterion 1's
+    finite-difference pass, so a new op cannot land without a gradient case."""
+    recorded = set()
+    make_output = ad._make_output
+
+    def spy(value, inputs, backward_fn):
+        out = make_output(value, inputs, backward_fn)
+        if out._tape is not None:
+            recorded.add(sys._getframe(1).f_code.co_name)
+        return out
+
+    monkeypatch.setattr(ad, "_make_output", spy)
+    per_op_gradient_pass(0)
+    ops = tape_ops()
+    assert {"linear", "layer_norm", "softmax", "box_mean", "selective_scan"} <= ops
+    missing = sorted(ops - recorded)
+    assert not missing, f"tape ops without a criterion 1 gradient case: {missing}"
 
 
 # ---------------------------------------------------------------------------

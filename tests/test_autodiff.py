@@ -4,17 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eeg2vol import autodiff as ad
 from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
+    box_mean_conv,
     conv2d_oracle,
     fd_grad_check,
+    layer_norm_composed,
+    linear_composed,
     matmul_oracle,
+    outputs_and_grads,
     rel_err,
     selective_scan_inputs,
     selective_scan_unchunked,
+    softmax_composed,
 )
 
 
@@ -106,6 +113,104 @@ def test_layer_norm_moments():
     ).data
     assert abs(out.mean()) < 1e-9
     assert abs(out.var() - 1.0) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one-node ops against their compositions
+# ---------------------------------------------------------------------------
+
+FUSED_TOL = 1e-12
+
+
+def worst_gap(fused, composed):
+    """Largest difference over the output and every input gradient, each
+    relative to the composition's largest magnitude (floor 1)."""
+    return max(
+        float(np.max(np.abs(f - c), initial=0.0))
+        / max(1.0, float(np.max(np.abs(c), initial=0.0)))
+        for f, c in zip(fused, composed)
+    )
+
+
+def leaves(rng, *shapes):
+    return [ad.Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n_in=st.integers(1, 6),
+    n_out=st.integers(1, 5),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_matches_composition(lead, n_in, n_out, bias, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(lead) + (n_in,), (n_out, n_in)] + [(n_out,)] * bias
+    inputs = leaves(rng, *shapes)
+    fused = outputs_and_grads(ad.linear, inputs, seed)
+    composed = outputs_and_grads(linear_composed, inputs, seed)
+    assert np.array_equal(fused[0], composed[0])
+    assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 4), max_size=3),
+    width=st.integers(1, 8),
+    scale=st.sampled_from([1e-3, 1.0, 10.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_layer_norm_matches_composition(lead, width, scale, seed):
+    rng = np.random.default_rng(seed)
+    inputs = leaves(rng, tuple(lead) + (width,), (width,), (width,))
+    inputs[0].data *= scale
+    fused = outputs_and_grads(ad.layer_norm, inputs, seed)
+    composed = outputs_and_grads(layer_norm_composed, inputs, seed)
+    assert np.array_equal(fused[0], composed[0])
+    assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    axis_pick=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_softmax_matches_composition(shape, axis_pick, seed):
+    rng = np.random.default_rng(seed)
+    inputs = leaves(rng, tuple(shape))
+    inputs[0].data *= 3.0
+    axis = axis_pick % len(shape)
+    fused = outputs_and_grads(lambda x: ad.softmax(x, axis), inputs, seed)
+    composed = outputs_and_grads(lambda x: softmax_composed(x, axis), inputs, seed)
+    assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 7),
+    extra_h=st.integers(0, 9),
+    extra_w=st.integers(0, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_box_mean_matches_uniform_conv2d(n, k, extra_h, extra_w, seed):
+    rng = np.random.default_rng(seed)
+    inputs = leaves(rng, (n, k + extra_h, k + extra_w))
+    fused = outputs_and_grads(lambda x: ad.box_mean(x, k), inputs, seed)
+    composed = outputs_and_grads(lambda x: box_mean_conv(x, k), inputs, seed)
+    assert fused[0].shape == (n, extra_h + 1, extra_w + 1)
+    assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+def test_box_mean_rejects_bad_windows():
+    x = ad.Tensor(np.zeros((2, 4, 5)))
+    for k in (0, 5):
+        with pytest.raises(DimensionError):
+            ad.box_mean(x, k)
+    with pytest.raises(DimensionError):
+        ad.box_mean(ad.Tensor(np.zeros((4, 5))), 2)
 
 
 def test_silu_values():
@@ -231,6 +336,8 @@ def test_matmul_linear_layernorm_gradients(seed):
     fd_grad_check(
         lambda: ad.tsum(ad.layer_norm(x, gain, shift) * 0.3), [x, gain, shift]
     )
+    x1 = ad.Tensor(rng.standard_normal(4), requires_grad=True)
+    fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.linear(x1, w, b))), [x1, w, b])
 
 
 @pytest.mark.parametrize("seed", range(10))

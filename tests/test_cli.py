@@ -211,6 +211,18 @@ def test_train_log_records_the_manifest_geometry(trained_run):
         assert f"# {key_value.replace('=', ' = ')}" in header
 
 
+def test_train_log_records_the_manifest_name(tmp_path):
+    """train.log's dataset line names the manifest train read, not the
+    config's default."""
+    assert cli.main(
+        ["synth-data", "--subjects", "2", "--pairs", "2", "--out", str(tmp_path / "data"),
+         "--set", "dataset=demo"] + GEOMETRY_SETS
+    ) == 0
+    assert cli.main(train_args(tmp_path, "run")) == 0
+    header = (tmp_path / "run/train.log").read_text().splitlines()
+    assert "# dataset = demo" in header
+
+
 def test_train_attention_dropout_seeded(trained_run):
     """Dropout masks come from the run's seeded rng: two runs match, and the
     losses differ from the dropout-free run."""
@@ -436,6 +448,7 @@ BAD_VALUES = [
     ("train", ["--set", "channels=99", "--set", "height=16"],
      "train takes channels, height from the dataset manifest"),
     ("train", ["--set", "t_bins=5"], "train takes t_bins from the dataset manifest"),
+    ("train", ["--set", "dataset=other"], "train takes dataset from the dataset manifest"),
     ("synth-data", ["--set", "t_bins=20", "--set", "height=8"],
      "encoded plane 20x2 exceeds target 8x8"),
     ("synth-data", ["--set", "f_bins=40"], "encoded plane 5x10 exceeds target 8x8"),

@@ -196,18 +196,31 @@ def test_batch_grads_memory_independent_of_batch_size():
     assert eight <= 1.5 * single, (single, eight)
 
 
-# Nodes one micro training sample records (forward plus hybrid loss); a
-# layout permute around each linear or LayerNorm would raise it.
-MICRO_SAMPLE_TAPE_NODES = 708
+# Nodes and summed node-output bytes one micro training sample records
+# (forward plus hybrid loss); a layout permute around each linear or
+# LayerNorm, or a one-node op split back into its composition, would raise
+# them.
+MICRO_SAMPLE_TAPE_NODES = 428
+MICRO_SAMPLE_TAPE_BYTES = 463_888  # summed node outputs
 
 
-def test_micro_sample_tape_nodes_do_not_grow():
+def micro_sample_tape():
+    """The tape of one micro training sample's forward and hybrid loss."""
     model = Model(micro_model_config(), seed=0)
     spec, vol = next(synth_pair_stream(MICRO_GEOMETRY, seed=0))
     with ad.Tape() as tape:
         pred = model.forward(ad.Tensor(spec))
         hybrid_loss(pred, ad.Tensor(vol), LossWeights(), SsimConfig())
-    assert len(tape.nodes) <= MICRO_SAMPLE_TAPE_NODES
+    return tape
+
+
+def test_micro_sample_tape_nodes_do_not_grow():
+    assert len(micro_sample_tape().nodes) <= MICRO_SAMPLE_TAPE_NODES
+
+
+def test_micro_sample_tape_bytes_do_not_grow():
+    nbytes = sum(out.data.nbytes for out, _inputs, _backward in micro_sample_tape().nodes)
+    assert nbytes <= MICRO_SAMPLE_TAPE_BYTES
 
 
 def test_train_workers_other_than_1_exit_2(tmp_path, capsys):
