@@ -345,6 +345,10 @@ def linear(x, weight, bias=None):
             f"linear: input extent {x.shape[-1]} != weight in-extent "
             f"{weight.shape[-1]}"
         )
+    if bias is not None and bias.shape != weight.shape[:1]:
+        raise DimensionError(
+            f"linear: bias shape {bias.shape} != ({weight.shape[0]},)"
+        )
     val = np.matmul(x.data, weight.data.T)
     if bias is not None:
         val = val + bias.data
@@ -370,8 +374,8 @@ def layer_norm(x, gain, shift, eps=1e-5):
     """
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    if x.shape[-1] != gain.shape[-1] or x.shape[-1] != shift.shape[-1]:
-        raise DimensionError("layer_norm: gain/shift extent mismatch")
+    if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+        raise DimensionError("layer_norm: gain and shift must be [width]")
     inv_n = 1.0 / x.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + eps)
@@ -444,38 +448,6 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
         return (gx, gk)
 
     return _make_output(val, (x, kernel), backward)
-
-
-def _window_sums(a, k, axis):
-    """Sums of k consecutive entries along axis (valid windows only), as
-    differences of running sums."""
-    c = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)
-    out = c[k - 1 :].copy()
-    out[1:] -= c[:-k]
-    return np.moveaxis(out, 0, axis)
-
-
-def box_mean(x, k):
-    """Mean over every k x k window of the two trailing axes of [N, H, W]
-    (valid windows) -> [N, H-k+1, W-k+1].
-
-    Running sums, one axis at a time. The backward is the same box sum over
-    the gradient zero-padded by k-1 on both sides of each axis.
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"box_mean: expected [N, H, W], got {x.shape}")
-    if not 1 <= k <= min(x.shape[1:]):
-        raise DimensionError(f"box_mean: window {k} does not fit {x.shape[1:]}")
-    scale = 1.0 / (k * k)
-
-    def box(a):
-        return _window_sums(_window_sums(a, k, 1), k, 2) * scale
-
-    return _make_output(
-        box(x.data),
-        (x,),
-        lambda g: (box(np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))),),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,8 @@ def ssim(x, y, cfg=None):
     """Mean structural similarity of two [D, H, W] volumes in [0, 1].
 
     Local statistics come from a uniform sliding window on each axial slice
-    ("sliding-mean", box means from running sums) or from whole-slice
-    moments ("global"); slice scores are averaged over depth. Returns a
-    differentiable scalar tensor.
+    ("sliding-mean") or from whole-slice moments ("global"); slice scores are
+    averaged over depth. Returns a differentiable scalar tensor.
     """
     cfg = cfg or SsimConfig()
     x, y = _as3d(x), _as3d(y)
@@ -79,9 +78,11 @@ def ssim(x, y, cfg=None):
     cfg.check_extent(h, w)
 
     if cfg.aggregation == "sliding-mean":
-        # the five box means in one call over a [5D, H, W] stack
-        stats = ad.box_mean(ad.concat([x, y, x * x, y * y, x * y]), cfg.window)
-        mu_x, mu_y, e_xx, e_yy, e_xy = (stats[i * d : (i + 1) * d] for i in range(5))
+        k = cfg.window
+        kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
+        box = lambda t: ad.conv2d(ad.reshape(t, (d, h, w, 1)), kernel)
+        mu_x, mu_y = box(x), box(y)
+        e_xx, e_yy, e_xy = box(x * x), box(y * y), box(x * y)
     else:
         moment = lambda t: ad.tmean(t, axis=(1, 2), keepdims=True)
         mu_x, mu_y = moment(x), moment(y)

@@ -172,14 +172,6 @@ def softmax_composed(x, axis=-1):
     return e / ad.tsum(e, axis=axis, keepdims=True)
 
 
-def box_mean_conv(x, k):
-    """ad.box_mean as an ad.conv2d with a uniform k x k kernel."""
-    n, h, w = x.shape
-    kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
-    y = ad.conv2d(ad.reshape(x, (n, h, w, 1)), kernel)
-    return ad.reshape(y, y.shape[:3])
-
-
 def outputs_and_grads(op, inputs, seed=0):
     """op(*inputs).data and, for each input, the gradient of <r, op(*inputs)>
     with r standard normal from seed (zeros for inputs that need none)."""

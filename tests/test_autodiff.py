@@ -11,7 +11,6 @@ from eeg2vol import autodiff as ad
 from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
-    box_mean_conv,
     conv2d_oracle,
     fd_grad_check,
     layer_norm_composed,
@@ -187,30 +186,17 @@ def test_softmax_matches_composition(shape, axis_pick, seed):
     assert worst_gap(fused, composed) <= FUSED_TOL
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 3),
-    k=st.integers(1, 7),
-    extra_h=st.integers(0, 9),
-    extra_w=st.integers(0, 9),
-    seed=st.integers(0, 2**16),
-)
-def test_box_mean_matches_uniform_conv2d(n, k, extra_h, extra_w, seed):
-    rng = np.random.default_rng(seed)
-    inputs = leaves(rng, (n, k + extra_h, k + extra_w))
-    fused = outputs_and_grads(lambda x: ad.box_mean(x, k), inputs, seed)
-    composed = outputs_and_grads(lambda x: box_mean_conv(x, k), inputs, seed)
-    assert fused[0].shape == (n, extra_h + 1, extra_w + 1)
-    assert worst_gap(fused, composed) <= FUSED_TOL
-
-
-def test_box_mean_rejects_bad_windows():
-    x = ad.Tensor(np.zeros((2, 4, 5)))
-    for k in (0, 5):
+def test_fused_affine_ops_reject_misshapen_parameters():
+    x = ad.Tensor(np.zeros((2, 3)))
+    w = ad.Tensor(np.zeros((4, 3)))
+    for bias in (np.zeros((1, 4)), np.zeros(3)):
         with pytest.raises(DimensionError):
-            ad.box_mean(x, k)
-    with pytest.raises(DimensionError):
-        ad.box_mean(ad.Tensor(np.zeros((4, 5))), 2)
+            ad.linear(x, w, ad.Tensor(bias))
+    for gain in (np.ones((1, 3)), np.ones(4)):
+        with pytest.raises(DimensionError):
+            ad.layer_norm(x, ad.Tensor(gain), ad.Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            ad.layer_norm(x, ad.Tensor(np.ones(3)), ad.Tensor(gain))
 
 
 def test_silu_values():
