@@ -204,11 +204,6 @@ def sqrt(a):
     return _make_output(val, (a,), lambda g: (g * 0.5 / val,))
 
 
-def exp(a):
-    val = np.exp(a.data)
-    return _make_output(val, (a,), lambda g: (g * val,))
-
-
 def sigmoid(a):
     # stable logistic via tanh
     val = 0.5 * (1.0 + np.tanh(0.5 * a.data))
@@ -222,12 +217,6 @@ def silu(a):
         (a,),
         lambda g: (g * (s + a.data * s * (1.0 - s)),),
     )
-
-
-def softplus(a):
-    val = np.logaddexp(0.0, a.data)
-    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    return _make_output(val, (a,), lambda g: (g * s,))
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +309,23 @@ def concat(tensors, axis=0):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
+    """np.matmul, 1-D operands included: as in numpy, a 1-D a is a [1, K]
+    row and a 1-D b a [K, 1] column, and the added axis leaves the result."""
     val = np.matmul(a.data, b.data)
+    a2 = a.data[None] if a.ndim == 1 else a.data
+    b2 = b.data[:, None] if b.ndim == 1 else b.data
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if b.ndim == 1:
+            g = g[..., None]
+        if a.ndim == 1:
+            g = g[..., None, :]
+        ga = np.matmul(g, np.swapaxes(b2, -1, -2))
+        gb = np.matmul(np.swapaxes(a2, -1, -2), g)
+        if a.ndim == 1:
+            ga = ga[..., 0, :]
+        if b.ndim == 1:
+            gb = gb[..., 0]
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _make_output(val, (a, b), backward)
@@ -434,7 +435,11 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
     val = np.einsum("nhwcuv,ocuv->nhwo", windows, kernel.data, optimize=True)
 
     def backward(g):
-        gk = np.einsum("nhwcuv,nhwo->ocuv", windows, g, optimize=True)
+        gk = None
+        if kernel.requires_grad:
+            gk = np.einsum("nhwcuv,nhwo->ocuv", windows, g, optimize=True)
+        if not x.requires_grad:
+            return (None, gk)
         gxp = np.zeros_like(xp)
         hout, wout = g.shape[1], g.shape[2]
         # scatter each kernel offset back onto the padded input grid
@@ -534,6 +539,12 @@ def linear_scan(a, x, mode="sequential"):
 CHUNK = 128  # time steps per block of the selective-scan backward
 
 
+def _discretization(delta_pre, a_log):
+    """delta = softplus(delta_pre) and A = -exp(a_log), the positive step
+    sizes and strictly negative poles of selective_scan."""
+    return np.logaddexp(0.0, delta_pre), -np.exp(a_log)
+
+
 def _transitions(delta, a):
     """Time-major [L, C, S] discretized transitions abar = exp(delta * A)."""
     abar = np.exp(delta[:, :, None] * a[None, :, :])
@@ -544,48 +555,59 @@ def _transitions(delta, a):
     return abar
 
 
-def _selective_states(u, delta, a, b):
+def _selective_states(u, delta_pre, a_log, b):
     """Time-major [L, C, S] states h of selective_scan, from one
     linear_scan over [C, S, L] views of time-major buffers, so each
     recurrence step reads one contiguous [C, S] slice."""
+    delta, a = _discretization(delta_pre, a_log)
     abar = _transitions(delta, a)
     bu = (delta * u)[:, :, None] * b[:, None, :]
+    del delta  # free before the scan, the forward's memory peak
     h = linear_scan(Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)))
     return np.moveaxis(h.data, -1, 0)
 
 
-def selective_scan(u, delta, a, b, c):
-    """y[t, n] = sum_s c[t, s] * h[t, n, s], where h[-1] = 0 and
-    h[t, n, s] = exp(delta[t, n] a[n, s]) h[t-1, n, s] + delta[t, n] u[t, n] b[t, s].
+def selective_scan(u, delta_pre, a_log, b, c, d):
+    """y[t, n] = sum_s c[t, s] * h[t, n, s] + d[n] * u[t, n], where h[-1] = 0,
+    h[t, n, s] = exp(delta[t, n] A[n, s]) h[t-1, n, s] + delta[t, n] u[t, n] b[t, s],
+    delta = softplus(delta_pre) and A = -exp(a_log).
 
-    Time-major: u, delta: [L, C]; a: [C, S]; b, c: [L, S]; y: [L, C]. One
-    tape node that keeps its inputs and the state entering each block of
-    CHUNK steps, [ceil(L / CHUNK), C, S], instead of the [L, C, S]
-    intermediates (the recompute scheme of Mamba, arXiv:2312.00752, over
-    the time chunks of Mamba-2, arXiv:2405.21060). The forward runs one
-    full-length linear_scan. The backward walks the chunks in reverse: it
-    recomputes each chunk's transitions and inputs, then runs the state
-    recompute (forward in time, from the saved entry state) and the adjoint
-    recurrence (backward in time, from the adjoint carried in from the next
-    chunk) as one stacked [2, C, S] sequential loop, and writes the chunk's
-    rows of every gradient but da. da sums over all of time, so it is one
-    contraction over a whole-length buffer.
+    Time-major: u, delta_pre: [L, C]; a_log: [C, S]; b, c: [L, S]; d: [C];
+    y: [L, C]. One tape node, which takes the softplus, the poles and the D
+    skip in as Mamba's selective-scan op does (arXiv:2312.00752). It keeps
+    its inputs and the state entering each block of CHUNK steps,
+    [ceil(L / CHUNK), C, S], instead of the [L, C, S] intermediates or
+    delta and A, which the backward rebuilds from delta_pre and a_log (the
+    recompute scheme of Mamba, over the time chunks of Mamba-2,
+    arXiv:2405.21060). The forward runs one full-length linear_scan. The
+    backward walks the chunks in reverse: it recomputes each chunk's
+    transitions and inputs, then runs the state recompute (forward in time,
+    from the saved entry state) and the adjoint recurrence (backward in
+    time, from the adjoint carried in from the next chunk) as one stacked
+    [2, C, S] sequential loop, and writes the chunk's rows of every
+    gradient but da. da sums over all of time, so it is one contraction
+    over a whole-length buffer.
     """
     length, channels = u.shape
-    state = a.shape[-1]
-    if (delta.shape != (length, channels) or a.shape != (channels, state)
-            or b.shape != (length, state) or c.shape != (length, state)):
+    state = a_log.shape[-1]
+    if (delta_pre.shape != (length, channels) or a_log.shape != (channels, state)
+            or b.shape != (length, state) or c.shape != (length, state)
+            or d.shape != (channels,)):
         raise DimensionError(
-            f"selective_scan: shapes u {u.shape}, delta {delta.shape}, a {a.shape}, "
-            f"b {b.shape}, c {c.shape} do not fit [L,C], [L,C], [C,S], [L,S], [L,S]"
+            f"selective_scan: shapes u {u.shape}, delta_pre {delta_pre.shape}, "
+            f"a_log {a_log.shape}, b {b.shape}, c {c.shape}, d {d.shape} do not fit "
+            f"[L,C], [L,C], [C,S], [L,S], [L,S], [C]"
         )
-    h = _selective_states(u.data, delta.data, a.data, b.data)
+    h = _selective_states(u.data, delta_pre.data, a_log.data, b.data)
     y = np.einsum("tns,ts->tn", h, c.data)
     # entries[k] = h[k * CHUNK - 1], the state entering chunk k
     entries = np.concatenate([np.zeros((1, channels, state)), h[CHUNK - 1 : length - 1 : CHUNK]])
+    del h  # before the D skip's [L, C] temporaries
+    y = y + d.data * u.data
 
     def backward(g):
-        ud = delta.data * u.data
+        delta, a = _discretization(delta_pre.data, a_log.data)
+        ud = delta * u.data
         rows = min(CHUNK, length)
         # stacked recurrences: [:, 0] the states h, [:, 1] the adjoints lam
         coef = np.empty((rows, 2, channels, state))
@@ -599,7 +621,7 @@ def selective_scan(u, delta, a, b, c):
             t0 = k * CHUNK
             t1 = min(t0 + CHUNK, length)
             m = t1 - t0
-            abar = _transitions(delta.data[t0 : t1 + 1], a.data)  # and the next chunk's first row
+            abar = _transitions(delta[t0 : t1 + 1], a)  # and the next chunk's first row
             # state h_t = abar_t h_{t-1} + bu_t, t = t0 .. t1-1
             coef[:m, 0] = abar[:m]
             np.multiply(ud[t0:t1, :, None], b.data[t0:t1, None, :], out=drive[:m, 0])
@@ -624,14 +646,17 @@ def selective_scan(u, delta, a, b, c):
             else:
                 qk[0] = 0.0
             lam_b = np.einsum("tns,ts->tn", lam, b.data[t0:t1])  # d loss / d(delta * u)
-            du[t0:t1] = lam_b * delta.data[t0:t1]
-            ddelta[t0:t1] = lam_b * u.data[t0:t1] + np.einsum("tns,ns->tn", qk, a.data)
+            du[t0:t1] = lam_b * delta[t0:t1]
+            ddelta[t0:t1] = lam_b * u.data[t0:t1] + np.einsum("tns,ns->tn", qk, a)
             db[t0:t1] = np.einsum("tns,tn->ts", lam, ud[t0:t1])
             dc[t0:t1] = np.einsum("tns,tn->ts", hk, g[t0:t1])
-        da = np.einsum("tns,tn->ns", q, delta.data)
-        return (du, ddelta, da, db, dc)
+        da = np.einsum("tns,tn->ns", q, delta)
+        del q, qk  # free the whole-length buffer before the [L, C] temporaries below
+        du += g * d.data  # the D skip
+        ddelta *= 0.5 * (1.0 + np.tanh(0.5 * delta_pre.data))  # softplus' = sigmoid
+        return (du, ddelta, da * a, db, dc, _leading_sum(g * u.data))  # dA / d a_log = A
 
-    return _make_output(y, (u, delta, a, b, c), backward)
+    return _make_output(y, (u, delta_pre, a_log, b, c, d), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,23 @@ def matmul_oracle(a, b):
 
 
 # ---------------------------------------------------------------------------
+# generic tape ops that the program no longer calls
+# ---------------------------------------------------------------------------
+
+def exp(a):
+    """Elementwise exp as one tape node that keeps its output."""
+    val = np.exp(a.data)
+    return ad._make_output(val, (a,), lambda g: (g * val,))
+
+
+def softplus(a):
+    """log(1 + exp(a)) as one tape node that keeps its output and slope."""
+    val = np.logaddexp(0.0, a.data)
+    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    return ad._make_output(val, (a,), lambda g: (g * s,))
+
+
+# ---------------------------------------------------------------------------
 # fused ops composed from generic tape ops: the oracles of the one-node ops
 # ---------------------------------------------------------------------------
 
@@ -168,7 +185,7 @@ def layer_norm_composed(x, gain, shift, eps=1e-5):
 def softmax_composed(x, axis=-1):
     """ad.softmax as shift, exp, sum and divide nodes."""
     shifted = x - np.max(x.data, axis=axis, keepdims=True)
-    e = ad.exp(shifted)
+    e = exp(shifted)
     return e / ad.tsum(e, axis=axis, keepdims=True)
 
 
@@ -192,50 +209,63 @@ def outputs_and_grads(op, inputs, seed=0):
 # unfused selective-scan reference
 # ---------------------------------------------------------------------------
 
-def s6_scan_reference(u, params, mode="sequential"):
-    """decoder.s6_scan composed from generic tape ops, each [C, S, L]
-    intermediate (abar, bu, h, h*C) a tape node: the oracle for the fused
-    ad.selective_scan. u is [L, C] tokens, as s6_scan takes; the composition
-    runs on their [C, L] transpose. mode picks the linear_scan kernel of the
-    oracle."""
+def selective_scan_composed(u, delta_pre, a_log, b, c, d, mode="sequential"):
+    """ad.selective_scan composed from generic tape ops, each [C, S, L]
+    intermediate (abar, bu, h, h*C) a tape node: softplus, A = -exp(a_log),
+    a linear_scan on the [C, L] transposes of the time-major inputs, then
+    the D skip. mode picks the linear_scan kernel."""
     length, n = u.shape
+    state = a_log.shape[1]
     u_cl = ad.transpose(u)  # [channels, L]
-    delta = ad.transpose(ad.softplus(ad.linear(u, params.w_delta, params.b_delta)))
-    b_seq = ad.transpose(ad.linear(u, params.w_b))  # [state, L]
-    c_seq = ad.transpose(ad.linear(u, params.w_c))
-    state = params.a_log.shape[1]
-    a = ad.neg(ad.exp(params.a_log))
-    abar = ad.exp(
-        ad.reshape(delta, (n, 1, length)) * ad.reshape(a, (n, state, 1))
-    )
+    delta = ad.reshape(ad.transpose(softplus(delta_pre)), (n, 1, length))
+    a = ad.neg(exp(a_log))
+    abar = exp(delta * ad.reshape(a, (n, state, 1)))
     if not (np.all(abar.data >= 0.0) and np.all(abar.data <= 1.0)):
         raise NumericError("s6_scan reference: discretized transition left [0, 1]")
     bu = (
-        ad.reshape(delta, (n, 1, length))
-        * ad.reshape(b_seq, (1, state, length))
+        delta
+        * ad.reshape(ad.transpose(b), (1, state, length))
         * ad.reshape(u_cl, (n, 1, length))
     )
     h = ad.linear_scan(abar, bu, mode=mode)
-    y = ad.tsum(h * ad.reshape(c_seq, (1, state, length)), axis=1)
-    return ad.transpose(y + ad.reshape(params.d_skip, (n, 1)) * u_cl)
+    y = ad.tsum(h * ad.reshape(ad.transpose(c), (1, state, length)), axis=1)
+    return ad.transpose(y + ad.reshape(d, (n, 1)) * u_cl)
+
+
+def s6_scan_reference(u, params, mode="sequential"):
+    """decoder.s6_scan with the recurrence composed from generic tape ops
+    (selective_scan_composed): the oracle for the fused ad.selective_scan.
+    u is [L, C] tokens, as s6_scan takes."""
+    return selective_scan_composed(
+        u,
+        ad.linear(u, params.w_delta, params.b_delta),
+        params.a_log,
+        ad.linear(u, params.w_b),
+        ad.linear(u, params.w_c),
+        params.d_skip,
+        mode=mode,
+    )
 
 
 def selective_scan_inputs(rng, channels=2, state=3, length=5):
-    """Time-major leaves u, delta > 0, a < 0, b, c for ad.selective_scan."""
+    """Time-major leaves u, delta_pre, a_log, b, c, d for ad.selective_scan;
+    delta_pre takes both signs and A = -exp(a_log) lies in [-2, -0.5]."""
     return [
         ad.Tensor(rng.standard_normal((length, channels)), requires_grad=True),
-        ad.Tensor(rng.uniform(0.1, 1.0, size=(length, channels)), requires_grad=True),
-        ad.Tensor(-rng.uniform(0.5, 2.0, size=(channels, state)), requires_grad=True),
+        ad.Tensor(rng.uniform(-2.0, 1.0, size=(length, channels)), requires_grad=True),
+        ad.Tensor(np.log(rng.uniform(0.5, 2.0, size=(channels, state))), requires_grad=True),
         ad.Tensor(rng.standard_normal((length, state)), requires_grad=True),
         ad.Tensor(rng.standard_normal((length, state)), requires_grad=True),
+        ad.Tensor(rng.standard_normal(channels), requires_grad=True),
     ]
 
 
-def selective_scan_unchunked(u, delta, a, b, c, g):
-    """y and the gradients (du, ddelta, da, db, dc) of <g, y> for the fused
-    selective scan, computed from whole-length [L, C, S] states and adjoints
-    by plain step loops, the way ad.selective_scan computed them before its
-    backward ran in time chunks: the bit-for-bit oracle of the chunked op."""
+def selective_scan_unchunked(u, delta_pre, a_log, b, c, d, g):
+    """y and the gradients (du, ddelta_pre, da_log, db, dc, dd) of <g, y>
+    for the fused selective scan, computed from whole-length [L, C, S]
+    states and adjoints by plain step loops, the way ad.selective_scan
+    computed them before its backward ran in time chunks: the bit-for-bit
+    oracle of the chunked op."""
 
     def scan(coef, x):  # h[t] = coef[t] * h[t-1] + x[t], h[-1] = 0
         h = np.empty_like(x)
@@ -245,9 +275,10 @@ def selective_scan_unchunked(u, delta, a, b, c, g):
             h[t] = prev
         return h
 
+    delta, a = np.logaddexp(0.0, delta_pre), -np.exp(a_log)
     abar = np.exp(delta[:, :, None] * a[None, :, :])
     h = scan(abar, (delta * u)[:, :, None] * b[:, None, :])
-    y = np.einsum("tns,ts->tn", h, c)
+    y = np.einsum("tns,ts->tn", h, c) + d * u
     # adjoint lam_t = c_t g_t + abar_{t+1} lam_{t+1}, over reversed time
     a_rev = np.empty_like(abar)
     a_rev[0] = 0.0
@@ -256,13 +287,15 @@ def selective_scan_unchunked(u, delta, a, b, c, g):
     q = np.zeros_like(h)
     q[1:] = lam[1:] * h[:-1] * abar[1:]
     lam_b = np.einsum("tns,ts->tn", lam, b)
+    ddelta = lam_b * u + np.einsum("tns,ns->tn", q, a)
     return (
         y,
-        lam_b * delta,
-        lam_b * u + np.einsum("tns,ns->tn", q, a),
-        np.einsum("tns,tn->ns", q, delta),
+        g * d + lam_b * delta,
+        ddelta * (0.5 * (1.0 + np.tanh(0.5 * delta_pre))),
+        np.einsum("tns,tn->ns", q, delta) * a,
         np.einsum("tns,tn->ts", lam, delta * u),
         np.einsum("tns,tn->ts", h, g),
+        (g * u).sum(axis=0),
     )
 
 

@@ -27,11 +27,13 @@ from conftest import (
     MICRO_GEOMETRY,
     dft_oracle,
     directional_grad_check,
+    exp,
     fd_grad_check,
     micro_model_config,
     s6_scan_reference,
     s6_worst_vs_reference,
     selective_scan_inputs,
+    softplus,
 )
 from test_data_train import micro_run_config, tree_hashes
 from test_decoder import random_s6_params
@@ -57,11 +59,11 @@ def per_op_gradient_pass(seed):
         (lambda: scalarize(x * y), [x, y]),
         (lambda: scalarize(x / y), [x, y]),
         (lambda: scalarize(ad.neg(x)), [x]),
-        (lambda: scalarize(ad.exp(x)), [x]),
+        (lambda: scalarize(exp(x)), [x]),
         (lambda: scalarize(ad.sqrt(x)), [x]),
         (lambda: scalarize(ad.sigmoid(x)), [x]),
         (lambda: scalarize(ad.silu(x)), [x]),
-        (lambda: scalarize(ad.softplus(x)), [x]),
+        (lambda: scalarize(softplus(x)), [x]),
         (lambda: scalarize(ad.softmax(x, axis=-1)), [x]),
         (lambda: scalarize(ad.tmean(x, axis=0, keepdims=True)), [x]),
         (lambda: ad.tsum(x) * ad.tsum(y), [x, y]),
@@ -95,6 +97,7 @@ def per_op_gradient_pass(seed):
         fd_grad_check(
             lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
         )
+    # leaves u, delta_pre, a_log, b, c and d
     fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.selective_scan(*sel))), sel)
     x3 = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 2, 3)), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
@@ -103,6 +106,15 @@ def per_op_gradient_pass(seed):
     gain = ad.Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
     shift = ad.Tensor(rng.standard_normal(3), requires_grad=True)
     fd_grad_check(lambda: scalarize(ad.layer_norm(x3, gain, shift)), [x3, gain, shift])
+    # matmul with numpy's 1-D promotion: vector @ matrix, matrix @ vector,
+    # vector @ vector
+    v = ad.Tensor(rng.uniform(0.2, 1.5, size=3), requires_grad=True)
+    v2 = ad.Tensor(rng.uniform(0.2, 1.5, size=2), requires_grad=True)
+    fd_grad_check(lambda: scalarize(ad.matmul(v, ad.transpose(x))), [v, x])
+    fd_grad_check(lambda: scalarize(ad.matmul(x, v)), [x, v])
+    fd_grad_check(lambda: scalarize(ad.matmul(x3, v)), [x3, v])
+    fd_grad_check(lambda: scalarize(ad.matmul(v2, x3)), [v2, x3])
+    fd_grad_check(lambda: scalarize(ad.matmul(v, v)), [v])
 
 
 def test_criterion_1_gradient_suite(capsys):

@@ -12,15 +12,18 @@ from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
     conv2d_oracle,
+    exp,
     fd_grad_check,
     layer_norm_composed,
     linear_composed,
     matmul_oracle,
     outputs_and_grads,
     rel_err,
+    selective_scan_composed,
     selective_scan_inputs,
     selective_scan_unchunked,
     softmax_composed,
+    softplus,
 )
 
 
@@ -253,14 +256,14 @@ def test_gradient_accumulation_of_sum_matches_separate_backwards():
     x = ad.Tensor(data.copy(), requires_grad=True)
     with ad.Tape():
         f = ad.tsum(x * x)
-        g = ad.tsum(ad.exp(x))
+        g = ad.tsum(exp(x))
         (f + g).backward()
     combined = x.grad.copy()
     x.grad = None
     with ad.Tape():
         ad.tsum(x * x).backward()
     with ad.Tape():
-        ad.tsum(ad.exp(x)).backward()
+        ad.tsum(exp(x)).backward()
     np.testing.assert_allclose(combined, x.grad, rtol=1e-12)
 
 
@@ -275,11 +278,11 @@ def test_no_tape_means_plain_forward():
 # ---------------------------------------------------------------------------
 
 UNARY_OPS = [
-    ad.exp,
+    exp,
     ad.sqrt,
     ad.sigmoid,
     ad.silu,
-    ad.softplus,
+    softplus,
     ad.neg,
     lambda t: ad.softmax(t, axis=-1),
     lambda t: ad.reshape(t, (2, 3)),
@@ -297,7 +300,7 @@ def test_unary_op_gradients(seed):
     rng = np.random.default_rng(seed)
     for op in UNARY_OPS:
         x = ad.Tensor(rng.uniform(0.2, 1.5, size=6), requires_grad=True)
-        fd_grad_check(lambda: ad.tsum(ad.exp(op(x) * 0.3)), [x])
+        fd_grad_check(lambda: ad.tsum(exp(op(x) * 0.3)), [x])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -389,8 +392,12 @@ SELECTIVE_SCAN_FAULTS = [
     # kernel the fused op runs
     pytest.param(6, 1, (2, 1), np.nan, r"discretized transition left \[0, 1\]",
                  id="nan-delta-sequential"),
+    pytest.param(6, 2, (1, 2), np.nan, r"discretized transition left \[0, 1\]",
+                 id="nan-a_log-sequential"),
     pytest.param(6, 0, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
                  id="inf-token-sequential"),
+    pytest.param(6, 1, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
+                 id="inf-delta-sequential"),
     # faults in the middle chunk, which the backward reaches after the last
     pytest.param(LATER_CHUNK, 1, (ad.CHUNK + 3, 1), np.nan,
                  r"discretized transition left \[0, 1\]", id="nan-delta-chunk1-sequential"),
@@ -438,6 +445,22 @@ def test_selective_scan_matches_unchunked_oracle(length):
         assert np.array_equal(got, ref)
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    length=st.sampled_from([ad.CHUNK - 1, ad.CHUNK, ad.CHUNK + 1, 2 * ad.CHUNK + 1]),
+    channels=st.integers(1, 3),
+    state=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_selective_scan_matches_composition(length, channels, state, seed):
+    """The one-node op against softplus -> linear_scan -> + d * u composed
+    from generic tape ops, across chunk boundaries."""
+    inputs = selective_scan_inputs(np.random.default_rng(seed), channels, state, length)
+    fused = outputs_and_grads(ad.selective_scan, inputs, seed)
+    composed = outputs_and_grads(selective_scan_composed, inputs, seed)
+    assert worst_gap(fused, composed) <= FUSED_TOL
+
+
 def test_selective_scan_backward_memory_is_bounded():
     """The backward's transient memory stays within 2.5 state-sized
     [L, C, S] arrays: only the da contraction buffer is whole-length."""
@@ -457,9 +480,11 @@ def test_selective_scan_backward_memory_is_bounded():
 
 
 def test_selective_scan_shape_mismatch():
-    u, delta, a, b, c = selective_scan_inputs(np.random.default_rng(42))
+    u, delta_pre, a_log, b, c, d = selective_scan_inputs(np.random.default_rng(42))
     with pytest.raises(DimensionError, match="selective_scan"):
-        ad.selective_scan(u, delta, a, b, ad.Tensor(np.zeros((3, 4))))
+        ad.selective_scan(u, delta_pre, a_log, b, ad.Tensor(np.zeros((3, 4))), d)
+    with pytest.raises(DimensionError, match="selective_scan"):
+        ad.selective_scan(u, delta_pre, a_log, b, c, ad.Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +501,7 @@ def test_bounded_ops_stay_finite():
         (x * y).data,
         ad.sigmoid(x).data,
         ad.silu(x).data,
-        ad.softplus(x).data,
+        softplus(x).data,
         ad.softmax(x, axis=-1).data,
         ad.tmean(x).data,
         ad.matmul(x, y).data,

@@ -200,8 +200,8 @@ def test_batch_grads_memory_independent_of_batch_size():
 # (forward plus hybrid loss); a layout permute around each linear or
 # LayerNorm, or a one-node op split back into its composition, would raise
 # them.
-MICRO_SAMPLE_TAPE_NODES = 424
-MICRO_SAMPLE_TAPE_BYTES = 459_856  # summed node outputs
+MICRO_SAMPLE_TAPE_NODES = 324
+MICRO_SAMPLE_TAPE_BYTES = 374_864  # summed node outputs
 
 
 def micro_sample_tape():

@@ -190,6 +190,16 @@ def test_s6_tape_holds_no_state_sized_tensor():
     assert largest <= channels * length
 
 
+def test_s6_scan_records_four_nodes():
+    """The delta, B and C projections and the fused selective scan."""
+    params = random_s6_params(3, 2, seed=27)
+    u = ad.Tensor(np.random.default_rng(28).standard_normal((7, 3)), True)
+    with ad.Tape() as tape:
+        s6_scan(u, params)
+    names = [fn.__qualname__.split(".")[0] for _out, _inputs, fn in tape.nodes]
+    assert names == ["linear", "linear", "linear", "selective_scan"]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_s6_nan_token_raises():
     params = random_s6_params(2, 3, seed=25)
