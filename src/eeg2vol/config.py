@@ -93,6 +93,22 @@ def check(key, value):
         raise ConfigError(f"{key} = {value!r}: must {rule}")
 
 
+def coerce(key, raw):
+    """raw as key's SCHEMA type, checked as `check` does. Strings parse; a
+    bool is not a number, and an int key takes a float only if it is whole,
+    so nothing is truncated."""
+    typ = SCHEMA[key][1]
+    if typ is not str and (isinstance(raw, bool) or (
+            typ is int and isinstance(raw, float) and not raw.is_integer())):
+        raise ConfigError(f"config key {key} expects {typ.__name__}, got {raw!r}")
+    try:
+        value = typ(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key} expects {typ.__name__}: {exc}") from exc
+    check(key, value)
+    return value
+
+
 class Config:
     def __init__(self, values=None):
         self._values = {k: v[0] for k, v in SCHEMA.items()}
@@ -104,13 +120,7 @@ class Config:
         if key not in SCHEMA:
             valid = ", ".join(sorted(SCHEMA))
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-        typ = SCHEMA[key][1]
-        try:
-            value = typ(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key} expects {typ.__name__}: {exc}") from exc
-        check(key, value)
-        self._values[key] = value
+        self._values[key] = coerce(key, raw)
 
     def __getattr__(self, key):
         try:

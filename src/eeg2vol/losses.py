@@ -7,43 +7,24 @@ the prediction; psnr is evaluation-only and returns a plain float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import check
+from .config import Config
 from .errors import ConfigError, DimensionError
 
 
-@dataclass
-class LossWeights:
-    lambda1: float = 0.5  # structural term
-    lambda2: float = 0.5  # mean-squared-error term
-
-    def __post_init__(self):
-        check("lambda1", self.lambda1)
-        check("lambda2", self.lambda2)
-        if self.lambda1 == 0 and self.lambda2 == 0:
-            raise ConfigError("at least one loss weight must be positive")
+def check_loss_weights(cfg):
+    """The hybrid loss needs at least one positive weight."""
+    if cfg.lambda1 == 0 and cfg.lambda2 == 0:
+        raise ConfigError("lambda1 and lambda2 must not both be 0")
 
 
-@dataclass
-class SsimConfig:
-    window: int = 7
-    c1: float = 0.01**2
-    c2: float = 0.03**2
-    aggregation: str = "sliding-mean"  # or "global"
-
-    def __post_init__(self):
-        for key, value in (("ssim_window", self.window), ("ssim_c1", self.c1),
-                           ("ssim_c2", self.c2), ("ssim_aggregation", self.aggregation)):
-            check(key, value)
-
-    def check_extent(self, h, w):
-        """The sliding window must fit in an h x w slice."""
-        if self.aggregation == "sliding-mean" and self.window > min(h, w):
-            raise ConfigError(f"SSIM window {self.window} exceeds slice extent {h}x{w}")
+def check_ssim_window(cfg, h, w):
+    """The sliding window must fit in an h x w slice."""
+    if cfg.ssim_aggregation == "sliding-mean" and cfg.ssim_window > min(h, w):
+        raise ConfigError(f"ssim_window {cfg.ssim_window} exceeds slice extent {h}x{w}")
 
 
 def _as3d(t):
@@ -68,17 +49,18 @@ def ssim(x, y, cfg=None):
 
     Local statistics come from a uniform sliding window on each axial slice
     ("sliding-mean") or from whole-slice moments ("global"); slice scores are
-    averaged over depth. Returns a differentiable scalar tensor.
+    averaged over depth. cfg is a run Config (None: the defaults); its
+    ssim_* keys apply. Returns a differentiable scalar tensor.
     """
-    cfg = cfg or SsimConfig()
+    cfg = Config() if cfg is None else cfg
     x, y = _as3d(x), _as3d(y)
     if x.shape != y.shape:
         raise DimensionError(f"ssim: shape mismatch {x.shape} vs {y.shape}")
     d, h, w = x.shape
-    cfg.check_extent(h, w)
+    check_ssim_window(cfg, h, w)
 
-    if cfg.aggregation == "sliding-mean":
-        k = cfg.window
+    if cfg.ssim_aggregation == "sliding-mean":
+        k = cfg.ssim_window
         kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
         box = lambda t: ad.conv2d(ad.reshape(t, (d, h, w, 1)), kernel)
         mu_x, mu_y = box(x), box(y)
@@ -91,8 +73,9 @@ def ssim(x, y, cfg=None):
     var_x = e_xx - mu_x * mu_x
     var_y = e_yy - mu_y * mu_y
     cov = e_xy - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + cfg.c1) * (2.0 * cov + cfg.c2)
-    den = (mu_x * mu_x + mu_y * mu_y + cfg.c1) * (var_x + var_y + cfg.c2)
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return ad.tmean(num / den)
 
 
@@ -108,14 +91,16 @@ def psnr(x, y, max_val=1.0):
     return 10.0 * math.log10(max_val * max_val / err)
 
 
-def hybrid_loss(x, y, weights=None, ssim_cfg=None):
-    """lambda1 * (1 - ssim) + lambda2 * mse, differentiable in x."""
-    weights = weights or LossWeights()
+def hybrid_loss(x, y, cfg=None):
+    """lambda1 * (1 - ssim) + lambda2 * mse, differentiable in x; the weights
+    and the SSIM settings come from the run Config cfg (None: the defaults)."""
+    cfg = Config() if cfg is None else cfg
+    check_loss_weights(cfg)
     parts = []
-    if weights.lambda1 != 0.0:
-        parts.append(weights.lambda1 * (1.0 - ssim(x, y, ssim_cfg)))
-    if weights.lambda2 != 0.0:
-        parts.append(weights.lambda2 * mse(x, y))
+    if cfg.lambda1 != 0.0:
+        parts.append(cfg.lambda1 * (1.0 - ssim(x, y, cfg)))
+    if cfg.lambda2 != 0.0:
+        parts.append(cfg.lambda2 * mse(x, y))
     total = parts[0]
     for p in parts[1:]:
         total = total + p
@@ -129,13 +114,20 @@ def hybrid_loss(x, y, weights=None, ssim_cfg=None):
 REPORT_HEADER = "subject, n_samples, ssim_mean, ssim_std, psnr_mean, psnr_std"
 
 
+def finite_psnr_stats(psnrs):
+    """(mean, population std) of the finite PSNRs; (+inf, 0) when none is
+    finite, as when every prediction is exact."""
+    psnrs = np.asarray(psnrs, dtype=np.float64)
+    finite = psnrs[np.isfinite(psnrs)]
+    if not finite.size:
+        return math.inf, 0.0
+    return float(finite.mean()), float(finite.std())
+
+
 def format_report_row(subject, ssims, psnrs):
     """One mean+-std row per subject; population (ddof=0) convention."""
     ssims = np.asarray(ssims, dtype=np.float64)
-    psnrs = np.asarray(psnrs, dtype=np.float64)
-    finite = psnrs[np.isfinite(psnrs)]
-    p_mean = float(finite.mean()) if finite.size else math.inf
-    p_std = float(finite.std()) if finite.size else 0.0
+    p_mean, p_std = finite_psnr_stats(psnrs)
     return (
         f"{subject}, {ssims.size}, {ssims.mean():.6f}, {ssims.std():.6f}, "
         f"{p_mean:.6f}, {p_std:.6f}"

@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import dsp, s2vt
 from .decoder import Decoder
 from .encoder import Encoder
-from .config import check
+from .config import SCHEMA, coerce
 from .errors import ConfigError, DataError
 from .layers import ParamStore
 
@@ -25,19 +25,20 @@ GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
 @dataclass
 class ModelConfig:
     geometry: tuple  # (C, T, F, D, H, W)
-    embed: int = 32
-    heads: int = 4
-    enc_stages: int = 2
-    attention_dropout: float = 0.0
-    vss_blocks: int = 2
-    state_dim: int = 8
+    embed: int = SCHEMA["embed"][0]
+    heads: int = SCHEMA["heads"][0]
+    enc_stages: int = SCHEMA["enc_stages"][0]
+    attention_dropout: float = SCHEMA["attention_dropout"][0]
+    vss_blocks: int = SCHEMA["vss_blocks"][0]
+    state_dim: int = SCHEMA["state_dim"][0]
 
     def __post_init__(self):
         self.geometry = tuple(self.geometry)
         if len(self.geometry) != 6 or min(self.geometry) < 1:
             raise ConfigError(f"geometry {self.geometry} must list C T F D H W, each >= 1")
+        self.geometry = tuple(coerce(k, v) for k, v in zip(GEOMETRY_KEYS, self.geometry))
         for key in ARCH_KEYS + ("attention_dropout",):
-            check(key, getattr(self, key))
+            setattr(self, key, coerce(key, getattr(self, key)))
         if self.embed % self.heads != 0:
             raise ConfigError(f"embed width {self.embed} not divisible by {self.heads} heads")
         h, w = self.geometry[4:]

@@ -8,64 +8,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check
 from .errors import ConfigError, NumericError
 
 
-@dataclass
-class ScheduleConfig:
-    base_lr: float = 1e-3
-    restart_period_epochs: int = 10
-    min_lr: float = 0.0
-    total_epochs: int = 50
-
-    def __post_init__(self):
-        check("epochs", self.total_epochs)
-        check("restart_period", self.restart_period_epochs)
-        if self.min_lr > self.base_lr:
-            raise ConfigError("min_lr must not exceed base_lr")
+def check_lr_floor(cfg):
+    """The cosine schedule falls from lr to min_lr, so min_lr <= lr."""
+    if cfg.min_lr > cfg.lr:
+        raise ConfigError("min_lr must not exceed lr")
 
 
 def lr_at(epoch, frac, cfg):
-    """Cosine annealing with hard restarts every restart_period_epochs.
+    """Cosine annealing from the run Config's lr to min_lr, with hard
+    restarts every restart_period epochs.
 
     frac is the fractional progress through the epoch in [0, 1). The rate
-    returns exactly to base_lr at every restart boundary.
+    returns exactly to lr at every restart boundary.
     """
-    if not 0 <= epoch < cfg.total_epochs:
-        raise ConfigError(f"epoch {epoch} outside [0, {cfg.total_epochs})")
-    t = (epoch % cfg.restart_period_epochs + frac) / cfg.restart_period_epochs
-    return cfg.min_lr + (cfg.base_lr - cfg.min_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
+    check_lr_floor(cfg)
+    if not 0 <= epoch < cfg.epochs:
+        raise ConfigError(f"epoch {epoch} outside [0, {cfg.epochs})")
+    t = (epoch % cfg.restart_period + frac) / cfg.restart_period
+    return cfg.min_lr + (cfg.lr - cfg.min_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a named-parameter store."""
+    """Decoupled-weight-decay Adam over a named-parameter store, with the
+    run Config's weight_decay, beta1, beta2 and adam_eps."""
 
-    def __init__(self, params, lr=1e-3, weight_decay=1e-2, betas=(0.9, 0.999), eps=1e-8):
-        for key, value in (("lr", lr), ("weight_decay", weight_decay), ("beta1", betas[0]),
-                           ("beta2", betas[1]), ("adam_eps", eps)):
-            check(key, value)
+    def __init__(self, params, cfg):
         self.params = params  # dict name -> Tensor
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
+        self.cfg = cfg
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
 
-    def step(self, lr=None):
-        """Apply one update from the gradients currently on the parameters.
+    def step(self, lr):
+        """Apply one update at rate lr from the gradients currently on the
+        parameters.
 
         Parameters with no gradient are treated as zero-gradient (they still
         receive weight decay). Non-finite gradients reject the whole step.
         """
-        lr = self.lr if lr is None else lr
         for name, t in self.params.items():
             if t.grad is not None and not np.all(np.isfinite(t.grad)):
                 raise NumericError(f"non-finite gradient on {name}; step rejected")
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        eps, weight_decay = self.cfg.adam_eps, self.cfg.weight_decay
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         for name, t in self.params.items():
@@ -75,7 +64,7 @@ class AdamW:
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             t.data = t.data - lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * t.data
+                m_hat / (np.sqrt(v_hat) + eps) + weight_decay * t.data
             )
 
     def state_arrays(self):

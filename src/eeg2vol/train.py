@@ -12,8 +12,9 @@ from . import s2vt
 from .dsp import resolve_pair_paths
 from .errors import ConfigError, DataError, NumericError
 from .losses import (
-    LossWeights,
-    SsimConfig,
+    check_loss_weights,
+    check_ssim_window,
+    finite_psnr_stats,
     format_report_row,
     hybrid_loss,
     psnr,
@@ -21,7 +22,7 @@ from .losses import (
     REPORT_HEADER,
 )
 from .model import GEOMETRY_KEYS, Model, ModelConfig
-from .optim import AdamW, ScheduleConfig, lr_at, make_splits
+from .optim import AdamW, check_lr_floor, lr_at, make_splits
 
 
 def load_pairs(manifest, base_dir=".", subjects=None):
@@ -39,11 +40,7 @@ def load_pairs(manifest, base_dir=".", subjects=None):
     return out
 
 
-def ssim_config_from(cfg):
-    return SsimConfig(cfg.ssim_window, cfg.ssim_c1, cfg.ssim_c2, cfg.ssim_aggregation)
-
-
-def _batch_grads(model, batch, weights, ssim_cfg, rng=None):
+def _batch_grads(model, batch, cfg, rng=None):
     """Accumulate mean-loss gradients over one batch; returns the mean loss.
 
     Each sample runs forward, loss and backward before the next one starts,
@@ -55,7 +52,7 @@ def _batch_grads(model, batch, weights, ssim_cfg, rng=None):
     for _sid, spec, vol in batch:
         with ad.Tape() as tape:
             pred = model.forward(ad.Tensor(spec), rng=rng)
-            loss = hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)
+            loss = hybrid_loss(pred, ad.Tensor(vol), cfg)
         value = loss.item()
         if not math.isfinite(value):
             raise NumericError("non-finite training loss")
@@ -80,13 +77,14 @@ def _clip_gradients(store, max_norm):
                 t.grad = t.grad * factor
 
 
-def evaluate_samples(model, samples, ssim_cfg):
-    """Per-subject SSIM/PSNR rows plus a pooled summary row."""
+def evaluate_samples(model, samples, cfg):
+    """Per-subject SSIM/PSNR rows plus a pooled summary row; returns the rows,
+    the pooled mean SSIM and the pooled mean of the finite PSNRs."""
     by_subject = {}
     for sid, spec, vol in samples:
         pred = model.predict(spec)
         by_subject.setdefault(sid, ([], []))
-        by_subject[sid][0].append(float(ssim(pred, vol, ssim_cfg).item()))
+        by_subject[sid][0].append(float(ssim(pred, vol, cfg).item()))
         by_subject[sid][1].append(psnr(pred, vol))
     rows = [
         format_report_row(sid, ssims, psnrs)
@@ -95,7 +93,7 @@ def evaluate_samples(model, samples, ssim_cfg):
     all_ssims = [v for s, _ in by_subject.values() for v in s]
     all_psnrs = [v for _, p in by_subject.values() for v in p]
     rows.append(format_report_row("ALL", all_ssims, all_psnrs))
-    return rows, float(np.mean(all_ssims)), all_psnrs
+    return rows, float(np.mean(all_ssims)), finite_psnr_stats(all_psnrs)[0]
 
 
 def split_for(cfg, manifest):
@@ -118,18 +116,15 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
     SSIM, last.ckpt the most recent completed epoch.
     """
     mcfg = ModelConfig.from_run_config(cfg, geometry=manifest.geometry)
-    ssim_cfg = ssim_config_from(cfg)
-    ssim_cfg.check_extent(*mcfg.geometry[4:])
+    check_loss_weights(cfg)
+    check_lr_floor(cfg)
+    check_ssim_window(cfg, *mcfg.geometry[4:])
     train_ids, test_ids = split_for(cfg, manifest)
     train_samples = load_pairs(manifest, base_dir, train_ids)
     test_samples = load_pairs(manifest, base_dir, test_ids)
 
     model = Model(mcfg, seed=cfg.seed)
-    optimizer = AdamW(model.store.params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                      betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps)
-    schedule = ScheduleConfig(base_lr=cfg.lr, restart_period_epochs=cfg.restart_period,
-                              min_lr=cfg.min_lr, total_epochs=cfg.epochs)
-    weights = LossWeights(cfg.lambda1, cfg.lambda2)
+    optimizer = AdamW(model.store.params, cfg)
     rng = np.random.default_rng(cfg.seed)
 
     out_dir = Path(out_dir)
@@ -157,21 +152,19 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
             order = rng.permutation(n)
             epoch_losses = []
             for b in range(steps_per_epoch):
-                lr = lr_at(epoch, b / steps_per_epoch, schedule)
+                lr = lr_at(epoch, b / steps_per_epoch, cfg)
                 members = [train_samples[i] for i in order[b * batch : (b + 1) * batch]]
                 model.store.zero_grad()
-                loss = _batch_grads(model, members, weights, ssim_cfg, rng)
+                loss = _batch_grads(model, members, cfg, rng)
                 if cfg.grad_clip > 0:
                     _clip_gradients(model.store, cfg.grad_clip)
-                optimizer.step(lr=lr)
+                optimizer.step(lr)
                 epoch_losses.append(loss)
                 step += 1
                 log.write(f"{epoch}, {step}, {lr:.10g}, {loss:.10g}, -, -\n")
-            _rows, eval_ssim, eval_psnrs = evaluate_samples(model, test_samples, ssim_cfg)
-            finite = [p for p in eval_psnrs if math.isfinite(p)]
-            eval_psnr = float(np.mean(finite)) if finite else math.inf
+            _rows, eval_ssim, eval_psnr = evaluate_samples(model, test_samples, cfg)
             log.write(
-                f"{epoch}, {step}, {lr_at(epoch, 1.0 - 1e-12, schedule):.10g}, "
+                f"{epoch}, {step}, {lr_at(epoch, 1.0 - 1e-12, cfg):.10g}, "
                 f"{np.mean(epoch_losses):.10g}, {eval_ssim:.10g}, {eval_psnr:.10g}\n"
             )
             log.flush()
@@ -205,7 +198,7 @@ def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
         )
     _train_ids, test_ids = split_for(cfg, manifest)
     samples = load_pairs(manifest, base_dir, test_ids)
-    rows, _mean_ssim, _psnrs = evaluate_samples(model, samples, ssim_config_from(cfg))
+    rows, _mean_ssim, _mean_psnr = evaluate_samples(model, samples, cfg)
     lines = [f"# checkpoint = {checkpoint_dir}", REPORT_HEADER] + rows
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
+from eeg2vol.config import Config
 from eeg2vol.data import synth_dataset, synth_pair_stream
 from eeg2vol.decoder import scan_expand, scan_merge, s6_scan
 from eeg2vol.dsp import dct_downsample, hann_window, stft
-from eeg2vol.losses import LossWeights, SsimConfig, hybrid_loss, mse, psnr, ssim
+from eeg2vol.losses import hybrid_loss, mse, psnr, ssim
 from eeg2vol.model import Model, ModelConfig
-from eeg2vol.optim import AdamW, ScheduleConfig, lr_at
+from eeg2vol.optim import AdamW, lr_at
 from eeg2vol.presets import CN_EPFL_RAW_VOLUME, preset_config
 from eeg2vol.train import train_run
 
@@ -130,10 +131,10 @@ def test_criterion_1_gradient_suite(capsys):
     rng = np.random.default_rng(1)
     x = ad.Tensor(rng.random(MICRO_GEOMETRY[:3]))
     target = ad.Tensor(rng.random(MICRO_GEOMETRY[3:]))
-    cfg = SsimConfig()
+    cfg = Config({"lambda1": 0.5, "lambda2": 0.5})
 
     def loss():
-        return hybrid_loss(model.forward(x), target, LossWeights(0.5, 0.5), cfg)
+        return hybrid_loss(model.forward(x), target, cfg)
 
     directional_grad_check(
         loss, list(model.store.params.items()), np.random.default_rng(2)
@@ -262,7 +263,7 @@ def test_criterion_4_metric_identities(capsys):
     x = rng.random((3, 9, 9))
     y = rng.random((3, 9, 9))
     for agg in ("sliding-mean", "global"):
-        cfg = SsimConfig(aggregation=agg)
+        cfg = Config({"ssim_aggregation": agg})
         assert abs(ssim(x, x, cfg).item() - 1.0) < 1e-9
         assert abs(ssim(x, y, cfg).item() - ssim(y, x, cfg).item()) <= 1e-12
 
@@ -271,9 +272,11 @@ def test_criterion_4_metric_identities(capsys):
     q[0, 0, 0] = 0.5  # mse exactly 0.01
     assert psnr(p, q) == 20.0
 
-    assert hybrid_loss(x, y, LossWeights(0.0, 0.7)).item() == 0.7 * mse(x, y).item()
+    mse_only = Config({"lambda1": 0.0, "lambda2": 0.7})
+    ssim_only = Config({"lambda1": 0.3, "lambda2": 0.0})
+    assert hybrid_loss(x, y, mse_only).item() == 0.7 * mse(x, y).item()
     assert (
-        hybrid_loss(x, y, LossWeights(0.3, 0.0)).item()
+        hybrid_loss(x, y, ssim_only).item()
         == 0.3 * (1.0 - ssim(x, y).item())
     )
     announce(
@@ -332,24 +335,23 @@ def test_criterion_6_learnability(capsys):
         state_dim=2,
     )
     model = Model(mcfg, seed=0)
-    opt = AdamW(model.store.params, lr=1e-3, weight_decay=1e-2)
     # the training-recipe schedule scaled to the 200-step budget:
     # restarts every 10/50 of the run
-    sched = ScheduleConfig(base_lr=1e-3, restart_period_epochs=40, total_epochs=200)
-    weights = LossWeights(0.5, 0.5)
-    cfg = SsimConfig()
+    cfg = Config({"lr": 1e-3, "weight_decay": 1e-2, "restart_period": 40, "epochs": 200,
+                  "lambda1": 0.5, "lambda2": 0.5})
+    opt = AdamW(model.store.params, cfg)
     losses = []
     for step in range(200):
-        lr = lr_at(step, 0.0, sched)
+        lr = lr_at(step, 0.0, cfg)
         model.store.zero_grad()
         total = 0.0
         for spec, vol in pairs:  # batch 8 = the full training set
             with ad.Tape() as tape:
                 pred = model.forward(ad.Tensor(spec))
-                loss = hybrid_loss(pred, ad.Tensor(vol), weights, cfg)
+                loss = hybrid_loss(pred, ad.Tensor(vol), cfg)
             total += loss.item() / 8.0
             tape.backward(loss, seed=np.full_like(loss.data, 1.0 / 8.0))
-        opt.step(lr=lr)
+        opt.step(lr)
         losses.append(total)
 
     train_ssim = float(
@@ -375,7 +377,7 @@ def test_criterion_6_learnability(capsys):
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_schedule_optimizer(capsys):
-    cfg = ScheduleConfig()
+    cfg = Config()
     for epoch in (0, 10, 20, 30, 40):
         assert lr_at(epoch, 0.0, cfg) == 1e-3
     for epoch in (5, 15, 25, 35, 45):
@@ -387,12 +389,12 @@ def test_criterion_7_schedule_optimizer(capsys):
     # with that recurrence; the convergence bound is met with a shorter
     # second-moment horizon.
     w = ad.Tensor(0.0, requires_grad=True)
-    opt = AdamW({"w": w}, lr=1e-2, weight_decay=0.0)
+    opt = AdamW({"w": w}, Config({"weight_decay": 0.0}))
     for _ in range(500):
         w.grad = None
         with ad.Tape():
             ((w - 3.0) * (w - 3.0)).backward()
-        opt.step()
+        opt.step(1e-2)
     ref = m = v = 0.0
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
     for t in range(1, 501):
@@ -403,12 +405,12 @@ def test_criterion_7_schedule_optimizer(capsys):
     assert float(w.data) == ref
 
     w2 = ad.Tensor(0.0, requires_grad=True)
-    opt2 = AdamW({"w": w2}, lr=1e-2, weight_decay=0.0, betas=(0.9, 0.9))
+    opt2 = AdamW({"w": w2}, Config({"weight_decay": 0.0, "beta1": 0.9, "beta2": 0.9}))
     for _ in range(500):
         w2.grad = None
         with ad.Tape():
             ((w2 - 3.0) * (w2 - 3.0)).backward()
-        opt2.step()
+        opt2.step(1e-2)
     assert abs(float(w2.data) - 3.0) < 1e-2
     announce(
         capsys,

@@ -444,7 +444,10 @@ BAD_VALUES = [
     ("train", ["--set", "beta1=2"], "must lie in [0, 1)"),
     ("train", ["--set", "beta2=-1"], "must lie in [0, 1)"),
     ("train", ["--set", "grad_clip=-1"], "grad_clip = -1.0: must be >= 0"),
-    ("train", ["--set", "ssim_window=9"], "SSIM window 9 exceeds slice extent 8x8"),
+    ("train", ["--set", "ssim_window=9"], "ssim_window 9 exceeds slice extent 8x8"),
+    ("train", ["--set", "lambda1=0", "--set", "lambda2=0"],
+     "lambda1 and lambda2 must not both be 0"),
+    ("train", ["--set", "min_lr=1"], "min_lr must not exceed lr"),
     ("train", ["--set", "channels=99", "--set", "height=16"],
      "train takes channels, height from the dataset manifest"),
     ("train", ["--set", "t_bins=5"], "train takes t_bins from the dataset manifest"),
@@ -482,7 +485,7 @@ BAD_VALUES = [
     ("eval", ["--set", "embed=64"], "eval takes embed from the checkpoint"),
     ("eval", ["--set", "embed=64", "--set", "height=16"],
      "eval takes height, embed from the checkpoint"),
-    ("eval", ["--set", "ssim_window=9"], "SSIM window 9 exceeds slice extent 8x8"),
+    ("eval", ["--set", "ssim_window=9"], "ssim_window 9 exceeds slice extent 8x8"),
     ("synth-data", ["--subjects", "0"], "--subjects and --pairs must be >= 1"),
     ("synth-data", ["--pairs", "0"], "--subjects and --pairs must be >= 1"),
 ]

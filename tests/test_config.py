@@ -12,7 +12,7 @@ from eeg2vol import cli
 from eeg2vol.config import DOMAINS, SCHEMA, Config, check, schema_help
 from eeg2vol.dsp import read_manifest
 from eeg2vol.errors import ConfigError
-from eeg2vol.model import ModelConfig
+from eeg2vol.model import Model, ModelConfig
 
 from test_cli import ARCH_SETS, GEOMETRY_SETS, write_raw_tree
 
@@ -94,6 +94,40 @@ def test_check_message_names_key_and_domain():
     with pytest.raises(ConfigError, match=r"^split_mode = 'kfold': must be one of loso \| fixed$"):
         check("split_mode", "kfold")
     check("dataset", "anything goes")
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("epochs", 2.7), ("epochs", math.inf), ("epochs", math.nan), ("batch_size", True),
+    ("ssim_window", False), ("lr", True), ("lambda1", False),
+], ids=lambda v: repr(v))
+def test_numbers_are_not_truncated(key, raw):
+    """An int key rejects a bool and a non-integral float, and a float key a
+    bool, naming the key, instead of storing int(raw) or float(raw)."""
+    with pytest.raises(ConfigError, match=f"^config key {key} expects"):
+        Config({key: raw})
+
+
+def test_whole_numbers_and_strings_convert():
+    cfg = Config({"epochs": 3.0, "lr": 1, "batch_size": "4", "min_lr": "1e-5"})
+    assert (cfg.epochs, cfg.lr, cfg.batch_size, cfg.min_lr) == (3, 1.0, 4, 1e-5)
+    assert type(cfg.epochs) is int and type(cfg.lr) is float
+    with pytest.raises(ConfigError, match="^config key epochs expects int"):
+        Config.load(overrides=["epochs=2.5"])
+
+
+def test_model_config_extents_are_ints(tmp_path):
+    """Whole floats become ints, so a checkpoint's metadata reloads."""
+    geometry = (4, 5, 6, 3, 8, 8)
+    mcfg = ModelConfig((4, 5.0, 6, 3, 8, 8), embed=8.0, heads=2)
+    assert mcfg == ModelConfig(geometry, embed=8, heads=2)
+    assert type(mcfg.embed) is int and type(mcfg.geometry[1]) is int
+    Model(mcfg).save(tmp_path / "ckpt")
+    assert Model.from_checkpoint(tmp_path / "ckpt").cfg == mcfg
+    for key, raw in (("embed", 8.5), ("heads", True), ("attention_dropout", False)):
+        with pytest.raises(ConfigError, match=f"^config key {key} expects"):
+            ModelConfig(geometry, **{key: raw})
+    with pytest.raises(ConfigError, match="^config key t_bins expects int, got 5.5$"):
+        ModelConfig((4, 5.5, 6, 3, 8, 8))
 
 
 def test_defaults_pass_their_own_check():

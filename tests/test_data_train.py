@@ -15,7 +15,7 @@ from eeg2vol.config import Config
 from eeg2vol.data import synth_dataset, synth_pair_stream
 from eeg2vol.dsp import read_manifest
 from eeg2vol.errors import DataError
-from eeg2vol.losses import LossWeights, SsimConfig, hybrid_loss
+from eeg2vol.losses import hybrid_loss
 from eeg2vol.model import Model
 from eeg2vol.train import _batch_grads, evaluate_samples, load_pairs, train_run
 
@@ -116,7 +116,7 @@ def test_train_run_artifacts_and_log(tmp_path):
     assert len(data_lines) == 6
     first = data_lines[0].split(", ")
     assert first[0] == "0" and first[1] == "1"
-    assert float(first[2]) == 1e-3  # schedule starts at base_lr
+    assert float(first[2]) == 1e-3  # schedule starts at lr
     assert math.isfinite(float(first[3]))
 
 
@@ -140,13 +140,13 @@ def micro_batch(size, seed=0):
     return [("sub00",) + next(stream) for _ in range(size)]
 
 
-def forwards_first_grads(model, batch, weights, ssim_cfg, rng):
+def forwards_first_grads(model, batch, cfg, rng):
     """Oracle: every forward pass before any backward, backwards in order."""
     results = []
     for _sid, spec, vol in batch:
         with ad.Tape() as tape:
             pred = model.forward(ad.Tensor(spec), rng=rng)
-            results.append((tape, hybrid_loss(pred, ad.Tensor(vol), weights, ssim_cfg)))
+            results.append((tape, hybrid_loss(pred, ad.Tensor(vol), cfg)))
     total = 0.0
     scale = 1.0 / len(batch)
     for tape, loss in results:
@@ -162,11 +162,11 @@ def test_batch_grads_match_forwards_first_order():
     mcfg.attention_dropout = 0.1
     model = Model(mcfg, seed=0)
     batch = micro_batch(3)
-    weights, ssim_cfg = LossWeights(0.5, 0.5), SsimConfig()
+    cfg = Config({"lambda1": 0.5, "lambda2": 0.5})
     runs = []
     for grads_of in (_batch_grads, forwards_first_grads):
         model.store.zero_grad()
-        loss = grads_of(model, batch, weights, ssim_cfg, rng=np.random.default_rng(5))
+        loss = grads_of(model, batch, cfg, rng=np.random.default_rng(5))
         runs.append((loss, {k: t.grad for k, t in model.store.params.items()}))
     (loss, grads), (oracle_loss, oracle_grads) = runs
     assert loss == oracle_loss
@@ -179,7 +179,7 @@ def batch_grads_peak(model, batch):
     gc.collect()
     tracemalloc.start()
     try:
-        _batch_grads(model, batch, LossWeights(0.5, 0.5), SsimConfig())
+        _batch_grads(model, batch, Config({"lambda1": 0.5, "lambda2": 0.5}))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,7 +210,7 @@ def micro_sample_tape():
     spec, vol = next(synth_pair_stream(MICRO_GEOMETRY, seed=0))
     with ad.Tape() as tape:
         pred = model.forward(ad.Tensor(spec))
-        hybrid_loss(pred, ad.Tensor(vol), LossWeights(), SsimConfig())
+        hybrid_loss(pred, ad.Tensor(vol), Config())
     return tape
 
 
@@ -251,11 +251,11 @@ class GroundTruthModel:
 def test_evaluate_identity_gives_ssim_one_and_inf_psnr(tmp_path):
     manifest = synth_dataset(MICRO_GEOMETRY, 2, 2, seed=6, out_dir=tmp_path)
     samples = load_pairs(manifest, tmp_path)
-    rows, mean_ssim, psnrs = evaluate_samples(
-        GroundTruthModel(samples), samples, SsimConfig()
+    rows, mean_ssim, mean_psnr = evaluate_samples(
+        GroundTruthModel(samples), samples, Config()
     )
     assert abs(mean_ssim - 1.0) < 1e-9
-    assert all(p == math.inf for p in psnrs)
+    assert mean_psnr == math.inf
     assert rows[-1].startswith("ALL, 4, 1.000000")
     for row in rows[:-1]:
         assert ", 1.000000, 0.000000, inf, 0.000000" in row

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
+from eeg2vol.config import Config
 from eeg2vol.errors import ConfigError, DimensionError
 from eeg2vol.losses import (
-    LossWeights,
-    SsimConfig,
     format_report_row,
     hybrid_loss,
     mse,
@@ -20,20 +19,25 @@ from eeg2vol.losses import (
 from conftest import fd_grad_check
 
 
+def weights(lambda1, lambda2):
+    return Config({"lambda1": lambda1, "lambda2": lambda2})
+
+
 def test_loss_weights_validation():
-    with pytest.raises(ConfigError):
-        LossWeights(-0.1, 0.5)
-    with pytest.raises(ConfigError):
-        LossWeights(0.0, 0.0)
+    with pytest.raises(ConfigError, match="lambda1"):
+        Config({"lambda1": -0.1})
+    x = np.random.default_rng(11).random((1, 8, 8))
+    with pytest.raises(ConfigError, match="lambda1 and lambda2 must not both be 0"):
+        hybrid_loss(x, x, weights(0.0, 0.0))
 
 
 def test_ssim_config_validation():
-    with pytest.raises(ConfigError):
-        SsimConfig(window=4)
-    with pytest.raises(ConfigError):
-        SsimConfig(c1=0.0)
-    with pytest.raises(ConfigError):
-        SsimConfig(aggregation="cubic")
+    with pytest.raises(ConfigError, match="ssim_window"):
+        Config({"ssim_window": 4})
+    with pytest.raises(ConfigError, match="ssim_c1"):
+        Config({"ssim_c1": 0.0})
+    with pytest.raises(ConfigError, match="ssim_aggregation"):
+        Config({"ssim_aggregation": "cubic"})
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +73,14 @@ def test_mse_shape_mismatch():
 def test_ssim_self_is_one(aggregation):
     rng = np.random.default_rng(1)
     x = rng.random((3, 8, 8))
-    cfg = SsimConfig(aggregation=aggregation)
+    cfg = Config({"ssim_aggregation": aggregation})
     assert abs(ssim(x, x, cfg).item() - 1.0) < 1e-9
 
 
 def test_ssim_constant_case_by_hand():
     x = np.zeros((2, 8, 8))
     y = np.ones((2, 8, 8))
-    cfg = SsimConfig(c1=1e-4, c2=9e-4)
+    cfg = Config({"ssim_c1": 1e-4, "ssim_c2": 9e-4})
     # zero-variance terms cancel to c2/c2; means give (2*0*1+c1)/(0+1+c1)
     want = 1e-4 / (1.0 + 1e-4)
     assert abs(ssim(x, y, cfg).item() - want) < 1e-12
@@ -87,7 +91,7 @@ def test_ssim_symmetry(aggregation):
     rng = np.random.default_rng(2)
     x = rng.random((2, 9, 9))
     y = rng.random((2, 9, 9))
-    cfg = SsimConfig(aggregation=aggregation)
+    cfg = Config({"ssim_aggregation": aggregation})
     assert abs(ssim(x, y, cfg).item() - ssim(y, x, cfg).item()) <= 1e-12
 
 
@@ -100,8 +104,11 @@ def test_ssim_bounded_by_one():
 
 
 def test_ssim_window_too_large():
-    with pytest.raises(ConfigError, match="window"):
-        ssim(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), SsimConfig(window=7))
+    with pytest.raises(ConfigError, match="ssim_window 7 exceeds slice extent 4x4"):
+        ssim(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), Config({"ssim_window": 7}))
+    # the global aggregation has no window to fit
+    cfg = Config({"ssim_window": 7, "ssim_aggregation": "global"})
+    assert ssim(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), cfg).item() == 1.0
 
 
 def test_ssim_non_volume_input():
@@ -141,7 +148,7 @@ def test_psnr_symmetric_and_monotone():
 
 def test_hybrid_identity_is_zero():
     x = np.random.default_rng(6).random((2, 8, 8))
-    assert abs(hybrid_loss(x, x, LossWeights(0.7, 0.3)).item()) < 1e-9
+    assert abs(hybrid_loss(x, x, weights(0.7, 0.3)).item()) < 1e-9
 
 
 def test_hybrid_weighted_arithmetic():
@@ -149,7 +156,7 @@ def test_hybrid_weighted_arithmetic():
     x, y = rng.random((2, 8, 8)), rng.random((2, 8, 8))
     s = ssim(x, y).item()
     m = mse(x, y).item()
-    got = hybrid_loss(x, y, LossWeights(0.5, 0.5)).item()
+    got = hybrid_loss(x, y, weights(0.5, 0.5)).item()
     assert abs(got - (0.5 * (1.0 - s) + 0.5 * m)) < 1e-12
     # the spec's worked example: ssim 0.8, mse 0.1 -> 0.15
     assert abs((0.5 * (1 - 0.8) + 0.5 * 0.1) - 0.15) < 1e-15
@@ -158,9 +165,9 @@ def test_hybrid_weighted_arithmetic():
 def test_hybrid_degenerate_weight_identities_exact():
     rng = np.random.default_rng(8)
     x, y = rng.random((2, 8, 8)), rng.random((2, 8, 8))
-    assert hybrid_loss(x, y, LossWeights(0.0, 0.7)).item() == 0.7 * mse(x, y).item()
+    assert hybrid_loss(x, y, weights(0.0, 0.7)).item() == 0.7 * mse(x, y).item()
     assert (
-        hybrid_loss(x, y, LossWeights(0.3, 0.0)).item()
+        hybrid_loss(x, y, weights(0.3, 0.0)).item()
         == 0.3 * (1.0 - ssim(x, y).item())
     )
 
@@ -178,8 +185,9 @@ def test_hybrid_gradient_wrt_prediction(aggregation):
     rng = np.random.default_rng(10)
     x = ad.Tensor(rng.random((3, 4, 4)), requires_grad=True)
     y = ad.Tensor(rng.random((3, 4, 4)))
-    cfg = SsimConfig(window=3, aggregation=aggregation)
-    fd_grad_check(lambda: hybrid_loss(x, y, LossWeights(0.5, 0.5), cfg), [x])
+    cfg = Config({"ssim_window": 3, "ssim_aggregation": aggregation,
+                  "lambda1": 0.5, "lambda2": 0.5})
+    fd_grad_check(lambda: hybrid_loss(x, y, cfg), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +208,5 @@ def test_report_row_population_std_two_pass_oracle():
 def test_report_row_filters_infinite_psnr():
     row = format_report_row("s02", [1.0], [math.inf])
     assert row.startswith("s02, 1, 1.000000, 0.000000, inf,")
+    row = format_report_row("s03", [1.0, 0.5, 0.5], [math.inf, 20.0, 30.0])
+    assert row.endswith(", 25.000000, 5.000000")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
+from eeg2vol.config import Config
 from eeg2vol.dsp import DatasetManifest
 from eeg2vol.errors import ConfigError, NumericError
-from eeg2vol.optim import AdamW, ScheduleConfig, lr_at, make_splits
+from eeg2vol.optim import AdamW, lr_at, make_splits
 
 
 def manifest_with_subjects(n):
@@ -27,17 +28,17 @@ def manifest_with_subjects(n):
 
 def test_zero_grads_zero_decay_is_identity():
     w = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    opt = AdamW({"w": w}, lr=1e-3, weight_decay=0.0)
+    opt = AdamW({"w": w}, Config({"weight_decay": 0.0}))
     before = w.data.copy()
-    opt.step()
+    opt.step(1e-3)
     np.testing.assert_array_equal(w.data, before)
 
 
 def test_pure_decoupled_decay_factor():
     w = ad.Tensor(np.array([2.0, -4.0]), requires_grad=True)
-    opt = AdamW({"w": w}, lr=1e-3, weight_decay=1e-2)
+    opt = AdamW({"w": w}, Config({"weight_decay": 1e-2}))
     before = w.data.copy()
-    opt.step()
+    opt.step(1e-3)
     np.testing.assert_allclose(w.data, before * (1.0 - 1e-5), rtol=1e-15)
 
 
@@ -47,14 +48,14 @@ def run_quadratic(opt, w, steps=500):
         with ad.Tape():
             loss = (w - 3.0) * (w - 3.0)
             loss.backward()
-        opt.step()
+        opt.step(1e-2)
     return float(w.data)
 
 
 def test_quadratic_matches_scalar_recurrence_exactly():
     """Default betas: our update equals the hand-rolled recurrence bit-for-bit."""
     w = ad.Tensor(0.0, requires_grad=True)
-    got = run_quadratic(AdamW({"w": w}, lr=1e-2, weight_decay=0.0), w)
+    got = run_quadratic(AdamW({"w": w}, Config({"weight_decay": 0.0})), w)
     ref = m = v = 0.0
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
     for t in range(1, 501):
@@ -69,24 +70,24 @@ def test_quadratic_convergence():
     # beta2's long gradient memory makes the default-betas approach slow;
     # a shorter second-moment horizon converges well inside the budget
     w = ad.Tensor(0.0, requires_grad=True)
-    opt = AdamW({"w": w}, lr=1e-2, weight_decay=0.0, betas=(0.9, 0.9))
+    opt = AdamW({"w": w}, Config({"weight_decay": 0.0, "beta1": 0.9, "beta2": 0.9}))
     got = run_quadratic(opt, w)
     assert abs(got - 3.0) < 1e-2
 
 
 def test_nonfinite_gradient_rejects_step():
     w = ad.Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"w": w})
+    opt = AdamW({"w": w}, Config())
     w.grad = np.array([np.nan])
     before = w.data.copy()
     with pytest.raises(NumericError, match="w"):
-        opt.step()
+        opt.step(1e-3)
     np.testing.assert_array_equal(w.data, before)
 
 
 def test_moment_state_shapes():
     w = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
-    opt = AdamW({"layer.w": w})
+    opt = AdamW({"layer.w": w}, Config())
     state = opt.state_arrays()
     assert state["moment1.layer.w"].shape == (2, 3)
     assert state["moment2.layer.w"].shape == (2, 3)
@@ -97,19 +98,19 @@ def test_moment_state_shapes():
 # ---------------------------------------------------------------------------
 
 def test_lr_restart_boundaries_exact():
-    cfg = ScheduleConfig()
+    cfg = Config()
     for epoch in (0, 10, 20, 30, 40):
         assert lr_at(epoch, 0.0, cfg) == 1e-3
 
 
 def test_lr_midpoints():
-    cfg = ScheduleConfig()
+    cfg = Config()
     for epoch in (5, 15, 25, 35, 45):
         assert abs(lr_at(epoch, 0.0, cfg) - 5e-4) < 1e-12
 
 
 def test_lr_bounds_and_continuity():
-    cfg = ScheduleConfig(base_lr=1e-3, min_lr=1e-5)
+    cfg = Config({"lr": 1e-3, "min_lr": 1e-5})
     values = [lr_at(e, f, cfg) for e in range(10) for f in (0.0, 0.25, 0.5, 0.75)]
     assert all(1e-5 <= v <= 1e-3 for v in values)
     # continuity within a period: adjacent samples change smoothly
@@ -118,7 +119,7 @@ def test_lr_bounds_and_continuity():
 
 
 def test_lr_epoch_out_of_range():
-    cfg = ScheduleConfig(total_epochs=50)
+    cfg = Config({"epochs": 50})
     with pytest.raises(ConfigError):
         lr_at(50, 0.0, cfg)
     with pytest.raises(ConfigError):
@@ -126,10 +127,11 @@ def test_lr_epoch_out_of_range():
 
 
 def test_schedule_config_validation():
-    with pytest.raises(ConfigError):
-        ScheduleConfig(restart_period_epochs=0)
-    with pytest.raises(ConfigError):
-        ScheduleConfig(base_lr=1e-4, min_lr=1e-3)
+    with pytest.raises(ConfigError, match="restart_period"):
+        Config({"restart_period": 0})
+    with pytest.raises(ConfigError, match="min_lr must not exceed lr"):
+        lr_at(0, 0.0, Config({"lr": 1e-4, "min_lr": 1e-3}))
+    assert lr_at(0, 0.0, Config({"lr": 1e-3, "min_lr": 1e-3})) == 1e-3
 
 
 # ---------------------------------------------------------------------------
