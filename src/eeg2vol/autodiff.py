@@ -157,11 +157,17 @@ def _unbroadcast(g, shape):
 # elementwise ops (numpy broadcasting semantics)
 # ---------------------------------------------------------------------------
 
+# The backward of each two-input op computes only the gradients its inputs
+# need, so a constant operand (a scale, an offset) costs no work.
+
 def add(a, b):
     return _make_output(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -169,7 +175,10 @@ def sub(a, b):
     return _make_output(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -178,8 +187,8 @@ def mul(a, b):
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         ),
     )
 
@@ -189,8 +198,9 @@ def div(a, b):
         a.data / b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            if b.requires_grad else None,
         ),
     )
 
@@ -410,47 +420,82 @@ def softmax(x, axis=-1):
 # convolution
 # ---------------------------------------------------------------------------
 
+def _tap_rows(xp, kh, kw, stride):
+    """For each kernel row u, the [N*H'*W', kw*C] taps of that row under
+    every output pixel of a stride-strided kh x kw correlation over the NHWC
+    xp: one contiguous buffer, refilled per row from one sliding-window view,
+    so no value of xp is copied more than kw times at once. Each row is
+    yielded in that same buffer: use it before asking for the next."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, :: stride[0], :: stride[1]]  # [N, H', W', C, kh, kw]
+    rows = np.empty(windows.shape[:3] + (kw, xp.shape[3]))
+    for u in range(kh):
+        np.copyto(rows, np.swapaxes(windows[..., u, :], -1, -2))
+        yield rows.reshape(-1, kw * xp.shape[3])
+
+
+def _correlate(xp, kernel, stride):
+    """Cross-correlation of the NHWC xp with the [O, C, kh, kw] kernel as one
+    [N*H'*W', kw*C] x [kw*C, O] GEMM per kernel row (the kn2row scheme of
+    Anderson et al., arXiv:1709.03395) -> [N, H', W', O]."""
+    o, c, kh, kw = kernel.shape
+    taps = kernel.transpose(2, 3, 1, 0).reshape(kh, kw * c, o)  # per row [kw*C, O]
+    out = None
+    for u, rows in enumerate(_tap_rows(xp, kh, kw, stride)):
+        if out is None:
+            out = rows @ taps[u]
+        else:
+            out += rows @ taps[u]
+    n, hp, wp, _ = xp.shape
+    return out.reshape(n, (hp - kh) // stride[0] + 1, (wp - kw) // stride[1] + 1, o)
+
+
 def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
     """2D cross-correlation (no kernel flip) over NHWC input.
 
     x: [N, H, W, C], kernel: [O, C, kh, kw] -> [N, H', W', O] with
-    H' = floor((H + 2*ph - kh)/sh) + 1, likewise W'.
+    H' = floor((H + 2*ph - kh)/sh) + 1, likewise W'. One tape node that
+    keeps the padded input (x's own array when padding is 0); the forward
+    and the input gradient both run through _correlate, so neither copies
+    a k x k window per pixel.
     """
     sh, sw = stride
     ph, pw = padding
     if sh < 1 or sw < 1:
         raise DimensionError("conv2d: stride components must be >= 1")
+    if ph < 0 or pw < 0:
+        raise DimensionError("conv2d: padding components must be >= 0")
     n, h, w, c = x.shape
     o, ck, kh, kw = kernel.shape
     if c != ck:
         raise DimensionError(
             f"conv2d: input channels {c} != kernel channels {ck}"
         )
+    if kh < 1 or kw < 1:
+        raise DimensionError(f"conv2d: kernel extents {kh}x{kw} must be >= 1")
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise DimensionError("conv2d: kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::sh, ::sw]  # [N, H', W', C, kh, kw]
-    val = np.einsum("nhwcuv,ocuv->nhwo", windows, kernel.data, optimize=True)
+    xp = x.data if ph == pw == 0 else np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    val = _correlate(xp, kernel.data, stride)
 
     def backward(g):
         gk = None
         if kernel.requires_grad:
-            gk = np.einsum("nhwcuv,nhwo->ocuv", windows, g, optimize=True)
+            gflat = g.reshape(-1, o)
+            gk = np.empty(kernel.shape)
+            for u, rows in enumerate(_tap_rows(xp, kh, kw, stride)):
+                gk[:, :, u, :] = (rows.T @ gflat).reshape(kw, c, o).transpose(2, 1, 0)
         if not x.requires_grad:
             return (None, gk)
-        gxp = np.zeros_like(xp)
+        # g on the stride grid of a zero array padded by k - 1 on every side
+        # of the padded input; rows and columns no window covered stay zero
         hout, wout = g.shape[1], g.shape[2]
-        # scatter each kernel offset back onto the padded input grid
-        contrib = np.einsum("nhwo,ocuv->nhwcuv", g, kernel.data, optimize=True)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, u : u + hout * sh : sh, v : v + wout * sw : sw] += (
-                    contrib[..., u, v]
-                )
-        gx = gxp[:, ph : ph + h, pw : pw + w]
-        return (gx, gk)
+        spread = np.zeros((n, xp.shape[1] + kh - 1, xp.shape[2] + kw - 1, o))
+        spread[:, kh - 1 : kh - 1 + hout * sh : sh, kw - 1 : kw - 1 + wout * sw : sw] = g
+        flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [C, O, kh, kw]
+        crop = spread[:, ph : ph + h + kh - 1, pw : pw + w + kw - 1]
+        return (_correlate(crop, flipped, (1, 1)), gk)
 
     return _make_output(val, (x, kernel), backward)
 

@@ -145,7 +145,7 @@ def matmul_oracle(a, b):
 
 
 # ---------------------------------------------------------------------------
-# generic tape ops that the program no longer calls
+# tape ops that the program no longer calls, kept as oracles
 # ---------------------------------------------------------------------------
 
 def exp(a):
@@ -159,6 +159,40 @@ def softplus(a):
     val = np.logaddexp(0.0, a.data)
     s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     return ad._make_output(val, (a,), lambda g: (g * s,))
+
+
+def conv2d_windowed(x, kernel, stride=(1, 1), padding=(0, 0)):
+    """ad.conv2d as it was before it ran one GEMM per kernel row: one einsum
+    over the [N, H', W', C, kh, kw] window view forward, and a backward that
+    spreads a per-pixel [.., C, kh, kw] contribution array over the padded
+    input grid. The oracle of ad.conv2d."""
+    sh, sw = stride
+    ph, pw = padding
+    n, h, w, c = x.shape
+    _o, _c, kh, kw = kernel.shape
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::sh, ::sw]  # [N, H', W', C, kh, kw]
+    val = np.einsum("nhwcuv,ocuv->nhwo", windows, kernel.data, optimize=True)
+
+    def backward(g):
+        gk = None
+        if kernel.requires_grad:
+            gk = np.einsum("nhwcuv,nhwo->ocuv", windows, g, optimize=True)
+        if not x.requires_grad:
+            return (None, gk)
+        gxp = np.zeros_like(xp)
+        hout, wout = g.shape[1], g.shape[2]
+        # scatter each kernel offset back onto the padded input grid
+        contrib = np.einsum("nhwo,ocuv->nhwcuv", g, kernel.data, optimize=True)
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, u : u + hout * sh : sh, v : v + wout * sw : sw] += (
+                    contrib[..., u, v]
+                )
+        return (gxp[:, ph : ph + h, pw : pw + w], gk)
+
+    return ad._make_output(val, (x, kernel), backward)
 
 
 # ---------------------------------------------------------------------------

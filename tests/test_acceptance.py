@@ -116,6 +116,14 @@ def per_op_gradient_pass(seed):
     fd_grad_check(lambda: scalarize(ad.matmul(x3, v)), [x3, v])
     fd_grad_check(lambda: scalarize(ad.matmul(v2, x3)), [v2, x3])
     fd_grad_check(lambda: scalarize(ad.matmul(v, v)), [v])
+    # stride 2 leaves the last row and column of the input under no window:
+    # their gradient is the zero the spread-out backward must leave there
+    conv_x2 = ad.Tensor(rng.standard_normal((1, 5, 6, 2)), requires_grad=True)
+    conv_k2 = ad.Tensor(rng.standard_normal((2, 2, 2, 3)) * 0.5, requires_grad=True)
+    fd_grad_check(
+        lambda: ad.tsum(ad.sigmoid(ad.conv2d(conv_x2, conv_k2, stride=(2, 2)))),
+        [conv_x2, conv_k2],
+    )
 
 
 def test_criterion_1_gradient_suite(capsys):

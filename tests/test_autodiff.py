@@ -12,6 +12,7 @@ from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
     conv2d_oracle,
+    conv2d_windowed,
     exp,
     fd_grad_check,
     layer_norm_composed,
@@ -75,6 +76,69 @@ def test_conv2d_strided_matches_oracle():
 def test_conv2d_channel_mismatch():
     with pytest.raises(DimensionError):
         ad.conv2d(ad.Tensor(np.zeros((1, 4, 4, 2))), ad.Tensor(np.zeros((1, 3, 3, 3))))
+
+
+@pytest.mark.parametrize(
+    "x_shape, k_shape, padding, message",
+    [
+        pytest.param((1, 6, 6, 1), (1, 1, 3, 3), (-1, 0), "padding", id="negative-padding"),
+        pytest.param((1, 4, 4, 1), (1, 1, 0, 3), (0, 0), "kernel extents", id="empty-kernel"),
+    ],
+)
+def test_conv2d_bad_geometry(x_shape, k_shape, padding, message):
+    with pytest.raises(DimensionError, match=message):
+        ad.conv2d(ad.Tensor(np.zeros(x_shape)), ad.Tensor(np.zeros(k_shape)), padding=padding)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stride=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    extent=st.sampled_from([(1, 3), (3, 1), (3, 3), (7, 7)]),
+    extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    kernel_grad=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_matches_windowed(stride, padding, extent, extra, c_in, c_out, kernel_grad, seed):
+    """The kernel-row GEMMs against the window einsum they replaced: output
+    and both gradients within 1e-12 of each oracle array's largest value."""
+    rng = np.random.default_rng(seed)
+    (kh, kw), (eh, ew) = extent, extra
+    x = ad.Tensor(rng.standard_normal((2, kh + eh, kw + ew, c_in)), requires_grad=True)
+    kernel = ad.Tensor(rng.standard_normal((c_out, c_in, kh, kw)), requires_grad=kernel_grad)
+    got = outputs_and_grads(lambda x, k: ad.conv2d(x, k, stride, padding), [x, kernel], seed)
+    want = outputs_and_grads(
+        lambda x, k: conv2d_windowed(x, k, stride, padding), [x, kernel], seed
+    )
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_conv2d_memory_is_bounded():
+    """At SSIM's box-mean shape (a constant 7x7 kernel over [30, 64, 64, 1])
+    no value is copied once per window tap: the forward peaks within 10
+    input-sized arrays and the backward within 15."""
+    rng = np.random.default_rng(44)
+    x = ad.Tensor(rng.standard_normal((30, 64, 64, 1)), requires_grad=True)
+    kernel = ad.Tensor(np.full((1, 1, 7, 7), 1.0 / 49))
+    g = rng.standard_normal((30, 58, 58, 1))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] / x.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    with ad.Tape():
+        y, forward = peak(lambda: ad.conv2d(x, kernel))
+        _, backward = peak(lambda: y.backward(seed=g))
+    assert forward <= 10.0
+    assert backward <= 15.0
 
 
 def test_linear_identity_and_bias():
@@ -265,6 +329,23 @@ def test_gradient_accumulation_of_sum_matches_separate_backwards():
     with ad.Tape():
         ad.tsum(exp(x)).backward()
     np.testing.assert_allclose(combined, x.grad, rtol=1e-12)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_constant_operand_gets_no_gradient(op):
+    """A two-input op's backward computes nothing for an operand that needs
+    no gradient, on either side, and leaves its .grad unset."""
+    rng = np.random.default_rng(9)
+    x = ad.Tensor(rng.uniform(0.5, 2.0, size=(2, 3)), requires_grad=True)
+    const = ad.Tensor(rng.uniform(0.5, 2.0, size=3))
+    for args in ((x, const), (const, x)):
+        with ad.Tape() as tape:
+            y = op(*args)
+        grads = tape.nodes[-1][2](np.ones(y.shape))
+        assert [gi is None for gi in grads] == [t is const for t in args]
+        tape.backward(y, seed=np.ones(y.shape))
+        assert const.grad is None and x.grad is not None
+        x.grad = None
 
 
 def test_no_tape_means_plain_forward():
