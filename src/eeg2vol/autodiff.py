@@ -214,19 +214,25 @@ def sqrt(a):
     return _make_output(val, (a,), lambda g: (g * 0.5 / val,))
 
 
+def _logistic(x):
+    """Stable logistic 1 / (1 + exp(-x)), via tanh."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(a):
-    # stable logistic via tanh
-    val = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    val = _logistic(a.data)
     return _make_output(val, (a,), lambda g: (g * val * (1.0 - val),))
 
 
 def silu(a):
-    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    return _make_output(
-        a.data * s,
-        (a,),
-        lambda g: (g * (s + a.data * s * (1.0 - s)),),
-    )
+    """a * sigmoid(a), one node that keeps only its input: the backward
+    recomputes the sigmoid instead of holding it."""
+
+    def backward(g):
+        s = _logistic(a.data)
+        return (g * (s + a.data * s * (1.0 - s)),)
+
+    return _make_output(a.data * _logistic(a.data), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +352,12 @@ def _leading_sum(g):
     return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
+def _weight_grad(g, x):
+    """Gradient of an [out, in] weight applied as x @ weight.T, from the
+    output gradient g: g^T x over every leading axis."""
+    return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
 def linear(x, weight, bias=None):
     """Affine map over the trailing axis: y = x @ weight.T + bias.
 
@@ -366,10 +378,7 @@ def linear(x, weight, bias=None):
 
     def backward(g):
         gx = np.matmul(g, weight.data) if x.requires_grad else None
-        gw = None
-        if weight.requires_grad:
-            rows = g.reshape(-1, g.shape[-1])
-            gw = rows.T @ x.data.reshape(-1, x.shape[-1])
+        gw = _weight_grad(g, x.data) if weight.requires_grad else None
         gb = _leading_sum(g) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb)
 
@@ -537,13 +546,13 @@ def _scan_blocked(a, x):
 _SCAN_KERNELS = {"sequential": _scan_sequential, "blocked": _scan_blocked}
 
 
-def _check_states(h, first_step=0):
-    """Raise NumericError naming the first time step (leading axis of h,
-    counted from first_step) that holds a non-finite state."""
+def _check_states(h, op, first_step=0):
+    """Raise NumericError naming op and the first time step (leading axis of
+    h, counted from first_step) that holds a non-finite state."""
     finite_per_step = np.isfinite(h).all(axis=tuple(range(1, h.ndim)))
     if not finite_per_step.all():
         step = first_step + int(np.argmin(finite_per_step))
-        raise NumericError(f"linear_scan: non-finite state at step {step}")
+        raise NumericError(f"{op}: non-finite state at step {step}")
 
 
 def linear_scan(a, x, mode="sequential"):
@@ -560,7 +569,7 @@ def linear_scan(a, x, mode="sequential"):
     kernel = _SCAN_KERNELS[mode]
     a_tm = np.moveaxis(a.data, -1, 0)
     h_tm = kernel(a_tm, np.moveaxis(x.data, -1, 0))
-    _check_states(h_tm)
+    _check_states(h_tm, "linear_scan")
 
     def backward(g):
         # adjoint recurrence lam_t = g_t + a_{t+1} * lam_{t+1}, run as a
@@ -612,96 +621,174 @@ def _selective_states(u, delta_pre, a_log, b):
     return np.moveaxis(h.data, -1, 0)
 
 
-def selective_scan(u, delta_pre, a_log, b, c, d):
-    """y[t, n] = sum_s c[t, s] * h[t, n, s] + d[n] * u[t, n], where h[-1] = 0,
-    h[t, n, s] = exp(delta[t, n] A[n, s]) h[t-1, n, s] + delta[t, n] u[t, n] b[t, s],
-    delta = softplus(delta_pre) and A = -exp(a_log).
+def _projections(u, w_delta, b_delta, w_b, w_c):
+    """delta_pre, B and C of selective_scan from the tensors of its [L, C]
+    tokens u and its weights, by the expressions linear evaluates."""
+    return (
+        np.matmul(u.data, w_delta.data.T) + b_delta.data,
+        np.matmul(u.data, w_b.data.T),
+        np.matmul(u.data, w_c.data.T),
+    )
 
-    Time-major: u, delta_pre: [L, C]; a_log: [C, S]; b, c: [L, S]; d: [C];
-    y: [L, C]. One tape node, which takes the softplus, the poles and the D
-    skip in as Mamba's selective-scan op does (arXiv:2312.00752). It keeps
-    its inputs and the state entering each block of CHUNK steps,
-    [ceil(L / CHUNK), C, S], instead of the [L, C, S] intermediates or
-    delta and A, which the backward rebuilds from delta_pre and a_log (the
-    recompute scheme of Mamba, over the time chunks of Mamba-2,
-    arXiv:2405.21060). The forward runs one full-length linear_scan. The
-    backward walks the chunks in reverse: it recomputes each chunk's
-    transitions and inputs, then runs the state recompute (forward in time,
-    from the saved entry state) and the adjoint recurrence (backward in
-    time, from the adjoint carried in from the next chunk) as one stacked
-    [2, C, S] sequential loop, and writes the chunk's rows of every
-    gradient but da. da sums over all of time, so it is one contraction
-    over a whole-length buffer.
+
+def _selective_forward(u, delta_pre, a_log, b, c, d):
+    """y of selective_scan from its projected arrays, and the state entering
+    each block of CHUNK steps, [ceil(L / CHUNK), C, S]."""
+    length = u.shape[0]
+    h = _selective_states(u, delta_pre, a_log, b)
+    y = np.einsum("tns,ts->tn", h, c)
+    # entries[k] = h[k * CHUNK - 1], the state entering chunk k
+    entries = np.concatenate([np.zeros((1,) + h.shape[1:]), h[CHUNK - 1 : length - 1 : CHUNK]])
+    del h  # before the D skip's [L, C] temporaries
+    return y + d * u, entries
+
+
+def _selective_backward(g, u, delta_pre, a_log, b, c, d, entries):
+    """Gradients (du, ddelta_pre, da_log, db, dc, dd) of <g, y> for y of
+    _selective_forward, walking the chunks in reverse from their entry
+    states (see selective_scan)."""
+    length, channels = u.shape
+    state = a_log.shape[-1]
+    delta, a = _discretization(delta_pre, a_log)
+    ud = delta * u
+    rows = min(CHUNK, length)
+    # stacked recurrences: [:, 0] the states h, [:, 1] the adjoints lam
+    coef = np.empty((rows, 2, channels, state))
+    drive = np.empty_like(coef)
+    states = np.empty_like(coef)
+    carry = np.zeros((2, channels, state))
+    q = np.empty((length, channels, state))  # d loss / d(delta * A)
+    du, ddelta = np.empty((length, channels)), np.empty((length, channels))
+    db, dc = np.empty((length, state)), np.empty((length, state))
+    for k in reversed(range(len(entries))):
+        t0 = k * CHUNK
+        t1 = min(t0 + CHUNK, length)
+        m = t1 - t0
+        abar = _transitions(delta[t0 : t1 + 1], a)  # and the next chunk's first row
+        # state h_t = abar_t h_{t-1} + bu_t, t = t0 .. t1-1
+        coef[:m, 0] = abar[:m]
+        np.multiply(ud[t0:t1, :, None], b[t0:t1, None, :], out=drive[:m, 0])
+        # adjoint lam_t = abar_{t+1} lam_{t+1} + c_t g_t, t = t1-1 .. t0;
+        # abar_L is 0
+        coef[0, 1] = abar[m] if t1 < length else 0.0
+        coef[1:m, 1] = abar[m - 1 : 0 : -1]
+        np.multiply(g[t0:t1][::-1, :, None], c[t0:t1][::-1, None, :], out=drive[:m, 1])
+        carry[0] = entries[k]
+        _scan_sequential(coef[:m], drive[:m], states[:m], carry)
+        hk = states[:m, 0]
+        _check_states(hk, "selective_scan", t0)
+        lam = states[:m, 1][::-1]  # d loss / d bu
+        carry[1] = lam[0]
+        # q_t = lam_t * h_{t-1} * abar_t, and q_0 = 0
+        qk = q[t0:t1]
+        np.multiply(lam[1:], hk[:-1], out=qk[1:])
+        qk[1:] *= abar[1:m]
+        if t0:
+            np.multiply(lam[0], entries[k], out=qk[0])
+            qk[0] *= abar[0]
+        else:
+            qk[0] = 0.0
+        lam_b = np.einsum("tns,ts->tn", lam, b[t0:t1])  # d loss / d(delta * u)
+        du[t0:t1] = lam_b * delta[t0:t1]
+        ddelta[t0:t1] = lam_b * u[t0:t1] + np.einsum("tns,ns->tn", qk, a)
+        db[t0:t1] = np.einsum("tns,tn->ts", lam, ud[t0:t1])
+        dc[t0:t1] = np.einsum("tns,tn->ts", hk, g[t0:t1])
+    da = np.einsum("tns,tn->ns", q, delta)
+    del q, qk  # free the whole-length buffer before the [L, C] temporaries below
+    du += g * d  # the D skip
+    ddelta *= _logistic(delta_pre)  # softplus' = sigmoid
+    return (du, ddelta, da * a, db, dc, _leading_sum(g * u))  # dA / d a_log = A
+
+
+def selective_scan(u, a_log, w_delta, b_delta, w_b, w_c, d):
+    """y[t, n] = sum_s C[t, s] * h[t, n, s] + d[n] * u[t, n], where h[-1] = 0,
+    h[t, n, s] = exp(delta[t, n] A[n, s]) h[t-1, n, s] + delta[t, n] u[t, n] B[t, s],
+    delta = softplus(u @ w_delta.T + b_delta), B = u @ w_b.T, C = u @ w_c.T
+    and A = -exp(a_log).
+
+    Time-major: u: [L, C]; a_log: [C, S]; w_delta: [C, C]; b_delta, d: [C];
+    w_b, w_c: [S, C]; y: [L, C]. The parameters come in decoder.S6Params'
+    field order. One tape node, which takes the delta, B and C projections,
+    the softplus, the poles and the D skip in as Mamba's selective-scan op
+    does (arXiv:2312.00752). It keeps its seven inputs and the state
+    entering each block of CHUNK steps, [ceil(L / CHUNK), C, S], instead of
+    the projections or the [L, C, S] intermediates, which the backward
+    rebuilds from u and the weights (the recompute scheme of Mamba, over
+    the time chunks of Mamba-2, arXiv:2405.21060). The forward runs one
+    full-length linear_scan. The backward recomputes the projections, then
+    walks the chunks in reverse: it recomputes each chunk's transitions and
+    inputs, then runs the state recompute (forward in time, from the saved
+    entry state) and the adjoint recurrence (backward in time, from the
+    adjoint carried in from the next chunk) as one stacked [2, C, S]
+    sequential loop, and writes the chunk's rows of every gradient but da.
+    da sums over all of time, so it is one contraction over a whole-length
+    buffer. The weight gradients are linear's, and u's gradient sums its
+    D-skip-and-scan, C, B and delta terms in that order, the order the tape
+    summed them in when the projections were linear nodes of their own.
     """
     length, channels = u.shape
     state = a_log.shape[-1]
-    if (delta_pre.shape != (length, channels) or a_log.shape != (channels, state)
-            or b.shape != (length, state) or c.shape != (length, state)
-            or d.shape != (channels,)):
+    if (a_log.shape != (channels, state) or w_delta.shape != (channels, channels)
+            or b_delta.shape != (channels,) or w_b.shape != (state, channels)
+            or w_c.shape != (state, channels) or d.shape != (channels,)):
         raise DimensionError(
-            f"selective_scan: shapes u {u.shape}, delta_pre {delta_pre.shape}, "
-            f"a_log {a_log.shape}, b {b.shape}, c {c.shape}, d {d.shape} do not fit "
-            f"[L,C], [L,C], [C,S], [L,S], [L,S], [C]"
+            f"selective_scan: shapes u {u.shape}, a_log {a_log.shape}, "
+            f"w_delta {w_delta.shape}, b_delta {b_delta.shape}, w_b {w_b.shape}, "
+            f"w_c {w_c.shape}, d {d.shape} do not fit "
+            f"[L,C], [C,S], [C,C], [C], [S,C], [S,C], [C]"
         )
-    h = _selective_states(u.data, delta_pre.data, a_log.data, b.data)
-    y = np.einsum("tns,ts->tn", h, c.data)
-    # entries[k] = h[k * CHUNK - 1], the state entering chunk k
-    entries = np.concatenate([np.zeros((1, channels, state)), h[CHUNK - 1 : length - 1 : CHUNK]])
-    del h  # before the D skip's [L, C] temporaries
-    y = y + d.data * u.data
+    delta_pre, b, c = _projections(u, w_delta, b_delta, w_b, w_c)
+    y, entries = _selective_forward(u.data, delta_pre, a_log.data, b, c, d.data)
 
     def backward(g):
-        delta, a = _discretization(delta_pre.data, a_log.data)
-        ud = delta * u.data
-        rows = min(CHUNK, length)
-        # stacked recurrences: [:, 0] the states h, [:, 1] the adjoints lam
-        coef = np.empty((rows, 2, channels, state))
-        drive = np.empty_like(coef)
-        states = np.empty_like(coef)
-        carry = np.zeros((2, channels, state))
-        q = np.empty((length, channels, state))  # d loss / d(delta * A)
-        du, ddelta = np.empty((length, channels)), np.empty((length, channels))
-        db, dc = np.empty((length, state)), np.empty((length, state))
-        for k in reversed(range(len(entries))):
-            t0 = k * CHUNK
-            t1 = min(t0 + CHUNK, length)
-            m = t1 - t0
-            abar = _transitions(delta[t0 : t1 + 1], a)  # and the next chunk's first row
-            # state h_t = abar_t h_{t-1} + bu_t, t = t0 .. t1-1
-            coef[:m, 0] = abar[:m]
-            np.multiply(ud[t0:t1, :, None], b.data[t0:t1, None, :], out=drive[:m, 0])
-            # adjoint lam_t = abar_{t+1} lam_{t+1} + c_t g_t, t = t1-1 .. t0;
-            # abar_L is 0
-            coef[0, 1] = abar[m] if t1 < length else 0.0
-            coef[1:m, 1] = abar[m - 1 : 0 : -1]
-            np.multiply(g[t0:t1][::-1, :, None], c.data[t0:t1][::-1, None, :], out=drive[:m, 1])
-            carry[0] = entries[k]
-            _scan_sequential(coef[:m], drive[:m], states[:m], carry)
-            hk = states[:m, 0]
-            _check_states(hk, t0)
-            lam = states[:m, 1][::-1]  # d loss / d bu
-            carry[1] = lam[0]
-            # q_t = lam_t * h_{t-1} * abar_t, and q_0 = 0
-            qk = q[t0:t1]
-            np.multiply(lam[1:], hk[:-1], out=qk[1:])
-            qk[1:] *= abar[1:m]
-            if t0:
-                np.multiply(lam[0], entries[k], out=qk[0])
-                qk[0] *= abar[0]
-            else:
-                qk[0] = 0.0
-            lam_b = np.einsum("tns,ts->tn", lam, b.data[t0:t1])  # d loss / d(delta * u)
-            du[t0:t1] = lam_b * delta[t0:t1]
-            ddelta[t0:t1] = lam_b * u.data[t0:t1] + np.einsum("tns,ns->tn", qk, a)
-            db[t0:t1] = np.einsum("tns,tn->ts", lam, ud[t0:t1])
-            dc[t0:t1] = np.einsum("tns,tn->ts", hk, g[t0:t1])
-        da = np.einsum("tns,tn->ns", q, delta)
-        del q, qk  # free the whole-length buffer before the [L, C] temporaries below
-        du += g * d.data  # the D skip
-        ddelta *= 0.5 * (1.0 + np.tanh(0.5 * delta_pre.data))  # softplus' = sigmoid
-        return (du, ddelta, da * a, db, dc, _leading_sum(g * u.data))  # dA / d a_log = A
+        delta_pre, b, c = _projections(u, w_delta, b_delta, w_b, w_c)
+        du, ddelta, da_log, db, dc, dd = _selective_backward(
+            g, u.data, delta_pre, a_log.data, b, c, d.data, entries
+        )
+        gu = ((du + np.matmul(dc, w_c.data)) + np.matmul(db, w_b.data)) + np.matmul(
+            ddelta, w_delta.data
+        )
+        return (
+            gu,
+            da_log,
+            _weight_grad(ddelta, u.data),
+            _leading_sum(ddelta),
+            _weight_grad(db, u.data),
+            _weight_grad(dc, u.data),
+            dd,
+        )
 
-    return _make_output(y, (u, delta_pre, a_log, b, c, d), backward)
+    return _make_output(y, (u, a_log, w_delta, b_delta, w_b, w_c, d), backward)
+
+
+# ---------------------------------------------------------------------------
+# cross-merge of the four scan directions
+# ---------------------------------------------------------------------------
+
+def cross_merge(d1, d2, d3, d4, h, w):
+    """Sum four [H*W, N] direction outputs back onto the [H, W, N] grid, as
+    VMamba's cross-merge does (arXiv:2401.10166): d1 + d2[::-1] read
+    row-major, plus d3 + d4[::-1] read row-major with W flipped.
+
+    One tape node that keeps nothing: its backward hands each direction a
+    view of g, except that d3 and d4 share one copy (a W flip is no single
+    stride over [H*W, N]).
+    """
+    n = d1.shape[-1]
+    for s in (d1, d2, d3, d4):
+        if s.shape != (h * w, n):
+            raise DimensionError(
+                f"cross_merge: sequence shape {s.shape} != {(h * w, n)}"
+            )
+    rows = (d1.data + d2.data[::-1]).reshape(h, w, n)
+    flipped = (d3.data + d4.data[::-1]).reshape(h, w, n)
+
+    def backward(g):
+        g1 = g.reshape(h * w, n)
+        g3 = g[:, ::-1].reshape(h * w, n)
+        return (g1, g1[::-1], g3, g3[::-1])
+
+    return _make_output(rows + flipped[:, ::-1], (d1, d2, d3, d4), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,14 @@ def scan_expand(x):
 
 
 def scan_merge(seqs, h, w):
-    """Undo each direction's flips and sum the four grids."""
+    """Undo each direction's flips and sum the four grids: one
+    ad.cross_merge node."""
     lengths = {s.shape[0] for s in seqs}
     if lengths != {h * w}:
         raise DimensionError(
             f"scan_merge: sequence lengths {sorted(lengths)} != {h * w}"
         )
-    d1, d2, d3, d4 = seqs
-    n = d1.shape[-1]
-    rows = ad.reshape(d1 + d2[::-1], (h, w, n))
-    flipped = ad.reshape(d3 + d4[::-1], (h, w, n))
-    return rows + flipped[:, ::-1]
+    return ad.cross_merge(*seqs, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +71,16 @@ def s6_scan(u, params):
     Per channel n and step t: abar = exp(delta_t * A_n), bbar = delta_t * B_t,
     h_t = abar * h_{t-1} + bbar * u_t (h_0 = 0), y_t = <C_t, h_t> + Dskip * u_t,
     with delta_t, B_t, C_t linear in the token u_t, delta made positive by
-    softplus and A = -exp(a_log). Records four tape nodes: the delta, B and C
-    projections and the fused ad.selective_scan, which takes the softplus,
-    A and the D skip in and keeps no [L, channels, state] tensor.
+    softplus and A = -exp(a_log). Records one tape node, the fused
+    ad.selective_scan, which takes the delta, B and C projections, the
+    softplus, A and the D skip in and keeps no [L, channels, state] tensor.
     """
     if u.shape[0] < 1:
         raise DimensionError("s6_scan: empty sequence")
-    delta_pre = ad.linear(u, params.w_delta, params.b_delta)  # [L, channels]
-    b_seq = ad.linear(u, params.w_b)  # [L, state]
-    c_seq = ad.linear(u, params.w_c)
-    return ad.selective_scan(u, delta_pre, params.a_log, b_seq, c_seq, params.d_skip)
+    return ad.selective_scan(
+        u, params.a_log, params.w_delta, params.b_delta, params.w_b, params.w_c,
+        params.d_skip,
+    )
 
 
 # ---------------------------------------------------------------------------

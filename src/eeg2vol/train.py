@@ -50,17 +50,21 @@ def _batch_grads(model, batch, cfg, rng=None):
     total = 0.0
     scale = 1.0 / len(batch)
     for _sid, spec, vol in batch:
-        with ad.Tape() as tape:
-            pred = model.forward(ad.Tensor(spec), rng=rng)
-            loss = hybrid_loss(pred, ad.Tensor(vol), cfg)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError("non-finite training loss")
-        total += value * scale
-        tape.backward(loss, seed=np.full_like(loss.data, scale))
-        # nodes hold outputs that point back at the tape; breaking that cycle
-        # frees this sample's arrays now instead of at the next cyclic GC
-        tape.nodes.clear()
+        tape = ad.Tape()
+        try:
+            with tape:
+                pred = model.forward(ad.Tensor(spec), rng=rng)
+                loss = hybrid_loss(pred, ad.Tensor(vol), cfg)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NumericError("non-finite training loss")
+            total += value * scale
+            tape.backward(loss, seed=np.full_like(loss.data, scale))
+        finally:
+            # nodes hold outputs that point back at the tape; breaking that
+            # cycle frees this sample's arrays now, on an error too, instead
+            # of at the next cyclic GC
+            tape.nodes.clear()
     return total
 
 

@@ -195,6 +195,46 @@ def conv2d_windowed(x, kernel, stride=(1, 1), padding=(0, 0)):
     return ad._make_output(val, (x, kernel), backward)
 
 
+def selective_scan_projected(u, delta_pre, a_log, b, c, d):
+    """ad.selective_scan as it was before it took its projections in: one
+    node over the projected delta_pre, B and C, on the same chunked forward
+    and backward."""
+    y, entries = ad._selective_forward(
+        u.data, delta_pre.data, a_log.data, b.data, c.data, d.data
+    )
+    return ad._make_output(
+        y,
+        (u, delta_pre, a_log, b, c, d),
+        lambda g: ad._selective_backward(
+            g, u.data, delta_pre.data, a_log.data, b.data, c.data, d.data, entries
+        ),
+    )
+
+
+def s6_scan_four_nodes(u, params):
+    """decoder.s6_scan as four tape nodes, the Delta, B and C linear nodes
+    and selective_scan_projected: the bit-for-bit oracle of the one-node
+    ad.selective_scan."""
+    return selective_scan_projected(
+        u,
+        ad.linear(u, params.w_delta, params.b_delta),
+        params.a_log,
+        ad.linear(u, params.w_b),
+        ad.linear(u, params.w_c),
+        params.d_skip,
+    )
+
+
+def scan_merge_composed(seqs, h, w):
+    """decoder.scan_merge as eight add, reshape and reversed-slice nodes:
+    the bit-for-bit oracle of ad.cross_merge."""
+    d1, d2, d3, d4 = seqs
+    n = d1.shape[-1]
+    rows = ad.reshape(d1 + d2[::-1], (h, w, n))
+    flipped = ad.reshape(d3 + d4[::-1], (h, w, n))
+    return rows + flipped[:, ::-1]
+
+
 # ---------------------------------------------------------------------------
 # fused ops composed from generic tape ops: the oracles of the one-node ops
 # ---------------------------------------------------------------------------
@@ -244,10 +284,10 @@ def outputs_and_grads(op, inputs, seed=0):
 # ---------------------------------------------------------------------------
 
 def selective_scan_composed(u, delta_pre, a_log, b, c, d, mode="sequential"):
-    """ad.selective_scan composed from generic tape ops, each [C, S, L]
-    intermediate (abar, bu, h, h*C) a tape node: softplus, A = -exp(a_log),
-    a linear_scan on the [C, L] transposes of the time-major inputs, then
-    the D skip. mode picks the linear_scan kernel."""
+    """selective_scan_projected composed from generic tape ops, each
+    [C, S, L] intermediate (abar, bu, h, h*C) a tape node: softplus,
+    A = -exp(a_log), a linear_scan on the [C, L] transposes of the
+    time-major inputs, then the D skip. mode picks the linear_scan kernel."""
     length, n = u.shape
     state = a_log.shape[1]
     u_cl = ad.transpose(u)  # [channels, L]
@@ -282,8 +322,24 @@ def s6_scan_reference(u, params, mode="sequential"):
 
 
 def selective_scan_inputs(rng, channels=2, state=3, length=5):
-    """Time-major leaves u, delta_pre, a_log, b, c, d for ad.selective_scan;
-    delta_pre takes both signs and A = -exp(a_log) lies in [-2, -0.5]."""
+    """Leaves u, a_log, w_delta, b_delta, w_b, w_c, d for ad.selective_scan:
+    time-major [L, C] tokens and S6Params' fields in order. delta_pre takes
+    both signs and A = -exp(a_log) lies in [-2, -0.5]."""
+    return [
+        ad.Tensor(rng.standard_normal((length, channels)), requires_grad=True),
+        ad.Tensor(np.log(rng.uniform(0.5, 2.0, size=(channels, state))), requires_grad=True),
+        ad.Tensor(rng.standard_normal((channels, channels)) * 0.5, requires_grad=True),
+        ad.Tensor(rng.uniform(-1.5, 0.5, size=channels), requires_grad=True),
+        ad.Tensor(rng.standard_normal((state, channels)), requires_grad=True),
+        ad.Tensor(rng.standard_normal((state, channels)), requires_grad=True),
+        ad.Tensor(rng.standard_normal(channels), requires_grad=True),
+    ]
+
+
+def projected_scan_inputs(rng, channels=2, state=3, length=5):
+    """Time-major leaves u, delta_pre, a_log, b, c, d for
+    selective_scan_projected; delta_pre takes both signs and A = -exp(a_log)
+    lies in [-2, -0.5]."""
     return [
         ad.Tensor(rng.standard_normal((length, channels)), requires_grad=True),
         ad.Tensor(rng.uniform(-2.0, 1.0, size=(length, channels)), requires_grad=True),
@@ -296,10 +352,10 @@ def selective_scan_inputs(rng, channels=2, state=3, length=5):
 
 def selective_scan_unchunked(u, delta_pre, a_log, b, c, d, g):
     """y and the gradients (du, ddelta_pre, da_log, db, dc, dd) of <g, y>
-    for the fused selective scan, computed from whole-length [L, C, S]
-    states and adjoints by plain step loops, the way ad.selective_scan
-    computed them before its backward ran in time chunks: the bit-for-bit
-    oracle of the chunked op."""
+    for the selective scan on projected inputs, computed from whole-length
+    [L, C, S] states and adjoints by plain step loops, the way
+    ad.selective_scan computed them before its backward ran in time chunks:
+    the bit-for-bit oracle of the chunked op."""
 
     def scan(coef, x):  # h[t] = coef[t] * h[t-1] + x[t], h[-1] = 0
         h = np.empty_like(x)

@@ -31,9 +31,11 @@ from conftest import (
     exp,
     fd_grad_check,
     micro_model_config,
+    projected_scan_inputs,
     s6_scan_reference,
     s6_worst_vs_reference,
     selective_scan_inputs,
+    selective_scan_projected,
     softplus,
 )
 from test_data_train import micro_run_config, tree_hashes
@@ -93,13 +95,13 @@ def per_op_gradient_pass(seed):
     )
     a = ad.Tensor(rng.uniform(0.1, 0.9, size=(2, 6)), requires_grad=True)
     u = ad.Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-    sel = selective_scan_inputs(rng)
+    sel = projected_scan_inputs(rng)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
             lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
         )
-    # leaves u, delta_pre, a_log, b, c and d
-    fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.selective_scan(*sel))), sel)
+    # the chunked scan core on leaves u, delta_pre, a_log, b, c and d
+    fd_grad_check(lambda: ad.tsum(ad.sigmoid(selective_scan_projected(*sel))), sel)
     x3 = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 2, 3)), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
@@ -124,6 +126,12 @@ def per_op_gradient_pass(seed):
         lambda: ad.tsum(ad.sigmoid(ad.conv2d(conv_x2, conv_k2, stride=(2, 2)))),
         [conv_x2, conv_k2],
     )
+    # the one-node selective scan on leaves u, a_log, w_delta, b_delta, w_b,
+    # w_c and d, and the cross-merge of four [2 * 3, 2] directions
+    scan_leaves = selective_scan_inputs(rng)
+    fd_grad_check(lambda: scalarize(ad.selective_scan(*scan_leaves)), scan_leaves)
+    seqs = [ad.Tensor(rng.standard_normal((6, 2)), requires_grad=True) for _ in range(4)]
+    fd_grad_check(lambda: scalarize(ad.cross_merge(*seqs, 2, 3)), seqs)
 
 
 def test_criterion_1_gradient_suite(capsys):
@@ -185,7 +193,7 @@ def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
     monkeypatch.setattr(ad, "_make_output", spy)
     per_op_gradient_pass(0)
     ops = tape_ops()
-    assert {"linear", "layer_norm", "softmax", "selective_scan"} <= ops
+    assert {"linear", "layer_norm", "softmax", "selective_scan", "cross_merge"} <= ops
     missing = sorted(ops - recorded)
     assert not missing, f"tape ops without a criterion 1 gradient case: {missing}"
 

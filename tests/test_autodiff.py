@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeg2vol import autodiff as ad
+from eeg2vol.decoder import S6Params
 from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
@@ -20,7 +21,9 @@ from conftest import (
     matmul_oracle,
     outputs_and_grads,
     rel_err,
-    selective_scan_composed,
+    s6_scan_four_nodes,
+    s6_scan_reference,
+    scan_merge_composed,
     selective_scan_inputs,
     selective_scan_unchunked,
     softmax_composed,
@@ -469,28 +472,35 @@ def test_linear_scan_shape_mismatch():
 
 LATER_CHUNK = 2 * ad.CHUNK + 5  # a sequence of three chunks
 SELECTIVE_SCAN_FAULTS = [
-    # (length, input index, position, value, message); ids end in the scan
-    # kernel the fused op runs
-    pytest.param(6, 1, (2, 1), np.nan, r"discretized transition left \[0, 1\]",
-                 id="nan-delta-sequential"),
-    pytest.param(6, 2, (1, 2), np.nan, r"discretized transition left \[0, 1\]",
-                 id="nan-a_log-sequential"),
-    pytest.param(6, 0, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
-                 id="inf-token-sequential"),
-    pytest.param(6, 1, (3, 0), np.inf, "linear_scan: non-finite state at step 3",
-                 id="inf-delta-sequential"),
+    # (length, input index, position, value, forward message, backward
+    # message); inputs u 0, a_log 1, b_delta 3, so a fault reaches delta
+    # through b_delta or a token. The forward's state check runs in
+    # linear_scan, the backward's recompute in selective_scan. Ids end in
+    # the scan kernel the fused op runs.
+    pytest.param(6, 3, (1,), np.nan, r"discretized transition left \[0, 1\]",
+                 r"discretized transition left \[0, 1\]", id="nan-delta-sequential"),
+    pytest.param(6, 1, (1, 2), np.nan, r"discretized transition left \[0, 1\]",
+                 r"discretized transition left \[0, 1\]", id="nan-a_log-sequential"),
+    pytest.param(6, 0, (3, 0), np.inf, "^linear_scan: non-finite state at step 3$",
+                 "^selective_scan: non-finite state at step 3$", id="inf-token-sequential"),
+    # an infinite step size on every step of channel 0
+    pytest.param(6, 3, (0,), np.inf, "^linear_scan: non-finite state at step 0$",
+                 "^selective_scan: non-finite state at step 0$", id="inf-delta-sequential"),
     # faults in the middle chunk, which the backward reaches after the last
-    pytest.param(LATER_CHUNK, 1, (ad.CHUNK + 3, 1), np.nan,
+    pytest.param(LATER_CHUNK, 0, (ad.CHUNK + 3, 1), np.nan,
+                 r"discretized transition left \[0, 1\]",
                  r"discretized transition left \[0, 1\]", id="nan-delta-chunk1-sequential"),
     pytest.param(LATER_CHUNK, 0, (ad.CHUNK + 3, 0), np.inf,
-                 f"linear_scan: non-finite state at step {ad.CHUNK + 3}$",
+                 f"^linear_scan: non-finite state at step {ad.CHUNK + 3}$",
+                 f"^selective_scan: non-finite state at step {ad.CHUNK + 3}$",
                  id="inf-token-chunk1-sequential"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("length, index, position, value, message", SELECTIVE_SCAN_FAULTS)
-def test_selective_scan_forward_checks(length, index, position, value, message):
+@pytest.mark.parametrize("length, index, position, value, message, _backward",
+                         SELECTIVE_SCAN_FAULTS)
+def test_selective_scan_forward_checks(length, index, position, value, message, _backward):
     inputs = selective_scan_inputs(np.random.default_rng(40), length=length)
     inputs[index].data[position] = value
     with pytest.raises(NumericError, match=message):
@@ -498,8 +508,10 @@ def test_selective_scan_forward_checks(length, index, position, value, message):
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("length, index, position, value, message", SELECTIVE_SCAN_FAULTS)
-def test_selective_scan_backward_recompute_checks(length, index, position, value, message):
+@pytest.mark.parametrize("length, index, position, value, _forward, message",
+                         SELECTIVE_SCAN_FAULTS)
+def test_selective_scan_backward_recompute_checks(length, index, position, value, _forward,
+                                                  message):
     inputs = selective_scan_inputs(np.random.default_rng(41), length=length)
     with ad.Tape():
         loss = ad.tsum(ad.selective_scan(*inputs))
@@ -514,14 +526,31 @@ def test_selective_scan_backward_recompute_checks(length, index, position, value
     "length", [1, ad.CHUNK - 1, ad.CHUNK, ad.CHUNK + 1, 3 * ad.CHUNK + 17, 4096]
 )
 def test_selective_scan_matches_unchunked_oracle(length):
-    """The chunked backward reproduces the whole-length one bit for bit."""
+    """The chunked backward reproduces the whole-length one bit for bit, on
+    the projected inputs, with the weight gradients and u's four-term sum
+    formed as linear nodes and the tape form them."""
     rng = np.random.default_rng(length)
     inputs = selective_scan_inputs(rng, channels=3, state=4, length=length)
     g = rng.standard_normal((length, 3))
     with ad.Tape():
         y = ad.selective_scan(*inputs)
         y.backward(seed=g)
-    want = selective_scan_unchunked(*[t.data for t in inputs], g)
+    u, a_log, w_delta, b_delta, w_b, w_c, d = [t.data for t in inputs]
+    delta_pre = np.matmul(u, w_delta.T) + b_delta
+    b, c = np.matmul(u, w_b.T), np.matmul(u, w_c.T)
+    want_y, du, ddelta, da_log, db, dc, dd = selective_scan_unchunked(
+        u, delta_pre, a_log, b, c, d, g
+    )
+    want = [
+        want_y,
+        ((du + np.matmul(dc, w_c)) + np.matmul(db, w_b)) + np.matmul(ddelta, w_delta),
+        da_log,
+        ddelta.T @ u,
+        ddelta.sum(axis=0),
+        db.T @ u,
+        dc.T @ u,
+        dd,
+    ]
     for got, ref in zip([y.data] + [t.grad for t in inputs], want):
         assert np.array_equal(got, ref)
 
@@ -534,12 +563,57 @@ def test_selective_scan_matches_unchunked_oracle(length):
     seed=st.integers(0, 2**16),
 )
 def test_selective_scan_matches_composition(length, channels, state, seed):
-    """The one-node op against softplus -> linear_scan -> + d * u composed
-    from generic tape ops, across chunk boundaries."""
+    """The one-node op against linear -> softplus -> linear_scan -> + d * u
+    composed from generic tape ops, across chunk boundaries."""
     inputs = selective_scan_inputs(np.random.default_rng(seed), channels, state, length)
     fused = outputs_and_grads(ad.selective_scan, inputs, seed)
-    composed = outputs_and_grads(selective_scan_composed, inputs, seed)
+    composed = outputs_and_grads(
+        lambda u, *params: s6_scan_reference(u, S6Params(*params)), inputs, seed
+    )
     assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    length=st.sampled_from([1, 7, ad.CHUNK + 1]),
+    channels=st.integers(1, 3),
+    state=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_selective_scan_matches_four_node_oracle(length, channels, state, seed):
+    """Taking the projections in changes no bit of y or of any gradient:
+    the oracle is the Delta, B and C linear nodes plus the projected scan."""
+    inputs = selective_scan_inputs(np.random.default_rng(seed), channels, state, length)
+    fused = outputs_and_grads(ad.selective_scan, inputs, seed)
+    four = outputs_and_grads(
+        lambda u, *params: s6_scan_four_nodes(u, S6Params(*params)), inputs, seed
+    )
+    for f, r in zip(fused, four):
+        assert np.array_equal(f, r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    h=st.integers(1, 5),
+    w=st.integers(1, 5),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_cross_merge_matches_eight_node_oracle(h, w, n, seed):
+    """The one-node merge against its add, reshape and reversed-slice
+    composition: output and all four gradients bit for bit."""
+    rng = np.random.default_rng(seed)
+    seqs = [ad.Tensor(rng.standard_normal((h * w, n)), requires_grad=True) for _ in range(4)]
+    fused = outputs_and_grads(lambda *s: ad.cross_merge(*s, h, w), seqs, seed)
+    composed = outputs_and_grads(lambda *s: scan_merge_composed(s, h, w), seqs, seed)
+    for f, c in zip(fused, composed):
+        assert np.array_equal(f, c)
+
+
+def test_cross_merge_shape_mismatch():
+    seqs = [ad.Tensor(np.zeros((6, 2)))] * 3 + [ad.Tensor(np.zeros((6, 3)))]
+    with pytest.raises(DimensionError, match="cross_merge"):
+        ad.cross_merge(*seqs, 2, 3)
 
 
 def test_selective_scan_backward_memory_is_bounded():
@@ -561,11 +635,21 @@ def test_selective_scan_backward_memory_is_bounded():
 
 
 def test_selective_scan_shape_mismatch():
-    u, delta_pre, a_log, b, c, d = selective_scan_inputs(np.random.default_rng(42))
-    with pytest.raises(DimensionError, match="selective_scan"):
-        ad.selective_scan(u, delta_pre, a_log, b, ad.Tensor(np.zeros((3, 4))), d)
-    with pytest.raises(DimensionError, match="selective_scan"):
-        ad.selective_scan(u, delta_pre, a_log, b, c, ad.Tensor(np.zeros(3)))
+    # a_log, w_delta, b_delta, w_c and d off by one extent
+    for index, shape in [(1, (3, 3)), (2, (2, 3)), (3, (3,)), (5, (3, 3)), (6, (3,))]:
+        inputs = selective_scan_inputs(np.random.default_rng(42))
+        inputs[index] = ad.Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError, match="selective_scan"):
+            ad.selective_scan(*inputs)
+
+
+def test_silu_keeps_only_its_input():
+    """silu's backward holds its input and no sigmoid array."""
+    x = ad.Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+    with ad.Tape() as tape:
+        ad.silu(x)
+    (_out, _inputs, backward), = tape.nodes
+    assert [cell.cell_contents for cell in backward.__closure__] == [x]
 
 
 # ---------------------------------------------------------------------------

@@ -190,14 +190,24 @@ def test_s6_tape_holds_no_state_sized_tensor():
     assert largest <= channels * length
 
 
-def test_s6_scan_records_four_nodes():
-    """The delta, B and C projections and the fused selective scan."""
+def node_names(tape):
+    return [fn.__qualname__.split(".")[0] for _out, _inputs, fn in tape.nodes]
+
+
+def test_s6_scan_records_one_node():
+    """The fused selective scan, which takes the delta, B and C projections in."""
     params = random_s6_params(3, 2, seed=27)
     u = ad.Tensor(np.random.default_rng(28).standard_normal((7, 3)), True)
     with ad.Tape() as tape:
         s6_scan(u, params)
-    names = [fn.__qualname__.split(".")[0] for _out, _inputs, fn in tape.nodes]
-    assert names == ["linear", "linear", "linear", "selective_scan"]
+    assert node_names(tape) == ["selective_scan"]
+
+
+def test_scan_merge_records_one_node():
+    seqs = [ad.Tensor(np.zeros((6, 2)), requires_grad=True) for _ in range(4)]
+    with ad.Tape() as tape:
+        scan_merge(seqs, 2, 3)
+    assert node_names(tape) == ["cross_merge"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
