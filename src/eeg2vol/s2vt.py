@@ -3,10 +3,19 @@
 Layout: magic `S2VT`, version (u32 LE), dtype code (u32 LE; 1 = float32,
 2 = float64), rank (u32 LE), one u32 LE extent per axis, then the payload
 little-endian row-major. All persistence in this repo uses this format.
+
+A checkpoint is a directory holding two files. `params.s2vt` is one 1-D
+float64 S2VT tensor: every parameter flattened and concatenated in sorted
+name order. `index.txt` holds `# key value` metadata lines and one
+`name offset extent…` line per parameter, where offset counts values from
+the start of the payload and the extents give the parameter's shape (none
+for a scalar).
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -16,6 +25,8 @@ from .errors import DataError
 
 MAGIC = b"S2VT"
 VERSION = 1
+PAYLOAD = "params.s2vt"
+INDEX = "index.txt"
 
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_FOR_KIND = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
@@ -33,7 +44,7 @@ def write_tensor(path, array):
         f.write(MAGIC)
         f.write(struct.pack("<III", VERSION, code, array.ndim))
         f.write(struct.pack(f"<{array.ndim}I", *array.shape))
-        f.write(array.astype(_DTYPE_CODES[code], copy=False).tobytes())
+        f.write(array.astype(_DTYPE_CODES[code], copy=False).data)
 
 
 def _read_exact(f, path, size):
@@ -69,14 +80,17 @@ def read_tensor(path):
     path = _existing(path)
     with open(path, "rb") as f:
         shape, dtype = _parse_header(f, path)
-        payload = f.read()
-    array = np.frombuffer(payload, dtype=dtype)
-    expected = int(np.prod(shape, dtype=np.int64))
-    if array.size != expected:
-        raise DataError(
-            f"{path}: payload holds {array.size} values, header promises {expected}"
-        )
-    return array.reshape(shape).copy()
+        expected = math.prod(shape)
+        payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
+        if payload_bytes != expected * dtype.itemsize:
+            raise DataError(
+                f"{path}: payload holds {payload_bytes // dtype.itemsize} values, "
+                f"header promises {expected}"
+            )
+        # read straight into the array returned, with no bytes object between
+        array = np.empty(shape, dtype=dtype)
+        f.readinto(array.reshape(-1).view(np.uint8))
+    return array
 
 
 def read_header(path):
@@ -87,31 +101,47 @@ def read_header(path):
 
 
 def save_checkpoint(directory, named_params, extra=None):
-    """Write one S2VT file per parameter plus a text index.
+    """Write every parameter into one S2VT payload plus a text index.
 
     named_params: mapping of stable parameter name -> numpy array.
     extra: optional metadata strings recorded as `# key value` lines.
+
+    The payload holds the parameters flattened in sorted name order as one
+    float64 tensor, and index.txt gives each one's offset and shape (see the
+    module docstring). Both files are written under temporary names and
+    renamed into place, payload first, so a save that fails part-way leaves
+    the previous checkpoint loadable.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    if extra:
-        for k, v in extra.items():
-            lines.append(f"# {k} {v}")
+    lines = [f"# {k} {v}" for k, v in (extra or {}).items()]
+    flat, offset = [], 0
     for name in sorted(named_params):
-        fname = name.replace("/", "_") + ".s2vt"
-        write_tensor(directory / fname, named_params[name])
-        lines.append(f"{name} {fname}")
-    (directory / "index.txt").write_text("\n".join(lines) + "\n")
+        array = np.asarray(named_params[name])
+        lines.append(" ".join([name, str(offset), *map(str, array.shape)]))
+        flat.append(array.reshape(-1))
+        offset += array.size
+    payload = np.concatenate(flat, dtype=np.float64) if flat else np.empty(0)
+    payload_tmp = directory / (PAYLOAD + ".tmp")
+    index_tmp = directory / (INDEX + ".tmp")
+    try:
+        write_tensor(payload_tmp, payload)
+        index_tmp.write_text("\n".join(lines) + "\n")
+        os.replace(payload_tmp, directory / PAYLOAD)
+        os.replace(index_tmp, directory / INDEX)
+    finally:
+        payload_tmp.unlink(missing_ok=True)
+        index_tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(directory):
-    """Return (params dict, extra metadata dict)."""
+    """Return (params dict, extra metadata dict); the params are views of
+    the one payload array."""
     directory = Path(directory)
-    index = directory / "index.txt"
+    index = directory / INDEX
     if not index.exists():
         raise DataError(f"checkpoint index not found: {index}")
-    params, extra = {}, {}
+    entries, extra = {}, {}
     for line in index.read_text().splitlines():
         line = line.strip()
         if not line:
@@ -121,8 +151,21 @@ def load_checkpoint(directory):
                 _, key, value = line.split(" ", 2)
                 extra[key] = value
                 continue
-            name, fname = line.rsplit(" ", 1)
+            name, *fields = line.split()
+            offset, *shape = (int(v) for v in fields)
+            if min((offset, *shape)) < 0:
+                raise ValueError
         except ValueError:
             raise DataError(f"{index}: malformed line {line!r}") from None
-        params[name] = read_tensor(directory / fname)
+        entries[name] = (offset, tuple(shape))
+    payload = read_tensor(directory / PAYLOAD).reshape(-1)
+    params = {}
+    for name, (offset, shape) in entries.items():
+        end = offset + math.prod(shape)
+        if end > payload.size:
+            raise DataError(
+                f"{index}: parameter {name} ends at value {end}, past the "
+                f"{payload.size} values of {PAYLOAD}"
+            )
+        params[name] = payload[offset:end].reshape(shape)
     return params, extra

@@ -158,11 +158,13 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
             for b in range(steps_per_epoch):
                 lr = lr_at(epoch, b / steps_per_epoch, cfg)
                 members = [train_samples[i] for i in order[b * batch : (b + 1) * batch]]
-                model.store.zero_grad()
                 loss = _batch_grads(model, members, cfg, rng)
                 if cfg.grad_clip > 0:
                     _clip_gradients(model.store, cfg.grad_clip)
                 optimizer.step(lr)
+                # eval, the checkpoint saves and the returned model need no
+                # gradients: free them now rather than at the next step
+                model.store.zero_grad()
                 epoch_losses.append(loss)
                 step += 1
                 log.write(f"{epoch}, {step}, {lr:.10g}, {loss:.10g}, -, -\n")

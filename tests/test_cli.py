@@ -198,8 +198,9 @@ def trained_run(tmp_path_factory):
 
 
 def test_train_leaves_checkpoints(trained_run):
-    assert (trained_run / "run/best.ckpt/index.txt").exists()
-    assert (trained_run / "run/last.ckpt/index.txt").exists()
+    for ckpt in ("best.ckpt", "last.ckpt"):
+        files = sorted(p.name for p in (trained_run / "run" / ckpt).iterdir())
+        assert files == ["index.txt", "params.s2vt"], ckpt
     assert (trained_run / "run/train.log").exists()
 
 
@@ -357,8 +358,30 @@ def checkpoint_metadata_missing(run, tmp):
     return predict_args(run, tmp)
 
 
+def index_line(tmp, name):
+    """The index.txt line of parameter name in the case's checkpoint copy."""
+    lines = (tmp / "ckpt/index.txt").read_text().splitlines()
+    return next(line for line in lines if line.startswith(name + " "))
+
+
 def index_line_without_file(run, tmp):
-    rewrite(tmp / "ckpt/index.txt", "dec.head.bias dec.head.bias.s2vt", "dec.head.bias")
+    # the offset and extents stripped: the name alone
+    rewrite(tmp / "ckpt/index.txt", index_line(tmp, "dec.head.bias") + "\n", "dec.head.bias\n")
+    return predict_args(run, tmp)
+
+
+def index_entry_past_payload_end(run, tmp):
+    # the entry starts at the payload's last value and needs more than one
+    line = index_line(tmp, "dec.head.bias")
+    name, _offset, *extents = line.split()
+    (values,), _dtype = s2vt.read_header(tmp / "ckpt/params.s2vt")
+    moved = " ".join([name, str(values - 1), *extents])
+    rewrite(tmp / "ckpt/index.txt", line + "\n", moved + "\n")
+    return predict_args(run, tmp)
+
+
+def checkpoint_payload_missing(run, tmp):
+    (tmp / "ckpt/params.s2vt").unlink()
     return predict_args(run, tmp)
 
 
@@ -398,6 +421,8 @@ MALFORMED_INPUTS = [
     (checkpoint_geometry_zero, "must list C T F D H W, each >= 1"),
     (checkpoint_metadata_missing, "checkpoint index missing metadata 'embed'"),
     (index_line_without_file, "malformed line 'dec.head.bias'"),
+    (index_entry_past_payload_end, "parameter dec.head.bias ends at value"),
+    (checkpoint_payload_missing, "ckpt/params.s2vt"),
     (predict_missing_input, "tensor file not found"),
     (predict_truncated_header, "truncated S2VT header"),
     (predict_unknown_dtype, "unknown dtype code 9"),

@@ -130,6 +130,22 @@ def test_train_run_loss_history_is_finite_and_recorded(tmp_path):
         assert -1.0 <= entry["eval_ssim"] <= 1.0
 
 
+def test_train_run_returns_a_model_without_gradients(tmp_path):
+    """Gradients are dropped after each optimizer step, so neither the saves
+    nor the returned model carry the last step's; last.ckpt reloads to the
+    returned model's parameters and predictions bit for bit."""
+    manifest = synth_dataset(MICRO_GEOMETRY, 2, 2, seed=4, out_dir=tmp_path / "data")
+    result = train_run(micro_run_config(epochs=2, batch_size=2), manifest,
+                       tmp_path / "data", tmp_path / "run")
+    model = result["model"]
+    assert [name for name, t in model.store.params.items() if t.grad is not None] == []
+    reloaded = Model.from_checkpoint(tmp_path / "run/last.ckpt")
+    for name, array in model.store.named_arrays().items():
+        assert np.array_equal(reloaded.store.named_arrays()[name], array), name
+    spec = np.random.default_rng(0).standard_normal(MICRO_GEOMETRY[:3])
+    assert np.array_equal(reloaded.predict(spec), model.predict(spec))
+
+
 def test_empty_subject_selection_is_error(tmp_path):
     manifest = synth_dataset(MICRO_GEOMETRY, 2, 2, seed=5, out_dir=tmp_path)
     with pytest.raises(DataError, match="no samples"):

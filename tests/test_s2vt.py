@@ -1,12 +1,14 @@
 """S2VT tensor files and checkpoint directories."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eeg2vol import s2vt
 from eeg2vol.errors import DataError
+from eeg2vol.model import Model
 
 
 def test_round_trip_float64(tmp_path):
@@ -76,6 +78,81 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded[name], params[name])
 
 
+def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+    """A 1-element, a 4-D and a scalar parameter come back with the same
+    shapes and the same bits."""
+    rng = np.random.default_rng(2)
+    params = {
+        "a.bias": np.array([np.nextafter(1.0, 2.0)]),
+        "b.kernel": rng.standard_normal((2, 3, 4, 5)),
+        "c.scale": np.array(-0.0),
+    }
+    s2vt.save_checkpoint(tmp_path / "ckpt", params)
+    loaded, _meta = s2vt.load_checkpoint(tmp_path / "ckpt")
+    for name, array in params.items():
+        assert loaded[name].shape == array.shape
+        assert loaded[name].tobytes() == array.tobytes(), name
+
+
+def test_checkpoint_is_one_payload_plus_index(tmp_path):
+    params = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+    s2vt.save_checkpoint(tmp_path / "ckpt", params, extra={"epoch": "0"})
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["index.txt", "params.s2vt"]
+    assert (tmp_path / "ckpt/index.txt").read_text() == "# epoch 0\nb 0 3\nw 3 2 3\n"
+    assert s2vt.read_header(tmp_path / "ckpt/params.s2vt") == ((9,), np.dtype("<f8"))
+
+
 def test_checkpoint_missing_index(tmp_path):
     with pytest.raises(DataError, match="index"):
         s2vt.load_checkpoint(tmp_path / "empty")
+
+
+def saved_checkpoint(tmp_path):
+    s2vt.save_checkpoint(tmp_path / "ckpt", {"w": np.ones((2, 3)), "b": np.zeros(3)})
+    return tmp_path / "ckpt"
+
+
+def test_checkpoint_missing_payload(tmp_path):
+    ckpt = saved_checkpoint(tmp_path)
+    (ckpt / "params.s2vt").unlink()
+    with pytest.raises(DataError, match="tensor file not found: .*params.s2vt"):
+        s2vt.load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("w 4 2 3", "parameter w ends at value 10, past the 9 values of params.s2vt"),
+    ("w", "malformed line 'w'"),
+    ("w w.s2vt", "malformed line 'w w.s2vt'"),
+    ("w -1 3", "malformed line 'w -1 3'"),
+], ids=["past-payload-end", "no-offset", "old-file-layout", "negative-offset"])
+def test_checkpoint_bad_index_line(tmp_path, line, message):
+    ckpt = saved_checkpoint(tmp_path)
+    index = ckpt / "index.txt"
+    index.write_text(index.read_text().replace("w 3 2 3", line))
+    with pytest.raises(DataError, match=message):
+        s2vt.load_checkpoint(ckpt)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, micro_model):
+    """A save that dies writing the payload leaves the checkpoint it was
+    replacing loadable and no temporary file behind."""
+    ckpt = tmp_path / "ckpt"
+    micro_model.save(ckpt)
+    spec = np.random.default_rng(3).standard_normal(micro_model.cfg.geometry[:3])
+    expected = micro_model.predict(spec)
+    before = sorted(p.name for p in ckpt.iterdir())
+
+    def fail(path, array):
+        Path(path).write_bytes(b"S2VT")  # part of a header, then the disk fills
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(s2vt, "write_tensor", fail)
+    other = Model(micro_model.cfg, seed=1)
+    with pytest.raises(OSError, match="No space"):
+        other.save(ckpt)
+    monkeypatch.undo()
+    assert sorted(p.name for p in ckpt.iterdir()) == before
+    reloaded = Model.from_checkpoint(ckpt)
+    for name, array in micro_model.store.named_arrays().items():
+        assert np.array_equal(reloaded.store.named_arrays()[name], array), name
+    assert np.array_equal(reloaded.predict(spec), expected)
