@@ -1,8 +1,8 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays (float64 by default). Operations executed while a
-Tape is active record backward rules on that tape; Tensor.backward() replays
-the tape in reverse and accumulates gradients into requires_grad leaves.
+Tensors wrap float64 numpy arrays. Operations executed while a Tape is
+active record backward rules on that tape; Tensor.backward() replays the
+tape in reverse and accumulates gradients into requires_grad leaves.
 Without an active tape, operations are plain forward computations.
 """
 
@@ -42,7 +42,7 @@ class Tape:
                     "backward() without a seed requires a scalar output"
                 )
             seed = np.ones_like(out.data)
-        grads = {id(out): np.asarray(seed, dtype=out.data.dtype)}
+        grads = {id(out): np.asarray(seed, dtype=np.float64)}
         for node_out, inputs, backward_fn in reversed(self.nodes):
             g = grads.pop(id(node_out), None)
             if g is None:
@@ -62,12 +62,12 @@ class Tape:
 
 
 class Tensor:
-    """N-dimensional real array with optional gradient."""
+    """N-dimensional float64 array with optional gradient."""
 
     __slots__ = ("data", "grad", "requires_grad", "_tape")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._tape = None  # tape that produced this tensor, None for leaves
@@ -132,7 +132,7 @@ def _as_tensor(x):
 
 def _make_output(value, inputs, backward_fn):
     tape = active_tape()
-    out = Tensor(value, dtype=np.asarray(value).dtype)
+    out = Tensor(value)
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
@@ -386,19 +386,20 @@ def linear(x, weight, bias=None):
     return _make_output(val, inputs, backward)
 
 
-def layer_norm(x, gain, shift, eps=1e-5):
+LN_EPS = 1e-5  # added to the variance under layer_norm's square root
+
+
+def layer_norm(x, gain, shift):
     """Normalize the trailing axis to zero mean / unit variance, then affine.
 
     One tape node that keeps the normalized input xn and 1/std for the
     closed-form backward.
     """
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
         raise DimensionError("layer_norm: gain and shift must be [width]")
     inv_n = 1.0 / x.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + eps)
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
     xn = xc / std
     inv_std = 1.0 / std
 
@@ -728,14 +729,15 @@ def selective_scan(u, a_log, w_delta, b_delta, w_b, w_c, d):
     """
     length, channels = u.shape
     state = a_log.shape[-1]
-    if (a_log.shape != (channels, state) or w_delta.shape != (channels, channels)
-            or b_delta.shape != (channels,) or w_b.shape != (state, channels)
-            or w_c.shape != (state, channels) or d.shape != (channels,)):
+    if (length < 1 or a_log.shape != (channels, state)
+            or w_delta.shape != (channels, channels) or b_delta.shape != (channels,)
+            or w_b.shape != (state, channels) or w_c.shape != (state, channels)
+            or d.shape != (channels,)):
         raise DimensionError(
             f"selective_scan: shapes u {u.shape}, a_log {a_log.shape}, "
             f"w_delta {w_delta.shape}, b_delta {b_delta.shape}, w_b {w_b.shape}, "
             f"w_c {w_c.shape}, d {d.shape} do not fit "
-            f"[L,C], [C,S], [C,C], [C], [S,C], [S,C], [C]"
+            f"[L,C], [C,S], [C,C], [C], [S,C], [S,C], [C] with L >= 1"
         )
     delta_pre, b, c = _projections(u, w_delta, b_delta, w_b, w_c)
     y, entries = _selective_forward(u.data, delta_pre, a_log.data, b, c, d.data)
@@ -790,20 +792,3 @@ def cross_merge(d1, d2, d3, d4, h, w):
 
     return _make_output(rows + flipped[:, ::-1], (d1, d2, d3, d4), backward)
 
-
-# ---------------------------------------------------------------------------
-# parameter initialization
-# ---------------------------------------------------------------------------
-
-def init_weight(shape, fan_in, rng, requires_grad=True):
-    """Uniform +-sqrt(1/fan_in); the conventional default."""
-    bound = float(np.sqrt(1.0 / fan_in))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad)
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad)
-
-
-def ones(shape, requires_grad=False):
-    return Tensor(np.ones(shape), requires_grad)

@@ -16,13 +16,16 @@ import scipy.ndimage
 from . import s2vt
 from .dsp import DatasetManifest, minmax_normalize, write_manifest
 
+N_MODES = 3  # volume fields each spectrogram's projection mixes
+NOISE = 0.01  # std of the i.i.d. voxel noise added before normalization
 
-def _smooth_volume_modes(shape, n_modes, rng):
+
+def _smooth_volume_modes(shape, rng):
     """Random low-frequency volume fields via truncated DCT spectra."""
     d, h, w = shape
     block = (min(d, 2), min(h, 3), min(w, 3))
     modes = []
-    for _ in range(n_modes):
+    for _ in range(N_MODES):
         coeffs = np.zeros(shape)
         coeffs[: block[0], : block[1], : block[2]] = rng.standard_normal(block)
         field = scipy.fft.idctn(coeffs, type=2, norm="ortho")
@@ -30,19 +33,19 @@ def _smooth_volume_modes(shape, n_modes, rng):
     return np.stack(modes)
 
 
-def synth_pair_stream(geometry, seed, noise=0.01, n_modes=3):
+def synth_pair_stream(geometry, seed):
     """Infinite generator of (spectrogram [C,T,F], volume [D,H,W]) pairs."""
     c, t, f, d, h, w = geometry
     rng = np.random.default_rng(seed)
-    basis = _smooth_volume_modes((d, h, w), n_modes, rng)
-    projection = rng.standard_normal((n_modes, c * t * f)) / np.sqrt(c * t * f)
+    basis = _smooth_volume_modes((d, h, w), rng)
+    projection = rng.standard_normal((N_MODES, c * t * f)) / np.sqrt(c * t * f)
     while True:
         raw = rng.standard_normal((c, t, f))
         spec = minmax_normalize(
             scipy.ndimage.gaussian_filter(raw, sigma=(0.0, 1.0, 1.0))
         )
         z = projection @ spec.reshape(-1)
-        vol = np.tensordot(z, basis, axes=1) + noise * rng.standard_normal((d, h, w))
+        vol = np.tensordot(z, basis, axes=1) + NOISE * rng.standard_normal((d, h, w))
         yield spec, minmax_normalize(vol)
 
 
@@ -55,12 +58,11 @@ def synth_dataset(
     name="synth",
     fs=250.0,
     tr_s=2.16,
-    noise=0.01,
 ):
     """Write paired S2VT files plus a manifest under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream = synth_pair_stream(geometry, seed, noise=noise)
+    stream = synth_pair_stream(geometry, seed)
     subjects = []
     for s in range(n_subjects):
         sid = f"sub{s:02d}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .layers import ParamStore
 
 
@@ -40,12 +40,7 @@ def scan_expand(x):
 
 def scan_merge(seqs, h, w):
     """Undo each direction's flips and sum the four grids: one
-    ad.cross_merge node."""
-    lengths = {s.shape[0] for s in seqs}
-    if lengths != {h * w}:
-        raise DimensionError(
-            f"scan_merge: sequence lengths {sorted(lengths)} != {h * w}"
-        )
+    ad.cross_merge node, which checks each sequence is [h*w, N]."""
     return ad.cross_merge(*seqs, h, w)
 
 
@@ -73,10 +68,9 @@ def s6_scan(u, params):
     with delta_t, B_t, C_t linear in the token u_t, delta made positive by
     softplus and A = -exp(a_log). Records one tape node, the fused
     ad.selective_scan, which takes the delta, B and C projections, the
-    softplus, A and the D skip in and keeps no [L, channels, state] tensor.
+    softplus, A and the D skip in and keeps no [L, channels, state] tensor;
+    it rejects an empty sequence.
     """
-    if u.shape[0] < 1:
-        raise DimensionError("s6_scan: empty sequence")
     return ad.selective_scan(
         u, params.a_log, params.w_delta, params.b_delta, params.w_b, params.w_c,
         params.d_skip,
@@ -154,34 +148,33 @@ class Decoder:
     blocks run at the deepest level. Up: the linear `expand{i}` and a patch
     expand from level i + 1, the linear `reduce{i}` over that joined with the
     `down{i}` output, then blocks `up{i}`. The linear `head` maps level 0 to
-    the D depth slices.
+    the D depth slices. Every parameter name starts with `dec.`.
     """
 
     LEVELS = 2  # patch merges; the plane must divide by 2**LEVELS
 
-    def __init__(self, cfg, rng, store=None, prefix="dec"):
+    def __init__(self, cfg, rng, store=None):
         self.cfg = cfg
-        self.prefix = prefix
         p = self.store = store if store is not None else ParamStore()
         widths = [cfg.embed * 2**i for i in range(self.LEVELS + 1)]
 
         def make_blocks(stage, width):
             return [
-                VssBlock(width, cfg.state_dim, rng, p, f"{prefix}.{stage}.block{j}")
+                VssBlock(width, cfg.state_dim, rng, p, f"dec.{stage}.block{j}")
                 for j in range(cfg.vss_blocks)
             ]
 
         self.down = []
         for i in range(self.LEVELS):
             self.down.append(make_blocks(f"down{i}", widths[i]))
-            p.linear(f"{prefix}.merge{i}", widths[i + 1], 4 * widths[i], rng)
+            p.linear(f"dec.merge{i}", widths[i + 1], 4 * widths[i], rng)
         self.bottleneck = make_blocks("bottleneck", widths[-1])
         self.up = [None] * self.LEVELS
         for i in reversed(range(self.LEVELS)):
-            p.linear(f"{prefix}.expand{i}", 4 * widths[i], widths[i + 1], rng)
-            p.linear(f"{prefix}.reduce{i}", widths[i], 2 * widths[i], rng)
+            p.linear(f"dec.expand{i}", 4 * widths[i], widths[i + 1], rng)
+            p.linear(f"dec.reduce{i}", widths[i], 2 * widths[i], rng)
             self.up[i] = make_blocks(f"up{i}", widths[i])
-        p.linear(f"{prefix}.head", cfg.geometry[3], widths[0], rng)
+        p.linear("dec.head", cfg.geometry[3], widths[0], rng)
 
     def _run(self, blocks, x):
         for block in blocks:
@@ -195,14 +188,14 @@ class Decoder:
             raise ConfigError(
                 f"decoder input shape {fmap.shape} does not match configured {want}"
             )
-        p, pre = self.store, self.prefix
+        p = self.store
         x, skips = fmap, []
         for i, blocks in enumerate(self.down):
             skips.append(self._run(blocks, x))
-            x = p.apply_linear(f"{pre}.merge{i}", patch_merge(skips[-1]))
+            x = p.apply_linear(f"dec.merge{i}", patch_merge(skips[-1]))
         x = self._run(self.bottleneck, x)
         for i in reversed(range(self.LEVELS)):
-            x = patch_expand(p.apply_linear(f"{pre}.expand{i}", x))
-            x = p.apply_linear(f"{pre}.reduce{i}", ad.concat([x, skips.pop()], axis=-1))
+            x = patch_expand(p.apply_linear(f"dec.expand{i}", x))
+            x = p.apply_linear(f"dec.reduce{i}", ad.concat([x, skips.pop()], axis=-1))
             x = self._run(self.up[i], x)
-        return ad.sigmoid(p.apply_linear(f"{pre}.head", x))
+        return ad.sigmoid(p.apply_linear("dec.head", x))

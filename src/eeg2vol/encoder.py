@@ -15,16 +15,16 @@ from .layers import ParamStore
 
 
 class Encoder:
-    """Built from a model.ModelConfig; the target plane is its (H, W)."""
+    """Built from a model.ModelConfig; the target plane is its (H, W). Every
+    parameter name starts with `enc.`."""
 
-    def __init__(self, cfg, rng, store=None, prefix="enc"):
+    def __init__(self, cfg, rng, store=None):
         self.cfg = cfg
-        self.prefix = prefix
         p = self.store = store if store is not None else ParamStore()
         n, c = cfg.embed, cfg.geometry[0]
-        p.conv(f"{prefix}.proj", n, c, 3, 3, rng, bias=True)
+        p.conv("enc.proj", n, c, 3, 3, rng, bias=True)
         for k in range(cfg.enc_stages):
-            s = f"{prefix}.stage{k}"
+            s = f"enc.stage{k}"
             p.conv(f"{s}.temporal", n, n, 3, 1, rng)
             p.conv(f"{s}.frequency", n, n, 1, 3, rng)
             p.conv(f"{s}.joint", n, n, 3, 3, rng)
@@ -44,12 +44,12 @@ class Encoder:
             raise DimensionError(
                 f"expected {self.cfg.geometry[0]} input channels, got {x.shape[-1]}"
             )
-        return ad.silu(self.store.apply_conv(f"{self.prefix}.proj", x, padding=(1, 1)))
+        return ad.silu(self.store.apply_conv("enc.proj", x, padding=(1, 1)))
 
     def local_block(self, x, stage):
         """Three directional conv paths, fused per token, residual, LayerNorm."""
         p = self.store
-        s = f"{self.prefix}.stage{stage}"
+        s = f"enc.stage{stage}"
         branches = [
             p.apply_conv(f"{s}.temporal", x, padding=(1, 0)),
             p.apply_conv(f"{s}.frequency", x, padding=(0, 1)),
@@ -64,7 +64,7 @@ class Encoder:
         rng, when given, draws the attention-dropout masks.
         """
         p = self.store
-        s = f"{self.prefix}.stage{stage}"
+        s = f"enc.stage{stage}"
         t, f, n = x.shape
         heads = self.cfg.heads
         dh = n // heads
@@ -88,7 +88,7 @@ class Encoder:
         """1x3 stride-(1,2) convolution along frequency: F -> ceil(F/2)."""
         if x.shape[1] < 2:
             raise DimensionError("frequency axis too short to downsample")
-        name = f"{self.prefix}.stage{stage}.down"
+        name = f"enc.stage{stage}.down"
         return self.store.apply_conv(name, x, stride=(1, 2), padding=(0, 1))
 
     # full pass --------------------------------------------------------------

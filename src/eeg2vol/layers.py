@@ -2,8 +2,9 @@
 
 Layers name their parameters `<name>.weight`/`.bias` (linear, [out, in]),
 `.gain`/`.shift` (LayerNorm), and `.kernel` ([out, in, kh, kw]) with an
-optional `.bias` (conv). A weight is drawn with its fan-in before its bias, so
-registration order fixes the seed's draws and with them every checkpoint.
+optional `.bias` (conv). The store builds every parameter's leaf tensor
+itself; a weight is drawn with its fan-in before its bias, so registration
+order fixes the seed's draws and with them every checkpoint.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ class ParamStore:
         return tensor
 
     def weight(self, name, shape, fan_in, rng):
-        return self.add(name, ad.init_weight(shape, fan_in, rng))
+        """Uniform +-sqrt(1/fan_in), the conventional default."""
+        bound = float(np.sqrt(1.0 / fan_in))
+        return self.add_array(name, rng.uniform(-bound, bound, size=shape))
 
     def zeros(self, name, shape):
-        return self.add(name, ad.zeros(shape, requires_grad=True))
+        return self.add_array(name, np.zeros(shape))
 
     def ones(self, name, shape):
-        return self.add(name, ad.ones(shape, requires_grad=True))
+        return self.add_array(name, np.ones(shape))
 
     def add_array(self, name, array):
         return self.add(name, ad.Tensor(array, requires_grad=True))

@@ -79,8 +79,10 @@ def ssim(x, y, cfg=None):
     return ad.tmean(num / den)
 
 
-def psnr(x, y, max_val=1.0):
-    """Peak signal-to-noise ratio in dB; identical inputs give +inf."""
+def psnr(x, y):
+    """Peak signal-to-noise ratio in dB at peak 1 (volumes are min-max
+    normalized and the decoder head is a sigmoid); identical inputs give
+    +inf."""
     x = x.data if isinstance(x, ad.Tensor) else np.asarray(x)
     y = y.data if isinstance(y, ad.Tensor) else np.asarray(y)
     if x.shape != y.shape:
@@ -88,7 +90,7 @@ def psnr(x, y, max_val=1.0):
     err = float(np.mean((x - y) ** 2))
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_val * max_val / err)
+    return 10.0 * math.log10(1.0 / err)
 
 
 def hybrid_loss(x, y, cfg=None):

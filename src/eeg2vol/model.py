@@ -11,7 +11,7 @@ from . import dsp, s2vt
 from .decoder import Decoder
 from .encoder import Encoder
 from .config import SCHEMA, coerce
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError
 from .layers import ParamStore
 
 
@@ -86,10 +86,16 @@ class Model:
     def forward(self, x, rng=None):
         """[C, T, F] tensor -> [D, H, W] tensor in (0, 1).
 
-        rng, when given, draws the attention-dropout masks (training).
+        The input must have exactly the geometry's (C, T, F) shape. rng, when
+        given, draws the attention-dropout masks (training).
         """
         if not isinstance(x, ad.Tensor):
             x = ad.Tensor(x)
+        if x.shape != self.cfg.geometry[:3]:
+            raise DimensionError(
+                f"spectrogram shape {x.shape} does not match the model's "
+                f"(C, T, F) {self.cfg.geometry[:3]}"
+            )
         # the model runs channel-last; these are its only layout conversions
         tokens = ad.permute(x, (1, 2, 0))  # [T, F, C]
         volume = self.decoder.decode(self.encoder.encode(tokens, rng=rng))

@@ -1,10 +1,10 @@
-"""AdamW with decoupled weight decay, the hard-restart cosine schedule, and
-train/test split planning."""
+"""AdamW with decoupled weight decay and global-norm gradient clipping, the
+hard-restart cosine schedule, and train/test split planning, each reading
+its settings from the run Config."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ def lr_at(epoch, frac, cfg):
 
 class AdamW:
     """Decoupled-weight-decay Adam over a named-parameter store, with the
-    run Config's weight_decay, beta1, beta2 and adam_eps."""
+    run Config's weight_decay, beta1, beta2, adam_eps and grad_clip."""
 
     def __init__(self, params, cfg):
         self.params = params  # dict name -> Tensor
@@ -48,10 +48,20 @@ class AdamW:
 
         Parameters with no gradient are treated as zero-gradient (they still
         receive weight decay). Non-finite gradients reject the whole step.
+        With grad_clip > 0, the gradients are scaled down together when their
+        global L2 norm exceeds grad_clip, to that norm.
         """
+        max_norm = self.cfg.grad_clip
+        total = 0.0  # squared norm, summed in store order
         for name, t in self.params.items():
-            if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            if t.grad is None:
+                continue
+            if not np.all(np.isfinite(t.grad)):
                 raise NumericError(f"non-finite gradient on {name}; step rejected")
+            if max_norm > 0:
+                total += float(np.sum(t.grad * t.grad))
+        norm = math.sqrt(total)
+        clip = max_norm / norm if 0 < max_norm < norm else None
         self.step_count += 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         eps, weight_decay = self.cfg.adam_eps, self.cfg.weight_decay
@@ -59,6 +69,8 @@ class AdamW:
         bc2 = 1.0 - b2**self.step_count
         for name, t in self.params.items():
             g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            if clip is not None:
+                g = g * clip
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / bc1
@@ -75,31 +87,23 @@ class AdamW:
         return out
 
 
-@dataclass
-class SplitPlan:
-    mode: str  # "loso" | "fixed"
-    folds: list = field(default_factory=list)  # (train_ids, test_ids)
-
-
-def make_splits(manifest, mode="loso", k_train=None, k_test=None, seed=0):
-    """LOSO gives one fold per subject; fixed gives one seeded k/k split."""
+def make_splits(manifest, cfg):
+    """Train/test folds [(train_ids, test_ids), ...] under the run Config's
+    split_mode: "loso" gives one fold per subject, "fixed" one split of
+    k_train and k_test subjects shuffled by seed."""
     subjects = sorted(manifest.subject_ids)
     if len(subjects) < 2:
         raise ConfigError("need at least two subjects to build splits")
-    if mode == "loso":
-        folds = [
+    if cfg.split_mode == "loso":
+        return [
             ([s for s in subjects if s != held_out], [held_out])
             for held_out in subjects
         ]
-        return SplitPlan("loso", folds)
-    if mode == "fixed":
-        if k_train is None or k_test is None:
-            raise ConfigError("fixed split needs k_train and k_test")
-        if k_train + k_test > len(subjects):
-            raise ConfigError(
-                f"{k_train}+{k_test} subjects requested, only {len(subjects)} available"
-            )
-        order = list(subjects)
-        np.random.default_rng(seed).shuffle(order)
-        return SplitPlan("fixed", [(sorted(order[:k_train]), sorted(order[k_train : k_train + k_test]))])
-    raise ConfigError(f"unknown split mode {mode!r}")
+    k_train, k_test = cfg.k_train, cfg.k_test
+    if k_train + k_test > len(subjects):
+        raise ConfigError(
+            f"{k_train}+{k_test} subjects requested, only {len(subjects)} available"
+        )
+    order = list(subjects)
+    np.random.default_rng(cfg.seed).shuffle(order)
+    return [(sorted(order[:k_train]), sorted(order[k_train : k_train + k_test]))]

@@ -25,13 +25,14 @@ from .model import GEOMETRY_KEYS, Model, ModelConfig
 from .optim import AdamW, check_lr_floor, lr_at, make_splits
 
 
-def load_pairs(manifest, base_dir=".", subjects=None):
-    """Load S2VT pairs into memory: [(subject_id, spec, vol), ...]."""
+def load_pairs(manifest, base_dir, subjects):
+    """Load the listed subjects' S2VT pairs into memory:
+    [(subject_id, spec, vol), ...]."""
     resolved = resolve_pair_paths(manifest, base_dir)
-    wanted = set(subjects) if subjects is not None else None
+    wanted = set(subjects)
     out = []
     for sid, pairs in resolved.subjects:
-        if wanted is not None and sid not in wanted:
+        if sid not in wanted:
             continue
         for spec_path, vol_path in pairs:
             out.append((sid, s2vt.read_tensor(spec_path), s2vt.read_tensor(vol_path)))
@@ -68,19 +69,6 @@ def _batch_grads(model, batch, cfg, rng=None):
     return total
 
 
-def _clip_gradients(store, max_norm):
-    total = 0.0
-    for t in store.params.values():
-        if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for t in store.params.values():
-            if t.grad is not None:
-                t.grad = t.grad * factor
-
-
 def evaluate_samples(model, samples, cfg):
     """Per-subject SSIM/PSNR rows plus a pooled summary row; returns the rows,
     the pooled mean SSIM and the pooled mean of the finite PSNRs."""
@@ -101,19 +89,14 @@ def evaluate_samples(model, samples, cfg):
 
 
 def split_for(cfg, manifest):
-    plan = make_splits(
-        manifest,
-        mode=cfg.split_mode,
-        k_train=cfg.k_train,
-        k_test=cfg.k_test,
-        seed=cfg.seed,
-    )
-    if not 0 <= cfg.fold < len(plan.folds):
-        raise ConfigError(f"fold {cfg.fold} outside 0..{len(plan.folds) - 1}")
-    return plan.folds[cfg.fold]
+    """The (train_ids, test_ids) of the run Config's fold."""
+    folds = make_splits(manifest, cfg)
+    if not 0 <= cfg.fold < len(folds):
+        raise ConfigError(f"fold {cfg.fold} outside 0..{len(folds) - 1}")
+    return folds[cfg.fold]
 
 
-def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
+def train_run(cfg, manifest, base_dir, out_dir):
     """Full training run: returns {'best_ssim', 'history', 'model', ...}.
 
     Deterministic for a fixed seed. best.ckpt holds the highest held-out
@@ -133,7 +116,7 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / log_name
+    log_path = out_dir / "train.log"
     log = open(log_path, "w")
     # the dataset and the geometry the model trains at come from the
     # manifest, not the config
@@ -159,8 +142,6 @@ def train_run(cfg, manifest, base_dir, out_dir, log_name="train.log"):
                 lr = lr_at(epoch, b / steps_per_epoch, cfg)
                 members = [train_samples[i] for i in order[b * batch : (b + 1) * batch]]
                 loss = _batch_grads(model, members, cfg, rng)
-                if cfg.grad_clip > 0:
-                    _clip_gradients(model.store, cfg.grad_clip)
                 optimizer.step(lr)
                 # eval, the checkpoint saves and the returned model need no
                 # gradients: free them now rather than at the next step

@@ -635,8 +635,9 @@ def test_selective_scan_backward_memory_is_bounded():
 
 
 def test_selective_scan_shape_mismatch():
-    # a_log, w_delta, b_delta, w_c and d off by one extent
-    for index, shape in [(1, (3, 3)), (2, (2, 3)), (3, (3,)), (5, (3, 3)), (6, (3,))]:
+    # an empty sequence u, then a_log, w_delta, b_delta, w_c and d off by
+    # one extent
+    for index, shape in [(0, (0, 2)), (1, (3, 3)), (2, (2, 3)), (3, (3,)), (5, (3, 3)), (6, (3,))]:
         inputs = selective_scan_inputs(np.random.default_rng(42))
         inputs[index] = ad.Tensor(np.zeros(shape))
         with pytest.raises(DimensionError, match="selective_scan"):

@@ -299,7 +299,7 @@ class GroundTruthModel:
 
 def test_evaluate_identity_gives_ssim_one_and_inf_psnr(tmp_path):
     manifest = synth_dataset(MICRO_GEOMETRY, 2, 2, seed=6, out_dir=tmp_path)
-    samples = load_pairs(manifest, tmp_path)
+    samples = load_pairs(manifest, tmp_path, manifest.subject_ids)
     rows, mean_ssim, mean_psnr = evaluate_samples(
         GroundTruthModel(samples), samples, Config()
     )

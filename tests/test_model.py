@@ -2,13 +2,16 @@
 every checkpoint depends on."""
 
 import hashlib
+import re
 
+import numpy as np
 import pytest
 
+from eeg2vol.errors import DimensionError
 from eeg2vol.model import Model, ModelConfig
 from eeg2vol.presets import preset_config
 
-from conftest import micro_model_config
+from conftest import MICRO_GEOMETRY, micro_model_config
 
 # (count, sha256 of the newline-joined names in registration order,
 #  sha256 over each name, shape and little-endian float64 bytes)
@@ -62,3 +65,16 @@ def test_decoder_stages_register_in_unet_order():
             if stage not in stages:
                 stages.append(stage)
     assert stages == DECODER_STAGES
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 6), (4, 5, 7), (4, 5, 2)])
+def test_forward_rejects_a_spectrogram_off_the_geometry(micro_model, shape):
+    """A T or F other than the geometry's is rejected up front, naming both
+    shapes, whether it would pad onto the plane or fail to downsample."""
+    named = re.escape(str(shape)) + ".*" + re.escape(str(MICRO_GEOMETRY[:3]))
+    with pytest.raises(DimensionError, match=named):
+        micro_model.predict(np.zeros(shape))
+
+
+def test_forward_takes_the_geometry_shape(micro_model):
+    assert micro_model.predict(np.zeros(MICRO_GEOMETRY[:3])).shape == MICRO_GEOMETRY[3:]

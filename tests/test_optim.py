@@ -85,6 +85,25 @@ def test_nonfinite_gradient_rejects_step():
     np.testing.assert_array_equal(w.data, before)
 
 
+def test_grad_clip_scales_to_the_global_norm():
+    """Over grad_clip, every gradient is scaled by grad_clip / global norm
+    before the first AdamW update is taken from it. A large adam_eps makes
+    that update depend on the gradient's scale, not only on its sign."""
+    a = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = ad.Tensor(np.array([0.5]), requires_grad=True)
+    a.grad, b.grad = np.array([3.0, 0.0]), np.array([-4.0])
+    opt = AdamW({"a": a, "b": b}, Config({"weight_decay": 0.0, "grad_clip": 0.5, "adam_eps": 1.0}))
+    opt.step(1e-3)
+    scale = 0.5 / 5.0  # the global norm is sqrt(3**2 + 4**2)
+    b1, b2, eps, lr = 0.9, 0.999, 1.0, 1e-3
+    for w, before, g in ((a, [1.0, -2.0], [3.0, 0.0]), (b, [0.5], [-4.0])):
+        g = np.array(g) * scale
+        m_hat = (1.0 - b1) * g / (1.0 - b1)
+        v_hat = (1.0 - b2) * g * g / (1.0 - b2)
+        want = np.array(before) - lr * (m_hat / (np.sqrt(v_hat) + eps))
+        np.testing.assert_array_equal(w.data, want)
+
+
 def test_moment_state_shapes():
     w = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
     opt = AdamW({"layer.w": w}, Config())
@@ -138,41 +157,39 @@ def test_schedule_config_validation():
 # splits
 # ---------------------------------------------------------------------------
 
+def fixed_split(k_train, k_test, seed):
+    return Config({"split_mode": "fixed", "k_train": k_train, "k_test": k_test, "seed": seed})
+
+
 def test_loso_15_subjects():
-    plan = make_splits(manifest_with_subjects(15), mode="loso")
-    assert plan.mode == "loso" and len(plan.folds) == 15
+    folds = make_splits(manifest_with_subjects(15), Config({"split_mode": "loso"}))
+    assert len(folds) == 15
     all_subjects = set(manifest_with_subjects(15).subject_ids)
-    for train, test in plan.folds:
+    for train, test in folds:
         assert len(test) == 1
         assert set(train) | set(test) == all_subjects
         assert not set(train) & set(test)
-    held_out = {t[0] for _, t in plan.folds}
+    held_out = {t[0] for _, t in folds}
     assert held_out == all_subjects
 
 
 def test_fixed_16_4_split():
-    plan = make_splits(
-        manifest_with_subjects(20), mode="fixed", k_train=16, k_test=4, seed=3
-    )
-    train, test = plan.folds[0]
+    folds = make_splits(manifest_with_subjects(20), fixed_split(16, 4, seed=3))
+    train, test = folds[0]
     assert len(train) == 16 and len(test) == 4
     assert not set(train) & set(test)
 
 
 def test_fixed_split_deterministic_per_seed():
-    a = make_splits(manifest_with_subjects(8), "fixed", k_train=5, k_test=3, seed=1)
-    b = make_splits(manifest_with_subjects(8), "fixed", k_train=5, k_test=3, seed=1)
-    c = make_splits(manifest_with_subjects(8), "fixed", k_train=5, k_test=3, seed=2)
-    assert a.folds == b.folds
-    assert a.folds != c.folds
+    a = make_splits(manifest_with_subjects(8), fixed_split(5, 3, seed=1))
+    b = make_splits(manifest_with_subjects(8), fixed_split(5, 3, seed=1))
+    c = make_splits(manifest_with_subjects(8), fixed_split(5, 3, seed=2))
+    assert a == b
+    assert a != c
 
 
 def test_split_errors():
     with pytest.raises(ConfigError, match="two subjects"):
-        make_splits(manifest_with_subjects(1), mode="loso")
+        make_splits(manifest_with_subjects(1), Config({"split_mode": "loso"}))
     with pytest.raises(ConfigError, match="available"):
-        make_splits(manifest_with_subjects(4), "fixed", k_train=3, k_test=2)
-    with pytest.raises(ConfigError, match="unknown"):
-        make_splits(manifest_with_subjects(4), mode="stratified")
-    with pytest.raises(ConfigError, match="k_train"):
-        make_splits(manifest_with_subjects(4), mode="fixed")
+        make_splits(manifest_with_subjects(4), fixed_split(3, 2, seed=0))
