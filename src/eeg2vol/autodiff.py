@@ -707,9 +707,9 @@ def selective_scan(u, a_log, w_delta, b_delta, w_b, w_c, d):
     delta = softplus(u @ w_delta.T + b_delta), B = u @ w_b.T, C = u @ w_c.T
     and A = -exp(a_log).
 
-    Time-major: u: [L, C]; a_log: [C, S]; w_delta: [C, C]; b_delta, d: [C];
-    w_b, w_c: [S, C]; y: [L, C]. The parameters come in decoder.S6Params'
-    field order. One tape node, which takes the delta, B and C projections,
+    Time-major: u: [L, C] with L >= 1; a_log: [C, S]; w_delta: [C, C];
+    b_delta, d: [C]; w_b, w_c: [S, C]; y: [L, C]. The parameters come in
+    decoder.S6_PARAMS order. One tape node, which takes the delta, B and C projections,
     the softplus, the poles and the D skip in as Mamba's selective-scan op
     does (arXiv:2312.00752). It keeps its seven inputs and the state
     entering each block of CHUNK steps, [ceil(L / CHUNK), C, S], instead of

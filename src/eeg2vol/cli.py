@@ -11,6 +11,8 @@ from . import s2vt
 from .config import Config, check, schema_help
 from .data import synth_dataset
 from .dsp import (
+    GEOMETRY_KEYS,
+    MANIFEST_KEYS,
     DatasetManifest,
     EegRecording,
     build_pairs,
@@ -20,16 +22,15 @@ from .dsp import (
     stft_params,
     window_samples,
     write_manifest,
+    write_pairs,
 )
 from .errors import ConfigError, DataError, DimensionError, Eeg2VolError
-from .model import ARCH_KEYS, GEOMETRY_KEYS, Model, ModelConfig
+from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
-# keys train takes from the dataset manifest, eval from the checkpoint and
-# preprocess from the raw manifest and its files, never from a --set
-MANIFEST_KEYS = ("dataset",) + GEOMETRY_KEYS
+# keys eval takes from the checkpoint, never from a --set; train and
+# preprocess take dsp.MANIFEST_KEYS from the manifest the same way
 CHECKPOINT_KEYS = GEOMETRY_KEYS + ARCH_KEYS
-RAW_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
 
 
 def _build_parser():
@@ -141,7 +142,7 @@ def _check_sessions(sessions, base, volume_target):
 
 def cmd_preprocess(args):
     cfg = Config.load(args.config, args.overrides)
-    _reject_set_keys(args, RAW_KEYS, "the raw manifest and its files (resize: volume_target)")
+    _reject_set_keys(args, MANIFEST_KEYS, "the raw manifest and its files (resize: volume_target)")
     name, fs, tr_s, sessions = _read_raw_manifest(args.manifest_in)
     frame_len, hop = stft_params(fs, cfg.frame_len, cfg.hop)
     window = window_samples(fs, tr_s, cfg.pairing_mode, cfg.span_s)
@@ -170,13 +171,7 @@ def cmd_preprocess(args):
             )
         except Eeg2VolError as exc:
             raise type(exc)(f"subject {sid} ({eeg_path}): {exc}") from exc
-        entries = []
-        for i, (spec, vol) in enumerate(pairs):
-            spec_rel = f"{sid}/pair{i:04d}_spec.s2vt"
-            vol_rel = f"{sid}/pair{i:04d}_vol.s2vt"
-            s2vt.write_tensor(out / spec_rel, spec.data)
-            s2vt.write_tensor(out / vol_rel, vol.data)
-            entries.append((spec_rel, vol_rel))
+        entries = write_pairs(out, sid, ((spec.data, vol.data) for spec, vol in pairs))
         subjects.append((sid, entries))
         print(f"subject {sid}: {len(entries)} pairs")
     manifest = DatasetManifest(name, fs, tr_s, (c, t, f, d, h, w), subjects)

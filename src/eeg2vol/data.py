@@ -7,14 +7,14 @@ Generation is fully deterministic per seed, down to the bytes on disk.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from . import s2vt
-from .dsp import DatasetManifest, minmax_normalize, write_manifest
+from .dsp import DatasetManifest, minmax_normalize, write_manifest, write_pairs
 
 N_MODES = 3  # volume fields each spectrogram's projection mixes
 NOISE = 0.01  # std of the i.i.d. voxel noise added before normalization
@@ -66,15 +66,7 @@ def synth_dataset(
     subjects = []
     for s in range(n_subjects):
         sid = f"sub{s:02d}"
-        pairs = []
-        for i in range(pairs_per_subject):
-            spec, vol = next(stream)
-            spec_path = f"{sid}/pair{i:04d}_spec.s2vt"
-            vol_path = f"{sid}/pair{i:04d}_vol.s2vt"
-            s2vt.write_tensor(out_dir / spec_path, spec)
-            s2vt.write_tensor(out_dir / vol_path, vol)
-            pairs.append((spec_path, vol_path))
-        subjects.append((sid, pairs))
+        subjects.append((sid, write_pairs(out_dir, sid, islice(stream, pairs_per_subject))))
     manifest = DatasetManifest(
         name=name, fs=fs, tr_s=tr_s, geometry=tuple(geometry), subjects=subjects
     )

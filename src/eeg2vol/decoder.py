@@ -11,8 +11,6 @@ maps channels to depth slices with a sigmoid. Feature grids are channel-last,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -48,38 +46,19 @@ def scan_merge(seqs, h, w):
 # selective state-space recurrence
 # ---------------------------------------------------------------------------
 
-@dataclass
-class S6Params:
-    """Per-direction parameters of the input-conditioned recurrence."""
-
-    a_log: ad.Tensor  # [channels, state]; A = -exp(a_log)
-    w_delta: ad.Tensor  # [channels, channels]
-    b_delta: ad.Tensor  # [channels]
-    w_b: ad.Tensor  # [state, channels]
-    w_c: ad.Tensor  # [state, channels]
-    d_skip: ad.Tensor  # [channels]
-
-
-def s6_scan(u, params):
-    """Selective scan over an [L, channels] token sequence.
-
-    Per channel n and step t: abar = exp(delta_t * A_n), bbar = delta_t * B_t,
-    h_t = abar * h_{t-1} + bbar * u_t (h_0 = 0), y_t = <C_t, h_t> + Dskip * u_t,
-    with delta_t, B_t, C_t linear in the token u_t, delta made positive by
-    softplus and A = -exp(a_log). Records one tape node, the fused
-    ad.selective_scan, which takes the delta, B and C projections, the
-    softplus, A and the D skip in and keeps no [L, channels, state] tensor;
-    it rejects an empty sequence.
-    """
-    return ad.selective_scan(
-        u, params.a_log, params.w_delta, params.b_delta, params.w_b, params.w_c,
-        params.d_skip,
-    )
+# the selective scan of one direction's [L, channels] token sequence, the
+# one-node ad.selective_scan; a name of its own, so it is traced per direction
+s6_scan = ad.selective_scan
 
 
 # ---------------------------------------------------------------------------
 # VSS block and the U-Net
 # ---------------------------------------------------------------------------
+
+# one direction's parameters under `<block>.dir<d>.`, in s6_scan's argument
+# order, which is also the order VssBlock registers them in
+S6_PARAMS = ("a_log", "delta.weight", "delta.bias", "wb", "wc", "dskip")
+
 
 class VssBlock:
     def __init__(self, width, state_dim, rng, store, prefix):
@@ -99,17 +78,6 @@ class VssBlock:
         p.norm(f"{prefix}.out_ln", width)
         p.linear(f"{prefix}.out_proj", width, width, rng)
 
-    def direction_params(self, d):
-        p, pre = self.store, self.prefix
-        return S6Params(
-            a_log=p[f"{pre}.dir{d}.a_log"],
-            w_delta=p[f"{pre}.dir{d}.delta.weight"],
-            b_delta=p[f"{pre}.dir{d}.delta.bias"],
-            w_b=p[f"{pre}.dir{d}.wb"],
-            w_c=p[f"{pre}.dir{d}.wc"],
-            d_skip=p[f"{pre}.dir{d}.dskip"],
-        )
-
     def forward(self, x):
         """Pre-norm -> projected/gated SS2D -> norm, gate, project -> residual."""
         p, pre = self.store, self.prefix
@@ -118,7 +86,10 @@ class VssBlock:
         main = p.apply_linear(f"{pre}.in_proj", normed)
         gate = ad.silu(p.apply_linear(f"{pre}.gate", normed))
         seqs = scan_expand(main)
-        scanned = [s6_scan(seq, self.direction_params(d)) for d, seq in enumerate(seqs)]
+        scanned = [
+            s6_scan(seq, *(p[f"{pre}.dir{d}.{n}"] for n in S6_PARAMS))
+            for d, seq in enumerate(seqs)
+        ]
         merged = p.apply_norm(f"{pre}.out_ln", scan_merge(scanned, h, w))
         return x + p.apply_linear(f"{pre}.out_proj", merged * gate)
 

@@ -14,6 +14,12 @@ from .config import check
 from .errors import ConfigError, DataError, DimensionError
 from . import s2vt
 
+# run-config keys of the six DatasetManifest.geometry entries, in that order
+GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
+# run-config keys a dataset manifest fixes: train reads them from the
+# manifest and preprocess from the raw manifest and its files
+MANIFEST_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
+
 
 @dataclass
 class EegRecording:
@@ -55,6 +61,12 @@ class DatasetManifest:
     @property
     def subject_ids(self):
         return [sid for sid, _ in self.subjects]
+
+    def run_values(self):
+        """The run-config value of each MANIFEST_KEYS key, as this manifest
+        fixes it."""
+        values = (self.name, float(self.fs), float(self.tr_s))
+        return dict(zip(MANIFEST_KEYS, values + tuple(int(v) for v in self.geometry)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +239,21 @@ def build_pairs(
 
 
 # ---------------------------------------------------------------------------
-# manifest files
+# dataset files
 # ---------------------------------------------------------------------------
+
+def write_pairs(out_dir, sid, pairs):
+    """Write subject sid's (spectrogram, volume) arrays, in order, as
+    <sid>/pair<i:04d>_spec.s2vt and <sid>/pair<i:04d>_vol.s2vt under out_dir.
+    Returns the [(spec, vol)] paths relative to out_dir that a manifest lists."""
+    entries = []
+    for i, arrays in enumerate(pairs):
+        rel = (f"{sid}/pair{i:04d}_spec.s2vt", f"{sid}/pair{i:04d}_vol.s2vt")
+        for path, array in zip(rel, arrays):
+            s2vt.write_tensor(Path(out_dir) / path, array)
+        entries.append(rel)
+    return entries
+
 
 def write_manifest(path, manifest):
     lines = [

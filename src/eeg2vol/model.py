@@ -18,8 +18,6 @@ from .layers import ParamStore
 # architecture keys shared by the run config, ModelConfig and checkpoint
 # metadata; attention_dropout is training-only and stays out of checkpoints
 ARCH_KEYS = ("embed", "heads", "enc_stages", "vss_blocks", "state_dim")
-# run-config keys of the six ModelConfig.geometry entries, in that order
-GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
 
 
 @dataclass
@@ -36,7 +34,7 @@ class ModelConfig:
         self.geometry = tuple(self.geometry)
         if len(self.geometry) != 6 or min(self.geometry) < 1:
             raise ConfigError(f"geometry {self.geometry} must list C T F D H W, each >= 1")
-        self.geometry = tuple(coerce(k, v) for k, v in zip(GEOMETRY_KEYS, self.geometry))
+        self.geometry = tuple(coerce(k, v) for k, v in zip(dsp.GEOMETRY_KEYS, self.geometry))
         for key in ARCH_KEYS + ("attention_dropout",):
             setattr(self, key, coerce(key, getattr(self, key)))
         if self.embed % self.heads != 0:

@@ -47,19 +47,29 @@ class AdamW:
         parameters.
 
         Parameters with no gradient are treated as zero-gradient (they still
-        receive weight decay). Non-finite gradients reject the whole step.
-        With grad_clip > 0, the gradients are scaled down together when their
-        global L2 norm exceeds grad_clip, to that norm.
+        receive weight decay). A gradient that is non-finite, or whose
+        squares overflow, rejects the whole step before any parameter
+        changes: an infinite g * g would zero every Adam update. With
+        grad_clip > 0, the gradients are scaled down together when their
+        global L2 norm exceeds grad_clip, to that norm; a norm that
+        overflows rejects the step too, as it would zero the clip factor.
         """
         max_norm = self.cfg.grad_clip
         total = 0.0  # squared norm, summed in store order
-        for name, t in self.params.items():
-            if t.grad is None:
-                continue
-            if not np.all(np.isfinite(t.grad)):
-                raise NumericError(f"non-finite gradient on {name}; step rejected")
-            if max_norm > 0:
-                total += float(np.sum(t.grad * t.grad))
+        with np.errstate(over="ignore"):  # an overflow is raised below instead
+            for name, t in self.params.items():
+                if t.grad is None:
+                    continue
+                sq = float(np.sum(t.grad * t.grad))
+                if not math.isfinite(sq):
+                    if not np.all(np.isfinite(t.grad)):
+                        raise NumericError(f"non-finite gradient on {name}; step rejected")
+                    raise NumericError(
+                        f"squared gradient on {name} overflows float64; step rejected"
+                    )
+                total += sq
+        if max_norm > 0 and not math.isfinite(total):
+            raise NumericError("global gradient norm overflows float64; step rejected")
         norm = math.sqrt(total)
         clip = max_norm / norm if 0 < max_norm < norm else None
         self.step_count += 1

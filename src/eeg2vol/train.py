@@ -21,7 +21,7 @@ from .losses import (
     ssim,
     REPORT_HEADER,
 )
-from .model import GEOMETRY_KEYS, Model, ModelConfig
+from .model import Model, ModelConfig
 from .optim import AdamW, check_lr_floor, lr_at, make_splits
 
 
@@ -118,10 +118,9 @@ def train_run(cfg, manifest, base_dir, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train.log"
     log = open(log_path, "w")
-    # the dataset and the geometry the model trains at come from the
-    # manifest, not the config
-    header = dict(cfg.items(), dataset=manifest.name)
-    header.update(zip(GEOMETRY_KEYS, mcfg.geometry))
+    # the keys the manifest fixes, the geometry the model trains at among
+    # them, come from the manifest, not the config
+    header = dict(cfg.items(), **manifest.run_values())
     for key, value in sorted(header.items()):
         log.write(f"# {key} = {value}\n")
     log.write(f"# train_subjects = {' '.join(train_ids)}\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from eeg2vol.model import Model, ModelConfig
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
+
+# one scan direction's parameters by name, in decoder.S6_PARAMS order
+S6 = namedtuple("S6", "a_log w_delta b_delta w_b w_c d_skip")
 
 
 def rel_err(a, b, floor=1e-6):
@@ -323,7 +328,7 @@ def s6_scan_reference(u, params, mode="sequential"):
 
 def selective_scan_inputs(rng, channels=2, state=3, length=5):
     """Leaves u, a_log, w_delta, b_delta, w_b, w_c, d for ad.selective_scan:
-    time-major [L, C] tokens and S6Params' fields in order. delta_pre takes
+    time-major [L, C] tokens and S6's fields in order. delta_pre takes
     both signs and A = -exp(a_log) lies in [-2, -0.5]."""
     return [
         ad.Tensor(rng.standard_normal((length, channels)), requires_grad=True),
@@ -390,13 +395,13 @@ def selective_scan_unchunked(u, delta_pre, a_log, b, c, d, g):
 
 
 def s6_output_and_grads(scan, u, params, weights):
-    """y and the gradients of <weights, y> for u and the six S6Params."""
+    """y and the gradients of <weights, y> for u and the six S6 fields."""
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
               params.w_c, params.d_skip]
     for t in leaves:
         t.grad = None
     with ad.Tape() as tape:
-        y = scan(u, params)
+        y = scan(u, *params)
         loss = ad.tsum(y * ad.Tensor(weights))
     tape.backward(loss)
     out = [y.data] + [t.grad.copy() for t in leaves]
@@ -412,7 +417,7 @@ def s6_worst_vs_reference(u, params, ref_mode, seed=0):
     weights = np.random.default_rng(seed).standard_normal(u.shape)
     fused = s6_output_and_grads(s6_scan, u, params, weights)
     ref = s6_output_and_grads(
-        lambda u, params: s6_scan_reference(u, params, mode=ref_mode), u, params, weights
+        lambda u, *p: s6_scan_reference(u, S6(*p), mode=ref_mode), u, params, weights
     )
     return max(
         float(np.max(np.abs(f - r))) / max(1.0, float(np.max(np.abs(r))))

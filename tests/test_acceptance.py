@@ -209,7 +209,7 @@ def test_criterion_2_scan_oracles(capsys):
         params = random_s6_params(3, 4, seed=length)
         rng = np.random.default_rng(length)
         u = ad.Tensor(rng.standard_normal((length, 3)) * 0.5, requires_grad=True)
-        seq = s6_scan(u, params).data
+        seq = s6_scan(u, *params).data
         blk = s6_scan_reference(u, params, mode="blocked").data
         worst = max(worst, float(np.max(np.abs(seq - blk))))
         for mode in ("sequential", "blocked"):

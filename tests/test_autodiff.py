@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeg2vol import autodiff as ad
-from eeg2vol.decoder import S6Params
 from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
+    S6,
     conv2d_oracle,
     conv2d_windowed,
     exp,
@@ -568,7 +568,7 @@ def test_selective_scan_matches_composition(length, channels, state, seed):
     inputs = selective_scan_inputs(np.random.default_rng(seed), channels, state, length)
     fused = outputs_and_grads(ad.selective_scan, inputs, seed)
     composed = outputs_and_grads(
-        lambda u, *params: s6_scan_reference(u, S6Params(*params)), inputs, seed
+        lambda u, *params: s6_scan_reference(u, S6(*params)), inputs, seed
     )
     assert worst_gap(fused, composed) <= FUSED_TOL
 
@@ -586,7 +586,7 @@ def test_selective_scan_matches_four_node_oracle(length, channels, state, seed):
     inputs = selective_scan_inputs(np.random.default_rng(seed), channels, state, length)
     fused = outputs_and_grads(ad.selective_scan, inputs, seed)
     four = outputs_and_grads(
-        lambda u, *params: s6_scan_four_nodes(u, S6Params(*params)), inputs, seed
+        lambda u, *params: s6_scan_four_nodes(u, S6(*params)), inputs, seed
     )
     for f, r in zip(fused, four):
         assert np.array_equal(f, r)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, and file artifacts."""
 
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,34 @@ def test_train_log_records_the_manifest_name(tmp_path):
     assert cli.main(train_args(tmp_path, "run")) == 0
     header = (tmp_path / "run/train.log").read_text().splitlines()
     assert "# dataset = demo" in header
+
+
+def test_train_log_records_the_manifest_fs_and_tr(tmp_path):
+    """train.log's fs and tr lines are the manifest's, which a shared
+    --config that sets them does not replace."""
+    assert cli.main(
+        ["synth-data", "--subjects", "2", "--pairs", "2", "--out", str(tmp_path / "data"),
+         "--set", "fs=1000", "--set", "tr=2"] + GEOMETRY_SETS
+    ) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("fs = 7\n")
+    assert cli.main(train_args(tmp_path, "run") + ["--config", str(config)]) == 0
+    header = (tmp_path / "run/train.log").read_text().splitlines()
+    assert "# fs = 1000.0" in header and "# tr = 2.0" in header
+
+
+@pytest.mark.parametrize("extra", [[], ["--set", "grad_clip=0.05"]], ids=["plain", "clipped"])
+def test_train_overflowing_gradient_exits_4(trained_run, tmp_path, capsys, extra):
+    """A loss weight whose gradients square past float64 stops training with
+    a NumericError, not a run in which every Adam update is 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        rc = cli.main(train_args(trained_run, tmp_path / "run")
+                      + ["--set", "lambda1=1e300"] + extra)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: squared gradient on ") and "overflows float64" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_train_attention_dropout_seeded(trained_run):
@@ -477,6 +506,8 @@ BAD_VALUES = [
      "train takes channels, height from the dataset manifest"),
     ("train", ["--set", "t_bins=5"], "train takes t_bins from the dataset manifest"),
     ("train", ["--set", "dataset=other"], "train takes dataset from the dataset manifest"),
+    ("train", ["--set", "fs=500"], "train takes fs from the dataset manifest"),
+    ("train", ["--set", "tr=1"], "train takes tr from the dataset manifest"),
     ("synth-data", ["--set", "t_bins=20", "--set", "height=8"],
      "encoded plane 20x2 exceeds target 8x8"),
     ("synth-data", ["--set", "f_bins=40"], "encoded plane 5x10 exceeds target 8x8"),

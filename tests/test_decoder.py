@@ -8,7 +8,7 @@ import pytest
 from eeg2vol import autodiff as ad
 from eeg2vol.decoder import (
     Decoder,
-    S6Params,
+    S6_PARAMS,
     VssBlock,
     patch_expand,
     patch_merge,
@@ -20,12 +20,12 @@ from eeg2vol.errors import ConfigError, DimensionError, NumericError
 from eeg2vol.layers import ParamStore
 from eeg2vol.model import ModelConfig
 
-from conftest import fd_grad_check, rel_err, s6_scan_reference, s6_worst_vs_reference
+from conftest import S6, fd_grad_check, rel_err, s6_scan_reference, s6_worst_vs_reference
 
 
 def random_s6_params(channels, state, seed=0, scale=0.3):
     rng = np.random.default_rng(seed)
-    return S6Params(
+    return S6(
         a_log=ad.Tensor(
             np.log(np.tile(np.arange(1.0, state + 1.0), (channels, 1))),
             requires_grad=True,
@@ -124,7 +124,7 @@ def test_s6_memoryless_limit():
     params.d_skip.data[:] = 0.0
     rng = np.random.default_rng(5)
     u = rng.standard_normal((length, channels)) * 0.5
-    out = s6_scan(ad.Tensor(u), params).data
+    out = s6_scan(ad.Tensor(u), *params).data
     # with no carried state: y_t = <C_t, delta_t * B_t * u_t>
     delta = np.logaddexp(0.0, u @ params.w_delta.data.T + params.b_delta.data)
     b_seq = u @ params.w_b.data.T
@@ -137,7 +137,7 @@ def test_s6_memoryless_limit():
 
 def test_s6_zero_input_gives_zero_output():
     params = random_s6_params(3, 4, seed=6)
-    out = s6_scan(ad.Tensor(np.zeros((8, 3))), params)
+    out = s6_scan(ad.Tensor(np.zeros((8, 3))), *params)
     np.testing.assert_array_equal(out.data, np.zeros((8, 3)))
 
 
@@ -146,7 +146,7 @@ def test_s6_blocked_matches_sequential():
     params = random_s6_params(3, 4, seed=7)
     rng = np.random.default_rng(8)
     u = ad.Tensor(rng.standard_normal((32, 3)) * 0.5)
-    seq = s6_scan(u, params).data
+    seq = s6_scan(u, *params).data
     blk = s6_scan_reference(u, params, mode="blocked").data
     assert np.max(np.abs(seq - blk)) < 1e-10
 
@@ -154,7 +154,7 @@ def test_s6_blocked_matches_sequential():
 def test_s6_empty_sequence():
     params = random_s6_params(2, 2)
     with pytest.raises(DimensionError):
-        s6_scan(ad.Tensor(np.zeros((0, 2))), params)
+        s6_scan(ad.Tensor(np.zeros((0, 2))), *params)
 
 
 def test_s6_gradients():
@@ -163,7 +163,7 @@ def test_s6_gradients():
     u = ad.Tensor(rng.standard_normal((5, 2)) * 0.5, requires_grad=True)
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
               params.w_c, params.d_skip]
-    fd_grad_check(lambda: ad.tmean(ad.sigmoid(s6_scan(u, params))), leaves)
+    fd_grad_check(lambda: ad.tmean(ad.sigmoid(s6_scan(u, *params))), leaves)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "blocked"])
@@ -184,7 +184,7 @@ def test_s6_tape_holds_no_state_sized_tensor():
     params = random_s6_params(channels, state, seed=23)
     u = ad.Tensor(np.random.default_rng(24).standard_normal((length, channels)), True)
     with ad.Tape() as tape:
-        s6_scan(u, params)
+        s6_scan(u, *params)
     assert tape.nodes
     largest = max(out.data.size for out, _inputs, _backward in tape.nodes)
     assert largest <= channels * length
@@ -199,7 +199,7 @@ def test_s6_scan_records_one_node():
     params = random_s6_params(3, 2, seed=27)
     u = ad.Tensor(np.random.default_rng(28).standard_normal((7, 3)), True)
     with ad.Tape() as tape:
-        s6_scan(u, params)
+        s6_scan(u, *params)
     assert node_names(tape) == ["selective_scan"]
 
 
@@ -216,7 +216,7 @@ def test_s6_nan_token_raises():
     u = np.random.default_rng(26).standard_normal((6, 2))
     u[4, 1] = np.nan
     with pytest.raises(NumericError, match=r"discretized transition left \[0, 1\]"):
-        s6_scan(ad.Tensor(u), params)
+        s6_scan(ad.Tensor(u), *params)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_vss_matches_compositional_oracle():
     gate = pre_gate * (0.5 * (1.0 + np.tanh(0.5 * pre_gate)))
     seqs = [s.data for s in scan_expand(ad.Tensor(main))]
     scanned = [
-        s6_scan(ad.Tensor(seq), block.direction_params(d)).data
+        s6_scan(ad.Tensor(seq), *(store[f"blk.dir{d}.{n}"] for n in S6_PARAMS)).data
         for d, seq in enumerate(seqs)
     ]
     merged = scan_merge([ad.Tensor(s) for s in scanned], 3, 3).data

@@ -398,3 +398,34 @@ def test_manifest_validation_wrong_shape(tmp_path):
     s2vt.write_tensor(tmp_path / "s01/a_vol.s2vt", np.zeros((4, 8, 8)))
     with pytest.raises(DataError, match="shape"):
         dsp.read_manifest(path, validate=True)
+
+
+def test_manifest_run_values():
+    """The value of each key a manifest fixes, typed as the run Config
+    types it, in MANIFEST_KEYS order."""
+    values = make_manifest().run_values()
+    assert tuple(values) == dsp.MANIFEST_KEYS
+    assert values == {"dataset": "demo", "fs": 250.0, "tr": 2.16, "channels": 2,
+                      "t_bins": 20, "f_bins": 25, "depth": 3, "height": 8, "width": 8}
+    assert [type(v) for v in values.values()] == [str, float, float] + [int] * 6
+
+
+def test_write_pairs_layout(tmp_path):
+    """write_pairs takes any iterable of (spec, vol) arrays, a generator
+    included, and writes each as write_tensor would under the
+    <sid>/pair<i:04d>_{spec,vol}.s2vt names it returns."""
+    from eeg2vol import s2vt
+
+    rng = np.random.default_rng(0)
+    arrays = [(rng.random((2, 3, 4)), rng.random((1, 2, 2))) for _ in range(3)]
+    entries = dsp.write_pairs(tmp_path / "out", "s07", (pair for pair in arrays))
+    assert entries == [(f"s07/pair{i:04d}_spec.s2vt", f"s07/pair{i:04d}_vol.s2vt")
+                       for i in range(3)]
+    assert sorted(p.name for p in (tmp_path / "out/s07").iterdir()) == sorted(
+        name.split("/")[1] for pair in entries for name in pair
+    )
+    for rel, pair in zip(entries, arrays):
+        for name, array in zip(rel, pair):
+            s2vt.write_tensor(tmp_path / "want.s2vt", array)
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "want.s2vt").read_bytes()

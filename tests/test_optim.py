@@ -1,6 +1,7 @@
 """Optimizer, learning-rate schedule, and split planning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,42 @@ def test_nonfinite_gradient_rejects_step():
     with pytest.raises(NumericError, match="w"):
         opt.step(1e-3)
     np.testing.assert_array_equal(w.data, before)
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 0.05])
+def test_overflowing_squared_gradient_rejects_step(grad_clip):
+    """A finite gradient whose square overflows would make every Adam
+    update 0 (and, clipped, the clip factor 0): the step is rejected, with
+    no numpy warning, before any parameter or moment changes."""
+    a = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = ad.Tensor(np.array([0.5]), requires_grad=True)
+    a.grad, b.grad = np.array([0.1, -0.2]), np.array([1e200])
+    opt = AdamW({"a": a, "b": b}, Config({"grad_clip": grad_clip}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="squared gradient on b overflows"):
+            opt.step(1e-3)
+    np.testing.assert_array_equal(a.data, [1.0, -2.0])
+    np.testing.assert_array_equal(b.data, [0.5])
+    assert opt.step_count == 0
+    assert not any(np.any(m) for m in opt.state_arrays().values())
+
+
+def test_overflowing_global_norm_rejects_clipped_step():
+    """Squares that are finite one by one but whose sum overflows would make
+    the clip factor 0; unclipped, the step does not use that sum and runs."""
+    for grad_clip in (0.05, 0.0):
+        a = ad.Tensor(np.array([1.0]), requires_grad=True)
+        b = ad.Tensor(np.array([0.5]), requires_grad=True)
+        a.grad, b.grad = np.array([1e154]), np.array([-1e154])
+        opt = AdamW({"a": a, "b": b}, Config({"grad_clip": grad_clip, "weight_decay": 0.0}))
+        if grad_clip:
+            with pytest.raises(NumericError, match="global gradient norm overflows"):
+                opt.step(1e-3)
+            assert a.data[0] == 1.0 and b.data[0] == 0.5
+        else:
+            opt.step(1e-3)
+            assert a.data[0] < 1.0 and b.data[0] > 0.5
 
 
 def test_grad_clip_scales_to_the_global_norm():
