@@ -4,11 +4,13 @@ subcommands over the library modules."""
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import s2vt
-from .config import Config, check, schema_help
+from .config import Config, schema_help
 from .data import synth_dataset
 from .dsp import (
     GEOMETRY_KEYS,
@@ -16,7 +18,6 @@ from .dsp import (
     DatasetManifest,
     EegRecording,
     build_pairs,
-    parse_manifest,
     read_manifest,
     spectrogram_geometry,
     stft_params,
@@ -88,35 +89,23 @@ def _reject_set_keys(args, keys, source):
         )
 
 
-def _read_raw_manifest(path):
-    """Raw-session manifest: name/fs/tr header plus `subject id: eeg vols`."""
-    header, sessions = parse_manifest(path)
-    for key in ("name", "fs", "tr"):
-        if key not in header:
-            raise DataError(f"{path}: raw manifest missing header key {key!r}")
-    if not sessions:
-        raise DataError(f"{path}: raw manifest lists no subject sessions")
-    try:
-        fs, tr_s = float(header["fs"]), float(header["tr"])
-        check("fs", fs)
-        check("tr", tr_s)
-        window_samples(fs, tr_s)  # a TR window must hold at least one sample
-    except ValueError as exc:
-        raise DataError(f"{path}: raw manifest header value is not a number: {exc}") from exc
-    except ConfigError as exc:  # the data, not the config, is at fault
-        raise DataError(f"{path}: raw manifest header {exc}") from exc
-    return header["name"], fs, tr_s, sessions
+def _check_sessions(subjects, base, volume_target):
+    """Check every subject id and read every session's S2VT headers before
+    preprocess writes anything.
 
-
-def _check_sessions(sessions, base, volume_target):
-    """Read every session's S2VT headers before preprocess writes anything.
-
-    Each volume_target extent must fit its raw volume (exit 2), and every
-    session must give the same EEG channel count and output volume shape, the
+    An id must be one plain path component, as it names the subject's output
+    directory and is one token of a manifest line (exit 3). Each
+    volume_target extent must fit its raw volume (exit 2), and every session
+    must give the same EEG channel count and output volume shape, the
     (C, D, H, W) returned, so one manifest geometry describes them all (exit 3).
     """
     first = None
-    for sid, eeg_path, vol_path in sessions:
+    for sid, eeg_path, vol_path in ((sid, *s) for sid, sessions in subjects for s in sessions):
+        if sid in ("", ".", "..") or re.search(r"[\s:/\\]", sid):
+            raise DataError(
+                f"subject id {sid!r} is not one plain path component: it must be "
+                "non-empty, not . or .., and hold no whitespace, ':', '/' or '\\'"
+            )
         try:
             eeg_shape, _ = s2vt.read_header(base / eeg_path)
             vol_shape, _ = s2vt.read_header(base / vol_path)
@@ -143,24 +132,29 @@ def _check_sessions(sessions, base, volume_target):
 def cmd_preprocess(args):
     cfg = Config.load(args.config, args.overrides)
     _reject_set_keys(args, MANIFEST_KEYS, "the raw manifest and its files (resize: volume_target)")
-    name, fs, tr_s, sessions = _read_raw_manifest(args.manifest_in)
-    frame_len, hop = stft_params(fs, cfg.frame_len, cfg.hop)
-    window = window_samples(fs, tr_s, cfg.pairing_mode, cfg.span_s)
-    t, f = spectrogram_geometry(window, fs, frame_len, hop, cfg.cutoff_hz)
+    raw = read_manifest(args.manifest_in)
+    if raw.geometry is not None:
+        raise DataError(f"{args.manifest_in}: a dataset manifest (it has a geometry line); "
+                        "preprocess reads a raw-session manifest")
+    if not raw.subjects:
+        raise DataError(f"{args.manifest_in}: raw manifest lists no subject sessions")
+    try:
+        window_samples(raw.fs, raw.tr_s)  # a TR window must hold at least one sample
+    except ConfigError as exc:  # the data, not the config, is at fault
+        raise DataError(f"{args.manifest_in}: raw manifest header {exc}") from exc
+    frame_len, hop = stft_params(raw.fs, cfg.frame_len, cfg.hop)
+    window = window_samples(raw.fs, raw.tr_s, cfg.pairing_mode, cfg.span_s)
+    t, f = spectrogram_geometry(window, raw.fs, frame_len, hop, cfg.cutoff_hz)
     volume_target = cfg.volume_target_tuple()
     base = Path(args.manifest_in).parent
-    c, d, h, w = _check_sessions(sessions, base, volume_target)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    subjects = []
-    for sid, eeg_path, vol_path in sessions:
+    c, d, h, w = _check_sessions(raw.subjects, base, volume_target)
+
+    def session_arrays(sid, eeg_path, vol_path):
         try:
-            eeg = s2vt.read_tensor(base / eeg_path)
-            vols = s2vt.read_tensor(base / vol_path)
             pairs = build_pairs(
-                EegRecording(eeg, fs),
-                vols,
-                tr_s,
+                EegRecording(s2vt.read_tensor(base / eeg_path), raw.fs),
+                s2vt.read_tensor(base / vol_path),
+                raw.tr_s,
                 frame_len=frame_len,
                 hop=hop,
                 cutoff_hz=cfg.cutoff_hz,
@@ -171,10 +165,19 @@ def cmd_preprocess(args):
             )
         except Eeg2VolError as exc:
             raise type(exc)(f"subject {sid} ({eeg_path}): {exc}") from exc
-        entries = write_pairs(out, sid, ((spec.data, vol.data) for spec, vol in pairs))
+        return [(spec.data, vol.data) for spec, vol in pairs]
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    subjects = []
+    for sid, sessions in raw.subjects:
+        # one numbering across a subject's sessions, in manifest order, so a
+        # held-out subject is held out with all of its runs
+        arrays = chain.from_iterable(session_arrays(sid, *session) for session in sessions)
+        entries = write_pairs(out, sid, arrays)
         subjects.append((sid, entries))
         print(f"subject {sid}: {len(entries)} pairs")
-    manifest = DatasetManifest(name, fs, tr_s, (c, t, f, d, h, w), subjects)
+    manifest = DatasetManifest(raw.name, raw.fs, raw.tr_s, (c, t, f, d, h, w), subjects)
     write_manifest(out / "manifest.txt", manifest)
     print(f"wrote {out / 'manifest.txt'}")
 
@@ -198,10 +201,19 @@ def cmd_synth_data(args):
     print(f"wrote {total} pairs over {args.subjects} subjects to {args.out}")
 
 
+def _read_dataset_manifest(path):
+    """The dataset manifest train and eval read; a raw manifest is exit 3."""
+    manifest = read_manifest(path)
+    if manifest.geometry is None:
+        raise DataError(f"{path}: raw manifest header missing key 'geometry': "
+                        "train and eval read the dataset manifest preprocess writes")
+    return manifest
+
+
 def cmd_train(args):
     cfg = Config.load(args.config, args.overrides)
     _reject_set_keys(args, MANIFEST_KEYS, "the dataset manifest")
-    manifest = read_manifest(args.manifest, validate=True)
+    manifest = _read_dataset_manifest(args.manifest)
     result = train_run(cfg, manifest, Path(args.manifest).parent, args.out)
     print(f"best held-out SSIM {result['best_ssim']:.4f}")
     print(f"checkpoints and log in {args.out}")
@@ -210,7 +222,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = Config.load(args.config, args.overrides)
     _reject_set_keys(args, CHECKPOINT_KEYS, "the checkpoint")
-    manifest = read_manifest(args.manifest, validate=True)
+    manifest = _read_dataset_manifest(args.manifest)
     lines = evaluate_run(
         cfg,
         manifest,
@@ -235,7 +247,7 @@ def cmd_predict(args):
                 f"{path}: spectrogram shape {tuple(shape)} does not match "
                 f"checkpoint geometry {(c, t, f)}"
             )
-        target = out / (Path(path).stem.replace("_spec", "") + "_vol.s2vt")
+        target = out / (Path(path).stem.removesuffix("_spec") + "_vol.s2vt")
         if target in targets:
             raise ConfigError(f"{targets[target]} and {path} would both write {target}")
         targets[target] = path

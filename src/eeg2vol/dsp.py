@@ -55,8 +55,9 @@ class DatasetManifest:
     name: str
     fs: float
     tr_s: float
-    geometry: tuple  # (C, T, F, D, H, W)
-    subjects: list = field(default_factory=list)  # (subject_id, [(spec, vol)])
+    geometry: tuple | None  # (C, T, F, D, H, W); None in a raw-session manifest
+    # (subject_id, [(spec, vol)]); a raw manifest's are [(eeg, volumes)] sessions
+    subjects: list = field(default_factory=list)
 
     @property
     def subject_ids(self):
@@ -258,8 +259,8 @@ def write_pairs(out_dir, sid, pairs):
 def write_manifest(path, manifest):
     lines = [
         f"name = {manifest.name}",
-        f"fs = {manifest.fs:g}",
-        f"tr = {manifest.tr_s:g}",
+        f"fs = {float(manifest.fs)!r}",  # repr: read_manifest gets the same float
+        f"tr = {float(manifest.tr_s)!r}",
         "geometry = " + " ".join(str(v) for v in manifest.geometry),
     ]
     for sid, pairs in manifest.subjects:
@@ -268,17 +269,19 @@ def write_manifest(path, manifest):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_manifest(path):
-    """The line grammar shared by dataset and raw-session manifests.
+def read_manifest(path):
+    """A dataset manifest, or a raw-session manifest: one with no geometry
+    line, whose geometry is None and whose entries for each subject are that
+    subject's (EEG, volume stack) sessions.
 
-    `key = value` header lines and `subject <id>: <a> <b>` entry lines;
-    blank and `#` lines are skipped, anything else is a DataError.
-    Returns (header dict, [(subject_id, a, b), ...] in file order).
+    `key = value` header lines and `subject <id>: <a> <b>` entry lines,
+    grouped per subject in file order; blank and `#` lines are skipped.
+    Anything else is a DataError, as is an fs or tr not finite and > 0.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    header, entries = {}, []
+    header, subjects = {}, {}
     for raw in path.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -288,56 +291,34 @@ def parse_manifest(path):
             parts = files.split()
             if len(parts) != 2:
                 raise DataError(f"{path}: bad subject line {raw!r}")
-            entries.append((head[len("subject ") :].strip(), parts[0], parts[1]))
+            subjects.setdefault(head[len("subject ") :].strip(), []).append(tuple(parts))
         elif "=" in line:
             key, value = (s.strip() for s in line.split("=", 1))
             header[key] = value
         else:
             raise DataError(f"{path}: unparseable line {raw!r}")
-    return header, entries
-
-
-def read_manifest(path, validate=False):
-    path = Path(path)
-    header, entries = parse_manifest(path)
-    subjects = {}
-    for sid, spec_path, vol_path in entries:
-        subjects.setdefault(sid, []).append((spec_path, vol_path))
+    kind = "manifest" if "geometry" in header else "raw manifest"
     try:
         manifest = DatasetManifest(
             name=header["name"],
             fs=float(header["fs"]),
             tr_s=float(header["tr"]),
-            geometry=tuple(int(v) for v in header["geometry"].split()),
+            geometry=None if kind == "raw manifest" else tuple(
+                int(v) for v in header["geometry"].split()
+            ),
             subjects=list(subjects.items()),
         )
+        check("fs", manifest.fs)
+        check("tr", manifest.tr_s)
     except KeyError as exc:
-        raise DataError(f"{path}: manifest header missing key {exc}") from exc
+        raise DataError(f"{path}: {kind} header missing key {exc}") from exc
     except ValueError as exc:
-        raise DataError(f"{path}: manifest header value is not a number: {exc}") from exc
-    if len(manifest.geometry) != 6:
-        raise DataError(f"{path}: geometry must list C T F D H W")
-    if validate:
-        validate_manifest(manifest, base_dir=path.parent)
+        raise DataError(f"{path}: {kind} header value is not a number: {exc}") from exc
+    except ConfigError as exc:  # the data, not the config, is at fault
+        raise DataError(f"{path}: {kind} header {exc}") from exc
+    if kind == "manifest" and (len(manifest.geometry) != 6 or min(manifest.geometry) < 1):
+        raise DataError(f"{path}: geometry must list C T F D H W, each >= 1")
     return manifest
-
-
-def validate_manifest(manifest, base_dir="."):
-    """Check every referenced file exists and matches the declared geometry."""
-    base = Path(base_dir)
-    c, t, f, d, h, w = manifest.geometry
-    for sid, pairs in manifest.subjects:
-        for spec_path, vol_path in pairs:
-            for p, want in ((spec_path, (c, t, f)), (vol_path, (d, h, w))):
-                full = base / p
-                if not full.exists():
-                    raise DataError(f"subject {sid}: missing file {p}")
-                shape, _ = s2vt.read_header(full)
-                if tuple(shape) != want:
-                    raise DataError(
-                        f"subject {sid}: {p} has shape {tuple(shape)}, "
-                        f"manifest declares {want}"
-                    )
 
 
 def resolve_pair_paths(manifest, base_dir="."):

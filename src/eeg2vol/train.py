@@ -26,16 +26,22 @@ from .optim import AdamW, check_lr_floor, lr_at, make_splits
 
 
 def load_pairs(manifest, base_dir, subjects):
-    """Load the listed subjects' S2VT pairs into memory:
-    [(subject_id, spec, vol), ...]."""
-    resolved = resolve_pair_paths(manifest, base_dir)
+    """Load the listed subjects' S2VT pairs into memory, each array checked
+    against the manifest geometry: [(subject_id, spec, vol), ...]."""
+    shapes = (tuple(manifest.geometry[:3]), tuple(manifest.geometry[3:]))
     wanted = set(subjects)
     out = []
-    for sid, pairs in resolved.subjects:
+    for sid, pairs in resolve_pair_paths(manifest, base_dir).subjects:
         if sid not in wanted:
             continue
-        for spec_path, vol_path in pairs:
-            out.append((sid, s2vt.read_tensor(spec_path), s2vt.read_tensor(vol_path)))
+        for paths in pairs:
+            arrays = [s2vt.read_tensor(path) for path in paths]
+            for path, array, want in zip(paths, arrays, shapes):
+                if array.shape != want:
+                    raise DataError(
+                        f"subject {sid}: {path} has shape {array.shape}, manifest declares {want}"
+                    )
+            out.append((sid, *arrays))
     if not out:
         raise DataError("no samples loaded for the requested subjects")
     return out

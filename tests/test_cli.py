@@ -51,9 +51,12 @@ def test_preprocess_counts_and_manifest(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "subject s01: 3 pairs" in out  # one pair per full fs*TR window
     from eeg2vol.dsp import read_manifest
+    from eeg2vol.train import load_pairs
 
-    manifest = read_manifest(tmp_path / "out/manifest.txt", validate=True)
+    manifest = read_manifest(tmp_path / "out/manifest.txt")
     assert manifest.geometry == (2, 20, 25, 3, 8, 8)
+    # load_pairs checks every listed array against that geometry
+    assert len(load_pairs(manifest, tmp_path / "out", ["s01"])) == 3
 
 
 def test_preprocess_rerun_byte_identical(tmp_path):
@@ -162,6 +165,56 @@ def test_preprocess_mismatched_sessions_exit_3(tmp_path, capsys, n_channels, vol
         capsys.readouterr().err
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_numbers_a_subjects_sessions_as_one_run(tmp_path, capsys):
+    """A subject listed twice keeps both sessions: their pairs are numbered
+    on across the sessions, in manifest order, and none is overwritten."""
+    raw = write_raw_tree(tmp_path / "raw")
+    eeg, vols = synth_raw_session(2, 2000, 250.0, 3, (3, 8, 8), 1, tr_s=2.16)
+    s2vt.write_tensor(tmp_path / "raw/s02_eeg.s2vt", eeg)
+    s2vt.write_tensor(tmp_path / "raw/s02_vols.s2vt", vols)
+    second = tmp_path / "raw/second.txt"  # session two alone
+    second.write_text(raw.read_text().replace("s01_", "s02_"))
+    raw.write_text(raw.read_text() + "subject s01: s02_eeg.s2vt s02_vols.s2vt\n")
+    for manifest, name in ((raw, "both"), (second, "second")):
+        assert cli.main(
+            ["preprocess", "--manifest-in", str(manifest), "--out", str(tmp_path / name)]
+        ) == 0
+    assert "subject s01: 6 pairs" in capsys.readouterr().out
+    entries = [line for line in (tmp_path / "both/manifest.txt").read_text().splitlines()
+               if line.startswith("subject ")]
+    assert entries == [f"subject s01: s01/pair{i:04d}_spec.s2vt s01/pair{i:04d}_vol.s2vt"
+                       for i in range(6)]
+    for i in range(3):  # the second session's pairs follow the first's
+        for kind in ("spec", "vol"):
+            moved = tmp_path / f"both/s01/pair{i + 3:04d}_{kind}.s2vt"
+            alone = tmp_path / f"second/s01/pair{i:04d}_{kind}.s2vt"
+            assert moved.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("sid, message", [
+    ("", "subject id '' is not one plain path component"),
+    (".", "subject id '.' is not one plain path component"),
+    ("..", "subject id '..' is not one plain path component"),
+    ("../x", "subject id '../x' is not one plain path component"),
+    ("a/b", "subject id 'a/b' is not one plain path component"),
+    ("a\\b", "subject id 'a\\\\b' is not one plain path component"),
+    ("a b", "subject id 'a b' is not one plain path component"),
+    ("a\tb", "subject id 'a\\tb' is not one plain path component"),
+    # the manifest grammar ends an id at its first ':'
+    ("a:b", "bad subject line 'subject a:b: s01_eeg.s2vt s01_vols.s2vt'"),
+], ids=["empty", "dot", "dotdot", "parent", "slash", "backslash", "space", "tab", "colon"])
+def test_preprocess_rejects_subject_id_that_is_not_a_path_component(
+        tmp_path, capsys, sid, message):
+    """A subject id names an output directory and is one manifest token, so
+    preprocess rejects any other id before it creates --out."""
+    raw = write_raw_tree(tmp_path / "raw")
+    raw.write_text(raw.read_text().replace("subject s01:", f"subject {sid}:"))
+    rc = cli.main(["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]  # nothing written
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +356,17 @@ def test_predict_writes_volume(trained_run, capsys):
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
+def test_predict_output_name_drops_only_the_spec_suffix(trained_run, tmp_path):
+    """x_spectral_spec.s2vt predicts to x_spectral_vol.s2vt: only the
+    trailing _spec is replaced."""
+    spec = tmp_path / "x_spectral_spec.s2vt"
+    shutil.copy(trained_run / "data/sub00/pair0000_spec.s2vt", spec)
+    rc = cli.main(["predict", "--checkpoint", str(trained_run / "run/best.ckpt"),
+                   "--out", str(tmp_path / "pred"), str(spec)])
+    assert rc == 0
+    assert sorted(p.name for p in (tmp_path / "pred").iterdir()) == ["x_spectral_vol.s2vt"]
+
+
 def test_predict_geometry_mismatch_exit_2(trained_run, tmp_path, capsys):
     bad = tmp_path / "bad_spec.s2vt"
     s2vt.write_tensor(bad, np.zeros((4, 9, 9)))
@@ -365,6 +429,35 @@ def manifest_geometry_not_a_number(run, tmp):
     manifest = tmp / "data/manifest.txt"
     rewrite(manifest, "geometry = 4 5 6", "geometry = 4 5 x")
     return ["train", "--manifest", str(manifest), "--out", str(tmp / "run")] + ARCH_SETS
+
+
+def dataset_header(old, new):
+    """A train on a copy of the trained_run dataset whose manifest header
+    line old reads new instead."""
+    def build(run, tmp):
+        shutil.copytree(run / "data", tmp / "data")
+        rewrite(tmp / "data/manifest.txt", old, new)
+        return ["train", "--manifest", str(tmp / "data/manifest.txt"),
+                "--out", str(tmp / "out")] + ARCH_SETS
+
+    build.__name__ = "dataset_" + new.replace(" = ", "_")
+    return build
+
+
+def dataset_manifest_given_to_preprocess(run, tmp):
+    return ["preprocess", "--manifest-in", str(run / "data/manifest.txt"),
+            "--out", str(tmp / "out")]
+
+
+def raw_manifest_given_to(command):
+    """train or eval on a raw-session manifest: one with no geometry line."""
+    def build(run, tmp):
+        raw = write_raw_tree(tmp / "raw")
+        args = [command, "--manifest", str(raw), "--out", str(tmp / "out")]
+        return args + (["--checkpoint", str(tmp / "ckpt")] if command == "eval" else ARCH_SETS)
+
+    build.__name__ = f"raw_manifest_given_to_{command}"
+    return build
 
 
 def checkpoint_metadata_not_a_number(run, tmp):
@@ -445,6 +538,17 @@ MALFORMED_INPUTS = [
     (raw_header("tr = 2.16", "tr = 0.001"),
      "raw manifest header fs * tr = 250 * 0.001: must give >= 1 sample"),
     (manifest_geometry_not_a_number, "manifest header value is not a number"),
+    (dataset_header("fs = 250.0", "fs = nan"),
+     "manifest.txt: manifest header fs = nan: must be finite and > 0"),
+    (dataset_header("fs = 250.0", "fs = 0"), "manifest.txt: manifest header fs = 0.0: must be > 0"),
+    (dataset_header("tr = 2.16", "tr = -3"), "manifest.txt: manifest header tr = -3.0: must be > 0"),
+    (dataset_header("geometry = 4 5 6 3 8 8", "geometry = 4 5 6 3 8 0"),
+     "manifest.txt: geometry must list C T F D H W, each >= 1"),
+    (dataset_manifest_given_to_preprocess,
+     "manifest.txt: a dataset manifest (it has a geometry line); "
+     "preprocess reads a raw-session manifest"),
+    (raw_manifest_given_to("train"), "raw.txt: raw manifest header missing key 'geometry'"),
+    (raw_manifest_given_to("eval"), "raw.txt: raw manifest header missing key 'geometry'"),
     (checkpoint_metadata_not_a_number, "checkpoint metadata is not a number"),
     (checkpoint_geometry_too_short, "must list C T F D H W"),
     (checkpoint_geometry_zero, "must list C T F D H W, each >= 1"),

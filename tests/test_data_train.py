@@ -76,9 +76,11 @@ def test_synth_values_in_unit_range():
 
 def test_synth_manifest_is_valid(tmp_path):
     synth_dataset(MICRO_GEOMETRY, 2, 2, seed=1, out_dir=tmp_path)
-    manifest = read_manifest(tmp_path / "manifest.txt", validate=True)
+    manifest = read_manifest(tmp_path / "manifest.txt")
     assert manifest.geometry == MICRO_GEOMETRY
     assert manifest.subject_ids == ["sub00", "sub01"]
+    # load_pairs checks every listed array against that geometry
+    assert len(load_pairs(manifest, tmp_path, manifest.subject_ids)) == 4
 
 
 def test_planted_dependency_recoverable_by_ridge():

@@ -3,7 +3,7 @@ DCT down-sampling, pairing, and manifest files."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eeg2vol import dsp
@@ -376,16 +376,47 @@ def test_manifest_missing_header_key(tmp_path):
         dsp.read_manifest(path)
 
 
+POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fs=POSITIVE_FLOATS, tr=POSITIVE_FLOATS)
+@example(fs=250.0, tr=2.123456789)
+def test_manifest_round_trip_keeps_fs_and_tr_exactly(tmp_path_factory, fs, tr):
+    """write_manifest writes fs and tr so that read_manifest gets the very
+    floats back, not six significant digits of them."""
+    manifest = make_manifest()
+    manifest.fs, manifest.tr_s = fs, tr
+    path = tmp_path_factory.mktemp("manifest") / "manifest.txt"
+    dsp.write_manifest(path, manifest)
+    assert dsp.read_manifest(path) == manifest
+
+
+def test_raw_manifest_groups_sessions_per_subject(tmp_path):
+    """A manifest with no geometry line is a raw-session manifest: its
+    geometry is None and each subject's entries are its sessions, in file
+    order, wherever in the file they are listed."""
+    path = tmp_path / "raw.txt"
+    path.write_text("name = raw\nfs = 250\ntr = 2\nsubject a: e0 v0\n"
+                    "subject b: e1 v1\nsubject a: e2 v2\n")
+    raw = dsp.read_manifest(path)
+    assert (raw.name, raw.fs, raw.tr_s, raw.geometry) == ("raw", 250.0, 2.0, None)
+    assert raw.subjects == [("a", [("e0", "v0"), ("e2", "v2")]), ("b", [("e1", "v1")])]
+
+
 def test_manifest_validation_missing_file(tmp_path):
+    from eeg2vol.train import load_pairs
+
     manifest = make_manifest()
     path = tmp_path / "manifest.txt"
     dsp.write_manifest(path, manifest)
-    with pytest.raises(DataError, match="missing file"):
-        dsp.read_manifest(path, validate=True)
+    with pytest.raises(DataError, match="not found: .*s01/a_spec.s2vt"):
+        load_pairs(dsp.read_manifest(path), tmp_path, ["s01"])
 
 
 def test_manifest_validation_wrong_shape(tmp_path):
     from eeg2vol import s2vt
+    from eeg2vol.train import load_pairs
 
     manifest = make_manifest()
     for _sid, pairs in manifest.subjects:
@@ -394,10 +425,11 @@ def test_manifest_validation_wrong_shape(tmp_path):
             s2vt.write_tensor(tmp_path / vol_path, np.zeros((3, 8, 8)))
     path = tmp_path / "manifest.txt"
     dsp.write_manifest(path, manifest)
-    dsp.read_manifest(path, validate=True)  # consistent tree passes
+    load_pairs(dsp.read_manifest(path), tmp_path, ["s01", "s02"])  # consistent tree passes
     s2vt.write_tensor(tmp_path / "s01/a_vol.s2vt", np.zeros((4, 8, 8)))
-    with pytest.raises(DataError, match="shape"):
-        dsp.read_manifest(path, validate=True)
+    with pytest.raises(DataError, match=r"s01/a_vol.s2vt has shape \(4, 8, 8\), "
+                                        r"manifest declares \(3, 8, 8\)"):
+        load_pairs(dsp.read_manifest(path), tmp_path, ["s01", "s02"])
 
 
 def test_manifest_run_values():
