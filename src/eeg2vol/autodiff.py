@@ -389,21 +389,25 @@ def linear(x, weight, bias=None):
 LN_EPS = 1e-5  # added to the variance under layer_norm's square root
 
 
+def _normalized(x):
+    """layer_norm's normalized array xn and 1/std over the trailing axis."""
+    inv_n = 1.0 / x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
+    return xc / std, 1.0 / std
+
+
 def layer_norm(x, gain, shift):
     """Normalize the trailing axis to zero mean / unit variance, then affine.
 
-    One tape node that keeps the normalized input xn and 1/std for the
-    closed-form backward.
+    One tape node that keeps only its inputs: the closed-form backward
+    recomputes the normalized input xn and 1/std from x.
     """
     if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
         raise DimensionError("layer_norm: gain and shift must be [width]")
-    inv_n = 1.0 / x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
-    xn = xc / std
-    inv_std = 1.0 / std
 
     def backward(g):
+        xn, inv_std = _normalized(x.data)
         gx = None
         if x.requires_grad:
             gn = g * gain.data
@@ -414,16 +418,84 @@ def layer_norm(x, gain, shift):
             )
         return (gx, _leading_sum(g * xn), _leading_sum(g))
 
+    xn, _inv_std = _normalized(x.data)
     return _make_output(xn * gain.data + shift.data, (x, gain, shift), backward)
+
+
+def _softmax(x, axis, out=None):
+    """exp(x - max) / sum(exp(x - max)) along axis, written into out (a new
+    array when None; x itself may be out)."""
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax(x, axis=-1):
     """One tape node that keeps its output y; backward y * (g - sum(g * y))."""
-    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
     return _make_output(
         y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
     )
+
+
+def attention(q, k, v, mask=None):
+    """softmax(q @ k^T / sqrt(dh)) [* mask] @ v over the last two axes, with
+    q: [..., Tq, dh], k: [..., Tk, dh], v: [..., Tk, dv] and a constant
+    [..., Tq, Tk] mask (attention dropout) multiplying the weights.
+
+    One tape node that keeps q, k, v and the mask, never the [..., Tq, Tk]
+    scores or weights: the backward recomputes the weights in place, as
+    FlashAttention does (arXiv:2205.14135), then replays the backward of the
+    matmul, transpose, scale, softmax, mask and matmul nodes this op
+    replaces, on the same operand views, so its gradients equal theirs bit
+    for bit. The backward holds at most two score-sized arrays at once, plus
+    one leading slice of a third for softmax's row sums.
+    """
+    fits = min(q.ndim, k.ndim, v.ndim) >= 2
+    if fits:
+        lead, (tq, dh), tk = q.shape[:-2], q.shape[-2:], k.shape[-2]
+        fits = (k.shape == lead + (tk, dh) and v.shape[:-1] == lead + (tk,)
+                and (mask is None or mask.shape == lead + (tq, tk)))
+    if not fits:
+        raise DimensionError(
+            f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape}"
+            f"{'' if mask is None else f', mask {mask.shape}'} do not fit "
+            f"[..., Tq, dh], [..., Tk, dh], [..., Tk, dv] and [..., Tq, Tk]"
+        )
+    scale = 1.0 / np.sqrt(dh)
+
+    def weights():
+        """softmax(q @ k^T * scale) in one new score-sized array."""
+        s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+        s *= scale
+        return _softmax(s, -1, out=s)
+
+    def backward(g):
+        y = weights()
+        dropped = y if mask is None else y * mask
+        gv = np.matmul(np.swapaxes(dropped, -1, -2), g)
+        del dropped
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        if mask is not None:
+            gs *= mask
+        # softmax: y * (gs - sum(gs * y)), the row sums taken one leading
+        # slice at a time so that no third score-sized array is made
+        rows = np.empty(lead + (tq, 1))
+        for gs_i, y_i, rows_i in zip(gs.reshape(-1, tq, tk), y.reshape(-1, tq, tk),
+                                     rows.reshape(-1, tq, 1)):
+            np.sum(gs_i * y_i, axis=-1, keepdims=True, out=rows_i)
+        gs -= rows
+        gs *= y
+        del y
+        gs *= scale
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        return (np.matmul(gs, k.data), gk, gv)
+
+    y = weights()
+    if mask is not None:
+        y *= mask
+    return _make_output(np.matmul(y, v.data), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

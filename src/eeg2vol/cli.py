@@ -25,7 +25,7 @@ from .dsp import (
     write_manifest,
     write_pairs,
 )
-from .errors import ConfigError, DataError, DimensionError, Eeg2VolError
+from .errors import ConfigError, DataError, Eeg2VolError
 from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
@@ -94,10 +94,12 @@ def _check_sessions(subjects, base, volume_target):
     preprocess writes anything.
 
     An id must be one plain path component, as it names the subject's output
-    directory and is one token of a manifest line (exit 3). Each
-    volume_target extent must fit its raw volume (exit 2), and every session
-    must give the same EEG channel count and output volume shape, the
-    (C, D, H, W) returned, so one manifest geometry describes them all (exit 3).
+    directory and is one token of a manifest line (exit 3). Each EEG file
+    must hold a [C, samples] array and each volume file a [V, D, H, W] stack
+    (exit 3). Each volume_target extent must fit its raw volume (exit 2),
+    and every session must give the same EEG channel count and output volume
+    shape, the (C, D, H, W) returned, so one manifest geometry describes them
+    all (exit 3).
     """
     first = None
     for sid, eeg_path, vol_path in ((sid, *s) for sid, sessions in subjects for s in sessions):
@@ -112,9 +114,9 @@ def _check_sessions(subjects, base, volume_target):
         except DataError as exc:
             raise DataError(f"subject {sid} ({eeg_path}): {exc}") from exc
         if len(eeg_shape) != 2:
-            raise DimensionError(f"subject {sid}: EEG {eeg_shape} is not a [C, samples] array")
+            raise DataError(f"subject {sid}: EEG {eeg_shape} is not a [C, samples] array")
         if len(vol_shape) != 4:
-            raise DimensionError(f"subject {sid}: volumes {vol_shape} are not a [V, D, H, W] stack")
+            raise DataError(f"subject {sid}: volumes {vol_shape} are not a [V, D, H, W] stack")
         raw = tuple(vol_shape[1:])
         if volume_target is not None and any(t > r for t, r in zip(volume_target, raw)):
             raise ConfigError(

@@ -7,8 +7,6 @@ zero-padding onto the target volume plane. Feature grids are channel-last,
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 from .layers import ParamStore
@@ -72,13 +70,11 @@ class Encoder:
         q, k, v = (ad.linear(tokens, p[f"{s}.attn.{w}"]) for w in ("wq", "wk", "wv"))
         split = lambda z: ad.permute(ad.reshape(z, (t * f, heads, dh)), (1, 0, 2))
         q, k, v = split(q), split(k), split(v)
-        scores = ad.matmul(q, ad.transpose(k)) * (1.0 / np.sqrt(dh))
-        weights = ad.softmax(scores, axis=-1)
         drop = self.cfg.attention_dropout
+        mask = None
         if rng is not None and drop > 0.0:
-            mask = (rng.random(weights.shape) >= drop) / (1.0 - drop)
-            weights = weights * ad.Tensor(mask)
-        mixed = ad.matmul(weights, v)  # [heads, T*F, dh]
+            mask = (rng.random((heads, t * f, t * f)) >= drop) / (1.0 - drop)
+        mixed = ad.attention(q, k, v, mask)  # [heads, T*F, dh]
         mixed = ad.reshape(ad.permute(mixed, (1, 0, 2)), (t * f, n))
         attended = ad.linear(mixed, p[f"{s}.attn.wo"], p[f"{s}.attn.bo"])
         out = p.apply_norm(f"{s}.ln2", tokens + attended)

@@ -268,6 +268,16 @@ def softmax_composed(x, axis=-1):
     return e / ad.tsum(e, axis=axis, keepdims=True)
 
 
+def attention_composed(q, k, v, mask=None):
+    """ad.attention as the matmul, transpose, scale, softmax, mask and
+    matmul nodes the encoder recorded before it was one node."""
+    scores = ad.matmul(q, ad.transpose(k)) * (1.0 / np.sqrt(q.shape[-1]))
+    weights = ad.softmax(scores, axis=-1)
+    if mask is not None:
+        weights = weights * ad.Tensor(mask)
+    return ad.matmul(weights, v)
+
+
 def outputs_and_grads(op, inputs, seed=0):
     """op(*inputs).data and, for each input, the gradient of <r, op(*inputs)>
     with r standard normal from seed (zeros for inputs that need none)."""

@@ -132,6 +132,13 @@ def per_op_gradient_pass(seed):
     fd_grad_check(lambda: scalarize(ad.selective_scan(*scan_leaves)), scan_leaves)
     seqs = [ad.Tensor(rng.standard_normal((6, 2)), requires_grad=True) for _ in range(4)]
     fd_grad_check(lambda: scalarize(ad.cross_merge(*seqs, 2, 3)), seqs)
+    # two-head attention of 3 queries over 4 keys, without and with a
+    # dropout mask on the weights
+    qkv = [ad.Tensor(rng.standard_normal(s), requires_grad=True)
+           for s in ((2, 3, 2), (2, 4, 2), (2, 4, 3))]
+    mask = (rng.random((2, 3, 4)) >= 0.3) / 0.7
+    for m in (None, mask):
+        fd_grad_check(lambda: scalarize(ad.attention(*qkv, m)), qkv)
 
 
 def test_criterion_1_gradient_suite(capsys):

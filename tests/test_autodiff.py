@@ -1,5 +1,6 @@
 """Tensor engine: forward examples, oracle agreement, and gradient checks."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from eeg2vol.errors import DimensionError, NumericError
 
 from conftest import (
     S6,
+    attention_composed,
     conv2d_oracle,
     conv2d_windowed,
     exp,
@@ -254,6 +256,48 @@ def test_softmax_matches_composition(shape, axis_pick, seed):
     fused = outputs_and_grads(lambda x: ad.softmax(x, axis), inputs, seed)
     composed = outputs_and_grads(lambda x: softmax_composed(x, axis), inputs, seed)
     assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+def head_split_leaves(rng, heads, tokens, dh):
+    """q, k and v as leaf [heads, tokens, dh] views of [tokens, heads, dh]
+    arrays: the layout Encoder.global_block hands attention."""
+    return [
+        ad.Tensor(rng.standard_normal((tokens, heads, dh)).transpose(1, 0, 2), requires_grad=True)
+        for _ in range(3)
+    ]
+
+
+# the noddi encoder's stage-0 heads (500 tokens) and both micro stages
+ATTENTION_SHAPES = [(4, 500, 8), (2, 30, 2), (2, 15, 2)]
+
+
+@pytest.mark.parametrize("heads, tokens, dh", ATTENTION_SHAPES)
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+def test_attention_matches_composition_bit_for_bit(heads, tokens, dh, masked):
+    """The one-node attention's output and q/k/v gradients equal those of
+    the matmul, softmax and mask composition it replaced, bit for bit."""
+    rng = np.random.default_rng(tokens)
+    qkv = head_split_leaves(rng, heads, tokens, dh)
+    mask = (rng.random((heads, tokens, tokens)) >= 0.1) / 0.9 if masked else None
+    fused = outputs_and_grads(lambda q, k, v: ad.attention(q, k, v, mask), qkv, tokens)
+    composed = outputs_and_grads(lambda q, k, v: attention_composed(q, k, v, mask), qkv, tokens)
+    for f, c in zip(fused, composed):
+        assert np.array_equal(f, c)
+
+
+def test_attention_rejects_misshapen_inputs():
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.standard_normal(s) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 6)))
+    cases = [
+        (q[0, 0], k, v, None),  # 1-D q
+        (q, k[:, :, :3], v, None),  # key width != query width
+        (q, k, v[:, :4], None),  # value count != key count
+        (q, k[:1], v[:1], None),  # head counts differ
+        (q, k, v, np.ones((2, 5, 3))),  # mask not [heads, Tq, Tk]
+    ]
+    for q_, k_, v_, mask in cases:
+        with pytest.raises(DimensionError, match="attention"):
+            ad.attention(ad.Tensor(q_), ad.Tensor(k_), ad.Tensor(v_), mask)
 
 
 def test_fused_affine_ops_reject_misshapen_parameters():
@@ -651,6 +695,54 @@ def test_silu_keeps_only_its_input():
         ad.silu(x)
     (_out, _inputs, backward), = tape.nodes
     assert [cell.cell_contents for cell in backward.__closure__] == [x]
+
+
+# bytes an op's node may keep beyond its output: the Tensor, the closure
+# and the tape entry, never an array of the op's own
+NODE_SLACK = 16 * 1024
+
+
+def retained_bytes(fn):
+    """fn()'s result and the bytes tracemalloc still counts once it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attention_and_layer_norm_keep_only_their_inputs():
+    """Recorded on a tape, attention at the noddi stage-0 shape keeps no
+    [4, 500, 500] score or weight array, and layer_norm no normalized copy
+    of its [4096, 32] input: each grows memory by its output alone."""
+    rng = np.random.default_rng(12)
+    q, k, v = head_split_leaves(rng, 4, 500, 8)
+    x = ad.Tensor(rng.standard_normal((4096, 32)), requires_grad=True)
+    gain, shift = leaves(rng, (32,), (32,))
+    with ad.Tape():
+        for op in (lambda: ad.attention(q, k, v), lambda: ad.layer_norm(x, gain, shift)):
+            out, grown = retained_bytes(op)
+            assert grown <= out.data.nbytes + NODE_SLACK
+
+
+def test_attention_backward_holds_two_score_arrays():
+    """The backward's transient stays within two [heads, T, T] arrays plus
+    one head's row-sum product and the [heads, T, dh] gradients."""
+    heads, tokens, dh = 4, 500, 8
+    rng = np.random.default_rng(13)
+    qkv = head_split_leaves(rng, heads, tokens, dh)
+    g = rng.standard_normal((heads, tokens, dh))
+    with ad.Tape():
+        y = ad.attention(*qkv)
+        tracemalloc.start()
+        try:
+            y.backward(seed=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2.5 * heads * tokens * tokens * 8
 
 
 # ---------------------------------------------------------------------------

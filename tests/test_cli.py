@@ -167,6 +167,20 @@ def test_preprocess_mismatched_sessions_exit_3(tmp_path, capsys, n_channels, vol
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, message", [
+    ("s01_eeg.s2vt", "subject s01: EEG (2, 3, 4) is not a [C, samples] array"),
+    ("s01_vols.s2vt", "subject s01: volumes (2, 3, 4) are not a [V, D, H, W] stack"),
+], ids=["eeg", "volumes"])
+def test_preprocess_session_of_wrong_rank_exit_3(tmp_path, capsys, name, message):
+    """A raw session file of the wrong rank is malformed data, not a bad config."""
+    raw = write_raw_tree(tmp_path / "raw")
+    s2vt.write_tensor(tmp_path / "raw" / name, np.zeros((2, 3, 4)))
+    rc = cli.main(["preprocess", "--manifest-in", str(raw), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_preprocess_numbers_a_subjects_sessions_as_one_run(tmp_path, capsys):
     """A subject listed twice keeps both sessions: their pairs are numbered
     on across the sessions, in manifest order, and none is overwritten."""

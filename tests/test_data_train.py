@@ -17,7 +17,8 @@ from eeg2vol.data import synth_dataset, synth_pair_stream
 from eeg2vol.dsp import read_manifest
 from eeg2vol.errors import DataError, NumericError
 from eeg2vol.losses import hybrid_loss
-from eeg2vol.model import Model
+from eeg2vol.model import Model, ModelConfig
+from eeg2vol.presets import preset_config
 from eeg2vol.train import _batch_grads, evaluate_samples, load_pairs, train_run
 
 from conftest import MICRO_GEOMETRY, micro_model_config
@@ -251,8 +252,8 @@ def test_batch_grads_frees_the_tape_on_error(monkeypatch, param, message):
 # (forward plus hybrid loss); a layout permute around each linear or
 # LayerNorm, or a one-node op split back into its composition, would raise
 # them.
-MICRO_SAMPLE_TAPE_NODES = 229
-MICRO_SAMPLE_TAPE_BYTES = 280_656  # summed node outputs
+MICRO_SAMPLE_TAPE_NODES = 221
+MICRO_SAMPLE_TAPE_BYTES = 225_216  # summed node outputs
 
 
 def micro_sample_tape():
@@ -272,6 +273,35 @@ def test_micro_sample_tape_nodes_do_not_grow():
 def test_micro_sample_tape_bytes_do_not_grow():
     nbytes = sum(out.data.nbytes for out, _inputs, _backward in micro_sample_tape().nodes)
     assert nbytes <= MICRO_SAMPLE_TAPE_BYTES
+
+
+# tracemalloc bytes of one noddi training sample on a fresh model: live once
+# its forward and hybrid loss are recorded, and the peak of its backward.
+# Measured at 138.2 and 165.9 MB; with attention's scores and weights and
+# layer_norm's normalized copy on the tape they were 183.1 and 210.8 MB.
+NODDI_SAMPLE_LIVE_BYTES = 145_000_000
+NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 174_000_000
+
+
+def test_noddi_sample_memory_is_bounded():
+    mcfg = ModelConfig.from_run_config(preset_config("noddi"))
+    model = Model(mcfg, seed=0)
+    spec, vol = next(synth_pair_stream(mcfg.geometry, seed=0))
+    tape = ad.Tape()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with tape:
+            loss = hybrid_loss(model.forward(ad.Tensor(spec)), ad.Tensor(vol), Config())
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        tape.nodes.clear()
+    assert live <= NODDI_SAMPLE_LIVE_BYTES, live
+    assert peak <= NODDI_SAMPLE_BACKWARD_PEAK_BYTES, peak
 
 
 def test_train_workers_other_than_1_exit_2(tmp_path, capsys):
