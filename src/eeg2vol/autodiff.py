@@ -116,12 +116,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_as_tensor(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, key):
         return tslice(self, key)
 
@@ -205,15 +199,6 @@ def div(a, b):
     )
 
 
-def neg(a):
-    return _make_output(-a.data, (a,), lambda g: (-g,))
-
-
-def sqrt(a):
-    val = np.sqrt(a.data)
-    return _make_output(val, (a,), lambda g: (g * 0.5 / val,))
-
-
 def _logistic(x):
     """Stable logistic 1 / (1 + exp(-x)), via tanh."""
     return 0.5 * (1.0 + np.tanh(0.5 * x))
@@ -276,13 +261,6 @@ def permute(a, axes):
     )
 
 
-def transpose(a):
-    """Swap the last two axes."""
-    axes = list(range(a.ndim))
-    axes[-2], axes[-1] = axes[-1], axes[-2]
-    return permute(a, tuple(axes))
-
-
 def tslice(a, key):
     val = a.data[key]
 
@@ -323,29 +301,6 @@ def concat(tensors, axis=0):
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    """np.matmul, 1-D operands included: as in numpy, a 1-D a is a [1, K]
-    row and a 1-D b a [K, 1] column, and the added axis leaves the result."""
-    val = np.matmul(a.data, b.data)
-    a2 = a.data[None] if a.ndim == 1 else a.data
-    b2 = b.data[:, None] if b.ndim == 1 else b.data
-
-    def backward(g):
-        if b.ndim == 1:
-            g = g[..., None]
-        if a.ndim == 1:
-            g = g[..., None, :]
-        ga = np.matmul(g, np.swapaxes(b2, -1, -2))
-        gb = np.matmul(np.swapaxes(a2, -1, -2), g)
-        if a.ndim == 1:
-            ga = ga[..., 0, :]
-        if b.ndim == 1:
-            gb = gb[..., 0]
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return _make_output(val, (a, b), backward)
-
 
 def _leading_sum(g):
     """Sum over every axis but the trailing one."""
@@ -429,14 +384,6 @@ def _softmax(x, axis, out=None):
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
-
-
-def softmax(x, axis=-1):
-    """One tape node that keeps its output y; backward y * (g - sum(g * y))."""
-    y = _softmax(x.data, axis)
-    return _make_output(
-        y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-    )
 
 
 def attention(q, k, v, mask=None):

@@ -13,7 +13,7 @@ from .errors import ConfigError
 # choices, or None for any text
 SCHEMA = {
     # data / geometry
-    "dataset": ("synth", str, None, "dataset name recorded in manifests and logs"),
+    "dataset": ("synth", str, "one line", "dataset name recorded in manifests and logs"),
     "channels": (64, int, ">= 1", "EEG channel count C"),
     "t_bins": (0, int, ">= 0", "spectrogram time bins T (0 = derive from fs/tr/stft)"),
     "f_bins": (0, int, ">= 0", "spectrogram frequency bins F (0 = derive)"),
@@ -70,6 +70,7 @@ DOMAINS = {
     ">= 1": (lambda v: v >= 1, "be >= 1"),
     "[0, 1)": (lambda v: 0 <= v < 1, "lie in [0, 1)"),
     "odd >= 1": (lambda v: v >= 1 and v % 2 == 1, "be odd >= 1"),
+    "one line": (lambda v: "".join(v.splitlines()) == v, "hold no line break"),
     "'D H W' or ''": (lambda v: len(v.split()) in (0, 3)
                       and all(f.isdecimal() and int(f) >= 1 for f in v.split()),
                       "be 'D H W', three integers >= 1, or empty"),

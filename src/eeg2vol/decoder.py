@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
 from .layers import ParamStore
 
 
@@ -154,11 +153,6 @@ class Decoder:
 
     def decode(self, fmap):
         """[H, W, N] feature map -> [H, W, D] volume in (0, 1)."""
-        want = self.cfg.geometry[4:] + (self.cfg.embed,)
-        if fmap.shape != want:
-            raise ConfigError(
-                f"decoder input shape {fmap.shape} does not match configured {want}"
-            )
         p = self.store
         x, skips = fmap, []
         for i, blocks in enumerate(self.down):

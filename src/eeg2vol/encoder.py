@@ -8,7 +8,6 @@ zero-padding onto the target volume plane. Feature grids are channel-last,
 from __future__ import annotations
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError
 from .layers import ParamStore
 
 
@@ -38,10 +37,6 @@ class Encoder:
 
     def project(self, x):
         """[T, F, C] -> SiLU(conv3x3(x)) at the embedding width."""
-        if x.shape[-1] != self.cfg.geometry[0]:
-            raise DimensionError(
-                f"expected {self.cfg.geometry[0]} input channels, got {x.shape[-1]}"
-            )
         return ad.silu(self.store.apply_conv("enc.proj", x, padding=(1, 1)))
 
     def local_block(self, x, stage):
@@ -82,8 +77,6 @@ class Encoder:
 
     def freq_downsample(self, x, stage):
         """1x3 stride-(1,2) convolution along frequency: F -> ceil(F/2)."""
-        if x.shape[1] < 2:
-            raise DimensionError("frequency axis too short to downsample")
         name = f"enc.stage{stage}.down"
         return self.store.apply_conv(name, x, stride=(1, 2), padding=(0, 1))
 
@@ -97,12 +90,6 @@ class Encoder:
             y = self.global_block(y, k, rng=rng)
             y = self.freq_downsample(y, k)
         h, w = self.cfg.geometry[4:]
-        t_cur, f_cur, _ = y.shape
-        if t_cur > h or f_cur > w:
-            raise ConfigError(
-                f"encoded plane {t_cur}x{f_cur} exceeds target {h}x{w}; "
-                f"needs padding of ({h - t_cur}, {w - f_cur})"
-            )
-        dt, df = h - t_cur, w - f_cur
+        dt, df = h - y.shape[0], w - y.shape[1]
         top, left = dt // 2, df // 2
         return ad.pad(y, ((top, dt - top), (left, df - left), (0, 0)))

@@ -48,10 +48,11 @@ def write_tensor(path, array):
 
 
 def _read_exact(f, path, size):
-    data = f.read(size)
-    if len(data) != size:
+    """size header bytes of f; the file's length is checked first, so a
+    corrupt rank costs no allocation of its extents."""
+    if size > os.fstat(f.fileno()).st_size - f.tell():
         raise DataError(f"{path}: truncated S2VT header")
-    return data
+    return f.read(size)
 
 
 def _parse_header(f, path):

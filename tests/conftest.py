@@ -166,6 +166,42 @@ def softplus(a):
     return ad._make_output(val, (a,), lambda g: (g * s,))
 
 
+def neg(a):
+    return ad._make_output(-a.data, (a,), lambda g: (-g,))
+
+
+def sqrt(a):
+    val = np.sqrt(a.data)
+    return ad._make_output(val, (a,), lambda g: (g * 0.5 / val,))
+
+
+def transpose(a):
+    """Swap the last two axes."""
+    axes = list(range(a.ndim))
+    axes[-2], axes[-1] = axes[-1], axes[-2]
+    return ad.permute(a, tuple(axes))
+
+
+def matmul(a, b):
+    """np.matmul of operands with at least two axes each."""
+    return ad._make_output(
+        np.matmul(a.data, b.data),
+        (a, b),
+        lambda g: (
+            ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+            ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape),
+        ),
+    )
+
+
+def softmax(x, axis=-1):
+    """One tape node that keeps its output y; backward y * (g - sum(g * y))."""
+    y = ad._softmax(x.data, axis)
+    return ad._make_output(
+        y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+    )
+
+
 def conv2d_windowed(x, kernel, stride=(1, 1), padding=(0, 0)):
     """ad.conv2d as it was before it ran one GEMM per kernel row: one einsum
     over the [N, H', W', C, kh, kw] window view forward, and a backward that
@@ -246,7 +282,7 @@ def scan_merge_composed(seqs, h, w):
 
 def linear_composed(x, weight, bias=None):
     """ad.linear as matmul, transpose and add nodes."""
-    y = ad.matmul(x, ad.transpose(weight))
+    y = matmul(x, transpose(weight))
     if bias is not None:
         y = y + bias
     return y
@@ -257,12 +293,12 @@ def layer_norm_composed(x, gain, shift, eps=1e-5):
     mu = ad.tmean(x, axis=-1, keepdims=True)
     xc = x - mu
     var = ad.tmean(xc * xc, axis=-1, keepdims=True)
-    xn = xc / ad.sqrt(var + eps)
+    xn = xc / sqrt(var + eps)
     return xn * gain + shift
 
 
 def softmax_composed(x, axis=-1):
-    """ad.softmax as shift, exp, sum and divide nodes."""
+    """softmax as shift, exp, sum and divide nodes."""
     shifted = x - np.max(x.data, axis=axis, keepdims=True)
     e = exp(shifted)
     return e / ad.tsum(e, axis=axis, keepdims=True)
@@ -271,11 +307,11 @@ def softmax_composed(x, axis=-1):
 def attention_composed(q, k, v, mask=None):
     """ad.attention as the matmul, transpose, scale, softmax, mask and
     matmul nodes the encoder recorded before it was one node."""
-    scores = ad.matmul(q, ad.transpose(k)) * (1.0 / np.sqrt(q.shape[-1]))
-    weights = ad.softmax(scores, axis=-1)
+    scores = matmul(q, transpose(k)) * (1.0 / np.sqrt(q.shape[-1]))
+    weights = softmax(scores, axis=-1)
     if mask is not None:
         weights = weights * ad.Tensor(mask)
-    return ad.matmul(weights, v)
+    return matmul(weights, v)
 
 
 def outputs_and_grads(op, inputs, seed=0):
@@ -305,20 +341,20 @@ def selective_scan_composed(u, delta_pre, a_log, b, c, d, mode="sequential"):
     time-major inputs, then the D skip. mode picks the linear_scan kernel."""
     length, n = u.shape
     state = a_log.shape[1]
-    u_cl = ad.transpose(u)  # [channels, L]
-    delta = ad.reshape(ad.transpose(softplus(delta_pre)), (n, 1, length))
-    a = ad.neg(exp(a_log))
+    u_cl = transpose(u)  # [channels, L]
+    delta = ad.reshape(transpose(softplus(delta_pre)), (n, 1, length))
+    a = neg(exp(a_log))
     abar = exp(delta * ad.reshape(a, (n, state, 1)))
     if not (np.all(abar.data >= 0.0) and np.all(abar.data <= 1.0)):
         raise NumericError("s6_scan reference: discretized transition left [0, 1]")
     bu = (
         delta
-        * ad.reshape(ad.transpose(b), (1, state, length))
+        * ad.reshape(transpose(b), (1, state, length))
         * ad.reshape(u_cl, (n, 1, length))
     )
     h = ad.linear_scan(abar, bu, mode=mode)
-    y = ad.tsum(h * ad.reshape(ad.transpose(c), (1, state, length)), axis=1)
-    return ad.transpose(y + ad.reshape(d, (n, 1)) * u_cl)
+    y = ad.tsum(h * ad.reshape(transpose(c), (1, state, length)), axis=1)
+    return transpose(y + ad.reshape(d, (n, 1)) * u_cl)
 
 
 def s6_scan_reference(u, params, mode="sequential"):

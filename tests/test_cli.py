@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, and file artifacts."""
 
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -532,6 +533,13 @@ def predict_truncated_header(run, tmp):
     return predict_args(run, tmp, spec)
 
 
+def predict_huge_rank(run, tmp):
+    """A 32-byte file whose header claims rank 2**32 - 1: 16 GiB of extents."""
+    spec = tmp / "huge_spec.s2vt"
+    spec.write_bytes(b"S2VT" + struct.pack("<III", 1, 2, 0xFFFFFFFF) + bytes(16))
+    return predict_args(run, tmp, spec)
+
+
 def predict_unknown_dtype(run, tmp):
     data = bytearray((run / "data/sub00/pair0000_spec.s2vt").read_bytes())
     data[8] = 9  # low byte of the u32 LE dtype code
@@ -572,6 +580,7 @@ MALFORMED_INPUTS = [
     (checkpoint_payload_missing, "ckpt/params.s2vt"),
     (predict_missing_input, "tensor file not found"),
     (predict_truncated_header, "truncated S2VT header"),
+    (predict_huge_rank, "truncated S2VT header"),
     (predict_unknown_dtype, "unknown dtype code 9"),
 ]
 
@@ -660,6 +669,8 @@ BAD_VALUES = [
     ("eval", ["--set", "embed=64", "--set", "height=16"],
      "eval takes height, embed from the checkpoint"),
     ("eval", ["--set", "ssim_window=9"], "ssim_window 9 exceeds slice extent 8x8"),
+    ("synth-data", ["--set", "dataset=x\ngeometry = 1 1 1 1 1 1"],
+     "dataset = 'x\\ngeometry = 1 1 1 1 1 1': must hold no line break"),
     ("synth-data", ["--subjects", "0"], "--subjects and --pairs must be >= 1"),
     ("synth-data", ["--pairs", "0"], "--subjects and --pairs must be >= 1"),
 ]

@@ -24,6 +24,7 @@ OUT_OF_DOMAIN = {
     "[0, 1)": "1",
     "odd >= 1": "4",
     "'D H W' or ''": "0 8 8",
+    "one line": "x\ny",
 }
 OUT_OF_CHOICES = {str: "bogus", int: "2"}
 

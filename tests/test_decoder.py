@@ -307,13 +307,6 @@ def test_unet_micro_shapes_and_range():
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
 
-def test_unet_input_shape_mismatch():
-    cfg = ModelConfig((1, 1, 4, 3, 8, 8), embed=4, vss_blocks=1, state_dim=2)
-    dec = Decoder(cfg, np.random.default_rng(18))
-    with pytest.raises(ConfigError, match="shape"):
-        dec.decode(ad.Tensor(np.zeros((8, 12, 4))))
-
-
 def test_unet_divisibility_config_error():
     with pytest.raises(ConfigError, match="divisible"):
         ModelConfig((1, 1, 4, 3, 10, 8), embed=4)

@@ -251,12 +251,6 @@ def test_freq_downsample_picking_kernel_selects_even_columns():
     np.testing.assert_allclose(out.data, x[:, ::2], atol=1e-15)
 
 
-def test_freq_downsample_too_short():
-    enc = make_encoder()
-    with pytest.raises(DimensionError):
-        enc.freq_downsample(ad.Tensor(np.zeros((2, 1, 4))), 0)
-
-
 # ---------------------------------------------------------------------------
 # full encode
 # ---------------------------------------------------------------------------
@@ -286,12 +280,6 @@ def test_encode_zero_input_all_zero():
     out = enc.encode(ad.Tensor(np.zeros((5, 6, 2))))
     assert out.shape == (8, 8, 4)
     assert np.all(out.data == 0.0)
-
-
-def test_encode_plane_overflow_is_config_error():
-    enc = make_encoder(plane=(8, 8))
-    with pytest.raises(ConfigError, match="padding"):
-        enc.encode(ad.Tensor(np.zeros((12, 6, 2))))
 
 
 def test_encode_parameter_gradients_micro():

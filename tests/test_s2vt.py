@@ -50,6 +50,15 @@ def test_bad_magic(tmp_path):
         s2vt.read_tensor(path)
 
 
+def test_header_rank_past_file_end(tmp_path):
+    """A rank whose extents the file cannot hold is a truncated header,
+    found before reading (rank 2**32 - 1 would ask for 16 GiB)."""
+    path = tmp_path / "huge.s2vt"
+    path.write_bytes(b"S2VT" + struct.pack("<III", 1, 2, 0xFFFFFFFF) + bytes(16))
+    with pytest.raises(DataError, match="truncated S2VT header"):
+        s2vt.read_header(path)
+
+
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.s2vt"
     s2vt.write_tensor(path, np.ones((4, 4)))
