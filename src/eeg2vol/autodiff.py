@@ -110,12 +110,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __getitem__(self, key):
         return tslice(self, key)
 
@@ -187,18 +181,6 @@ def mul(a, b):
     )
 
 
-def div(a, b):
-    return _make_output(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            if b.requires_grad else None,
-        ),
-    )
-
-
 def _logistic(x):
     """Stable logistic 1 / (1 + exp(-x)), via tanh."""
     return 0.5 * (1.0 + np.tanh(0.5 * x))
@@ -221,31 +203,8 @@ def silu(a):
 
 
 # ---------------------------------------------------------------------------
-# reductions and shape manipulation
+# shape manipulation
 # ---------------------------------------------------------------------------
-
-def tsum(a, axis=None, keepdims=False):
-    val = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _make_output(val, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims=False):
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
-
 
 def reshape(a, shape):
     return _make_output(
@@ -386,63 +345,72 @@ def _softmax(x, axis, out=None):
     return out
 
 
-def attention(q, k, v, mask=None):
-    """softmax(q @ k^T / sqrt(dh)) [* mask] @ v over the last two axes, with
-    q: [..., Tq, dh], k: [..., Tk, dh], v: [..., Tk, dv] and a constant
-    [..., Tq, Tk] mask (attention dropout) multiplying the weights.
+def attention(q, k, v, keep=None, drop=0.0):
+    """softmax(q @ k^T / sqrt(dh)) @ v over the last two axes, with
+    q: [..., Tq, dh], k: [..., Tk, dh] and v: [..., Tk, dv]. For attention
+    dropout, keep is a constant boolean [..., Tq, Tk] mask: the weights it
+    keeps are scaled by 1 / (1 - drop), the others are zeroed.
 
     One tape node that keeps q, k, v and the mask, never the [..., Tq, Tk]
-    scores or weights: the backward recomputes the weights in place, as
-    FlashAttention does (arXiv:2205.14135), then replays the backward of the
-    matmul, transpose, scale, softmax, mask and matmul nodes this op
-    replaces, on the same operand views, so its gradients equal theirs bit
-    for bit. The backward holds at most two score-sized arrays at once, plus
-    one leading slice of a third for softmax's row sums.
+    scores or weights. Forward and backward run one leading (head) index at
+    a time, and the backward recomputes that head's [Tq, Tk] weights in
+    place, as FlashAttention recomputes per block (arXiv:2205.14135). It
+    then replays the backward of the matmul, transpose, scale, softmax, mask
+    and matmul nodes this op replaces, on the same operands, so its outputs
+    and gradients equal theirs bit for bit. The backward holds at most three
+    [Tq, Tk] arrays at once.
     """
     fits = min(q.ndim, k.ndim, v.ndim) >= 2
     if fits:
         lead, (tq, dh), tk = q.shape[:-2], q.shape[-2:], k.shape[-2]
         fits = (k.shape == lead + (tk, dh) and v.shape[:-1] == lead + (tk,)
-                and (mask is None or mask.shape == lead + (tq, tk)))
+                and (keep is None or (keep.shape == lead + (tq, tk) and keep.dtype == bool)))
     if not fits:
         raise DimensionError(
             f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape}"
-            f"{'' if mask is None else f', mask {mask.shape}'} do not fit "
-            f"[..., Tq, dh], [..., Tk, dh], [..., Tk, dv] and [..., Tq, Tk]"
+            f"{'' if keep is None else f', keep {keep.shape} {keep.dtype}'} do not fit "
+            f"[..., Tq, dh], [..., Tk, dh], [..., Tk, dv] and a boolean [..., Tq, Tk]"
         )
     scale = 1.0 / np.sqrt(dh)
+    keep_scale = 1.0 / (1.0 - drop)
+    heads = list(np.ndindex(lead))
 
-    def weights():
-        """softmax(q @ k^T * scale) in one new score-sized array."""
-        s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    def weights(i):
+        """Head i's softmax(q @ k^T * scale) in one new [Tq, Tk] array."""
+        s = np.matmul(q.data[i], k.data[i].T)
         s *= scale
         return _softmax(s, -1, out=s)
 
-    def backward(g):
-        y = weights()
-        dropped = y if mask is None else y * mask
-        gv = np.matmul(np.swapaxes(dropped, -1, -2), g)
-        del dropped
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        if mask is not None:
-            gs *= mask
-        # softmax: y * (gs - sum(gs * y)), the row sums taken one leading
-        # slice at a time so that no third score-sized array is made
-        rows = np.empty(lead + (tq, 1))
-        for gs_i, y_i, rows_i in zip(gs.reshape(-1, tq, tk), y.reshape(-1, tq, tk),
-                                     rows.reshape(-1, tq, 1)):
-            np.sum(gs_i * y_i, axis=-1, keepdims=True, out=rows_i)
-        gs -= rows
-        gs *= y
-        del y
-        gs *= scale
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
-        return (np.matmul(gs, k.data), gk, gv)
+    def dropped(y, i):
+        """y with head i's dropout applied in place."""
+        y *= keep[i]
+        y *= keep_scale
+        return y
 
-    y = weights()
-    if mask is not None:
-        y *= mask
-    return _make_output(np.matmul(y, v.data), (q, k, v), backward)
+    def backward(g):
+        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for i in heads:
+            y = weights(i)
+            gs = np.matmul(g[i], v.data[i].T)
+            if keep is None:
+                gv[i] = np.matmul(y.T, g[i])
+            else:
+                gv[i] = np.matmul(dropped(y.copy(), i).T, g[i])
+                dropped(gs, i)
+            # softmax: y * (gs - sum(gs * y))
+            gs -= np.sum(gs * y, axis=-1, keepdims=True)
+            gs *= y
+            del y
+            gs *= scale
+            gk[i] = np.matmul(q.data[i].T, gs).T
+            gq[i] = np.matmul(gs, k.data[i])
+        return (gq, gk, gv)
+
+    out = np.empty(lead + (tq, v.shape[-1]))
+    for i in heads:
+        y = weights(i)
+        out[i] = np.matmul(y if keep is None else dropped(y, i), v.data[i])
+    return _make_output(out, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +495,78 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
         return (_correlate(crop, flipped, (1, 1)), gk)
 
     return _make_output(val, (x, kernel), backward)
+
+
+# ---------------------------------------------------------------------------
+# losses
+# ---------------------------------------------------------------------------
+
+def mse(x, y):
+    """Mean of (x - y)^2 over all elements of two same-shape tensors.
+
+    One tape node that keeps only its inputs: the backward recomputes x - y.
+    """
+    diff = x.data - y.data
+    count = diff.size
+
+    def backward(g):
+        gx = (x.data - y.data) * (2.0 * g / count)
+        return (gx if x.requires_grad else None, -gx if y.requires_grad else None)
+
+    return _make_output((diff * diff).sum() * (1.0 / count), (x, y), backward)
+
+
+def ssim(x, y, c1, c2, window=None):
+    """Mean structural similarity of two same-shape [D, H, W] stacks of slices:
+    the mean over every slice and position of
+    (2 mu_x mu_y + c1) (2 cov + c2) / ((mu_x^2 + mu_y^2 + c1) (var_x + var_y + c2)),
+    with the local means and second moments taken by a uniform
+    window x window box filter over each slice (conv2d on constant
+    operands, window <= min(H, W)), or over whole slices when window is None.
+
+    One tape node that keeps x, y and four [D, H', W'] maps, mu_x, mu_y,
+    2 cov + c2 and var_x + var_y + c2 (3.2 MB at 30 x 64 x 64 with window 7),
+    instead of the 35 nodes of its composition. The closed-form backward
+    takes the gradient of each local statistic from those maps and maps it
+    back onto the slices through the box filter's adjoint.
+    """
+    d, h, w = x.shape
+    if window is None:
+        inv_area = 1.0 / (h * w)
+        local = lambda a: a.sum(axis=(1, 2), keepdims=True) * inv_area
+        adjoint = lambda m: m * inv_area  # broadcast over each slice
+    else:
+        kernel = Tensor(np.full((1, 1, window, window), 1.0 / (window * window)))
+        local = lambda a: conv2d(Tensor(a.reshape(d, h, w, 1)), kernel).data
+        border = ((0, 0), (window - 1, window - 1), (window - 1, window - 1), (0, 0))
+        adjoint = lambda m: _correlate(np.pad(m, border), kernel.data, (1, 1)).reshape(d, h, w)
+    mu_x, mu_y = local(x.data), local(y.data)
+    e_xx, e_yy, e_xy = local(x.data * x.data), local(y.data * y.data), local(x.data * y.data)
+    var_x = e_xx - mu_x * mu_x
+    var_y = e_yy - mu_y * mu_y
+    cov = e_xy - mu_x * mu_y
+    a2, b2 = 2.0 * cov + c2, var_x + var_y + c2
+    num = (2.0 * mu_x * mu_y + c1) * a2
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * b2
+    ratio = num / den
+    count = ratio.size
+
+    def backward(g):
+        a1 = 2.0 * mu_x * mu_y + c1
+        b1 = mu_x * mu_x + mu_y * mu_y + c1
+        p = (g / count) / (b1 * b2)
+        ps = p * (a1 * a2 / (b1 * b2))  # p times the SSIM map
+        d_xy = adjoint(2.0 * p * a1)  # through e_xy
+        d_sq = adjoint(-ps * b1)  # through e_xx and e_yy alike
+        r, t = p * (a2 - a1), ps * (b1 - b2)  # through mu_x and mu_y
+        gx = gy = None
+        if x.requires_grad:
+            gx = adjoint(2.0 * (mu_y * r + mu_x * t)) + 2.0 * x.data * d_sq + y.data * d_xy
+        if y.requires_grad:
+            gy = adjoint(2.0 * (mu_x * r + mu_y * t)) + 2.0 * y.data * d_sq + x.data * d_xy
+        return (gx, gy)
+
+    return _make_output(ratio.sum() * (1.0 / count), (x, y), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +661,11 @@ def _discretization(delta_pre, a_log):
 
 def _transitions(delta, a):
     """Time-major [L, C, S] discretized transitions abar = exp(delta * A)."""
-    abar = np.exp(delta[:, :, None] * a[None, :, :])
-    # delta > 0 and A < 0 put abar in (0, 1); float underflow at either end
-    # (exp saturating to 0.0 or 1.0) is tolerated
-    if not (np.all(abar >= 0.0) and np.all(abar <= 1.0)):
+    abar = delta[:, :, None] * a[None, :, :]
+    np.exp(abar, out=abar)
+    # delta >= 0 and A <= 0 put abar in [0, 1] (exp saturating to 0.0 or 1.0
+    # is tolerated), so it can leave [0, 1] only as a NaN, which its sum keeps
+    if np.isnan(abar.sum()):
         raise NumericError("selective_scan: discretized transition left [0, 1]")
     return abar
 
@@ -677,7 +718,8 @@ def _selective_backward(g, u, delta_pre, a_log, b, c, d, entries):
     drive = np.empty_like(coef)
     states = np.empty_like(coef)
     carry = np.zeros((2, channels, state))
-    q = np.empty((length, channels, state))  # d loss / d(delta * A)
+    q = np.empty((rows, channels, state))  # d loss / d(delta * A), per chunk
+    da = np.zeros((channels, state))
     du, ddelta = np.empty((length, channels)), np.empty((length, channels))
     db, dc = np.empty((length, state)), np.empty((length, state))
     for k in reversed(range(len(entries))):
@@ -700,7 +742,7 @@ def _selective_backward(g, u, delta_pre, a_log, b, c, d, entries):
         lam = states[:m, 1][::-1]  # d loss / d bu
         carry[1] = lam[0]
         # q_t = lam_t * h_{t-1} * abar_t, and q_0 = 0
-        qk = q[t0:t1]
+        qk = q[:m]
         np.multiply(lam[1:], hk[:-1], out=qk[1:])
         qk[1:] *= abar[1:m]
         if t0:
@@ -713,8 +755,7 @@ def _selective_backward(g, u, delta_pre, a_log, b, c, d, entries):
         ddelta[t0:t1] = lam_b * u[t0:t1] + np.einsum("tns,ns->tn", qk, a)
         db[t0:t1] = np.einsum("tns,tn->ts", lam, ud[t0:t1])
         dc[t0:t1] = np.einsum("tns,tn->ts", hk, g[t0:t1])
-    da = np.einsum("tns,tn->ns", q, delta)
-    del q, qk  # free the whole-length buffer before the [L, C] temporaries below
+        da += np.einsum("tns,tn->ns", qk, delta[t0:t1])
     du += g * d  # the D skip
     ddelta *= _logistic(delta_pre)  # softplus' = sigmoid
     return (du, ddelta, da * a, db, dc, _leading_sum(g * u))  # dA / d a_log = A
@@ -740,9 +781,9 @@ def selective_scan(u, a_log, w_delta, b_delta, w_b, w_c, d):
     inputs, then runs the state recompute (forward in time, from the saved
     entry state) and the adjoint recurrence (backward in time, from the
     adjoint carried in from the next chunk) as one stacked [2, C, S]
-    sequential loop, and writes the chunk's rows of every gradient but da.
-    da sums over all of time, so it is one contraction over a whole-length
-    buffer. The weight gradients are linear's, and u's gradient sums its
+    sequential loop, writes the chunk's rows of every gradient but da and
+    adds the chunk's share of da, which sums over all of time, into one
+    [C, S] accumulator. The weight gradients are linear's, and u's gradient sums its
     D-skip-and-scan, C, B and delta terms in that order, the order the tape
     summed them in when the projections were linear nodes of their own.
     """

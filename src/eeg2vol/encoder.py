@@ -66,10 +66,10 @@ class Encoder:
         split = lambda z: ad.permute(ad.reshape(z, (t * f, heads, dh)), (1, 0, 2))
         q, k, v = split(q), split(k), split(v)
         drop = self.cfg.attention_dropout
-        mask = None
+        keep = None
         if rng is not None and drop > 0.0:
-            mask = (rng.random((heads, t * f, t * f)) >= drop) / (1.0 - drop)
-        mixed = ad.attention(q, k, v, mask)  # [heads, T*F, dh]
+            keep = rng.random((heads, t * f, t * f)) >= drop
+        mixed = ad.attention(q, k, v, keep, drop)  # [heads, T*F, dh]
         mixed = ad.reshape(ad.permute(mixed, (1, 0, 2)), (t * f, n))
         attended = ad.linear(mixed, p[f"{s}.attn.wo"], p[f"{s}.attn.bo"])
         out = p.apply_norm(f"{s}.ln2", tokens + attended)

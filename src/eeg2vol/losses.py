@@ -1,7 +1,9 @@
 """Structural-similarity and error metrics plus the weighted training loss.
 
-ssim/mse/hybrid_loss are built from tensor-engine ops so gradients flow to
-the prediction; psnr is evaluation-only and returns a plain float.
+ssim and mse check their inputs and run one tape op each (autodiff.ssim,
+autodiff.mse), whose closed-form backward keeps the inputs plus, for SSIM,
+four local-statistic maps; hybrid_loss weights them. Gradients flow to
+the prediction. psnr is evaluation-only and returns a plain float.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ def mse(x, y):
     y = y if isinstance(y, ad.Tensor) else ad.Tensor(y)
     if x.shape != y.shape:
         raise DimensionError(f"mse: shape mismatch {x.shape} vs {y.shape}")
-    diff = x - y
-    return ad.tmean(diff * diff)
+    return ad.mse(x, y)
 
 
 def ssim(x, y, cfg=None):
@@ -56,27 +57,9 @@ def ssim(x, y, cfg=None):
     x, y = _as3d(x), _as3d(y)
     if x.shape != y.shape:
         raise DimensionError(f"ssim: shape mismatch {x.shape} vs {y.shape}")
-    d, h, w = x.shape
-    check_ssim_window(cfg, h, w)
-
-    if cfg.ssim_aggregation == "sliding-mean":
-        k = cfg.ssim_window
-        kernel = ad.Tensor(np.full((1, 1, k, k), 1.0 / (k * k)))
-        box = lambda t: ad.conv2d(ad.reshape(t, (d, h, w, 1)), kernel)
-        mu_x, mu_y = box(x), box(y)
-        e_xx, e_yy, e_xy = box(x * x), box(y * y), box(x * y)
-    else:
-        moment = lambda t: ad.tmean(t, axis=(1, 2), keepdims=True)
-        mu_x, mu_y = moment(x), moment(y)
-        e_xx, e_yy, e_xy = moment(x * x), moment(y * y), moment(x * y)
-
-    var_x = e_xx - mu_x * mu_x
-    var_y = e_yy - mu_y * mu_y
-    cov = e_xy - mu_x * mu_y
-    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return ad.tmean(num / den)
+    check_ssim_window(cfg, *x.shape[1:])
+    window = cfg.ssim_window if cfg.ssim_aggregation == "sliding-mean" else None
+    return ad.ssim(x, y, cfg.ssim_c1, cfg.ssim_c2, window)
 
 
 def psnr(x, y):

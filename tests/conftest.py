@@ -166,6 +166,42 @@ def softplus(a):
     return ad._make_output(val, (a,), lambda g: (g * s,))
 
 
+def div(a, b):
+    """a / b with numpy broadcasting, as Tensor.__truediv__ recorded it."""
+    return ad._make_output(
+        a.data / b.data,
+        (a, b),
+        lambda g: (
+            ad._unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            if b.requires_grad else None,
+        ),
+    )
+
+
+def tsum(a, axis=None, keepdims=False):
+    val = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        gg = g
+        if not keepdims:
+            gg = np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).copy(),)
+
+    return ad._make_output(val, (a,), backward)
+
+
+def tmean(a, axis=None, keepdims=False):
+    if axis is None:
+        count = a.data.size
+    else:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        count = int(np.prod([a.shape[ax] for ax in axes]))
+    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
 def neg(a):
     return ad._make_output(-a.data, (a,), lambda g: (-g,))
 
@@ -290,10 +326,10 @@ def linear_composed(x, weight, bias=None):
 
 def layer_norm_composed(x, gain, shift, eps=1e-5):
     """ad.layer_norm as eleven mean, difference, square-root and affine nodes."""
-    mu = ad.tmean(x, axis=-1, keepdims=True)
+    mu = tmean(x, axis=-1, keepdims=True)
     xc = x - mu
-    var = ad.tmean(xc * xc, axis=-1, keepdims=True)
-    xn = xc / sqrt(var + eps)
+    var = tmean(xc * xc, axis=-1, keepdims=True)
+    xn = div(xc, sqrt(var + eps))
     return xn * gain + shift
 
 
@@ -301,17 +337,44 @@ def softmax_composed(x, axis=-1):
     """softmax as shift, exp, sum and divide nodes."""
     shifted = x - np.max(x.data, axis=axis, keepdims=True)
     e = exp(shifted)
-    return e / ad.tsum(e, axis=axis, keepdims=True)
+    return div(e, tsum(e, axis=axis, keepdims=True))
 
 
-def attention_composed(q, k, v, mask=None):
+def attention_composed(q, k, v, keep=None, drop=0.0):
     """ad.attention as the matmul, transpose, scale, softmax, mask and
-    matmul nodes the encoder recorded before it was one node."""
+    matmul nodes the encoder recorded before it was one node, with the
+    float64 dropout mask keep / (1 - drop) it drew then."""
     scores = matmul(q, transpose(k)) * (1.0 / np.sqrt(q.shape[-1]))
     weights = softmax(scores, axis=-1)
-    if mask is not None:
-        weights = weights * ad.Tensor(mask)
+    if keep is not None:
+        weights = weights * ad.Tensor(keep / (1.0 - drop))
     return matmul(weights, v)
+
+
+def mse_composed(x, y):
+    """ad.mse as the difference, square and mean nodes losses.mse recorded
+    before it was one node."""
+    diff = x - y
+    return tmean(diff * diff)
+
+
+def ssim_composed(x, y, c1, c2, window=None):
+    """ad.ssim as the conv2d (or moment), product, quotient and mean nodes
+    losses.ssim recorded before it was one node."""
+    d, h, w = x.shape
+    if window is not None:
+        kernel = ad.Tensor(np.full((1, 1, window, window), 1.0 / (window * window)))
+        local = lambda t: ad.conv2d(ad.reshape(t, (d, h, w, 1)), kernel)
+    else:
+        local = lambda t: tmean(t, axis=(1, 2), keepdims=True)
+    mu_x, mu_y = local(x), local(y)
+    e_xx, e_yy, e_xy = local(x * x), local(y * y), local(x * y)
+    var_x = e_xx - mu_x * mu_x
+    var_y = e_yy - mu_y * mu_y
+    cov = e_xy - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return tmean(div(num, den))
 
 
 def outputs_and_grads(op, inputs, seed=0):
@@ -353,7 +416,7 @@ def selective_scan_composed(u, delta_pre, a_log, b, c, d, mode="sequential"):
         * ad.reshape(u_cl, (n, 1, length))
     )
     h = ad.linear_scan(abar, bu, mode=mode)
-    y = ad.tsum(h * ad.reshape(transpose(c), (1, state, length)), axis=1)
+    y = tsum(h * ad.reshape(transpose(c), (1, state, length)), axis=1)
     return transpose(y + ad.reshape(d, (n, 1)) * u_cl)
 
 
@@ -448,7 +511,7 @@ def s6_output_and_grads(scan, u, params, weights):
         t.grad = None
     with ad.Tape() as tape:
         y = scan(u, *params)
-        loss = ad.tsum(y * ad.Tensor(weights))
+        loss = tsum(y * ad.Tensor(weights))
     tape.backward(loss)
     out = [y.data] + [t.grad.copy() for t in leaves]
     for t in leaves:

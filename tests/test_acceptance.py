@@ -27,6 +27,7 @@ from eeg2vol.train import train_run
 from conftest import (
     MICRO_GEOMETRY,
     dft_oracle,
+    div,
     directional_grad_check,
     exp,
     fd_grad_check,
@@ -41,7 +42,9 @@ from conftest import (
     softmax,
     softplus,
     sqrt,
+    tmean,
     transpose,
+    tsum,
 )
 from test_data_train import micro_run_config, tree_hashes
 from test_decoder import random_s6_params
@@ -60,12 +63,12 @@ def per_op_gradient_pass(seed):
     rng = np.random.default_rng(seed)
     x = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 3)), requires_grad=True)
     y = ad.Tensor(rng.uniform(0.2, 1.5, size=(1, 3)), requires_grad=True)
-    scalarize = lambda t: ad.tsum(ad.sigmoid(t))
+    scalarize = lambda t: tsum(ad.sigmoid(t))
     cases = [
         (lambda: scalarize(x + y), [x, y]),
         (lambda: scalarize(x - y), [x, y]),
         (lambda: scalarize(x * y), [x, y]),
-        (lambda: scalarize(x / y), [x, y]),
+        (lambda: scalarize(div(x, y)), [x, y]),
         (lambda: scalarize(neg(x)), [x]),
         (lambda: scalarize(exp(x)), [x]),
         (lambda: scalarize(sqrt(x)), [x]),
@@ -73,8 +76,8 @@ def per_op_gradient_pass(seed):
         (lambda: scalarize(ad.silu(x)), [x]),
         (lambda: scalarize(softplus(x)), [x]),
         (lambda: scalarize(softmax(x, axis=-1)), [x]),
-        (lambda: scalarize(ad.tmean(x, axis=0, keepdims=True)), [x]),
-        (lambda: ad.tsum(x) * ad.tsum(y), [x, y]),
+        (lambda: scalarize(tmean(x, axis=0, keepdims=True)), [x]),
+        (lambda: tsum(x) * tsum(y), [x, y]),
         (lambda: scalarize(ad.reshape(x, (3, 2))), [x]),
         (lambda: scalarize(ad.permute(x, (1, 0))), [x]),
         (lambda: scalarize(x[:, 1:]), [x]),
@@ -95,7 +98,7 @@ def per_op_gradient_pass(seed):
     conv_x = ad.Tensor(rng.standard_normal((1, 4, 4, 2)), requires_grad=True)
     conv_k = ad.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
-        lambda: ad.tsum(ad.sigmoid(ad.conv2d(conv_x, conv_k, padding=(1, 1)))),
+        lambda: tsum(ad.sigmoid(ad.conv2d(conv_x, conv_k, padding=(1, 1)))),
         [conv_x, conv_k],
     )
     a = ad.Tensor(rng.uniform(0.1, 0.9, size=(2, 6)), requires_grad=True)
@@ -103,10 +106,10 @@ def per_op_gradient_pass(seed):
     sel = projected_scan_inputs(rng)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
-            lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
+            lambda: tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
         )
     # the chunked scan core on leaves u, delta_pre, a_log, b, c and d
-    fd_grad_check(lambda: ad.tsum(ad.sigmoid(selective_scan_projected(*sel))), sel)
+    fd_grad_check(lambda: tsum(ad.sigmoid(selective_scan_projected(*sel))), sel)
     x3 = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 2, 3)), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
@@ -119,7 +122,7 @@ def per_op_gradient_pass(seed):
     conv_x2 = ad.Tensor(rng.standard_normal((1, 5, 6, 2)), requires_grad=True)
     conv_k2 = ad.Tensor(rng.standard_normal((2, 2, 2, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
-        lambda: ad.tsum(ad.sigmoid(ad.conv2d(conv_x2, conv_k2, stride=(2, 2)))),
+        lambda: tsum(ad.sigmoid(ad.conv2d(conv_x2, conv_k2, stride=(2, 2)))),
         [conv_x2, conv_k2],
     )
     # the one-node selective scan on leaves u, a_log, w_delta, b_delta, w_b,
@@ -132,9 +135,16 @@ def per_op_gradient_pass(seed):
     # dropout mask on the weights
     qkv = [ad.Tensor(rng.standard_normal(s), requires_grad=True)
            for s in ((2, 3, 2), (2, 4, 2), (2, 4, 3))]
-    mask = (rng.random((2, 3, 4)) >= 0.3) / 0.7
-    for m in (None, mask):
-        fd_grad_check(lambda: scalarize(ad.attention(*qkv, m)), qkv)
+    keep = rng.random((2, 3, 4)) >= 0.3
+    for m in (None, keep):
+        fd_grad_check(lambda: scalarize(ad.attention(*qkv, m, 0.3)), qkv)
+    # the one-node losses of two [2, 4, 5] volumes that both take a
+    # gradient: MSE, and SSIM over 3 x 3 windows and over whole slices
+    vols = [ad.Tensor(rng.uniform(0.2, 1.0, size=(2, 4, 5)), requires_grad=True)
+            for _ in range(2)]
+    fd_grad_check(lambda: ad.mse(*vols), vols)
+    for window in (3, None):
+        fd_grad_check(lambda: ad.ssim(*vols, 1e-4, 9e-4, window), vols)
 
 
 def test_criterion_1_gradient_suite(capsys):
@@ -196,7 +206,7 @@ def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
     monkeypatch.setattr(ad, "_make_output", spy)
     per_op_gradient_pass(0)
     ops = tape_ops()
-    assert {"linear", "layer_norm", "selective_scan", "cross_merge"} <= ops
+    assert {"linear", "layer_norm", "selective_scan", "cross_merge", "ssim", "mse"} <= ops
     missing = sorted(ops - recorded)
     assert not missing, f"tape ops without a criterion 1 gradient case: {missing}"
 

@@ -16,6 +16,7 @@ from conftest import (
     attention_composed,
     conv2d_oracle,
     conv2d_windowed,
+    div,
     exp,
     fd_grad_check,
     layer_norm_composed,
@@ -33,6 +34,8 @@ from conftest import (
     softmax_composed,
     softplus,
     sqrt,
+    tmean,
+    tsum,
 )
 
 
@@ -281,9 +284,11 @@ def test_attention_matches_composition_bit_for_bit(heads, tokens, dh, masked):
     the matmul, softmax and mask composition it replaced, bit for bit."""
     rng = np.random.default_rng(tokens)
     qkv = head_split_leaves(rng, heads, tokens, dh)
-    mask = (rng.random((heads, tokens, tokens)) >= 0.1) / 0.9 if masked else None
-    fused = outputs_and_grads(lambda q, k, v: ad.attention(q, k, v, mask), qkv, tokens)
-    composed = outputs_and_grads(lambda q, k, v: attention_composed(q, k, v, mask), qkv, tokens)
+    keep = rng.random((heads, tokens, tokens)) >= 0.1 if masked else None
+    fused = outputs_and_grads(lambda q, k, v: ad.attention(q, k, v, keep, 0.1), qkv, tokens)
+    composed = outputs_and_grads(
+        lambda q, k, v: attention_composed(q, k, v, keep, 0.1), qkv, tokens
+    )
     for f, c in zip(fused, composed):
         assert np.array_equal(f, c)
 
@@ -296,11 +301,12 @@ def test_attention_rejects_misshapen_inputs():
         (q, k[:, :, :3], v, None),  # key width != query width
         (q, k, v[:, :4], None),  # value count != key count
         (q, k[:1], v[:1], None),  # head counts differ
-        (q, k, v, np.ones((2, 5, 3))),  # mask not [heads, Tq, Tk]
+        (q, k, v, np.ones((2, 5, 3), dtype=bool)),  # mask not [heads, Tq, Tk]
+        (q, k, v, np.ones((2, 3, 5))),  # mask not boolean
     ]
-    for q_, k_, v_, mask in cases:
+    for q_, k_, v_, keep in cases:
         with pytest.raises(DimensionError, match="attention"):
-            ad.attention(ad.Tensor(q_), ad.Tensor(k_), ad.Tensor(v_), mask)
+            ad.attention(ad.Tensor(q_), ad.Tensor(k_), ad.Tensor(v_), keep)
 
 
 def test_fused_affine_ops_reject_misshapen_parameters():
@@ -369,19 +375,19 @@ def test_gradient_accumulation_of_sum_matches_separate_backwards():
     data = rng.standard_normal(5)
     x = ad.Tensor(data.copy(), requires_grad=True)
     with ad.Tape():
-        f = ad.tsum(x * x)
-        g = ad.tsum(exp(x))
+        f = tsum(x * x)
+        g = tsum(exp(x))
         (f + g).backward()
     combined = x.grad.copy()
     x.grad = None
     with ad.Tape():
-        ad.tsum(x * x).backward()
+        tsum(x * x).backward()
     with ad.Tape():
-        ad.tsum(exp(x)).backward()
+        tsum(exp(x)).backward()
     np.testing.assert_allclose(combined, x.grad, rtol=1e-12)
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, div])
 def test_constant_operand_gets_no_gradient(op):
     """A two-input op's backward computes nothing for an operand that needs
     no gradient, on either side, and leaves its .grad unset."""
@@ -421,8 +427,8 @@ UNARY_OPS = [
     lambda t: t[2:5],
     lambda t: t[::-1],
     lambda t: ad.pad(t, ((1, 2),)),
-    lambda t: ad.tmean(t, keepdims=True),
-    lambda t: ad.tsum(t, keepdims=True),
+    lambda t: tmean(t, keepdims=True),
+    lambda t: tsum(t, keepdims=True),
 ]
 
 
@@ -431,7 +437,7 @@ def test_unary_op_gradients(seed):
     rng = np.random.default_rng(seed)
     for op in UNARY_OPS:
         x = ad.Tensor(rng.uniform(0.2, 1.5, size=6), requires_grad=True)
-        fd_grad_check(lambda: ad.tsum(exp(op(x) * 0.3)), [x])
+        fd_grad_check(lambda: tsum(exp(op(x) * 0.3)), [x])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -439,9 +445,9 @@ def test_binary_op_gradients(seed):
     rng = np.random.default_rng(100 + seed)
     a = ad.Tensor(rng.uniform(0.3, 1.2, size=(2, 3)), requires_grad=True)
     b = ad.Tensor(rng.uniform(0.3, 1.2, size=(1, 3)), requires_grad=True)
-    for op in (ad.add, ad.sub, ad.mul, ad.div):
-        fd_grad_check(lambda: ad.tsum(op(a, b) * op(a, b)), [a, b])
-    fd_grad_check(lambda: ad.tsum(ad.concat([a, b], axis=0) * 0.7), [a, b])
+    for op in (ad.add, ad.sub, ad.mul, div):
+        fd_grad_check(lambda: tsum(op(a, b) * op(a, b)), [a, b])
+    fd_grad_check(lambda: tsum(ad.concat([a, b], axis=0) * 0.7), [a, b])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -450,14 +456,14 @@ def test_matmul_linear_layernorm_gradients(seed):
     x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
-    fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.linear(x, w, b))), [x, w, b])
+    fd_grad_check(lambda: tsum(ad.sigmoid(ad.linear(x, w, b))), [x, w, b])
     gain = ad.Tensor(rng.standard_normal(4), requires_grad=True)
     shift = ad.Tensor(rng.standard_normal(4), requires_grad=True)
     fd_grad_check(
-        lambda: ad.tsum(ad.layer_norm(x, gain, shift) * 0.3), [x, gain, shift]
+        lambda: tsum(ad.layer_norm(x, gain, shift) * 0.3), [x, gain, shift]
     )
     x1 = ad.Tensor(rng.standard_normal(4), requires_grad=True)
-    fd_grad_check(lambda: ad.tsum(ad.sigmoid(ad.linear(x1, w, b))), [x1, w, b])
+    fd_grad_check(lambda: tsum(ad.sigmoid(ad.linear(x1, w, b))), [x1, w, b])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -466,7 +472,7 @@ def test_conv2d_gradients(seed):
     x = ad.Tensor(rng.standard_normal((1, 4, 5, 2)), requires_grad=True)
     k = ad.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
-        lambda: ad.tsum(ad.sigmoid(ad.conv2d(x, k, stride=(1, 2), padding=(1, 1)))),
+        lambda: tsum(ad.sigmoid(ad.conv2d(x, k, stride=(1, 2), padding=(1, 1)))),
         [x, k],
     )
 
@@ -478,7 +484,7 @@ def test_scan_gradients_both_modes(seed):
     x = ad.Tensor(rng.standard_normal((2, 7)), requires_grad=True)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
-            lambda: ad.tsum(ad.sigmoid(ad.linear_scan(a, x, mode=mode))), [a, x]
+            lambda: tsum(ad.sigmoid(ad.linear_scan(a, x, mode=mode))), [a, x]
         )
 
 
@@ -561,7 +567,7 @@ def test_selective_scan_backward_recompute_checks(length, index, position, value
                                                   message):
     inputs = selective_scan_inputs(np.random.default_rng(41), length=length)
     with ad.Tape():
-        loss = ad.tsum(ad.selective_scan(*inputs))
+        loss = tsum(ad.selective_scan(*inputs))
     # the saved inputs change between forward and backward, so only the
     # recompute in backward can see the fault
     inputs[index].data[position] = value
@@ -575,7 +581,10 @@ def test_selective_scan_backward_recompute_checks(length, index, position, value
 def test_selective_scan_matches_unchunked_oracle(length):
     """The chunked backward reproduces the whole-length one bit for bit, on
     the projected inputs, with the weight gradients and u's four-term sum
-    formed as linear nodes and the tape form them."""
+    formed as linear nodes and the tape form them. The one exception is
+    da_log over more than one chunk: it sums the chunks' shares in turn
+    instead of contracting over all of time at once, so it matches to
+    1e-12 relative."""
     rng = np.random.default_rng(length)
     inputs = selective_scan_inputs(rng, channels=3, state=4, length=length)
     g = rng.standard_normal((length, 3))
@@ -598,8 +607,11 @@ def test_selective_scan_matches_unchunked_oracle(length):
         dc.T @ u,
         dd,
     ]
-    for got, ref in zip([y.data] + [t.grad for t in inputs], want):
-        assert np.array_equal(got, ref)
+    for i, (got, ref) in enumerate(zip([y.data] + [t.grad for t in inputs], want)):
+        if i == 2 and length > ad.CHUNK:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(got, ref)
 
 
 @settings(max_examples=12, deadline=None)
@@ -664,8 +676,9 @@ def test_cross_merge_shape_mismatch():
 
 
 def test_selective_scan_backward_memory_is_bounded():
-    """The backward's transient memory stays within 2.5 state-sized
-    [L, C, S] arrays: only the da contraction buffer is whole-length."""
+    """The backward's transient memory stays within 1.5 state-sized
+    [L, C, S] arrays: no [L, C, S] buffer is whole-length, da included, and
+    the rest is [L, C] arrays and chunk-sized buffers."""
     length, channels, state = 4096, 32, 8
     rng = np.random.default_rng(43)
     inputs = selective_scan_inputs(rng, channels=channels, state=state, length=length)
@@ -678,7 +691,7 @@ def test_selective_scan_backward_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 2.5 * length * channels * state * 8
+    assert peak <= 1.5 * length * channels * state * 8
 
 
 def test_selective_scan_shape_mismatch():
@@ -730,22 +743,25 @@ def test_attention_and_layer_norm_keep_only_their_inputs():
             assert grown <= out.data.nbytes + NODE_SLACK
 
 
-def test_attention_backward_holds_two_score_arrays():
-    """The backward's transient stays within two [heads, T, T] arrays plus
-    one head's row-sum product and the [heads, T, dh] gradients."""
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+def test_attention_backward_holds_one_head_at_a_time(masked):
+    """The backward's transient stays within three [T, T] arrays of one
+    head, plus the [heads, T, dh] gradients, with and without a dropout
+    mask: no [heads, T, T] array is made."""
     heads, tokens, dh = 4, 500, 8
     rng = np.random.default_rng(13)
     qkv = head_split_leaves(rng, heads, tokens, dh)
     g = rng.standard_normal((heads, tokens, dh))
+    keep = rng.random((heads, tokens, tokens)) >= 0.1 if masked else None
     with ad.Tape():
-        y = ad.attention(*qkv)
+        y = ad.attention(*qkv, keep, 0.1)
         tracemalloc.start()
         try:
             y.backward(seed=g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 2.5 * heads * tokens * tokens * 8
+    assert peak <= 3.5 * tokens * tokens * 8
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +780,7 @@ def test_bounded_ops_stay_finite():
         ad.silu(x).data,
         softplus(x).data,
         softmax(x, axis=-1).data,
-        ad.tmean(x).data,
+        tmean(x).data,
         ad.layer_norm(x, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))).data,
     ]
     for out in outputs:

@@ -252,8 +252,8 @@ def test_batch_grads_frees_the_tape_on_error(monkeypatch, param, message):
 # (forward plus hybrid loss); a layout permute around each linear or
 # LayerNorm, or a one-node op split back into its composition, would raise
 # them.
-MICRO_SAMPLE_TAPE_NODES = 221
-MICRO_SAMPLE_TAPE_BYTES = 225_216  # summed node outputs
+MICRO_SAMPLE_TAPE_NODES = 192
+MICRO_SAMPLE_TAPE_BYTES = 212_528  # summed node outputs
 
 
 def micro_sample_tape():
@@ -277,31 +277,75 @@ def test_micro_sample_tape_bytes_do_not_grow():
 
 # tracemalloc bytes of one noddi training sample on a fresh model: live once
 # its forward and hybrid loss are recorded, and the peak of its backward.
-# Measured at 138.2 and 165.9 MB; with attention's scores and weights and
-# layer_norm's normalized copy on the tape they were 183.1 and 210.8 MB.
-NODDI_SAMPLE_LIVE_BYTES = 145_000_000
-NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 174_000_000
+# Measured at 118.9 and 140.2 MB. With the SSIM and MSE compositions on the
+# tape, a whole-length da buffer in the scan backward and attention's
+# backward over all heads at once they were 138.2 and 166.0 MB; with
+# attention's scores and weights and layer_norm's normalized copy on the
+# tape too, 183.1 and 210.8 MB.
+NODDI_SAMPLE_LIVE_BYTES = 125_000_000
+NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 147_000_000
+# live bytes attention dropout may add: its boolean [heads, T*F, T*F] masks
+# (1.3 MB over both encoder stages; float64 masks held 10.2 MB)
+NODDI_DROPOUT_MASK_BYTES = 1_500_000
 
 
-def test_noddi_sample_memory_is_bounded():
+def noddi_sample_memory(attention_dropout=0.0, backward=True):
+    """tracemalloc bytes of one noddi training sample on a fresh model: live
+    once its forward and hybrid loss are recorded and, when backward is set,
+    the backward's peak with the (op, tape index) of the node whose backward
+    rule, or the gradient accumulation after it, reached that peak."""
     mcfg = ModelConfig.from_run_config(preset_config("noddi"))
+    mcfg.attention_dropout = attention_dropout
     model = Model(mcfg, seed=0)
     spec, vol = next(synth_pair_stream(mcfg.geometry, seed=0))
+    rng = np.random.default_rng(0) if attention_dropout else None
     tape = ad.Tape()
     gc.collect()
     tracemalloc.start()
     try:
         with tape:
-            loss = hybrid_loss(model.forward(ad.Tensor(spec)), ad.Tensor(vol), Config())
+            loss = hybrid_loss(model.forward(ad.Tensor(spec), rng=rng), ad.Tensor(vol), Config())
         live = tracemalloc.get_traced_memory()[0]
+        if not backward:
+            return live, None, None
+        peaks = []  # (peak, node) per stretch of the backward
+        node = [("the seed", None)]
+
+        def enter(next_node):
+            peaks.append((tracemalloc.get_traced_memory()[1], node[0]))
+            tracemalloc.reset_peak()
+            node[0] = next_node
+
+        for i, (out, inputs, backward_fn) in enumerate(tape.nodes):
+            def watched(g, backward_fn=backward_fn, at=(backward_fn.__qualname__.split(".")[0], i)):
+                enter(at)
+                return backward_fn(g)
+
+            tape.nodes[i] = (out, inputs, watched)
         tracemalloc.reset_peak()
         tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        enter(None)
     finally:
         tracemalloc.stop()
         tape.nodes.clear()
+    peak, at = max(peaks, key=lambda p: p[0])
+    return live, peak, at
+
+
+def test_noddi_sample_memory_is_bounded():
+    live, peak, (op, index) = noddi_sample_memory()
     assert live <= NODDI_SAMPLE_LIVE_BYTES, live
-    assert peak <= NODDI_SAMPLE_BACKWARD_PEAK_BYTES, peak
+    assert peak <= NODDI_SAMPLE_BACKWARD_PEAK_BYTES, (
+        f"backward peak {peak} B, set by tape node {index} ({op})"
+    )
+
+
+def test_noddi_sample_dropout_masks_are_small():
+    """Attention dropout keeps boolean masks: a noddi sample at dropout 0.1
+    keeps little more live memory than one without dropout."""
+    plain = noddi_sample_memory(backward=False)[0]
+    dropped = noddi_sample_memory(attention_dropout=0.1, backward=False)[0]
+    assert dropped - plain <= NODDI_DROPOUT_MASK_BYTES, (plain, dropped)
 
 
 def test_train_workers_other_than_1_exit_2(tmp_path, capsys):

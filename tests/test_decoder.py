@@ -20,7 +20,15 @@ from eeg2vol.errors import ConfigError, DimensionError, NumericError
 from eeg2vol.layers import ParamStore
 from eeg2vol.model import ModelConfig
 
-from conftest import S6, fd_grad_check, rel_err, s6_scan_reference, s6_worst_vs_reference
+from conftest import (
+    S6,
+    fd_grad_check,
+    rel_err,
+    s6_scan_reference,
+    s6_worst_vs_reference,
+    tmean,
+    tsum,
+)
 
 
 def random_s6_params(channels, state, seed=0, scale=0.3):
@@ -163,7 +171,7 @@ def test_s6_gradients():
     u = ad.Tensor(rng.standard_normal((5, 2)) * 0.5, requires_grad=True)
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
               params.w_c, params.d_skip]
-    fd_grad_check(lambda: ad.tmean(ad.sigmoid(s6_scan(u, *params))), leaves)
+    fd_grad_check(lambda: tmean(ad.sigmoid(s6_scan(u, *params))), leaves)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "blocked"])
@@ -322,7 +330,7 @@ def test_unet_gradients_spot_check():
         dec.store["dec.merge0.weight"],
         dec.store["dec.up0.block0.gate.bias"],
     ]
-    fd_grad_check(lambda: ad.tmean(dec.decode(x)), leaves)
+    fd_grad_check(lambda: tmean(dec.decode(x)), leaves)
 
 
 def test_unet_scan_shapes_follow_model_config(micro_model, monkeypatch):

@@ -16,7 +16,14 @@ from eeg2vol.losses import (
     ssim,
 )
 
-from conftest import fd_grad_check
+from conftest import (
+    MICRO_GEOMETRY,
+    fd_grad_check,
+    mse_composed,
+    outputs_and_grads,
+    ssim_composed,
+)
+from test_autodiff import NODE_SLACK, retained_bytes
 
 
 def weights(lambda1, lambda2):
@@ -114,6 +121,72 @@ def test_ssim_window_too_large():
 def test_ssim_non_volume_input():
     with pytest.raises(DimensionError):
         ssim(np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# the one-node loss ops against the compositions they replaced
+# ---------------------------------------------------------------------------
+
+# a micro and a noddi volume
+LOSS_SHAPES = [MICRO_GEOMETRY[3:], (30, 64, 64)]
+SSIM_C = (1e-4, 9e-4)
+
+
+def loss_inputs(shape, y_grad, seed=0):
+    rng = np.random.default_rng(seed)
+    return [ad.Tensor(rng.random(shape), requires_grad=True),
+            ad.Tensor(rng.random(shape), requires_grad=y_grad)]
+
+
+def assert_matches_composition(op, composed, inputs):
+    """op's value equals composed's bit for bit, and each input's gradient
+    is within 1e-12 of composed's, relative to its largest magnitude."""
+    fused, want = outputs_and_grads(op, inputs), outputs_and_grads(composed, inputs)
+    assert np.array_equal(fused[0], want[0])
+    for f, w in zip(fused[1:], want[1:]):
+        assert np.max(np.abs(f - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("y_grad", [False, True], ids=["y-constant", "y-grad"])
+@pytest.mark.parametrize("window", [1, 3, 7, None], ids=["window1", "window3", "window7", "global"])
+@pytest.mark.parametrize("shape", LOSS_SHAPES, ids=["micro", "noddi"])
+def test_ssim_matches_composition(shape, window, y_grad):
+    assert_matches_composition(
+        lambda x, y: ad.ssim(x, y, *SSIM_C, window),
+        lambda x, y: ssim_composed(x, y, *SSIM_C, window),
+        loss_inputs(shape, y_grad),
+    )
+
+
+@pytest.mark.parametrize("y_grad", [False, True], ids=["y-constant", "y-grad"])
+@pytest.mark.parametrize("shape", LOSS_SHAPES, ids=["micro", "noddi"])
+def test_mse_matches_composition(shape, y_grad):
+    assert_matches_composition(ad.mse, mse_composed, loss_inputs(shape, y_grad))
+
+
+@pytest.mark.parametrize("aggregation", ["sliding-mean", "global"])
+def test_hybrid_loss_value_matches_composition(aggregation):
+    """The default hybrid loss of two noddi volumes is the composition's
+    value, bit for bit."""
+    x, y = loss_inputs(LOSS_SHAPES[1], y_grad=False)
+    cfg = Config({"ssim_aggregation": aggregation})
+    window = cfg.ssim_window if aggregation == "sliding-mean" else None
+    want = (cfg.lambda1 * (1.0 - ssim_composed(x, y, cfg.ssim_c1, cfg.ssim_c2, window))
+            + cfg.lambda2 * mse_composed(x, y))
+    assert hybrid_loss(x, y, cfg).item() == want.item()
+
+
+def test_loss_ops_keep_their_inputs_and_at_most_four_maps():
+    """Recorded on a tape at the noddi volume shape, SSIM over 7 x 7 windows
+    is one node that grows memory by four [30, 58, 58] maps (3.2 MB) and
+    MSE one node that grows it by nothing but its output."""
+    x, y = loss_inputs(LOSS_SHAPES[1], y_grad=False)
+    maps = 4 * 30 * 58 * 58 * 8
+    with ad.Tape() as tape:
+        for op, kept in ((lambda: ad.ssim(x, y, *SSIM_C, 7), maps), (lambda: ad.mse(x, y), 0)):
+            _out, grown = retained_bytes(op)
+            assert grown <= kept + NODE_SLACK
+    assert len(tape.nodes) == 2
 
 
 # ---------------------------------------------------------------------------
