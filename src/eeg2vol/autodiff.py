@@ -1,7 +1,7 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap float64 numpy arrays. Operations executed while a Tape is
-active record backward rules on that tape; Tensor.backward() replays the
+active record backward rules on that tape; Tape.backward(out) replays the
 tape in reverse and accumulates gradients into requires_grad leaves.
 Without an active tape, operations are plain forward computations.
 """
@@ -83,23 +83,9 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def backward(self, seed=None):
-        if self._tape is None:
-            raise ValueError("backward() on a tensor with no recorded tape")
-        self._tape.backward(self, seed=seed)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # arithmetic sugar
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
 
     def __rsub__(self, other):
         return sub(_as_tensor(other), self)

@@ -7,10 +7,10 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
-# key -> (default, type, domain, help); a domain is a DOMAINS key, a tuple of
-# choices, or None for any text
+# key -> (default, type, domain, help); a domain is a DOMAINS key or a tuple
+# of choices
 SCHEMA = {
     # data / geometry
     "dataset": ("synth", str, "one line", "dataset name recorded in manifests and logs"),
@@ -81,7 +81,7 @@ def _rule(domain):
     """(test, what a value must do) for a SCHEMA domain."""
     if isinstance(domain, tuple):
         return (lambda v: v in domain), "be one of " + " | ".join(map(str, domain))
-    return DOMAINS.get(domain, (lambda v: True, None))
+    return DOMAINS[domain]
 
 
 def check(key, value):
@@ -140,9 +140,7 @@ class Config:
         cfg = cls()
         if path is not None:
             p = Path(path)
-            if not p.exists():
-                raise ConfigError(f"config file not found: {p}")
-            for raw in p.read_text().splitlines():
+            for raw in read_text(p, "config file", ConfigError).splitlines():
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -162,6 +160,5 @@ def schema_help():
     lines = []
     for key, (default, _typ, domain, help_text) in SCHEMA.items():
         rule = _rule(domain)[1]
-        rule = f"must {rule}; " if rule else ""
-        lines.append(f"  {key:<18} {help_text} ({rule}default: {default})")
+        lines.append(f"  {key:<18} {help_text} (must {rule}; default: {default})")
     return "\n".join(lines)

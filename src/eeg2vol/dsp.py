@@ -11,7 +11,7 @@ import numpy as np
 import scipy.fft
 
 from .config import check
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, read_text
 from . import s2vt
 
 # run-config keys of the six DatasetManifest.geometry entries, in that order
@@ -279,10 +279,8 @@ def read_manifest(path):
     Anything else is a DataError, as is an fs or tr not finite and > 0.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     header, subjects = {}, {}
-    for raw in path.read_text().splitlines():
+    for raw in read_text(path, "manifest", DataError).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

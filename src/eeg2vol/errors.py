@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+text input files, which raises them.
 
 Exit-code mapping used by the CLI: config/geometry problems -> 2,
 data problems -> 3, numeric failures -> 4.
 """
+
+from pathlib import Path
 
 
 class Eeg2VolError(Exception):
@@ -31,3 +34,16 @@ class NumericError(Eeg2VolError):
     """Non-finite values encountered during computation."""
 
     exit_code = 4
+
+
+def read_text(path, what, error):
+    """The text of input file path. A file that is missing, a directory,
+    unreadable or not decodable raises error naming what and path."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{what} unreadable: {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} unreadable: {path}: {exc}") from None

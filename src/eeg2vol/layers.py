@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, DimensionError
+from .errors import DataError
 
 
 class ParamStore:
@@ -74,11 +74,14 @@ class ParamStore:
         return {name: t.data for name, t in self.params.items()}
 
     def load_arrays(self, arrays):
+        unknown = sorted(set(arrays) - set(self.params))
+        if unknown:
+            raise DataError(f"checkpoint parameter {unknown[0]} is not a model parameter")
         for name, tensor in self.params.items():
             if name not in arrays:
                 raise DataError(f"checkpoint missing parameter {name}")
             if tuple(arrays[name].shape) != tensor.shape:
-                raise DimensionError(
+                raise DataError(
                     f"checkpoint parameter {name} has shape "
                     f"{tuple(arrays[name].shape)}, model expects {tensor.shape}"
                 )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 MAGIC = b"S2VT"
 VERSION = 1
@@ -70,16 +70,19 @@ def _parse_header(f, path):
     return shape, _DTYPE_CODES[code]
 
 
-def _existing(path):
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"tensor file not found: {path}")
-    return path
+def _open(path):
+    """path opened for reading; a file that is missing, a directory or
+    unreadable raises DataError naming it."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise DataError(f"tensor file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"tensor file unreadable: {path}: {exc.strerror}") from None
 
 
 def read_tensor(path):
-    path = _existing(path)
-    with open(path, "rb") as f:
+    with _open(path) as f:
         shape, dtype = _parse_header(f, path)
         expected = math.prod(shape)
         payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
@@ -96,8 +99,7 @@ def read_tensor(path):
 
 def read_header(path):
     """Shape and dtype without loading the payload."""
-    path = _existing(path)
-    with open(path, "rb") as f:
+    with _open(path) as f:
         return _parse_header(f, path)
 
 
@@ -137,36 +139,46 @@ def save_checkpoint(directory, named_params, extra=None):
 
 def load_checkpoint(directory):
     """Return (params dict, extra metadata dict); the params are views of
-    the one payload array."""
+    the one payload array.
+
+    A repeated parameter name or metadata key is a malformed line. Taken in
+    file order, each entry must lie inside the payload and start at or after
+    the previous entry's end, so no two parameters share a value.
+    """
     directory = Path(directory)
     index = directory / INDEX
-    if not index.exists():
-        raise DataError(f"checkpoint index not found: {index}")
     entries, extra = {}, {}
-    for line in index.read_text().splitlines():
+    for line in read_text(index, "checkpoint index", DataError).splitlines():
         line = line.strip()
         if not line:
             continue
         try:
             if line.startswith("#"):
                 _, key, value = line.split(" ", 2)
+                if key in extra:
+                    raise ValueError
                 extra[key] = value
                 continue
             name, *fields = line.split()
             offset, *shape = (int(v) for v in fields)
-            if min((offset, *shape)) < 0:
+            if min((offset, *shape)) < 0 or name in entries:
                 raise ValueError
         except ValueError:
             raise DataError(f"{index}: malformed line {line!r}") from None
         entries[name] = (offset, tuple(shape))
     payload = read_tensor(directory / PAYLOAD).reshape(-1)
-    params = {}
+    params, end = {}, 0
     for name, (offset, shape) in entries.items():
-        end = offset + math.prod(shape)
+        previous_end, end = end, offset + math.prod(shape)
         if end > payload.size:
             raise DataError(
                 f"{index}: parameter {name} ends at value {end}, past the "
                 f"{payload.size} values of {PAYLOAD}"
+            )
+        if offset < previous_end:
+            raise DataError(
+                f"{index}: parameter {name} starts at value {offset}, inside "
+                f"the previous entry, which ends at value {previous_end}"
             )
         params[name] = payload[offset:end].reshape(shape)
     return params, extra

@@ -31,9 +31,9 @@ def analytic_grads(func, leaves):
     """Run func() under a fresh tape; return (grads per leaf, scalar value)."""
     for t in leaves:
         t.grad = None
-    with ad.Tape():
+    with ad.Tape() as tape:
         out = func()
-        out.backward()
+        tape.backward(out)
     grads = [
         t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
         for t in leaves
@@ -327,7 +327,7 @@ def linear_composed(x, weight, bias=None):
 def layer_norm_composed(x, gain, shift, eps=1e-5):
     """ad.layer_norm as eleven mean, difference, square-root and affine nodes."""
     mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
+    xc = ad.sub(x, mu)
     var = tmean(xc * xc, axis=-1, keepdims=True)
     xn = div(xc, sqrt(var + eps))
     return xn * gain + shift
@@ -335,7 +335,7 @@ def layer_norm_composed(x, gain, shift, eps=1e-5):
 
 def softmax_composed(x, axis=-1):
     """softmax as shift, exp, sum and divide nodes."""
-    shifted = x - np.max(x.data, axis=axis, keepdims=True)
+    shifted = ad.sub(x, ad.Tensor(np.max(x.data, axis=axis, keepdims=True)))
     e = exp(shifted)
     return div(e, tsum(e, axis=axis, keepdims=True))
 
@@ -354,7 +354,7 @@ def attention_composed(q, k, v, keep=None, drop=0.0):
 def mse_composed(x, y):
     """ad.mse as the difference, square and mean nodes losses.mse recorded
     before it was one node."""
-    diff = x - y
+    diff = ad.sub(x, y)
     return tmean(diff * diff)
 
 
@@ -369,9 +369,9 @@ def ssim_composed(x, y, c1, c2, window=None):
         local = lambda t: tmean(t, axis=(1, 2), keepdims=True)
     mu_x, mu_y = local(x), local(y)
     e_xx, e_yy, e_xy = local(x * x), local(y * y), local(x * y)
-    var_x = e_xx - mu_x * mu_x
-    var_y = e_yy - mu_y * mu_y
-    cov = e_xy - mu_x * mu_y
+    var_x = ad.sub(e_xx, mu_x * mu_x)
+    var_y = ad.sub(e_yy, mu_y * mu_y)
+    cov = ad.sub(e_xy, mu_x * mu_y)
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return tmean(div(num, den))

@@ -46,7 +46,8 @@ from conftest import (
     transpose,
     tsum,
 )
-from test_data_train import micro_run_config, tree_hashes
+from program_paths import tree_hashes
+from test_data_train import micro_run_config
 from test_decoder import random_s6_params
 
 
@@ -66,7 +67,7 @@ def per_op_gradient_pass(seed):
     scalarize = lambda t: tsum(ad.sigmoid(t))
     cases = [
         (lambda: scalarize(x + y), [x, y]),
-        (lambda: scalarize(x - y), [x, y]),
+        (lambda: scalarize(ad.sub(x, y)), [x, y]),
         (lambda: scalarize(x * y), [x, y]),
         (lambda: scalarize(div(x, y)), [x, y]),
         (lambda: scalarize(neg(x)), [x]),
@@ -209,34 +210,6 @@ def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
     assert {"linear", "layer_norm", "selective_scan", "cross_merge", "ssim", "mse"} <= ops
     missing = sorted(ops - recorded)
     assert not missing, f"tape ops without a criterion 1 gradient case: {missing}"
-
-
-def test_every_tape_op_has_a_program_caller(monkeypatch):
-    """Each op that records a tape node is called by the program in one micro
-    training sample (forward with attention dropout, hybrid_loss, backward)
-    or one predict, so the library holds no op that only tests call. A call
-    counts whether or not it records a node: linear_scan runs inside
-    selective_scan on constant operands."""
-    called = set()
-    make_output = ad._make_output
-
-    def spy(value, inputs, backward_fn):
-        called.add(sys._getframe(1).f_code.co_name)
-        return make_output(value, inputs, backward_fn)
-
-    monkeypatch.setattr(ad, "_make_output", spy)
-    mcfg = micro_model_config()
-    mcfg.attention_dropout = 0.25
-    model = Model(mcfg, seed=0)
-    rng = np.random.default_rng(3)
-    x = rng.random(MICRO_GEOMETRY[:3])
-    target = ad.Tensor(rng.random(MICRO_GEOMETRY[3:]))
-    with ad.Tape():
-        loss = hybrid_loss(model.forward(ad.Tensor(x), rng=rng), target, Config())
-        loss.backward()
-    model.predict(x)
-    missing = sorted(tape_ops() - called)
-    assert not missing, f"tape ops no program path calls: {missing}"
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +422,9 @@ def test_criterion_7_schedule_optimizer(capsys):
     opt = AdamW({"w": w}, Config({"weight_decay": 0.0}))
     for _ in range(500):
         w.grad = None
-        with ad.Tape():
-            ((w - 3.0) * (w - 3.0)).backward()
+        with ad.Tape() as tape:
+            residual = ad.sub(w, ad.Tensor(3.0))
+            tape.backward(residual * residual)
         opt.step(1e-2)
     ref = m = v = 0.0
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
@@ -465,8 +439,9 @@ def test_criterion_7_schedule_optimizer(capsys):
     opt2 = AdamW({"w": w2}, Config({"weight_decay": 0.0, "beta1": 0.9, "beta2": 0.9}))
     for _ in range(500):
         w2.grad = None
-        with ad.Tape():
-            ((w2 - 3.0) * (w2 - 3.0)).backward()
+        with ad.Tape() as tape:
+            residual = ad.sub(w2, ad.Tensor(3.0))
+            tape.backward(residual * residual)
         opt2.step(1e-2)
     assert abs(float(w2.data) - 3.0) < 1e-2
     announce(

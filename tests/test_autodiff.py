@@ -145,9 +145,9 @@ def test_conv2d_memory_is_bounded():
         finally:
             tracemalloc.stop()
 
-    with ad.Tape():
+    with ad.Tape() as tape:
         y, forward = peak(lambda: ad.conv2d(x, kernel))
-        _, backward = peak(lambda: y.backward(seed=g))
+        _, backward = peak(lambda: tape.backward(y, seed=g))
     assert forward <= 10.0
     assert backward <= 15.0
 
@@ -348,42 +348,42 @@ def test_softmax_values():
 
 def test_backward_square():
     x = ad.Tensor(3.0, requires_grad=True)
-    with ad.Tape():
+    with ad.Tape() as tape:
         y = x * x
-        y.backward()
+        tape.backward(y)
     assert abs(x.grad - 6.0) < 1e-12
 
 
 def test_backward_product():
     x = ad.Tensor(2.0, requires_grad=True)
     y = ad.Tensor(5.0, requires_grad=True)
-    with ad.Tape():
-        (x * y).backward()
+    with ad.Tape() as tape:
+        tape.backward(x * y)
     assert x.grad == 5.0 and y.grad == 2.0
 
 
 def test_backward_nonscalar_without_seed_is_usage_error():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
-    with ad.Tape():
+    with ad.Tape() as tape:
         y = x * x
         with pytest.raises(ValueError):
-            y.backward()
+            tape.backward(y)
 
 
 def test_gradient_accumulation_of_sum_matches_separate_backwards():
     rng = np.random.default_rng(6)
     data = rng.standard_normal(5)
     x = ad.Tensor(data.copy(), requires_grad=True)
-    with ad.Tape():
+    with ad.Tape() as tape:
         f = tsum(x * x)
         g = tsum(exp(x))
-        (f + g).backward()
+        tape.backward(f + g)
     combined = x.grad.copy()
     x.grad = None
-    with ad.Tape():
-        tsum(x * x).backward()
-    with ad.Tape():
-        tsum(exp(x)).backward()
+    with ad.Tape() as tape:
+        tape.backward(tsum(x * x))
+    with ad.Tape() as tape:
+        tape.backward(tsum(exp(x)))
     np.testing.assert_allclose(combined, x.grad, rtol=1e-12)
 
 
@@ -566,13 +566,13 @@ def test_selective_scan_forward_checks(length, index, position, value, message, 
 def test_selective_scan_backward_recompute_checks(length, index, position, value, _forward,
                                                   message):
     inputs = selective_scan_inputs(np.random.default_rng(41), length=length)
-    with ad.Tape():
+    with ad.Tape() as tape:
         loss = tsum(ad.selective_scan(*inputs))
     # the saved inputs change between forward and backward, so only the
     # recompute in backward can see the fault
     inputs[index].data[position] = value
     with pytest.raises(NumericError, match=message):
-        loss.backward()
+        tape.backward(loss)
 
 
 @pytest.mark.parametrize(
@@ -588,9 +588,9 @@ def test_selective_scan_matches_unchunked_oracle(length):
     rng = np.random.default_rng(length)
     inputs = selective_scan_inputs(rng, channels=3, state=4, length=length)
     g = rng.standard_normal((length, 3))
-    with ad.Tape():
+    with ad.Tape() as tape:
         y = ad.selective_scan(*inputs)
-        y.backward(seed=g)
+        tape.backward(y, seed=g)
     u, a_log, w_delta, b_delta, w_b, w_c, d = [t.data for t in inputs]
     delta_pre = np.matmul(u, w_delta.T) + b_delta
     b, c = np.matmul(u, w_b.T), np.matmul(u, w_c.T)
@@ -683,11 +683,11 @@ def test_selective_scan_backward_memory_is_bounded():
     rng = np.random.default_rng(43)
     inputs = selective_scan_inputs(rng, channels=channels, state=state, length=length)
     g = rng.standard_normal((length, channels))
-    with ad.Tape():
+    with ad.Tape() as tape:
         y = ad.selective_scan(*inputs)
         tracemalloc.start()
         try:
-            y.backward(seed=g)
+            tape.backward(y, seed=g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -753,11 +753,11 @@ def test_attention_backward_holds_one_head_at_a_time(masked):
     qkv = head_split_leaves(rng, heads, tokens, dh)
     g = rng.standard_normal((heads, tokens, dh))
     keep = rng.random((heads, tokens, tokens)) >= 0.1 if masked else None
-    with ad.Tape():
+    with ad.Tape() as tape:
         y = ad.attention(*qkv, keep, 0.1)
         tracemalloc.start()
         try:
-            y.backward(seed=g)
+            tape.backward(y, seed=g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,7 @@ from eeg2vol import cli, s2vt
 from eeg2vol.config import SCHEMA
 from eeg2vol.data import synth_raw_session
 
-from test_data_train import tree_hashes
+from program_paths import tree_hashes
 
 # the micro geometry for synth-data; train takes it from the dataset manifest
 GEOMETRY_SETS = [
@@ -517,6 +517,40 @@ def index_entry_past_payload_end(run, tmp):
     return predict_args(run, tmp)
 
 
+def index_entry_aliased(run, tmp):
+    # the entry points at the payload's first values, another parameter's
+    line = index_line(tmp, "dec.head.weight")
+    name, _offset, *extents = line.split()
+    rewrite(tmp / "ckpt/index.txt", line + "\n", " ".join([name, "0", *extents]) + "\n")
+    return predict_args(run, tmp)
+
+
+def index_name_repeated(run, tmp):
+    # a second dec.head.bias entry, at the payload's start
+    _name, _offset, *extents = index_line(tmp, "dec.head.bias").split()
+    with open(tmp / "ckpt/index.txt", "a") as f:
+        f.write(" ".join(["dec.head.bias", "0", *extents]) + "\n")
+    return predict_args(run, tmp)
+
+
+def index_name_unknown(run, tmp):
+    # an entry, on four values appended to the payload, for a name the
+    # model does not have
+    payload = s2vt.read_tensor(tmp / "ckpt/params.s2vt")
+    s2vt.write_tensor(tmp / "ckpt/params.s2vt", np.concatenate([payload, np.zeros(4)]))
+    with open(tmp / "ckpt/index.txt", "a") as f:
+        f.write(f"dec.extra.weight {payload.size} 2 2\n")
+    return predict_args(run, tmp)
+
+
+def index_shape_changed(run, tmp):
+    # the same values under another shape: [3] read as [1, 3]
+    line = index_line(tmp, "dec.head.bias")
+    name, offset, extent = line.split()
+    rewrite(tmp / "ckpt/index.txt", line + "\n", f"{name} {offset} 1 {extent}\n")
+    return predict_args(run, tmp)
+
+
 def checkpoint_payload_missing(run, tmp):
     (tmp / "ckpt/params.s2vt").unlink()
     return predict_args(run, tmp)
@@ -577,6 +611,11 @@ MALFORMED_INPUTS = [
     (checkpoint_metadata_missing, "checkpoint index missing metadata 'embed'"),
     (index_line_without_file, "malformed line 'dec.head.bias'"),
     (index_entry_past_payload_end, "parameter dec.head.bias ends at value"),
+    (index_entry_aliased, "parameter dec.head.weight starts at value 0, inside the previous entry"),
+    (index_name_repeated, "malformed line 'dec.head.bias 0 3'"),
+    (index_name_unknown, "checkpoint parameter dec.extra.weight is not a model parameter"),
+    (index_shape_changed,
+     "checkpoint parameter dec.head.bias has shape (1, 3), model expects (3,)"),
     (checkpoint_payload_missing, "ckpt/params.s2vt"),
     (predict_missing_input, "tensor file not found"),
     (predict_truncated_header, "truncated S2VT header"),
@@ -596,6 +635,87 @@ def test_malformed_input_exit_3(trained_run, tmp_path, capsys, build, message):
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def not_text(path):
+    """path as a file that holds byte 0xff, which no UTF-8 text holds."""
+    path.write_bytes(b"\xff\n")
+    return path
+
+
+def as_directory(path):
+    """path as a directory, where a file is expected."""
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    return path
+
+
+def train_on(run, tmp, config=None, manifest=None):
+    args = ["train", "--manifest", str(manifest or run / "data/manifest.txt"),
+            "--out", str(tmp / "out")] + ARCH_SETS
+    return args + (["--config", str(config)] if config else [])
+
+
+def config_directory(run, tmp):
+    return train_on(run, tmp, config=as_directory(tmp / "run.cfg"))
+
+
+def config_not_text(run, tmp):
+    return train_on(run, tmp, config=not_text(tmp / "run.cfg"))
+
+
+def manifest_directory(run, tmp):
+    return train_on(run, tmp, manifest=as_directory(tmp / "manifest.txt"))
+
+
+def manifest_not_text(run, tmp):
+    return train_on(run, tmp, manifest=not_text(tmp / "manifest.txt"))
+
+
+def raw_manifest_directory(run, tmp):
+    return ["preprocess", "--manifest-in", str(as_directory(tmp / "raw.txt")),
+            "--out", str(tmp / "out")]
+
+
+def index_directory(run, tmp):
+    as_directory(tmp / "ckpt/index.txt")
+    return predict_args(run, tmp)
+
+
+def index_not_text(run, tmp):
+    not_text(tmp / "ckpt/index.txt")
+    return predict_args(run, tmp)
+
+
+def predict_input_directory(run, tmp):
+    return predict_args(run, tmp, as_directory(tmp / "x_spec.s2vt"))
+
+
+UNREADABLE_INPUTS = [
+    (config_directory, 2),
+    (config_not_text, 2),
+    (manifest_directory, 3),
+    (manifest_not_text, 3),
+    (raw_manifest_directory, 3),
+    (index_directory, 3),
+    (index_not_text, 3),
+    (predict_input_directory, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "build, code", UNREADABLE_INPUTS, ids=[build.__name__ for build, _ in UNREADABLE_INPUTS]
+)
+def test_unreadable_input_is_one_error_line(trained_run, tmp_path, capsys, build, code):
+    """A directory where an input file belongs, or a text input that does not
+    decode, exits 2 (the config) or 3 with one `error:` line naming it, and
+    writes no output."""
+    shutil.copytree(trained_run / "run/best.ckpt", tmp_path / "ckpt")
+    rc = cli.main(build(trained_run, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err, err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "pred").exists()
 
 
 def test_predict_colliding_output_names_exit_2(trained_run, tmp_path, capsys):

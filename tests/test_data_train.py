@@ -1,11 +1,9 @@
 """Synthetic data generation and the training/evaluation harness."""
 
 import gc
-import hashlib
 import math
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,16 +20,7 @@ from eeg2vol.presets import preset_config
 from eeg2vol.train import _batch_grads, evaluate_samples, load_pairs, train_run
 
 from conftest import MICRO_GEOMETRY, micro_model_config
-
-
-def tree_hashes(root):
-    """Relative path -> content hash for every file under root."""
-    root = Path(root)
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+from program_paths import tree_hashes
 
 
 def micro_run_config(**overrides):

@@ -46,9 +46,9 @@ def test_pure_decoupled_decay_factor():
 def run_quadratic(opt, w, steps=500):
     for _ in range(steps):
         w.grad = None
-        with ad.Tape():
-            loss = (w - 3.0) * (w - 3.0)
-            loss.backward()
+        with ad.Tape() as tape:
+            residual = ad.sub(w, ad.Tensor(3.0))
+            tape.backward(residual * residual)
         opt.step(1e-2)
     return float(w.data)
 

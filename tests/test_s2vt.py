@@ -133,7 +133,11 @@ def test_checkpoint_missing_payload(tmp_path):
     ("w", "malformed line 'w'"),
     ("w w.s2vt", "malformed line 'w w.s2vt'"),
     ("w -1 3", "malformed line 'w -1 3'"),
-], ids=["past-payload-end", "no-offset", "old-file-layout", "negative-offset"])
+    ("w 2 2 3", "parameter w starts at value 2, inside the previous entry, which ends at value 3"),
+    ("w 3 2 3\nb 0 3", "malformed line 'b 0 3'"),
+    ("# k 1\n# k 2\nw 3 2 3", "malformed line '# k 2'"),
+], ids=["past-payload-end", "no-offset", "old-file-layout", "negative-offset", "overlap",
+        "repeated-name", "repeated-key"])
 def test_checkpoint_bad_index_line(tmp_path, line, message):
     ckpt = saved_checkpoint(tmp_path)
     index = ckpt / "index.txt"
