@@ -96,9 +96,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __getitem__(self, key):
-        return tslice(self, key)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -206,15 +203,9 @@ def permute(a, axes):
     )
 
 
-def tslice(a, key):
-    val = a.data[key]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[key] = g
-        return (ga,)
-
-    return _make_output(val, (a,), backward)
+def flip(a, axis):
+    """a reversed along axis: a view forward, and a view of g backward."""
+    return _make_output(np.flip(a.data, axis), (a,), lambda g: (np.flip(g, axis),))
 
 
 def pad(a, pad_width):
@@ -331,39 +322,41 @@ def _softmax(x, axis, out=None):
     return out
 
 
-def attention(q, k, v, keep=None, drop=0.0):
-    """softmax(q @ k^T / sqrt(dh)) @ v over the last two axes, with
-    q: [..., Tq, dh], k: [..., Tk, dh] and v: [..., Tk, dv]. For attention
-    dropout, keep is a constant boolean [..., Tq, Tk] mask: the weights it
+def attention(q, k, v, heads, keep=None, drop=0.0):
+    """Multi-head self-attention over [T, n] token rows: head i reads and
+    writes columns i*dh:(i+1)*dh, dh = n / heads, of q, k, v and the output,
+    and computes softmax(q_i @ k_i^T / sqrt(dh)) @ v_i. For attention
+    dropout, keep is a constant boolean [heads, T, T] mask: the weights it
     keeps are scaled by 1 / (1 - drop), the others are zeroed.
 
-    One tape node that keeps q, k, v and the mask, never the [..., Tq, Tk]
-    scores or weights. Forward and backward run one leading (head) index at
-    a time, and the backward recomputes that head's [Tq, Tk] weights in
-    place, as FlashAttention recomputes per block (arXiv:2205.14135). It
-    then replays the backward of the matmul, transpose, scale, softmax, mask
-    and matmul nodes this op replaces, on the same operands, so its outputs
-    and gradients equal theirs bit for bit. The backward holds at most three
-    [Tq, Tk] arrays at once.
+    One tape node that keeps q, k, v and the mask, never the [heads, T, T]
+    scores or weights. Forward and backward run one head at a time, and the
+    backward recomputes that head's [T, T] weights in place, as
+    FlashAttention recomputes per block (arXiv:2205.14135). It then replays
+    the backward of the matmul, transpose, scale, softmax, mask and matmul
+    nodes this op replaces, on the same operands, so its outputs and
+    gradients equal theirs bit for bit. The backward holds at most three
+    [T, T] arrays at once.
     """
-    fits = min(q.ndim, k.ndim, v.ndim) >= 2
+    fits = q.ndim == 2 and k.shape == q.shape and v.shape == q.shape and heads >= 1
     if fits:
-        lead, (tq, dh), tk = q.shape[:-2], q.shape[-2:], k.shape[-2]
-        fits = (k.shape == lead + (tk, dh) and v.shape[:-1] == lead + (tk,)
-                and (keep is None or (keep.shape == lead + (tq, tk) and keep.dtype == bool)))
+        t, n = q.shape
+        fits = n % heads == 0 and (
+            keep is None or (keep.shape == (heads, t, t) and keep.dtype == bool))
     if not fits:
         raise DimensionError(
             f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape}"
             f"{'' if keep is None else f', keep {keep.shape} {keep.dtype}'} do not fit "
-            f"[..., Tq, dh], [..., Tk, dh], [..., Tk, dv] and a boolean [..., Tq, Tk]"
+            f"three equal [T, n] with {heads} heads dividing n and a boolean [heads, T, T]"
         )
+    dh = n // heads
     scale = 1.0 / np.sqrt(dh)
     keep_scale = 1.0 / (1.0 - drop)
-    heads = list(np.ndindex(lead))
+    cols = [(i, slice(i * dh, (i + 1) * dh)) for i in range(heads)]
 
-    def weights(i):
-        """Head i's softmax(q @ k^T * scale) in one new [Tq, Tk] array."""
-        s = np.matmul(q.data[i], k.data[i].T)
+    def weights(c):
+        """softmax(q @ k^T * scale) of columns c, in one new [T, T] array."""
+        s = np.matmul(q.data[:, c], k.data[:, c].T)
         s *= scale
         return _softmax(s, -1, out=s)
 
@@ -375,27 +368,27 @@ def attention(q, k, v, keep=None, drop=0.0):
 
     def backward(g):
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for i in heads:
-            y = weights(i)
-            gs = np.matmul(g[i], v.data[i].T)
+        for i, c in cols:
+            y = weights(c)
+            gs = np.matmul(g[:, c], v.data[:, c].T)
             if keep is None:
-                gv[i] = np.matmul(y.T, g[i])
+                gv[:, c] = np.matmul(y.T, g[:, c])
             else:
-                gv[i] = np.matmul(dropped(y.copy(), i).T, g[i])
+                gv[:, c] = np.matmul(dropped(y.copy(), i).T, g[:, c])
                 dropped(gs, i)
             # softmax: y * (gs - sum(gs * y))
             gs -= np.sum(gs * y, axis=-1, keepdims=True)
             gs *= y
             del y
             gs *= scale
-            gk[i] = np.matmul(q.data[i].T, gs).T
-            gq[i] = np.matmul(gs, k.data[i])
+            gk[:, c] = np.matmul(q.data[:, c].T, gs).T
+            gq[:, c] = np.matmul(gs, k.data[:, c])
         return (gq, gk, gv)
 
-    out = np.empty(lead + (tq, v.shape[-1]))
-    for i in heads:
-        y = weights(i)
-        out[i] = np.matmul(y if keep is None else dropped(y, i), v.data[i])
+    out = np.empty(q.shape)
+    for i, c in cols:
+        y = weights(c)
+        out[:, c] = np.matmul(y if keep is None else dropped(y, i), v.data[:, c])
     return _make_output(out, (q, k, v), backward)
 
 
@@ -434,13 +427,14 @@ def _correlate(xp, kernel, stride):
 
 
 def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
-    """2D cross-correlation (no kernel flip) over NHWC input.
+    """2D cross-correlation (no kernel flip) over channel-last grids.
 
-    x: [N, H, W, C], kernel: [O, C, kh, kw] -> [N, H', W', O] with
-    H' = floor((H + 2*ph - kh)/sh) + 1, likewise W'. One tape node that
-    keeps the padded input (x's own array when padding is 0); the forward
-    and the input gradient both run through _correlate, so neither copies
-    a k x k window per pixel.
+    x: [..., H, W, C], kernel: [O, C, kh, kw] -> [..., H', W', O] with
+    H' = floor((H + 2*ph - kh)/sh) + 1, likewise W'; every leading axis is
+    a batch axis. One tape node that keeps the padded input (x's own array
+    when padding is 0); the forward and the input gradient both run through
+    _correlate on the leading axes folded into one, so neither copies a
+    k x k window per pixel.
     """
     sh, sw = stride
     ph, pw = padding
@@ -448,7 +442,10 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
         raise DimensionError("conv2d: stride components must be >= 1")
     if ph < 0 or pw < 0:
         raise DimensionError("conv2d: padding components must be >= 0")
-    n, h, w, c = x.shape
+    if x.ndim < 3:
+        raise DimensionError(f"conv2d: input shape {x.shape} is not [..., H, W, C]")
+    lead, (h, w, c) = x.shape[:-3], x.shape[-3:]
+    n = int(np.prod(lead))
     o, ck, kh, kw = kernel.shape
     if c != ck:
         raise DimensionError(
@@ -459,10 +456,12 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise DimensionError("conv2d: kernel larger than padded input")
 
-    xp = x.data if ph == pw == 0 else np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xb = x.data.reshape(n, h, w, c)
+    xp = xb if ph == pw == 0 else np.pad(xb, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     val = _correlate(xp, kernel.data, stride)
 
     def backward(g):
+        g = g.reshape((n,) + g.shape[-3:])
         gk = None
         if kernel.requires_grad:
             gflat = g.reshape(-1, o)
@@ -478,9 +477,9 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
         spread[:, kh - 1 : kh - 1 + hout * sh : sh, kw - 1 : kw - 1 + wout * sw : sw] = g
         flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [C, O, kh, kw]
         crop = spread[:, ph : ph + h + kh - 1, pw : pw + w + kw - 1]
-        return (_correlate(crop, flipped, (1, 1)), gk)
+        return (_correlate(crop, flipped, (1, 1)).reshape(x.shape), gk)
 
-    return _make_output(val, (x, kernel), backward)
+    return _make_output(val.reshape(lead + val.shape[1:]), (x, kernel), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ def scan_expand(x):
     """
     h, w, n = x.shape
     d1 = ad.reshape(x, (h * w, n))
-    d3 = ad.reshape(x[:, ::-1], (h * w, n))
-    return [d1, d1[::-1], d3, d3[::-1]]
+    d3 = ad.reshape(ad.flip(x, 1), (h * w, n))
+    return [d1, ad.flip(d1, 0), d3, ad.flip(d3, 0)]
 
 
 def scan_merge(seqs, h, w):
@@ -68,8 +68,8 @@ class VssBlock:
         p.linear(f"{prefix}.gate", width, width, rng)
         for d in range(4):
             # A initialized to -(1..S) per channel, stored as a log
-            a_log = np.log(np.tile(np.arange(1.0, state_dim + 1.0), (width, 1)))
-            p.add_array(f"{prefix}.dir{d}.a_log", a_log)
+            p.add(f"{prefix}.dir{d}.a_log", (width, state_dim),
+                  lambda: np.log(np.tile(np.arange(1.0, state_dim + 1.0), (width, 1))))
             p.linear(f"{prefix}.dir{d}.delta", width, width, rng)
             p.weight(f"{prefix}.dir{d}.wb", (state_dim, width), width, rng)
             p.weight(f"{prefix}.dir{d}.wc", (state_dim, width), width, rng)

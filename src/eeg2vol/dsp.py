@@ -276,7 +276,8 @@ def read_manifest(path):
 
     `key = value` header lines and `subject <id>: <a> <b>` entry lines,
     grouped per subject in file order; blank and `#` lines are skipped.
-    Anything else is a DataError, as is an fs or tr not finite and > 0.
+    Anything else is a DataError, as is a repeated key or an fs or tr not
+    finite and > 0.
     """
     path = Path(path)
     header, subjects = {}, {}
@@ -292,6 +293,8 @@ def read_manifest(path):
             subjects.setdefault(head[len("subject ") :].strip(), []).append(tuple(parts))
         elif "=" in line:
             key, value = (s.strip() for s in line.split("=", 1))
+            if key in header:
+                raise DataError(f"{path}: malformed line {raw!r}: header key {key!r} repeated")
             header[key] = value
         else:
             raise DataError(f"{path}: unparseable line {raw!r}")

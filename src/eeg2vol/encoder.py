@@ -60,17 +60,13 @@ class Encoder:
         s = f"enc.stage{stage}"
         t, f, n = x.shape
         heads = self.cfg.heads
-        dh = n // heads
         tokens = ad.reshape(x, (t * f, n))
         q, k, v = (ad.linear(tokens, p[f"{s}.attn.{w}"]) for w in ("wq", "wk", "wv"))
-        split = lambda z: ad.permute(ad.reshape(z, (t * f, heads, dh)), (1, 0, 2))
-        q, k, v = split(q), split(k), split(v)
         drop = self.cfg.attention_dropout
         keep = None
         if rng is not None and drop > 0.0:
             keep = rng.random((heads, t * f, t * f)) >= drop
-        mixed = ad.attention(q, k, v, keep, drop)  # [heads, T*F, dh]
-        mixed = ad.reshape(ad.permute(mixed, (1, 0, 2)), (t * f, n))
+        mixed = ad.attention(q, k, v, heads, keep, drop)  # [T*F, n]
         attended = ad.linear(mixed, p[f"{s}.attn.wo"], p[f"{s}.attn.bo"])
         out = p.apply_norm(f"{s}.ln2", tokens + attended)
         return ad.reshape(out, (t, f, n))

@@ -16,30 +16,39 @@ from .errors import DataError
 
 
 class ParamStore:
-    """Flat name -> Tensor registry shared by the model components."""
+    """Flat name -> Tensor registry shared by the model components. Built on
+    arrays, a checkpoint's name -> array mapping, it takes every value from
+    there and checks each name and shape before allocating anything."""
 
-    def __init__(self):
+    def __init__(self, arrays=None):
         self.params = {}
+        self.arrays = arrays
 
-    def add(self, name, tensor):
+    def add(self, name, shape, init):
+        """Register parameter name, of the given shape, with value init()."""
         if name in self.params:
             raise ValueError(f"duplicate parameter {name}")
-        self.params[name] = tensor
+        if self.arrays is None:
+            value = init()
+        elif name not in self.arrays:
+            raise DataError(f"checkpoint missing parameter {name}")
+        elif (got := tuple(self.arrays[name].shape)) != shape:
+            raise DataError(f"checkpoint parameter {name} has shape {got}, model expects {shape}")
+        else:
+            value = self.arrays[name]
+        tensor = self.params[name] = ad.Tensor(value, requires_grad=True)
         return tensor
 
     def weight(self, name, shape, fan_in, rng):
         """Uniform +-sqrt(1/fan_in), the conventional default."""
         bound = float(np.sqrt(1.0 / fan_in))
-        return self.add_array(name, rng.uniform(-bound, bound, size=shape))
+        return self.add(name, shape, lambda: rng.uniform(-bound, bound, size=shape))
 
     def zeros(self, name, shape):
-        return self.add_array(name, np.zeros(shape))
+        return self.add(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name, shape):
-        return self.add_array(name, np.ones(shape))
-
-    def add_array(self, name, array):
-        return self.add(name, ad.Tensor(array, requires_grad=True))
+        return self.add(name, shape, lambda: np.ones(shape))
 
     def linear(self, name, n_out, n_in, rng):
         self.weight(f"{name}.weight", (n_out, n_in), n_in, rng)
@@ -61,9 +70,8 @@ class ParamStore:
         return ad.layer_norm(x, self[f"{name}.gain"], self[f"{name}.shift"])
 
     def apply_conv(self, name, x, stride=(1, 1), padding=(0, 0)):
-        """conv2d over an [H, W, C] grid (batch axis added and removed)."""
-        y = ad.conv2d(ad.reshape(x, (1,) + x.shape), self[f"{name}.kernel"], stride, padding)
-        y = ad.reshape(y, y.shape[1:])
+        """conv2d over an [H, W, C] grid, plus the bias when there is one."""
+        y = ad.conv2d(x, self[f"{name}.kernel"], stride, padding)
         bias = self.params.get(f"{name}.bias")
         return y if bias is None else y + bias
 
@@ -72,21 +80,6 @@ class ParamStore:
 
     def named_arrays(self):
         return {name: t.data for name, t in self.params.items()}
-
-    def load_arrays(self, arrays):
-        unknown = sorted(set(arrays) - set(self.params))
-        if unknown:
-            raise DataError(f"checkpoint parameter {unknown[0]} is not a model parameter")
-        for name, tensor in self.params.items():
-            if name not in arrays:
-                raise DataError(f"checkpoint missing parameter {name}")
-            if tuple(arrays[name].shape) != tensor.shape:
-                raise DataError(
-                    f"checkpoint parameter {name} has shape "
-                    f"{tuple(arrays[name].shape)}, model expects {tensor.shape}"
-                )
-            tensor.data = np.asarray(arrays[name], dtype=np.float64)
-            tensor.grad = None
 
     def zero_grad(self):
         for t in self.params.values():

@@ -31,9 +31,10 @@ class ModelConfig:
     state_dim: int = SCHEMA["state_dim"][0]
 
     def __post_init__(self):
-        self.geometry = tuple(self.geometry)
-        if len(self.geometry) != 6 or min(self.geometry) < 1:
-            raise ConfigError(f"geometry {self.geometry} must list C T F D H W, each >= 1")
+        self.geometry = g = tuple(self.geometry)
+        # each extent is one of an S2VT file's
+        if len(g) != 6 or not 1 <= min(g) <= max(g) <= s2vt.MAX_EXTENT:
+            raise ConfigError(f"geometry {g} must list C T F D H W, each >= 1 and <= 2**32 - 1")
         self.geometry = tuple(coerce(k, v) for k, v in zip(dsp.GEOMETRY_KEYS, self.geometry))
         for key in ARCH_KEYS + ("attention_dropout",):
             setattr(self, key, coerce(key, getattr(self, key)))
@@ -73,10 +74,11 @@ class ModelConfig:
 
 
 class Model:
-    def __init__(self, mcfg, seed=0):
+    def __init__(self, mcfg, seed=0, arrays=None):
+        """Parameters drawn from seed, or taken from checkpoint arrays."""
         self.cfg = mcfg
         rng = np.random.default_rng(seed)
-        self.store = ParamStore()
+        self.store = ParamStore(arrays)
         # the encoder draws its initial weights first, from the same rng
         self.encoder = Encoder(mcfg, rng, store=self.store)
         self.decoder = Decoder(mcfg, rng, store=self.store)
@@ -133,6 +135,8 @@ class Model:
             raise DataError(f"checkpoint metadata is not a number: {exc}") from exc
         except ConfigError as exc:
             raise DataError(f"checkpoint metadata rejected: {exc}") from exc
-        model = cls(mcfg)
-        model.store.load_arrays(params)
+        model = cls(mcfg, arrays=params)
+        unknown = sorted(set(params) - set(model.store.params))
+        if unknown:
+            raise DataError(f"checkpoint parameter {unknown[0]} is not a model parameter")
         return model

@@ -25,6 +25,7 @@ from .errors import DataError, read_text
 
 MAGIC = b"S2VT"
 VERSION = 1
+MAX_EXTENT = 2**32 - 1  # an extent is a u32
 PAYLOAD = "params.s2vt"
 INDEX = "index.txt"
 
@@ -56,8 +57,8 @@ def _read_exact(f, path, size):
 
 
 def _parse_header(f, path):
-    """Read and check the header of an open S2VT file; returns (shape, dtype)
-    with f positioned at the payload."""
+    """Read and check the header of an open S2VT file and its payload's size;
+    returns (shape, dtype) with f positioned at the payload."""
     magic = _read_exact(f, path, 4)
     if magic != MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -67,7 +68,14 @@ def _parse_header(f, path):
     if code not in _DTYPE_CODES:
         raise DataError(f"{path}: unknown dtype code {code}")
     shape = struct.unpack(f"<{rank}I", _read_exact(f, path, 4 * rank))
-    return shape, _DTYPE_CODES[code]
+    dtype = _DTYPE_CODES[code]
+    payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
+    if payload_bytes != math.prod(shape) * dtype.itemsize:
+        raise DataError(
+            f"{path}: payload holds {payload_bytes // dtype.itemsize} values, "
+            f"header promises {math.prod(shape)}"
+        )
+    return shape, dtype
 
 
 def _open(path):
@@ -84,13 +92,6 @@ def _open(path):
 def read_tensor(path):
     with _open(path) as f:
         shape, dtype = _parse_header(f, path)
-        expected = math.prod(shape)
-        payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
-        if payload_bytes != expected * dtype.itemsize:
-            raise DataError(
-                f"{path}: payload holds {payload_bytes // dtype.itemsize} values, "
-                f"header promises {expected}"
-            )
         # read straight into the array returned, with no bytes object between
         array = np.empty(shape, dtype=dtype)
         f.readinto(array.reshape(-1).view(np.uint8))
@@ -98,7 +99,7 @@ def read_tensor(path):
 
 
 def read_header(path):
-    """Shape and dtype without loading the payload."""
+    """Shape and dtype without loading the payload, whose size is checked."""
     with _open(path) as f:
         return _parse_header(f, path)
 

@@ -191,7 +191,7 @@ def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
     _train_ids, test_ids = split_for(cfg, manifest)
     samples = load_pairs(manifest, base_dir, test_ids)
     rows, _mean_ssim, _mean_psnr = evaluate_samples(model, samples, cfg)
-    lines = [f"# checkpoint = {checkpoint_dir}", REPORT_HEADER] + rows
+    lines = [f"# checkpoint = {Path(checkpoint_dir).resolve().name}", REPORT_HEADER] + rows
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text("\n".join(lines) + "\n")

@@ -303,13 +303,13 @@ def s6_scan_four_nodes(u, params):
 
 
 def scan_merge_composed(seqs, h, w):
-    """decoder.scan_merge as eight add, reshape and reversed-slice nodes:
-    the bit-for-bit oracle of ad.cross_merge."""
+    """decoder.scan_merge as eight add, reshape and flip nodes: the
+    bit-for-bit oracle of ad.cross_merge."""
     d1, d2, d3, d4 = seqs
     n = d1.shape[-1]
-    rows = ad.reshape(d1 + d2[::-1], (h, w, n))
-    flipped = ad.reshape(d3 + d4[::-1], (h, w, n))
-    return rows + flipped[:, ::-1]
+    rows = ad.reshape(d1 + ad.flip(d2, 0), (h, w, n))
+    flipped = ad.reshape(d3 + ad.flip(d4, 0), (h, w, n))
+    return rows + ad.flip(flipped, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +340,20 @@ def softmax_composed(x, axis=-1):
     return div(e, tsum(e, axis=axis, keepdims=True))
 
 
-def attention_composed(q, k, v, keep=None, drop=0.0):
-    """ad.attention as the matmul, transpose, scale, softmax, mask and
-    matmul nodes the encoder recorded before it was one node, with the
-    float64 dropout mask keep / (1 - drop) it drew then."""
-    scores = matmul(q, transpose(k)) * (1.0 / np.sqrt(q.shape[-1]))
+def attention_composed(q, k, v, heads, keep=None, drop=0.0):
+    """ad.attention as the nodes the encoder recorded before it was one
+    node: a reshape and permute that split each [T, n] operand into
+    [heads, T, dh], the matmul, transpose, scale, softmax, mask and matmul
+    nodes, with the float64 dropout mask keep / (1 - drop) it drew then,
+    and a permute and reshape that merge the heads back into [T, n]."""
+    t, n = q.shape
+    dh = n // heads
+    q, k, v = (ad.permute(ad.reshape(z, (t, heads, dh)), (1, 0, 2)) for z in (q, k, v))
+    scores = matmul(q, transpose(k)) * (1.0 / np.sqrt(dh))
     weights = softmax(scores, axis=-1)
     if keep is not None:
         weights = weights * ad.Tensor(keep / (1.0 - drop))
-    return matmul(weights, v)
+    return ad.reshape(ad.permute(matmul(weights, v), (1, 0, 2)), (t, n))
 
 
 def mse_composed(x, y):

@@ -84,6 +84,25 @@ def test_conv2d_strided_matches_oracle():
     ) <= 1e-12
 
 
+@pytest.mark.parametrize("padding", [(0, 0), (1, 1)])
+def test_conv2d_grid_equals_batch_of_one(padding):
+    """conv2d on an [H, W, C] grid equals conv2d on its [1, H, W, C] batch
+    bit for bit: output and both gradients."""
+    rng = np.random.default_rng(5)
+    grid = ad.Tensor(rng.standard_normal((5, 6, 3)), requires_grad=True)
+    kernel = ad.Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+    batch = ad.Tensor(grid.data[None], requires_grad=True)
+    got = outputs_and_grads(lambda x, k: ad.conv2d(x, k, (1, 2), padding), [grid, kernel])
+    want = outputs_and_grads(lambda x, k: ad.conv2d(x, k, (1, 2), padding), [batch, kernel])
+    for a, b in zip(got, want):
+        assert b.shape in (a.shape, (1,) + a.shape) and np.array_equal(a, b.reshape(a.shape))
+
+
+def test_conv2d_rejects_input_without_a_grid():
+    with pytest.raises(DimensionError, match=r"\[\.\.\., H, W, C\]"):
+        ad.conv2d(ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros((1, 1, 3, 3))))
+
+
 def test_conv2d_channel_mismatch():
     with pytest.raises(DimensionError):
         ad.conv2d(ad.Tensor(np.zeros((1, 4, 4, 2))), ad.Tensor(np.zeros((1, 3, 3, 3))))
@@ -264,13 +283,10 @@ def test_softmax_matches_composition(shape, axis_pick, seed):
     assert worst_gap(fused, composed) <= FUSED_TOL
 
 
-def head_split_leaves(rng, heads, tokens, dh):
-    """q, k and v as leaf [heads, tokens, dh] views of [tokens, heads, dh]
-    arrays: the layout Encoder.global_block hands attention."""
-    return [
-        ad.Tensor(rng.standard_normal((tokens, heads, dh)).transpose(1, 0, 2), requires_grad=True)
-        for _ in range(3)
-    ]
+def token_leaves(rng, tokens, width):
+    """q, k and v as leaf [tokens, width] arrays: the layout
+    Encoder.global_block hands attention."""
+    return [ad.Tensor(rng.standard_normal((tokens, width)), requires_grad=True) for _ in range(3)]
 
 
 # the noddi encoder's stage-0 heads (500 tokens) and both micro stages
@@ -281,13 +297,16 @@ ATTENTION_SHAPES = [(4, 500, 8), (2, 30, 2), (2, 15, 2)]
 @pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
 def test_attention_matches_composition_bit_for_bit(heads, tokens, dh, masked):
     """The one-node attention's output and q/k/v gradients equal those of
-    the matmul, softmax and mask composition it replaced, bit for bit."""
+    the head split, matmul, softmax, mask and head merge composition it
+    replaced, bit for bit."""
     rng = np.random.default_rng(tokens)
-    qkv = head_split_leaves(rng, heads, tokens, dh)
+    qkv = token_leaves(rng, tokens, heads * dh)
     keep = rng.random((heads, tokens, tokens)) >= 0.1 if masked else None
-    fused = outputs_and_grads(lambda q, k, v: ad.attention(q, k, v, keep, 0.1), qkv, tokens)
+    fused = outputs_and_grads(
+        lambda q, k, v: ad.attention(q, k, v, heads, keep, 0.1), qkv, tokens
+    )
     composed = outputs_and_grads(
-        lambda q, k, v: attention_composed(q, k, v, keep, 0.1), qkv, tokens
+        lambda q, k, v: attention_composed(q, k, v, heads, keep, 0.1), qkv, tokens
     )
     for f, c in zip(fused, composed):
         assert np.array_equal(f, c)
@@ -295,18 +314,22 @@ def test_attention_matches_composition_bit_for_bit(heads, tokens, dh, masked):
 
 def test_attention_rejects_misshapen_inputs():
     rng = np.random.default_rng(9)
-    q, k, v = (rng.standard_normal(s) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 6)))
+    q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
     cases = [
-        (q[0, 0], k, v, None),  # 1-D q
-        (q, k[:, :, :3], v, None),  # key width != query width
-        (q, k, v[:, :4], None),  # value count != key count
-        (q, k[:1], v[:1], None),  # head counts differ
-        (q, k, v, np.ones((2, 5, 3), dtype=bool)),  # mask not [heads, Tq, Tk]
-        (q, k, v, np.ones((2, 3, 5))),  # mask not boolean
+        (q[0], k, v, 2, None),  # 1-D q
+        (q[None], k[None], v[None], 2, None),  # 3-D q, k and v
+        (q, k[:, :2], v, 2, None),  # key width != query width
+        (q, k, v[:2], 2, None),  # value count != query count
+        (q, k[:2], v[:2], 2, None),  # key count != query count
+        (q, k, v, 3, None),  # heads do not divide the width
+        (q, k, v, 0, None),  # no head
+        (q, k, v, 2, np.ones((2, 3, 2), dtype=bool)),  # mask not [heads, T, T]
+        (q, k, v, 2, np.ones((1, 3, 3), dtype=bool)),  # mask of another head count
+        (q, k, v, 2, np.ones((2, 3, 3))),  # mask not boolean
     ]
-    for q_, k_, v_, keep in cases:
+    for q_, k_, v_, heads, keep in cases:
         with pytest.raises(DimensionError, match="attention"):
-            ad.attention(ad.Tensor(q_), ad.Tensor(k_), ad.Tensor(v_), keep)
+            ad.attention(ad.Tensor(q_), ad.Tensor(k_), ad.Tensor(v_), heads, keep)
 
 
 def test_fused_affine_ops_reject_misshapen_parameters():
@@ -424,8 +447,7 @@ UNARY_OPS = [
     lambda t: softmax(t, axis=-1),
     lambda t: ad.reshape(t, (2, 3)),
     lambda t: ad.permute(ad.reshape(t, (2, 3)), (1, 0)),
-    lambda t: t[2:5],
-    lambda t: t[::-1],
+    lambda t: ad.flip(t, 0),
     lambda t: ad.pad(t, ((1, 2),)),
     lambda t: tmean(t, keepdims=True),
     lambda t: tsum(t, keepdims=True),
@@ -734,11 +756,11 @@ def test_attention_and_layer_norm_keep_only_their_inputs():
     [4, 500, 500] score or weight array, and layer_norm no normalized copy
     of its [4096, 32] input: each grows memory by its output alone."""
     rng = np.random.default_rng(12)
-    q, k, v = head_split_leaves(rng, 4, 500, 8)
+    q, k, v = token_leaves(rng, 500, 32)
     x = ad.Tensor(rng.standard_normal((4096, 32)), requires_grad=True)
     gain, shift = leaves(rng, (32,), (32,))
     with ad.Tape():
-        for op in (lambda: ad.attention(q, k, v), lambda: ad.layer_norm(x, gain, shift)):
+        for op in (lambda: ad.attention(q, k, v, 4), lambda: ad.layer_norm(x, gain, shift)):
             out, grown = retained_bytes(op)
             assert grown <= out.data.nbytes + NODE_SLACK
 
@@ -746,15 +768,15 @@ def test_attention_and_layer_norm_keep_only_their_inputs():
 @pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
 def test_attention_backward_holds_one_head_at_a_time(masked):
     """The backward's transient stays within three [T, T] arrays of one
-    head, plus the [heads, T, dh] gradients, with and without a dropout
-    mask: no [heads, T, T] array is made."""
-    heads, tokens, dh = 4, 500, 8
+    head, plus the [T, n] gradients, with and without a dropout mask: no
+    [heads, T, T] array is made."""
+    heads, tokens, width = 4, 500, 32
     rng = np.random.default_rng(13)
-    qkv = head_split_leaves(rng, heads, tokens, dh)
-    g = rng.standard_normal((heads, tokens, dh))
+    qkv = token_leaves(rng, tokens, width)
+    g = rng.standard_normal((tokens, width))
     keep = rng.random((heads, tokens, tokens)) >= 0.1 if masked else None
     with ad.Tape() as tape:
-        y = ad.attention(*qkv, keep, 0.1)
+        y = ad.attention(*qkv, heads, keep, 0.1)
         tracemalloc.start()
         try:
             tape.backward(y, seed=g)

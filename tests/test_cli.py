@@ -344,6 +344,20 @@ def test_eval_writes_report(trained_run, capsys):
     assert "ALL, " in report
 
 
+def test_eval_report_does_not_depend_on_the_checkpoint_path(trained_run, tmp_path, monkeypatch):
+    """A checkpoint named by a relative and by an absolute path gives
+    byte-identical reports, which name it by its directory."""
+    monkeypatch.chdir(trained_run)
+    reports = []
+    for ckpt in ("run/best.ckpt", str(trained_run / "run/best.ckpt")):
+        out = tmp_path / f"eval{len(reports)}"
+        assert cli.main(["eval", "--manifest", "data/manifest.txt", "--checkpoint", ckpt,
+                         "--out", str(out)]) == 0
+        reports.append((out / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].startswith(b"# checkpoint = best.ckpt\n")
+
+
 def test_eval_checkpoint_geometry_mismatch_exit_2(trained_run, tmp_path, capsys):
     """eval takes the model geometry from the checkpoint and rejects a
     manifest that disagrees with it."""
@@ -457,6 +471,22 @@ def dataset_header(old, new):
 
     build.__name__ = "dataset_" + new.replace(" = ", "_")
     return build
+
+
+def raw_header_repeated(run, tmp):
+    # the fs line twice, with the same value
+    raw = write_raw_tree(tmp / "raw")
+    rewrite(raw, "fs = 250\n", "fs = 250\nfs = 250\n")
+    return ["preprocess", "--manifest-in", str(raw), "--out", str(tmp / "out")]
+
+
+def dataset_header_repeated(run, tmp):
+    # a second geometry line
+    shutil.copytree(run / "data", tmp / "data")
+    with open(tmp / "data/manifest.txt", "a") as f:
+        f.write("geometry = 4 5 6 3 8 4\n")
+    return ["train", "--manifest", str(tmp / "data/manifest.txt"),
+            "--out", str(tmp / "out")] + ARCH_SETS
 
 
 def dataset_manifest_given_to_preprocess(run, tmp):
@@ -600,6 +630,9 @@ MALFORMED_INPUTS = [
     (dataset_header("tr = 2.16", "tr = -3"), "manifest.txt: manifest header tr = -3.0: must be > 0"),
     (dataset_header("geometry = 4 5 6 3 8 8", "geometry = 4 5 6 3 8 0"),
      "manifest.txt: geometry must list C T F D H W, each >= 1"),
+    (raw_header_repeated, "raw.txt: malformed line 'fs = 250': header key 'fs' repeated"),
+    (dataset_header_repeated,
+     "manifest.txt: malformed line 'geometry = 4 5 6 3 8 4': header key 'geometry' repeated"),
     (dataset_manifest_given_to_preprocess,
      "manifest.txt: a dataset manifest (it has a geometry line); "
      "preprocess reads a raw-session manifest"),

@@ -239,10 +239,10 @@ def test_batch_grads_frees_the_tape_on_error(monkeypatch, param, message):
 
 # Nodes and summed node-output bytes one micro training sample records
 # (forward plus hybrid loss); a layout permute around each linear or
-# LayerNorm, or a one-node op split back into its composition, would raise
-# them.
-MICRO_SAMPLE_TAPE_NODES = 192
-MICRO_SAMPLE_TAPE_BYTES = 212_528  # summed node outputs
+# LayerNorm, a head split around attention, a batch axis around each conv,
+# or a one-node op split back into its composition, would raise them.
+MICRO_SAMPLE_TAPE_NODES = 159
+MICRO_SAMPLE_TAPE_BYTES = 189_168  # summed node outputs
 
 
 def micro_sample_tape():
