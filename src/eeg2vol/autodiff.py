@@ -15,12 +15,14 @@ from .errors import DimensionError, NumericError
 _TAPES = []  # open tapes, innermost last
 
 
-def active_tape():
-    return _TAPES[-1] if _TAPES else None
-
-
 class Tape:
-    """Append-only record of operations for one forward pass."""
+    """Append-only record of operations for one forward pass.
+
+    The tape alone holds the graph: no tensor points back at it, so a dropped
+    tape is freed by reference counting. A requires_grad input that is not
+    an output recorded on this tape, one recorded on another tape included,
+    is a leaf of it.
+    """
 
     def __init__(self):
         self.nodes = []  # (out, inputs, backward_fn)
@@ -34,7 +36,10 @@ class Tape:
         return False
 
     def backward(self, out, seed=None):
-        if out._tape is not self:
+        # the tape holds every recorded output alive, so their ids are unique
+        # and tell them from the leaves
+        recorded = {id(node_out) for node_out, _inputs, _fn in self.nodes}
+        if id(out) not in recorded:
             raise ValueError("output was not recorded on this tape")
         if seed is None:
             if out.data.size != 1:
@@ -50,7 +55,7 @@ class Tape:
             for inp, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not inp.requires_grad:
                     continue
-                if inp._tape is None:  # leaf: accumulate into .grad
+                if id(inp) not in recorded:  # leaf: accumulate into .grad
                     if inp.grad is None:
                         inp.grad = gi.copy()
                     else:
@@ -64,13 +69,12 @@ class Tape:
 class Tensor:
     """N-dimensional float64 array with optional gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._tape = None  # tape that produced this tensor, None for leaves
 
     @property
     def shape(self):
@@ -102,12 +106,10 @@ def _as_tensor(x):
 
 
 def _make_output(value, inputs, backward_fn):
-    tape = active_tape()
     out = Tensor(value)
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _TAPES and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
-        tape.nodes.append((out, tuple(inputs), backward_fn))
+        _TAPES[-1].nodes.append((out, tuple(inputs), backward_fn))
     return out
 
 
@@ -603,32 +605,19 @@ def _check_states(h, op, first_step=0):
 def linear_scan(a, x, mode="sequential"):
     """h_t = a_t * h_{t-1} + x_t along the trailing axis, h_0 = 0.
 
-    mode selects the forward kernel: "sequential" (step-by-step reference)
-    or "blocked" (doubling-pass restructuring); both compute the same values.
-    The kernels run on time-major views of a and x.
+    A plain forward that records no tape node, so no gradient reaches a or
+    x: the program scans constants only. mode selects the kernel:
+    "sequential" (step-by-step reference) or "blocked" (doubling-pass
+    restructuring); both compute the same values. The kernels run on
+    time-major views of a and x.
     """
     if a.shape != x.shape:
         raise DimensionError("linear_scan: coefficient/input shape mismatch")
     if x.shape[-1] < 1:
         raise DimensionError("linear_scan: empty sequence")
-    kernel = _SCAN_KERNELS[mode]
-    a_tm = np.moveaxis(a.data, -1, 0)
-    h_tm = kernel(a_tm, np.moveaxis(x.data, -1, 0))
+    h_tm = _SCAN_KERNELS[mode](np.moveaxis(a.data, -1, 0), np.moveaxis(x.data, -1, 0))
     _check_states(h_tm, "linear_scan")
-
-    def backward(g):
-        # adjoint recurrence lam_t = g_t + a_{t+1} * lam_{t+1}, run as a
-        # forward scan on time-reversed arrays
-        a_next = np.empty_like(a_tm)
-        a_next[0] = 0.0
-        a_next[1:] = a_tm[:0:-1]
-        lam = kernel(a_next, np.moveaxis(g, -1, 0)[::-1])[::-1]
-        h_prev = np.empty_like(h_tm)
-        h_prev[0] = 0.0
-        h_prev[1:] = h_tm[:-1]
-        return (np.moveaxis(lam * h_prev, 0, -1), np.moveaxis(lam, 0, -1))
-
-    return _make_output(np.moveaxis(h_tm, 0, -1), (a, x), backward)
+    return Tensor(np.moveaxis(h_tm, 0, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .data import synth_dataset
 from .dsp import (
     GEOMETRY_KEYS,
     MANIFEST_KEYS,
+    RECIPE_KEYS,
     DatasetManifest,
     EegRecording,
     build_pairs,
@@ -30,7 +31,9 @@ from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
 # keys eval takes from the checkpoint, never from a --set; train and
-# preprocess take dsp.MANIFEST_KEYS from the manifest the same way
+# preprocess take dsp.MANIFEST_KEYS from the manifest the same way, and train
+# and eval take the rest of MANIFEST_KEYS and dsp.RECIPE_KEYS from the dataset
+# manifest and its files
 CHECKPOINT_KEYS = GEOMETRY_KEYS + ARCH_KEYS
 
 
@@ -214,7 +217,7 @@ def _read_dataset_manifest(path):
 
 def cmd_train(args):
     cfg = Config.load(args.config, args.overrides)
-    _reject_set_keys(args, MANIFEST_KEYS, "the dataset manifest")
+    _reject_set_keys(args, MANIFEST_KEYS + RECIPE_KEYS, "the dataset manifest")
     manifest = _read_dataset_manifest(args.manifest)
     result = train_run(cfg, manifest, Path(args.manifest).parent, args.out)
     print(f"best held-out SSIM {result['best_ssim']:.4f}")
@@ -224,6 +227,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = Config.load(args.config, args.overrides)
     _reject_set_keys(args, CHECKPOINT_KEYS, "the checkpoint")
+    _reject_set_keys(args, ("dataset", "fs", "tr") + RECIPE_KEYS, "the dataset manifest")
     manifest = _read_dataset_manifest(args.manifest)
     lines = evaluate_run(
         cfg,

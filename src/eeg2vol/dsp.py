@@ -19,6 +19,9 @@ GEOMETRY_KEYS = ("channels", "t_bins", "f_bins", "depth", "height", "width")
 # run-config keys a dataset manifest fixes: train reads them from the
 # manifest and preprocess from the raw manifest and its files
 MANIFEST_KEYS = ("dataset", "fs", "tr") + GEOMETRY_KEYS
+# run-config keys of the preprocessing recipe, whose effect the files a
+# dataset manifest lists already fix
+RECIPE_KEYS = ("frame_len", "hop", "cutoff_hz", "pairing_mode", "span_s", "lag_s", "volume_target")
 
 
 @dataclass

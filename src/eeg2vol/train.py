@@ -51,27 +51,22 @@ def _batch_grads(model, batch, cfg, rng=None):
     """Accumulate mean-loss gradients over one batch; returns the mean loss.
 
     Each sample runs forward, loss and backward before the next one starts,
-    so one sample's tape is alive at a time. rng draws the attention-dropout
-    masks in sample order; nothing is drawn at dropout 0.
+    so one sample's tape is alive at a time: no tensor points back at a
+    tape, so reference counting frees each one as soon as it is dropped.
+    rng draws the attention-dropout masks in sample order; nothing is drawn
+    at dropout 0.
     """
     total = 0.0
     scale = 1.0 / len(batch)
     for _sid, spec, vol in batch:
-        tape = ad.Tape()
-        try:
-            with tape:
-                pred = model.forward(ad.Tensor(spec), rng=rng)
-                loss = hybrid_loss(pred, ad.Tensor(vol), cfg)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError("non-finite training loss")
-            total += value * scale
-            tape.backward(loss, seed=np.full_like(loss.data, scale))
-        finally:
-            # nodes hold outputs that point back at the tape; breaking that
-            # cycle frees this sample's arrays now, on an error too, instead
-            # of at the next cyclic GC
-            tape.nodes.clear()
+        with ad.Tape() as tape:
+            pred = model.forward(ad.Tensor(spec), rng=rng)
+            loss = hybrid_loss(pred, ad.Tensor(vol), cfg)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError("non-finite training loss")
+        total += value * scale
+        tape.backward(loss, seed=np.full_like(loss.data, scale))
     return total
 
 

@@ -238,6 +238,28 @@ def softmax(x, axis=-1):
     )
 
 
+def linear_scan(a, x, mode="sequential"):
+    """ad.linear_scan as the tape node it recorded before the program called
+    it on constants only: its forward, and a backward that runs the adjoint
+    recurrence lam_t = g_t + a_{t+1} * lam_{t+1} through the same kernel, as
+    a forward scan on time-reversed arrays."""
+    h = ad.linear_scan(a, x, mode=mode).data
+    kernel = ad._SCAN_KERNELS[mode]
+    a_tm, h_tm = np.moveaxis(a.data, -1, 0), np.moveaxis(h, -1, 0)
+
+    def backward(g):
+        a_next = np.empty_like(a_tm)
+        a_next[0] = 0.0
+        a_next[1:] = a_tm[:0:-1]
+        lam = kernel(a_next, np.moveaxis(g, -1, 0)[::-1])[::-1]
+        h_prev = np.empty_like(h_tm)
+        h_prev[0] = 0.0
+        h_prev[1:] = h_tm[:-1]
+        return (np.moveaxis(lam * h_prev, 0, -1), np.moveaxis(lam, 0, -1))
+
+    return ad._make_output(h, (a, x), backward)
+
+
 def conv2d_windowed(x, kernel, stride=(1, 1), padding=(0, 0)):
     """ad.conv2d as it was before it ran one GEMM per kernel row: one einsum
     over the [N, H', W', C, kh, kw] window view forward, and a backward that
@@ -420,7 +442,7 @@ def selective_scan_composed(u, delta_pre, a_log, b, c, d, mode="sequential"):
         * ad.reshape(transpose(b), (1, state, length))
         * ad.reshape(u_cl, (n, 1, length))
     )
-    h = ad.linear_scan(abar, bu, mode=mode)
+    h = linear_scan(abar, bu, mode=mode)
     y = tsum(h * ad.reshape(transpose(c), (1, state, length)), axis=1)
     return transpose(y + ad.reshape(d, (n, 1)) * u_cl)
 

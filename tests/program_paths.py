@@ -8,6 +8,7 @@ It asserts what each path must leave behind and returns
 
 The paths:
 - `synth-data` at micro geometry, with a dataset name and a long-digit TR;
+- `synth-data` that derives T and F from the STFT keys;
 - `train` plain; with gradient clipping, attention dropout and a 5-wide SSIM
   window; and with global SSIM on a fixed split;
 - `eval` and `predict` on the plain run's best checkpoint;
@@ -107,6 +108,11 @@ def _run_paths(exe, env):
     run("synth-data", "--subjects", "3", "--pairs", "4", "--out", "data",
         *_sets(MICRO_GEOMETRY + ["dataset=demo", "tr=2.123456789"]))
     assert "tr = 2.123456789" in lines("data/manifest.txt"), "manifest lost tr digits"
+    # no t_bins or f_bins: the model config derives them from fs, tr and the STFT keys
+    run("synth-data", "--subjects", "1", "--pairs", "1", "--out", "ddata",
+        *_sets(["channels=4", "depth=3", "height=8", "width=8",
+                "frame_len=100", "hop=100", "cutoff_hz=40"]))
+    assert "geometry = 4 5 16 3 8 8" in lines("ddata/manifest.txt"), "derived geometry"
 
     run("train", "--manifest", "data/manifest.txt", "--out", "run", *_sets(MICRO_MODEL))
     assert sorted(p.name for p in Path("run/best.ckpt").iterdir()) == [

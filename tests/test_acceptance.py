@@ -31,6 +31,7 @@ from conftest import (
     directional_grad_check,
     exp,
     fd_grad_check,
+    linear_scan,
     matmul,
     micro_model_config,
     neg,
@@ -106,7 +107,7 @@ def per_op_gradient_pass(seed):
     sel = projected_scan_inputs(rng)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
-            lambda: tsum(ad.sigmoid(ad.linear_scan(a, u, mode=mode))), [a, u]
+            lambda: tsum(ad.sigmoid(linear_scan(a, u, mode=mode))), [a, u]
         )
     # the chunked scan core on leaves u, delta_pre, a_log, b, c and d
     fd_grad_check(lambda: tsum(ad.sigmoid(selective_scan_projected(*sel))), sel)
@@ -205,7 +206,7 @@ def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
 
     def spy(value, inputs, backward_fn):
         out = make_output(value, inputs, backward_fn)
-        if out._tape is not None:
+        if out.requires_grad:
             recorded.add(sys._getframe(1).f_code.co_name)
         return out
 

@@ -788,6 +788,11 @@ BAD_VALUES = [
     ("train", ["--set", "dataset=other"], "train takes dataset from the dataset manifest"),
     ("train", ["--set", "fs=500"], "train takes fs from the dataset manifest"),
     ("train", ["--set", "tr=1"], "train takes tr from the dataset manifest"),
+    # the preprocessing recipe is fixed by the files the manifest lists
+    ("train", ["--set", "frame_len=64", "--set", "pairing_mode=lag"],
+     "train takes frame_len, pairing_mode from the dataset manifest"),
+    ("train", ["--set", "volume_target=2 4 4", "--set", "hop=50"],
+     "train takes hop, volume_target from the dataset manifest"),
     ("synth-data", ["--set", "t_bins=20", "--set", "height=8"],
      "encoded plane 20x2 exceeds target 8x8"),
     ("synth-data", ["--set", "f_bins=40"], "encoded plane 5x10 exceeds target 8x8"),
@@ -821,6 +826,11 @@ BAD_VALUES = [
     ("eval", ["--set", "embed=64"], "eval takes embed from the checkpoint"),
     ("eval", ["--set", "embed=64", "--set", "height=16"],
      "eval takes height, embed from the checkpoint"),
+    ("eval", ["--set", "cutoff_hz=10"], "eval takes cutoff_hz from the dataset manifest"),
+    ("eval", ["--set", "tr=1", "--set", "dataset=other", "--set", "fs=500"],
+     "eval takes dataset, fs, tr from the dataset manifest"),
+    ("eval", ["--set", "span_s=4", "--set", "lag_s=2", "--set", "volume_target=2 4 4"],
+     "eval takes span_s, lag_s, volume_target from the dataset manifest"),
     ("eval", ["--set", "ssim_window=9"], "ssim_window 9 exceeds slice extent 8x8"),
     ("synth-data", ["--set", "dataset=x\ngeometry = 1 1 1 1 1 1"],
      "dataset = 'x\\ngeometry = 1 1 1 1 1 1': must hold no line break"),

@@ -237,6 +237,24 @@ def test_batch_grads_frees_the_tape_on_error(monkeypatch, param, message):
         gc.enable()
 
 
+def test_dropped_sample_tape_is_freed_by_reference_counting():
+    """No tensor points back at its tape, so a micro training sample's tape
+    (forward, hybrid loss and backward) is freed once its names are
+    dropped, with the cyclic GC off."""
+    model = Model(micro_model_config(), seed=0)
+    (_sid, spec, vol), = micro_batch(1)
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            loss = hybrid_loss(model.forward(ad.Tensor(spec)), ad.Tensor(vol), Config())
+        tape.backward(loss)
+        dropped = weakref.ref(tape)
+        del tape, loss
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 # Nodes and summed node-output bytes one micro training sample records
 # (forward plus hybrid loss); a layout permute around each linear or
 # LayerNorm, a head split around attention, a batch axis around each conv,
@@ -316,7 +334,6 @@ def noddi_sample_memory(attention_dropout=0.0, backward=True):
         enter(None)
     finally:
         tracemalloc.stop()
-        tape.nodes.clear()
     peak, at = max(peaks, key=lambda p: p[0])
     return live, peak, at
 
