@@ -92,6 +92,15 @@ def _reject_set_keys(args, keys, source):
         )
 
 
+def _check_out(out):
+    """Reject an --out that is an existing file or lies under one: the
+    nearest existing path at or above it must be a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def _check_sessions(subjects, base, volume_target):
     """Check every subject id and read every session's S2VT headers before
     preprocess writes anything.
@@ -277,6 +286,7 @@ _COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         _COMMANDS[args.command](args)
     except Eeg2VolError as exc:
         print(f"error: {exc}", file=sys.stderr)

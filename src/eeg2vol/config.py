@@ -139,7 +139,7 @@ class Config:
     def load(cls, path=None, overrides=()):
         cfg = cls()
         if path is not None:
-            p = Path(path)
+            p, seen = Path(path), set()
             for raw in read_text(p, "config file", ConfigError).splitlines():
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -147,6 +147,9 @@ class Config:
                 if "=" not in line:
                     raise ConfigError(f"{p}: expected 'key = value', got {raw!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
+                if key in seen:
+                    raise ConfigError(f"{p}: config key {key!r} set twice, again in {raw!r}")
+                seen.add(key)
                 cfg.set(key, value)
         for item in overrides:
             if "=" not in item:

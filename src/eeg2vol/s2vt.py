@@ -7,9 +7,9 @@ little-endian row-major. All persistence in this repo uses this format.
 A checkpoint is a directory holding two files. `params.s2vt` is one 1-D
 float64 S2VT tensor: every parameter flattened and concatenated in sorted
 name order. `index.txt` holds `# key value` metadata lines and one
-`name offset extent…` line per parameter, where offset counts values from
-the start of the payload and the extents give the parameter's shape (none
-for a scalar).
+`name extent…` line per parameter, in that same order, where the extents
+give the parameter's shape (none for a scalar); each parameter takes the
+payload's values that follow the one before it.
 """
 
 from __future__ import annotations
@@ -111,20 +111,19 @@ def save_checkpoint(directory, named_params, extra=None):
     extra: optional metadata strings recorded as `# key value` lines.
 
     The payload holds the parameters flattened in sorted name order as one
-    float64 tensor, and index.txt gives each one's offset and shape (see the
-    module docstring). Both files are written under temporary names and
-    renamed into place, payload first, so a save that fails part-way leaves
-    the previous checkpoint loadable.
+    float64 tensor, and index.txt gives each one's name and shape in that
+    order (see the module docstring). Both files are written under temporary
+    names and renamed into place, payload first, so a save that fails
+    part-way leaves the previous checkpoint loadable.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k} {v}" for k, v in (extra or {}).items()]
-    flat, offset = [], 0
+    flat = []
     for name in sorted(named_params):
         array = np.asarray(named_params[name])
-        lines.append(" ".join([name, str(offset), *map(str, array.shape)]))
+        lines.append(" ".join([name, *map(str, array.shape)]))
         flat.append(array.reshape(-1))
-        offset += array.size
     payload = np.concatenate(flat, dtype=np.float64) if flat else np.empty(0)
     payload_tmp = directory / (PAYLOAD + ".tmp")
     index_tmp = directory / (INDEX + ".tmp")
@@ -142,13 +141,15 @@ def load_checkpoint(directory):
     """Return (params dict, extra metadata dict); the params are views of
     the one payload array.
 
-    A repeated parameter name or metadata key is a malformed line. Taken in
-    file order, each entry must lie inside the payload and start at or after
-    the previous entry's end, so no two parameters share a value.
+    A repeated metadata key is a malformed line, and so is a parameter name
+    that does not sort strictly after the one before it, which rules out a
+    repeated name. The parameters' sizes must add up to exactly the
+    payload's value count; each parameter then takes the values that follow
+    the one before it.
     """
     directory = Path(directory)
     index = directory / INDEX
-    entries, extra = {}, {}
+    shapes, extra, previous = {}, {}, ""
     for line in read_text(index, "checkpoint index", DataError).splitlines():
         line = line.strip()
         if not line:
@@ -161,25 +162,21 @@ def load_checkpoint(directory):
                 extra[key] = value
                 continue
             name, *fields = line.split()
-            offset, *shape = (int(v) for v in fields)
-            if min((offset, *shape)) < 0 or name in entries:
+            shape = tuple(int(v) for v in fields)
+            if min(shape, default=0) < 0 or name <= previous:
                 raise ValueError
         except ValueError:
             raise DataError(f"{index}: malformed line {line!r}") from None
-        entries[name] = (offset, tuple(shape))
+        shapes[name], previous = shape, name
     payload = read_tensor(directory / PAYLOAD).reshape(-1)
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if total != payload.size:
+        raise DataError(
+            f"{index}: parameter sizes add up to {total} values, "
+            f"{PAYLOAD} holds {payload.size}"
+        )
     params, end = {}, 0
-    for name, (offset, shape) in entries.items():
-        previous_end, end = end, offset + math.prod(shape)
-        if end > payload.size:
-            raise DataError(
-                f"{index}: parameter {name} ends at value {end}, past the "
-                f"{payload.size} values of {PAYLOAD}"
-            )
-        if offset < previous_end:
-            raise DataError(
-                f"{index}: parameter {name} starts at value {offset}, inside "
-                f"the previous entry, which ends at value {previous_end}"
-            )
-        params[name] = payload[offset:end].reshape(shape)
+    for name, shape in shapes.items():
+        start, end = end, end + math.prod(shape)
+        params[name] = payload[start:end].reshape(shape)
     return params, extra

@@ -11,10 +11,12 @@ The paths:
 - `synth-data` that derives T and F from the STFT keys;
 - `train` plain; with gradient clipping, attention dropout and a 5-wide SSIM
   window; and with global SSIM on a fixed split;
-- `eval` and `predict` on the plain run's best checkpoint;
+- `eval` and `predict` on the plain run's best checkpoint, and a `predict`
+  whose `--out` is an existing file, which must exit 2;
 - `preprocess` in `tr` mode from a config file, on two raw sessions plus a
   second session of subject s0, then `train` and `eval` on its output, and a
-  `train --set fs=500` that must exit 2;
+  `train --set fs=500` and a `train` on a config file that sets a key twice,
+  each of which must exit 2;
 - `preprocess` in `lag` mode with a `volume_target`.
 
 Run as a script, it works in a temporary directory and prints the digest
@@ -127,6 +129,9 @@ def _run_paths(exe, env):
     run("predict", "--checkpoint", "run/best.ckpt", "--out", "pred",
         "data/sub00/pair0000_spec.s2vt")
     assert Path("pred/pair0000_vol.s2vt").is_file(), "predict wrote no volume"
+    Path("taken").write_text("a file where predict's output directory would go\n")
+    run("predict", "--checkpoint", "run/best.ckpt", "--out", "taken",
+        "data/sub00/pair0000_spec.s2vt", code=2)
 
     _write_raw_sessions(Path("raw"))
     Path("run.cfg").write_text("\n".join(RAW_CONFIG) + "\n")
@@ -139,6 +144,9 @@ def _run_paths(exe, env):
     assert "# tr = 2.0" in lines("prun/train.log"), "train.log lost the manifest tr"
     run("train", "--config", "run.cfg", "--manifest", "pdata/manifest.txt", "--out", "prun_fs",
         "--set", "fs=500", code=2)
+    Path("twice.cfg").write_text("\n".join(RAW_CONFIG + ["epochs = 2"]) + "\n")
+    run("train", "--config", "twice.cfg", "--manifest", "pdata/manifest.txt",
+        "--out", "prun_twice", code=2)
     run("eval", "--config", "run.cfg", "--manifest", "pdata/manifest.txt",
         "--checkpoint", "prun/best.ckpt", "--out", "preport")
     assert Path("preport/report.txt").is_file(), "eval wrote no report"

@@ -410,11 +410,12 @@ def test_predict_geometry_mismatch_exit_2(trained_run, tmp_path, capsys):
 
 
 def test_predict_checkpoint_missing_parameter_exit_3(trained_run, tmp_path, capsys):
+    # a well-formed checkpoint with one parameter left out: its index line
+    # and its values
     ckpt = tmp_path / "partial.ckpt"
-    shutil.copytree(trained_run / "run/best.ckpt", ckpt)
-    index = ckpt / "index.txt"
-    lines = index.read_text().splitlines(keepends=True)
-    index.write_text("".join(line for line in lines if not line.startswith("dec.head.bias ")))
+    params, extra = s2vt.load_checkpoint(trained_run / "run/best.ckpt")
+    del params["dec.head.bias"]
+    s2vt.save_checkpoint(ckpt, params, extra)
     rc = cli.main(
         ["predict", "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred"),
          str(trained_run / "data/sub00/pair0000_spec.s2vt")]
@@ -532,52 +533,59 @@ def index_line(tmp, name):
 
 
 def index_line_without_file(run, tmp):
-    # the offset and extents stripped: the name alone
+    # the extents stripped: the name alone, a scalar, so the sizes no longer
+    # add up to the payload
     rewrite(tmp / "ckpt/index.txt", index_line(tmp, "dec.head.bias") + "\n", "dec.head.bias\n")
     return predict_args(run, tmp)
 
 
 def index_entry_past_payload_end(run, tmp):
-    # the entry starts at the payload's last value and needs more than one
+    # the entry's first extent doubled, so the entries run past the payload
     line = index_line(tmp, "dec.head.bias")
-    name, _offset, *extents = line.split()
-    (values,), _dtype = s2vt.read_header(tmp / "ckpt/params.s2vt")
-    moved = " ".join([name, str(values - 1), *extents])
-    rewrite(tmp / "ckpt/index.txt", line + "\n", moved + "\n")
+    name, extent, *extents = line.split()
+    grown = " ".join([name, str(2 * int(extent)), *extents])
+    rewrite(tmp / "ckpt/index.txt", line + "\n", grown + "\n")
     return predict_args(run, tmp)
 
 
-def index_entry_aliased(run, tmp):
-    # the entry points at the payload's first values, another parameter's
-    line = index_line(tmp, "dec.head.weight")
-    name, _offset, *extents = line.split()
-    rewrite(tmp / "ckpt/index.txt", line + "\n", " ".join([name, "0", *extents]) + "\n")
+def index_names_unsorted(run, tmp):
+    # the first two parameter lines swapped; the payload keeps its order
+    index = tmp / "ckpt/index.txt"
+    lines = index.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    index.write_text("".join(lines))
+    return predict_args(run, tmp)
+
+
+def payload_value_appended(run, tmp):
+    # one more value after the last parameter's, with a header that counts it
+    payload = s2vt.read_tensor(tmp / "ckpt/params.s2vt")
+    s2vt.write_tensor(tmp / "ckpt/params.s2vt", np.append(payload, 0.0))
     return predict_args(run, tmp)
 
 
 def index_name_repeated(run, tmp):
-    # a second dec.head.bias entry, at the payload's start
-    _name, _offset, *extents = index_line(tmp, "dec.head.bias").split()
+    # a second dec.head.bias entry, after the last one
     with open(tmp / "ckpt/index.txt", "a") as f:
-        f.write(" ".join(["dec.head.bias", "0", *extents]) + "\n")
+        f.write(index_line(tmp, "dec.head.bias") + "\n")
     return predict_args(run, tmp)
 
 
 def index_name_unknown(run, tmp):
-    # an entry, on four values appended to the payload, for a name the
-    # model does not have
-    payload = s2vt.read_tensor(tmp / "ckpt/params.s2vt")
-    s2vt.write_tensor(tmp / "ckpt/params.s2vt", np.concatenate([payload, np.zeros(4)]))
-    with open(tmp / "ckpt/index.txt", "a") as f:
-        f.write(f"dec.extra.weight {payload.size} 2 2\n")
+    # a well-formed checkpoint with one more parameter, of four values, under
+    # a name the model does not have
+    params, extra = s2vt.load_checkpoint(tmp / "ckpt")
+    params["dec.extra.weight"] = np.zeros((2, 2))
+    s2vt.save_checkpoint(tmp / "ckpt", params, extra)
     return predict_args(run, tmp)
 
 
 def index_shape_changed(run, tmp):
     # the same values under another shape: [3] read as [1, 3]
     line = index_line(tmp, "dec.head.bias")
-    name, offset, extent = line.split()
-    rewrite(tmp / "ckpt/index.txt", line + "\n", f"{name} {offset} 1 {extent}\n")
+    name, extent = line.split()
+    rewrite(tmp / "ckpt/index.txt", line + "\n", f"{name} 1 {extent}\n")
     return predict_args(run, tmp)
 
 
@@ -642,10 +650,11 @@ MALFORMED_INPUTS = [
     (checkpoint_geometry_too_short, "must list C T F D H W"),
     (checkpoint_geometry_zero, "must list C T F D H W, each >= 1"),
     (checkpoint_metadata_missing, "checkpoint index missing metadata 'embed'"),
-    (index_line_without_file, "malformed line 'dec.head.bias'"),
-    (index_entry_past_payload_end, "parameter dec.head.bias ends at value"),
-    (index_entry_aliased, "parameter dec.head.weight starts at value 0, inside the previous entry"),
-    (index_name_repeated, "malformed line 'dec.head.bias 0 3'"),
+    (index_line_without_file, "parameter sizes add up to"),
+    (index_entry_past_payload_end, "parameter sizes add up to"),
+    (index_names_unsorted, "index.txt: malformed line"),
+    (payload_value_appended, "parameter sizes add up to"),
+    (index_name_repeated, "malformed line 'dec.head.bias 3'"),
     (index_name_unknown, "checkpoint parameter dec.extra.weight is not a model parameter"),
     (index_shape_changed,
      "checkpoint parameter dec.head.bias has shape (1, 3), model expects (3,)"),
@@ -763,6 +772,34 @@ def test_predict_colliding_output_names_exit_2(trained_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(first) in err and str(second) in err
     assert not (tmp_path / "pred").exists()
+
+
+OUT_COMMANDS = {
+    "preprocess": lambda run, tmp: ["preprocess",
+                                    "--manifest-in", str(write_raw_tree(tmp / "raw"))],
+    "synth-data": lambda run, tmp: ["synth-data"] + GEOMETRY_SETS,
+    "train": lambda run, tmp: ["train", "--manifest", str(run / "data/manifest.txt")] + ARCH_SETS,
+    "eval": lambda run, tmp: ["eval", "--manifest", str(run / "data/manifest.txt"),
+                              "--checkpoint", str(run / "run/best.ckpt")],
+    "predict": lambda run, tmp: ["predict", "--checkpoint", str(run / "run/best.ckpt"),
+                                 str(run / "data/sub00/pair0000_spec.s2vt")],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_that_is_a_file_exit_2(trained_run, tmp_path, capsys, command, under):
+    """An --out that is an existing file, or lies under one, exits 2 with one
+    `error:` line naming the file, before the command writes anything."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = OUT_COMMANDS[command](trained_run, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(argv + ["--out", str(taken / "run" if under else taken)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err, err
+    assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "kept\n"
 
 
 BAD_VALUES = [

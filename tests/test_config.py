@@ -116,6 +116,22 @@ def test_whole_numbers_and_strings_convert():
         Config.load(overrides=["epochs=2.5"])
 
 
+def test_config_file_key_set_twice_exit_2(micro_data, tmp_path, capsys):
+    """A --config file that sets a key twice exits 2 naming the key; a --set
+    still overrides the file, and the last of repeated --set values wins."""
+    config = tmp_path / "run.cfg"
+    config.write_text("lr = 0.5\nepochs = 3\nlr = 0.001\n")
+    rc = cli.main(["train", "--manifest", str(micro_data), "--config", str(config),
+                   "--out", str(tmp_path / "run")] + ARCH_SETS)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert f"error: {config}: config key 'lr' set twice, again in 'lr = 0.001'" in err
+    assert not (tmp_path / "run").exists()
+    config.write_text("lr = 0.5\nepochs = 3\n")
+    cfg = Config.load(config, ["lr=0.01", "epochs=4", "lr=0.002"])
+    assert (cfg.lr, cfg.epochs) == (0.002, 4)
+
+
 def test_model_config_extents_are_ints(tmp_path):
     """Whole floats become ints, so a checkpoint's metadata reloads."""
     geometry = (4, 5, 6, 3, 8, 8)

@@ -107,7 +107,7 @@ def test_checkpoint_is_one_payload_plus_index(tmp_path):
     params = {"w": np.ones((2, 3)), "b": np.zeros(3)}
     s2vt.save_checkpoint(tmp_path / "ckpt", params, extra={"epoch": "0"})
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["index.txt", "params.s2vt"]
-    assert (tmp_path / "ckpt/index.txt").read_text() == "# epoch 0\nb 0 3\nw 3 2 3\n"
+    assert (tmp_path / "ckpt/index.txt").read_text() == "# epoch 0\nb 3\nw 2 3\n"
     assert s2vt.read_header(tmp_path / "ckpt/params.s2vt") == ((9,), np.dtype("<f8"))
 
 
@@ -129,19 +129,24 @@ def test_checkpoint_missing_payload(tmp_path):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("w 4 2 3", "parameter w ends at value 10, past the 9 values of params.s2vt"),
-    ("w", "malformed line 'w'"),
+    ("w 2 4", "parameter sizes add up to 11 values, params.s2vt holds 9"),
+    ("w 2 2", "parameter sizes add up to 7 values, params.s2vt holds 9"),
+    # a name alone is a scalar
+    ("w", "parameter sizes add up to 4 values, params.s2vt holds 9"),
+    # the offset column of the earlier `name offset extent…` layout reads as
+    # one more extent
+    ("w 3 2 3", "parameter sizes add up to 21 values, params.s2vt holds 9"),
     ("w w.s2vt", "malformed line 'w w.s2vt'"),
     ("w -1 3", "malformed line 'w -1 3'"),
-    ("w 2 2 3", "parameter w starts at value 2, inside the previous entry, which ends at value 3"),
-    ("w 3 2 3\nb 0 3", "malformed line 'b 0 3'"),
-    ("# k 1\n# k 2\nw 3 2 3", "malformed line '# k 2'"),
-], ids=["past-payload-end", "no-offset", "old-file-layout", "negative-offset", "overlap",
-        "repeated-name", "repeated-key"])
+    ("a 2 3", "malformed line 'a 2 3'"),
+    ("w 2 3\nw 2 3", "malformed line 'w 2 3'"),
+    ("# k 1\n# k 2\nw 2 3", "malformed line '# k 2'"),
+], ids=["past-payload-end", "short-of-payload-end", "no-offset", "old-offset-layout",
+        "old-file-layout", "negative-extent", "unsorted-names", "repeated-name", "repeated-key"])
 def test_checkpoint_bad_index_line(tmp_path, line, message):
     ckpt = saved_checkpoint(tmp_path)
     index = ckpt / "index.txt"
-    index.write_text(index.read_text().replace("w 3 2 3", line))
+    index.write_text(index.read_text().replace("w 2 3", line))
     with pytest.raises(DataError, match=message):
         s2vt.load_checkpoint(ckpt)
 
