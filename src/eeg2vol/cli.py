@@ -73,11 +73,11 @@ def _build_parser():
 
     p = command("eval", "evaluate a checkpoint")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint file")
 
     # the checkpoint fixes everything predict computes, so it takes no config
     p = command("predict", "spectrograms -> volume files", config=False)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument("inputs", nargs="+", help="spectrogram S2VT files")
     return parser
 

@@ -113,17 +113,17 @@ class Model:
 
     # checkpointing ----------------------------------------------------------
 
-    def save(self, directory, extra=None):
+    def save(self, path, extra=None):
         meta = {"geometry": " ".join(str(v) for v in self.cfg.geometry)}
         meta.update((k, str(getattr(self.cfg, k))) for k in ARCH_KEYS)
         if extra:
             meta.update(extra)
-        s2vt.save_checkpoint(directory, self.store.named_arrays(), extra=meta)
+        s2vt.save_checkpoint(path, self.store.named_arrays(), extra=meta)
 
     @classmethod
-    def from_checkpoint(cls, directory):
-        """Rebuild a model from a checkpoint's recorded architecture."""
-        params, extra = s2vt.load_checkpoint(directory)
+    def from_checkpoint(cls, path):
+        """Rebuild a model from the checkpoint file path's recorded architecture."""
+        params, extra = s2vt.load_checkpoint(path)
         try:
             mcfg = ModelConfig(
                 tuple(int(v) for v in extra["geometry"].split()),

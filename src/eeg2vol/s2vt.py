@@ -1,19 +1,21 @@
-"""S2VT binary tensor files and the checkpoint directory layout.
+"""S2VT binary tensor files and the checkpoint file layout.
 
 Layout: magic `S2VT`, version (u32 LE), dtype code (u32 LE; 1 = float32,
 2 = float64), rank (u32 LE), one u32 LE extent per axis, then the payload
 little-endian row-major. All persistence in this repo uses this format.
 
-A checkpoint is a directory holding two files. `params.s2vt` is one 1-D
-float64 S2VT tensor: every parameter flattened and concatenated in sorted
-name order. `index.txt` holds `# key value` metadata lines and one
-`name extent…` line per parameter, in that same order, where the extents
-give the parameter's shape (none for a scalar); each parameter takes the
-payload's values that follow the one before it.
+A checkpoint is one file: an index of text lines, one empty line, then the
+payload, one 1-D float64 S2VT tensor holding every parameter flattened and
+concatenated in sorted name order. The index holds `# key value` metadata
+lines, the last of them `# sha256 <hex>`, the digest of the payload's
+values, then one `name extent…` line per parameter, in that same order,
+where the extents give the parameter's shape (none for a scalar); each
+parameter takes the payload's values that follow the one before it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -21,19 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_text
+from .errors import DataError
 
 MAGIC = b"S2VT"
 VERSION = 1
 MAX_EXTENT = 2**32 - 1  # an extent is a u32
-PAYLOAD = "params.s2vt"
-INDEX = "index.txt"
 
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_FOR_KIND = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 
 
-def write_tensor(path, array):
+def write_tensor(path, array, head=b""):
+    """Write array to path as an S2VT tensor, after the bytes head."""
     array = np.ascontiguousarray(array)
     code = _CODE_FOR_KIND.get(array.dtype)
     if code is None:
@@ -42,6 +43,7 @@ def write_tensor(path, array):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
+        f.write(head)
         f.write(MAGIC)
         f.write(struct.pack("<III", VERSION, code, array.ndim))
         f.write(struct.pack(f"<{array.ndim}I", *array.shape))
@@ -78,19 +80,21 @@ def _parse_header(f, path):
     return shape, dtype
 
 
-def _open(path):
+def _open(path, what="tensor file"):
     """path opened for reading; a file that is missing, a directory or
-    unreadable raises DataError naming it."""
+    unreadable raises DataError naming what and path."""
     try:
         return open(path, "rb")
     except FileNotFoundError:
-        raise DataError(f"tensor file not found: {path}") from None
+        raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise DataError(f"tensor file unreadable: {path}: {exc.strerror}") from None
+        raise DataError(f"{what} unreadable: {path}: {exc.strerror}") from None
 
 
-def read_tensor(path):
+def read_tensor(path, start=0):
+    """The S2VT tensor that starts start bytes into path and runs to its end."""
     with _open(path) as f:
+        f.seek(start)
         shape, dtype = _parse_header(f, path)
         # read straight into the array returned, with no bytes object between
         array = np.empty(shape, dtype=dtype)
@@ -104,77 +108,71 @@ def read_header(path):
         return _parse_header(f, path)
 
 
-def save_checkpoint(directory, named_params, extra=None):
-    """Write every parameter into one S2VT payload plus a text index.
+def save_checkpoint(path, named_params, extra=None):
+    """Write every parameter into the one checkpoint file path, laid out as
+    the module docstring says.
 
     named_params: mapping of stable parameter name -> numpy array.
     extra: optional metadata strings recorded as `# key value` lines.
 
-    The payload holds the parameters flattened in sorted name order as one
-    float64 tensor, and index.txt gives each one's name and shape in that
-    order (see the module docstring). Both files are written under temporary
-    names and renamed into place, payload first, so a save that fails
-    part-way leaves the previous checkpoint loadable.
+    The file is written as `<name>.tmp` beside path and renamed onto it, the
+    only commit, so a save whose process fails or is killed at any step
+    leaves the previous checkpoint whole (nothing is fsynced, so a machine
+    that goes down may not).
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {k} {v}" for k, v in (extra or {}).items()]
-    flat = []
-    for name in sorted(named_params):
-        array = np.asarray(named_params[name])
-        lines.append(" ".join([name, *map(str, array.shape)]))
-        flat.append(array.reshape(-1))
-    payload = np.concatenate(flat, dtype=np.float64) if flat else np.empty(0)
-    payload_tmp = directory / (PAYLOAD + ".tmp")
-    index_tmp = directory / (INDEX + ".tmp")
+    path = Path(path)
+    names = sorted(named_params)
+    arrays = [np.asarray(named_params[name]) for name in names]
+    payload = np.concatenate([a.reshape(-1) for a in arrays] or [np.empty(0)], dtype="<f8")
+    meta = {**(extra or {}), "sha256": hashlib.sha256(payload.data).hexdigest()}
+    lines = [f"# {k} {v}" for k, v in meta.items()]
+    lines += [" ".join([name, *map(str, a.shape)]) for name, a in zip(names, arrays)]
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        write_tensor(payload_tmp, payload)
-        index_tmp.write_text("\n".join(lines) + "\n")
-        os.replace(payload_tmp, directory / PAYLOAD)
-        os.replace(index_tmp, directory / INDEX)
+        write_tensor(tmp, payload, head=("\n".join(lines) + "\n\n").encode())
+        os.replace(tmp, path)
     finally:
-        payload_tmp.unlink(missing_ok=True)
-        index_tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(directory):
-    """Return (params dict, extra metadata dict); the params are views of
-    the one payload array.
+def load_checkpoint(path):
+    """Return (params dict, extra metadata dict without `sha256`); the
+    params are views of the one payload array.
 
     A repeated metadata key is a malformed line, and so is a parameter name
     that does not sort strictly after the one before it, which rules out a
-    repeated name. The parameters' sizes must add up to exactly the
-    payload's value count; each parameter then takes the values that follow
-    the one before it.
+    repeated name. The payload must match its `# sha256` digest, and the
+    parameters' sizes must add up to exactly its value count; each
+    parameter then takes the values that follow the one before it.
     """
-    directory = Path(directory)
-    index = directory / INDEX
     shapes, extra, previous = {}, {}, ""
-    for line in read_text(index, "checkpoint index", DataError).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                _, key, value = line.split(" ", 2)
-                if key in extra:
+    with _open(path, "checkpoint") as f:
+        # the index ends at its empty line; an end of file before it fails the header check
+        while (raw := f.readline()) not in (b"\n", b""):
+            try:
+                line = raw.decode().strip()
+                if line.startswith("#"):
+                    _, key, value = line.split(" ", 2)
+                    if key in extra:
+                        raise ValueError
+                    extra[key] = value
+                    continue
+                name, *fields = line.split()
+                shape = tuple(int(v) for v in fields)
+                if min(shape, default=0) < 0 or name <= previous:
                     raise ValueError
-                extra[key] = value
-                continue
-            name, *fields = line.split()
-            shape = tuple(int(v) for v in fields)
-            if min(shape, default=0) < 0 or name <= previous:
-                raise ValueError
-        except ValueError:
-            raise DataError(f"{index}: malformed line {line!r}") from None
-        shapes[name], previous = shape, name
-    payload = read_tensor(directory / PAYLOAD).reshape(-1)
+            except ValueError:  # which a line that is not UTF-8 also raises
+                line = raw.decode(errors="replace").strip()
+                raise DataError(f"{path}: malformed line {line!r}") from None
+            shapes[name], previous = shape, name
+        payload_at = f.tell()
+    payload = read_tensor(path, payload_at).reshape(-1)
+    if hashlib.sha256(payload.data).hexdigest() != extra.pop("sha256", None):
+        raise DataError(f"{path}: payload does not match its sha256 line, or has none")
     total = sum(math.prod(shape) for shape in shapes.values())
     if total != payload.size:
-        raise DataError(
-            f"{index}: parameter sizes add up to {total} values, "
-            f"{PAYLOAD} holds {payload.size}"
-        )
+        raise DataError(f"{path}: parameter sizes add up to {total} values, "
+                        f"the payload holds {payload.size}")
     params, end = {}, 0
     for name, shape in shapes.items():
         start, end = end, end + math.prod(shape)

@@ -107,6 +107,11 @@ def train_run(cfg, manifest, base_dir, out_dir):
     check_loss_weights(cfg)
     check_lr_floor(cfg)
     check_ssim_window(cfg, *mcfg.geometry[4:])
+    out_dir = Path(out_dir)
+    for ckpt in (out_dir / "best.ckpt", out_dir / "last.ckpt"):
+        if ckpt.is_dir():  # a checkpoint of the earlier directory layout
+            raise ConfigError(f"{ckpt} is a directory, not a checkpoint file: "
+                              "remove it or train into another --out")
     train_ids, test_ids = split_for(cfg, manifest)
     train_samples = load_pairs(manifest, base_dir, train_ids)
     test_samples = load_pairs(manifest, base_dir, test_ids)
@@ -115,7 +120,6 @@ def train_run(cfg, manifest, base_dir, out_dir):
     optimizer = AdamW(model.store.params, cfg)
     rng = np.random.default_rng(cfg.seed)
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train.log"
     log = open(log_path, "w")
@@ -175,9 +179,9 @@ def train_run(cfg, manifest, base_dir, out_dir):
     }
 
 
-def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
-    """Evaluate a checkpoint on the configured test fold; returns report rows."""
-    model = Model.from_checkpoint(checkpoint_dir)
+def evaluate_run(cfg, manifest, base_dir, checkpoint, out_path=None):
+    """Evaluate a checkpoint file on the configured test fold; returns report rows."""
+    model = Model.from_checkpoint(checkpoint)
     if tuple(manifest.geometry) != model.cfg.geometry:
         raise ConfigError(
             f"manifest geometry {tuple(manifest.geometry)} does not match "
@@ -186,7 +190,7 @@ def evaluate_run(cfg, manifest, base_dir, checkpoint_dir, out_path=None):
     _train_ids, test_ids = split_for(cfg, manifest)
     samples = load_pairs(manifest, base_dir, test_ids)
     rows, _mean_ssim, _mean_psnr = evaluate_samples(model, samples, cfg)
-    lines = [f"# checkpoint = {Path(checkpoint_dir).resolve().name}", REPORT_HEADER] + rows
+    lines = [f"# checkpoint = {Path(checkpoint).resolve().name}", REPORT_HEADER] + rows
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text("\n".join(lines) + "\n")

@@ -582,3 +582,33 @@ def micro_model_config():
 @pytest.fixture
 def micro_model():
     return Model(micro_model_config(), seed=0)
+
+
+def checkpoint_parts(ckpt):
+    """(index, payload) of checkpoint file ckpt: the index's text, each line
+    ending in a newline, and the bytes after the empty line that ends it."""
+    index, payload = ckpt.read_bytes().split(b"\n\n", 1)
+    return index.decode() + "\n", payload
+
+
+def join_checkpoint(ckpt, index, payload):
+    """Write checkpoint file ckpt from the parts checkpoint_parts returns."""
+    ckpt.write_bytes(index.encode() + b"\n" + payload)
+
+
+def index_lines(ckpt):
+    """The lines of checkpoint file ckpt's index."""
+    return checkpoint_parts(ckpt)[0].splitlines()
+
+
+def index_line(ckpt, start):
+    """The first line of checkpoint file ckpt's index that starts with start."""
+    return next(line for line in index_lines(ckpt) if line.startswith(start))
+
+
+def rewrite_index(ckpt, old, new):
+    """Replace the first old with new in checkpoint file ckpt's index; the
+    payload is kept byte for byte."""
+    index, payload = checkpoint_parts(ckpt)
+    assert old in index
+    join_checkpoint(ckpt, index.replace(old, new, 1), payload)

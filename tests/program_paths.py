@@ -11,8 +11,9 @@ The paths:
 - `synth-data` that derives T and F from the STFT keys;
 - `train` plain; with gradient clipping, attention dropout and a 5-wide SSIM
   window; and with global SSIM on a fixed split;
-- `eval` and `predict` on the plain run's best checkpoint, and a `predict`
-  whose `--out` is an existing file, which must exit 2;
+- `eval` and `predict` on the plain run's best checkpoint, a `predict`
+  whose `--out` is an existing file, which must exit 2, and a `predict`
+  whose `--checkpoint` is a directory, which must exit 3;
 - `preprocess` in `tr` mode from a config file, on two raw sessions plus a
   second session of subject s0, then `train` and `eval` on its output, and a
   `train --set fs=500` and a `train` on a config file that sets a key twice,
@@ -117,8 +118,7 @@ def _run_paths(exe, env):
     assert "geometry = 4 5 16 3 8 8" in lines("ddata/manifest.txt"), "derived geometry"
 
     run("train", "--manifest", "data/manifest.txt", "--out", "run", *_sets(MICRO_MODEL))
-    assert sorted(p.name for p in Path("run/best.ckpt").iterdir()) == [
-        "index.txt", "params.s2vt"], "a checkpoint is one payload plus its index"
+    assert Path("run/best.ckpt").is_file(), "a checkpoint is one file"
     run("train", "--manifest", "data/manifest.txt", "--out", "run_clip",
         *_sets(MICRO_MODEL + ["grad_clip=0.05", "attention_dropout=0.1", "ssim_window=5"]))
     run("train", "--manifest", "data/manifest.txt", "--out", "run_global",
@@ -132,6 +132,9 @@ def _run_paths(exe, env):
     Path("taken").write_text("a file where predict's output directory would go\n")
     run("predict", "--checkpoint", "run/best.ckpt", "--out", "taken",
         "data/sub00/pair0000_spec.s2vt", code=2)
+    Path("old.ckpt").mkdir()  # the earlier directory layout, here empty
+    run("predict", "--checkpoint", "old.ckpt", "--out", "opred",
+        "data/sub00/pair0000_spec.s2vt", code=3)
 
     _write_raw_sessions(Path("raw"))
     Path("run.cfg").write_text("\n".join(RAW_CONFIG) + "\n")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, and file artifacts."""
 
+import hashlib
 import shutil
 import struct
 import warnings
@@ -11,6 +12,7 @@ from eeg2vol import cli, s2vt
 from eeg2vol.config import SCHEMA
 from eeg2vol.data import synth_raw_session
 
+from conftest import checkpoint_parts, index_line, index_lines, join_checkpoint, rewrite_index
 from program_paths import tree_hashes
 
 # the micro geometry for synth-data; train takes it from the dataset manifest
@@ -267,10 +269,10 @@ def trained_run(tmp_path_factory):
 
 
 def test_train_leaves_checkpoints(trained_run):
-    for ckpt in ("best.ckpt", "last.ckpt"):
-        files = sorted(p.name for p in (trained_run / "run" / ckpt).iterdir())
-        assert files == ["index.txt", "params.s2vt"], ckpt
-    assert (trained_run / "run/train.log").exists()
+    """A train output directory holds two checkpoint files and the log."""
+    files = sorted((trained_run / "run").iterdir())
+    assert [p.name for p in files] == ["best.ckpt", "last.ckpt", "train.log"]
+    assert all(p.is_file() for p in files)
 
 
 def test_train_log_records_the_manifest_geometry(trained_run):
@@ -346,7 +348,7 @@ def test_eval_writes_report(trained_run, capsys):
 
 def test_eval_report_does_not_depend_on_the_checkpoint_path(trained_run, tmp_path, monkeypatch):
     """A checkpoint named by a relative and by an absolute path gives
-    byte-identical reports, which name it by its directory."""
+    byte-identical reports, which name it by its file name."""
     monkeypatch.chdir(trained_run)
     reports = []
     for ckpt in ("run/best.ckpt", str(trained_run / "run/best.ckpt")):
@@ -507,68 +509,73 @@ def raw_manifest_given_to(command):
 
 
 def checkpoint_metadata_not_a_number(run, tmp):
-    rewrite(tmp / "ckpt/index.txt", "# geometry 4 5 6", "# geometry 4 5 six")
+    rewrite_index(tmp / "ckpt", "# geometry 4 5 6", "# geometry 4 5 six")
     return predict_args(run, tmp)
 
 
 def checkpoint_geometry_too_short(run, tmp):
-    rewrite(tmp / "ckpt/index.txt", "# geometry 4 5 6 3 8 8", "# geometry 4 5 6 3 8")
+    rewrite_index(tmp / "ckpt", "# geometry 4 5 6 3 8 8", "# geometry 4 5 6 3 8")
     return predict_args(run, tmp)
 
 
 def checkpoint_geometry_zero(run, tmp):
-    rewrite(tmp / "ckpt/index.txt", "# geometry 4 5 6 3 8 8", "# geometry 4 5 6 3 8 0")
+    rewrite_index(tmp / "ckpt", "# geometry 4 5 6 3 8 8", "# geometry 4 5 6 3 8 0")
     return predict_args(run, tmp)
 
 
 def checkpoint_metadata_missing(run, tmp):
-    rewrite(tmp / "ckpt/index.txt", "# embed 4\n", "")
+    rewrite_index(tmp / "ckpt", "# embed 4\n", "")
     return predict_args(run, tmp)
 
 
-def index_line(tmp, name):
-    """The index.txt line of parameter name in the case's checkpoint copy."""
-    lines = (tmp / "ckpt/index.txt").read_text().splitlines()
-    return next(line for line in lines if line.startswith(name + " "))
+def checkpoint_digest_missing(run, tmp):
+    rewrite_index(tmp / "ckpt", index_line(tmp / "ckpt", "# sha256 ") + "\n", "")
+    return predict_args(run, tmp)
 
 
 def index_line_without_file(run, tmp):
     # the extents stripped: the name alone, a scalar, so the sizes no longer
     # add up to the payload
-    rewrite(tmp / "ckpt/index.txt", index_line(tmp, "dec.head.bias") + "\n", "dec.head.bias\n")
+    line = index_line(tmp / "ckpt", "dec.head.bias ")
+    rewrite_index(tmp / "ckpt", line + "\n", "dec.head.bias\n")
     return predict_args(run, tmp)
 
 
 def index_entry_past_payload_end(run, tmp):
     # the entry's first extent doubled, so the entries run past the payload
-    line = index_line(tmp, "dec.head.bias")
+    line = index_line(tmp / "ckpt", "dec.head.bias ")
     name, extent, *extents = line.split()
     grown = " ".join([name, str(2 * int(extent)), *extents])
-    rewrite(tmp / "ckpt/index.txt", line + "\n", grown + "\n")
+    rewrite_index(tmp / "ckpt", line + "\n", grown + "\n")
     return predict_args(run, tmp)
 
 
 def index_names_unsorted(run, tmp):
     # the first two parameter lines swapped; the payload keeps its order
-    index = tmp / "ckpt/index.txt"
-    lines = index.read_text().splitlines(keepends=True)
-    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    lines[first], lines[first + 1] = lines[first + 1], lines[first]
-    index.write_text("".join(lines))
+    lines = index_lines(tmp / "ckpt")
+    first, second = [line for line in lines if not line.startswith("#")][:2]
+    rewrite_index(tmp / "ckpt", f"{first}\n{second}\n", f"{second}\n{first}\n")
     return predict_args(run, tmp)
 
 
 def payload_value_appended(run, tmp):
     # one more value after the last parameter's, with a header that counts it
-    payload = s2vt.read_tensor(tmp / "ckpt/params.s2vt")
-    s2vt.write_tensor(tmp / "ckpt/params.s2vt", np.append(payload, 0.0))
+    # and a sha256 line that covers it
+    ckpt, tensor = tmp / "ckpt", tmp / "payload.s2vt"
+    params, _extra = s2vt.load_checkpoint(ckpt)
+    values = np.concatenate([params[name].reshape(-1) for name in sorted(params)] + [[0.0]])
+    s2vt.write_tensor(tensor, values)
+    rewrite_index(ckpt, index_line(ckpt, "# sha256 "),
+                  f"# sha256 {hashlib.sha256(values.data).hexdigest()}")
+    join_checkpoint(ckpt, checkpoint_parts(ckpt)[0], tensor.read_bytes())
     return predict_args(run, tmp)
 
 
 def index_name_repeated(run, tmp):
     # a second dec.head.bias entry, after the last one
-    with open(tmp / "ckpt/index.txt", "a") as f:
-        f.write(index_line(tmp, "dec.head.bias") + "\n")
+    ckpt = tmp / "ckpt"
+    index, payload = checkpoint_parts(ckpt)
+    join_checkpoint(ckpt, index + index_line(ckpt, "dec.head.bias ") + "\n", payload)
     return predict_args(run, tmp)
 
 
@@ -583,14 +590,15 @@ def index_name_unknown(run, tmp):
 
 def index_shape_changed(run, tmp):
     # the same values under another shape: [3] read as [1, 3]
-    line = index_line(tmp, "dec.head.bias")
+    line = index_line(tmp / "ckpt", "dec.head.bias ")
     name, extent = line.split()
-    rewrite(tmp / "ckpt/index.txt", line + "\n", f"{name} 1 {extent}\n")
+    rewrite_index(tmp / "ckpt", line + "\n", f"{name} 1 {extent}\n")
     return predict_args(run, tmp)
 
 
-def checkpoint_payload_missing(run, tmp):
-    (tmp / "ckpt/params.s2vt").unlink()
+def checkpoint_cut_after_index(run, tmp):
+    # the file ends at the empty line that ends the index
+    join_checkpoint(tmp / "ckpt", checkpoint_parts(tmp / "ckpt")[0], b"")
     return predict_args(run, tmp)
 
 
@@ -650,15 +658,16 @@ MALFORMED_INPUTS = [
     (checkpoint_geometry_too_short, "must list C T F D H W"),
     (checkpoint_geometry_zero, "must list C T F D H W, each >= 1"),
     (checkpoint_metadata_missing, "checkpoint index missing metadata 'embed'"),
+    (checkpoint_digest_missing, "ckpt: payload does not match its sha256 line, or has none"),
     (index_line_without_file, "parameter sizes add up to"),
     (index_entry_past_payload_end, "parameter sizes add up to"),
-    (index_names_unsorted, "index.txt: malformed line"),
+    (index_names_unsorted, "ckpt: malformed line"),
     (payload_value_appended, "parameter sizes add up to"),
     (index_name_repeated, "malformed line 'dec.head.bias 3'"),
     (index_name_unknown, "checkpoint parameter dec.extra.weight is not a model parameter"),
     (index_shape_changed,
      "checkpoint parameter dec.head.bias has shape (1, 3), model expects (3,)"),
-    (checkpoint_payload_missing, "ckpt/params.s2vt"),
+    (checkpoint_cut_after_index, "ckpt: truncated S2VT header"),
     (predict_missing_input, "tensor file not found"),
     (predict_truncated_header, "truncated S2VT header"),
     (predict_huge_rank, "truncated S2VT header"),
@@ -672,7 +681,7 @@ MALFORMED_INPUTS = [
 def test_malformed_input_exit_3(trained_run, tmp_path, capsys, build, message):
     """Malformed manifests, checkpoints and S2VT files exit 3 with a message,
     not 1 with a traceback, and a malformed raw manifest leaves no output."""
-    shutil.copytree(trained_run / "run/best.ckpt", tmp_path / "ckpt")
+    shutil.copy(trained_run / "run/best.ckpt", tmp_path / "ckpt")
     rc = cli.main(build(trained_run, tmp_path))
     assert rc == 3
     assert message in capsys.readouterr().err
@@ -719,13 +728,14 @@ def raw_manifest_directory(run, tmp):
             "--out", str(tmp / "out")]
 
 
-def index_directory(run, tmp):
-    as_directory(tmp / "ckpt/index.txt")
+def checkpoint_directory(run, tmp):
+    as_directory(tmp / "ckpt")
     return predict_args(run, tmp)
 
 
-def index_not_text(run, tmp):
-    not_text(tmp / "ckpt/index.txt")
+def checkpoint_index_not_text(run, tmp):
+    # the first index line starts with byte 0xff
+    (tmp / "ckpt").write_bytes(b"\xff" + (tmp / "ckpt").read_bytes())
     return predict_args(run, tmp)
 
 
@@ -739,8 +749,8 @@ UNREADABLE_INPUTS = [
     (manifest_directory, 3),
     (manifest_not_text, 3),
     (raw_manifest_directory, 3),
-    (index_directory, 3),
-    (index_not_text, 3),
+    (checkpoint_directory, 3),
+    (checkpoint_index_not_text, 3),
     (predict_input_directory, 3),
 ]
 
@@ -752,12 +762,71 @@ def test_unreadable_input_is_one_error_line(trained_run, tmp_path, capsys, build
     """A directory where an input file belongs, or a text input that does not
     decode, exits 2 (the config) or 3 with one `error:` line naming it, and
     writes no output."""
-    shutil.copytree(trained_run / "run/best.ckpt", tmp_path / "ckpt")
+    shutil.copy(trained_run / "run/best.ckpt", tmp_path / "ckpt")
     rc = cli.main(build(trained_run, tmp_path))
     err = capsys.readouterr().err
     assert rc == code, err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err, err
     assert not (tmp_path / "out").exists() and not (tmp_path / "pred").exists()
+
+
+def test_predict_flipped_payload_byte_exit_3(trained_run, tmp_path, capsys):
+    """One bit flipped 100 bytes from the end of a checkpoint's payload fails
+    its sha256 check: exit 3 with one `error:` line, and no output."""
+    data = bytearray((trained_run / "run/best.ckpt").read_bytes())
+    data[-100] ^= 0x01
+    (tmp_path / "ckpt").write_bytes(bytes(data))
+    rc = cli.main(predict_args(trained_run, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == (f"error: {tmp_path / 'ckpt'}: "
+                   "payload does not match its sha256 line, or has none\n")
+    assert not (tmp_path / "pred").exists()
+
+
+def old_layout(ckpt):
+    """Checkpoint file ckpt rewritten as a directory of the earlier layout:
+    its index in index.txt and its payload in params.s2vt."""
+    index, payload = checkpoint_parts(ckpt)
+    ckpt.unlink()
+    ckpt.mkdir()
+    (ckpt / "index.txt").write_text(index)
+    (ckpt / "params.s2vt").write_bytes(payload)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_old_layout_checkpoint_exit_3(trained_run, tmp_path, capsys, command):
+    """A checkpoint directory of the earlier layout does not load: exit 3
+    with one `error:` line that calls it a checkpoint, and no output."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copy(trained_run / "run/best.ckpt", ckpt)
+    old_layout(ckpt)
+    argv = (predict_args(trained_run, tmp_path) if command == "predict" else
+            ["eval", "--manifest", str(trained_run / "data/manifest.txt"),
+             "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred")])
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == f"error: checkpoint unreadable: {ckpt}: Is a directory\n"
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("name", ["best.ckpt", "last.ckpt"])
+def test_train_over_old_layout_checkpoint_exit_2(trained_run, tmp_path, capsys, name):
+    """train into an --out that holds a checkpoint directory of the earlier
+    layout exits 2 with one `error:` line naming it, before it writes
+    anything."""
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(trained_run / "run/best.ckpt", run / name)
+    old_layout(run / name)
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(["train", "--manifest", str(trained_run / "data/manifest.txt"),
+                   "--out", str(run)] + ARCH_SETS)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(run / name) in err, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_predict_colliding_output_names_exit_2(trained_run, tmp_path, capsys):
@@ -982,6 +1051,15 @@ def test_help_enumerates_config_keys(capsys):
     out = capsys.readouterr().out
     for key in SCHEMA:
         assert key in out
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_help_says_file(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
+    assert "--checkpoint CHECKPOINT checkpoint file" in out
 
 
 def test_removed_flags_and_commands_exit_2(tmp_path, capsys):

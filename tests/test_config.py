@@ -72,7 +72,7 @@ def test_plain_micro_train_exits_0(micro_data, tmp_path):
     """The baseline the domain cases perturb trains; an exit 2 there would
     make every case below and the in-domain property pass vacuously."""
     assert micro_train(micro_data, tmp_path / "run") == 0
-    assert (tmp_path / "run/last.ckpt/index.txt").exists()
+    assert (tmp_path / "run/last.ckpt").is_file()
 
 
 @pytest.mark.parametrize("key, raw", bad_values(), ids=[f"{k}={v}" for k, v in bad_values()])
@@ -216,4 +216,4 @@ def test_in_domain_configs_never_crash(micro_data, lr, min_lr, weight_decay, gra
     ])
     assert rc in (0, 2, 4)
     assert rc != 2 or not out.exists()
-    assert rc != 0 or (out / "last.ckpt/index.txt").exists()
+    assert rc != 0 or (out / "last.ckpt").is_file()

@@ -95,8 +95,8 @@ def test_train_run_artifacts_and_log(tmp_path):
     result = train_run(cfg, manifest, tmp_path / "data", tmp_path / "run")
     assert len(result["history"]) == 3
     assert math.isfinite(result["best_ssim"])
-    assert (tmp_path / "run/best.ckpt/index.txt").exists()
-    assert (tmp_path / "run/last.ckpt/index.txt").exists()
+    assert (tmp_path / "run/best.ckpt").is_file()
+    assert (tmp_path / "run/last.ckpt").is_file()
 
     log = (tmp_path / "run/train.log").read_text()
     assert "# lambda1 = 0.5" in log and "# lambda2 = 0.5" in log

@@ -1,7 +1,7 @@
-"""Every file reader fuzzed: S2VT headers and truncations through `predict`,
-checkpoint index and metadata lines through `predict`, and dataset manifest
-lines through `eval`, each mutated from one micro `synth-data` + `train`
-tree.
+"""Every file reader fuzzed: S2VT headers and truncations through `predict`;
+a checkpoint file's index and metadata lines, payload bytes and length
+through `predict`; and dataset manifest lines through `eval`, each mutated
+from one micro `synth-data` + `train` tree.
 
 Each mutated input must give exit 0, 2 or 3; a non-zero exit prints one
 `error:` line, no traceback, and leaves no output directory; a checkpoint
@@ -104,6 +104,11 @@ mutations = st.one_of(
     # metadata lines
     st.tuples(st.just("metadata"), st.integers(0, 10**6), line_changes),
     st.tuples(st.just("index"), st.integers(0, 10**6), line_changes),
+    # one payload byte, header included, changed by a nonzero XOR, or the
+    # whole file cut at any offset
+    st.tuples(st.just("payload"), st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+        st.tuples(st.just("cut"), st.integers(0, 10**6)))),
     st.tuples(st.just("manifest"), st.integers(0, 10**6), line_changes),
 )
 
@@ -111,6 +116,7 @@ mutations = st.one_of(
 def check_case(case, intact, mutation):
     """Apply mutation to a copy of the inputs in the empty directory case,
     run the command that reads them, and check its outcome."""
+    from conftest import checkpoint_parts, join_checkpoint
     from eeg2vol.model import Model
 
     kind = mutation[0]
@@ -126,12 +132,22 @@ def check_case(case, intact, mutation):
         spec = case / "x_spec.s2vt"
         spec.write_bytes(bytes(data))
     elif kind in ("metadata", "index"):
-        ckpt = case / "ckpt"
-        shutil.copytree(CKPT, ckpt)
-        lines = (ckpt / "index.txt").read_text().splitlines()
+        index, payload = checkpoint_parts(ckpt)
+        lines = index.splitlines()
         chosen = [i for i, line in enumerate(lines) if line.startswith("#") == (kind == "metadata")]
         at = chosen[mutation[1] % len(chosen)]
-        (ckpt / "index.txt").write_text(mutate_line("\n".join(lines), at, mutation[2]))
+        ckpt = case / "ckpt"
+        join_checkpoint(ckpt, mutate_line(index, at, mutation[2]), payload)
+    elif kind == "payload" and mutation[1][0] == "flip":
+        index, payload = checkpoint_parts(ckpt)
+        payload = bytearray(payload)
+        payload[mutation[1][1] % len(payload)] ^= mutation[1][2]
+        ckpt = case / "ckpt"
+        join_checkpoint(ckpt, index, bytes(payload))
+    elif kind == "payload":
+        data = ckpt.read_bytes()
+        ckpt = case / "ckpt"
+        ckpt.write_bytes(data[:mutation[1][1] % len(data)])
     if kind == "manifest":
         shutil.copytree("data", case / "data")
         manifest = case / "data/manifest.txt"
@@ -146,7 +162,7 @@ def check_case(case, intact, mutation):
         assert "Traceback" not in err, err
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err
         assert not out.exists(), f"exit {code} left {out}"
-    elif kind in ("metadata", "index"):
+    elif kind in ("metadata", "index", "payload"):
         loaded = Model.from_checkpoint(ckpt).store.named_arrays()
         assert loaded.keys() == intact.keys()
         changed = [n for n in intact if not np.array_equal(loaded[n], intact[n])]

@@ -1,7 +1,10 @@
-"""S2VT tensor files and checkpoint directories."""
+"""S2VT tensor files and checkpoint files."""
 
+import errno
+import hashlib
+import io
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import pytest
 from eeg2vol import s2vt
 from eeg2vol.errors import DataError
 from eeg2vol.model import Model
+
+from conftest import checkpoint_parts, index_line, join_checkpoint, rewrite_index
 
 
 def test_round_trip_float64(tmp_path):
@@ -104,16 +109,29 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 
 def test_checkpoint_is_one_payload_plus_index(tmp_path):
+    """One file: the index, its sha256 line last among the metadata, an
+    empty line, then the payload as one S2VT tensor."""
     params = {"w": np.ones((2, 3)), "b": np.zeros(3)}
     s2vt.save_checkpoint(tmp_path / "ckpt", params, extra={"epoch": "0"})
-    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["index.txt", "params.s2vt"]
-    assert (tmp_path / "ckpt/index.txt").read_text() == "# epoch 0\nb 3\nw 2 3\n"
-    assert s2vt.read_header(tmp_path / "ckpt/params.s2vt") == ((9,), np.dtype("<f8"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+    values = np.concatenate([np.zeros(3), np.ones(6)])
+    payload = tmp_path / "payload.s2vt"
+    s2vt.write_tensor(payload, values)
+    digest = hashlib.sha256(values.data).hexdigest()
+    index = f"# epoch 0\n# sha256 {digest}\nb 3\nw 2 3\n\n".encode()
+    assert (tmp_path / "ckpt").read_bytes() == index + payload.read_bytes()
 
 
-def test_checkpoint_missing_index(tmp_path):
-    with pytest.raises(DataError, match="index"):
-        s2vt.load_checkpoint(tmp_path / "empty")
+def test_checkpoint_missing_file(tmp_path):
+    with pytest.raises(DataError, match="checkpoint not found: .*ckpt"):
+        s2vt.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_directory_is_rejected(tmp_path):
+    """A checkpoint of the earlier layout, a directory, does not load."""
+    (tmp_path / "ckpt").mkdir()
+    with pytest.raises(DataError, match="checkpoint unreadable: .*ckpt: Is a directory"):
+        s2vt.load_checkpoint(tmp_path / "ckpt")
 
 
 def saved_checkpoint(tmp_path):
@@ -121,21 +139,21 @@ def saved_checkpoint(tmp_path):
     return tmp_path / "ckpt"
 
 
-def test_checkpoint_missing_payload(tmp_path):
+def test_checkpoint_cut_after_its_index(tmp_path):
     ckpt = saved_checkpoint(tmp_path)
-    (ckpt / "params.s2vt").unlink()
-    with pytest.raises(DataError, match="tensor file not found: .*params.s2vt"):
+    join_checkpoint(ckpt, checkpoint_parts(ckpt)[0], b"")
+    with pytest.raises(DataError, match="truncated S2VT header"):
         s2vt.load_checkpoint(ckpt)
 
 
 @pytest.mark.parametrize("line, message", [
-    ("w 2 4", "parameter sizes add up to 11 values, params.s2vt holds 9"),
-    ("w 2 2", "parameter sizes add up to 7 values, params.s2vt holds 9"),
+    ("w 2 4", "parameter sizes add up to 11 values, the payload holds 9"),
+    ("w 2 2", "parameter sizes add up to 7 values, the payload holds 9"),
     # a name alone is a scalar
-    ("w", "parameter sizes add up to 4 values, params.s2vt holds 9"),
+    ("w", "parameter sizes add up to 4 values, the payload holds 9"),
     # the offset column of the earlier `name offset extent…` layout reads as
     # one more extent
-    ("w 3 2 3", "parameter sizes add up to 21 values, params.s2vt holds 9"),
+    ("w 3 2 3", "parameter sizes add up to 21 values, the payload holds 9"),
     ("w w.s2vt", "malformed line 'w w.s2vt'"),
     ("w -1 3", "malformed line 'w -1 3'"),
     ("a 2 3", "malformed line 'a 2 3'"),
@@ -145,32 +163,96 @@ def test_checkpoint_missing_payload(tmp_path):
         "old-file-layout", "negative-extent", "unsorted-names", "repeated-name", "repeated-key"])
 def test_checkpoint_bad_index_line(tmp_path, line, message):
     ckpt = saved_checkpoint(tmp_path)
-    index = ckpt / "index.txt"
-    index.write_text(index.read_text().replace("w 2 3", line))
+    rewrite_index(ckpt, "w 2 3", line)
     with pytest.raises(DataError, match=message):
         s2vt.load_checkpoint(ckpt)
 
 
-def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, micro_model):
-    """A save that dies writing the payload leaves the checkpoint it was
-    replacing loadable and no temporary file behind."""
+def test_checkpoint_index_line_not_utf8(tmp_path):
+    ckpt = saved_checkpoint(tmp_path)
+    # byte 0xff, which no UTF-8 text holds; the index comes first in the file
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"w 2 3", b"w\xff 2 3", 1))
+    with pytest.raises(DataError, match="malformed line 'w"):
+        s2vt.load_checkpoint(ckpt)
+
+
+def flip_last_payload_byte(ckpt):
+    data = bytearray(ckpt.read_bytes())
+    data[-1] ^= 0x01
+    ckpt.write_bytes(bytes(data))
+
+
+def drop_digest_line(ckpt):
+    rewrite_index(ckpt, index_line(ckpt, "# sha256 ") + "\n", "")
+
+
+def other_payloads_digest(ckpt):
+    digest = hashlib.sha256(b"").hexdigest()
+    rewrite_index(ckpt, index_line(ckpt, "# sha256 "), f"# sha256 {digest}")
+
+
+@pytest.mark.parametrize("corrupt", [flip_last_payload_byte, drop_digest_line,
+                                     other_payloads_digest])
+def test_checkpoint_payload_must_match_its_digest(tmp_path, corrupt):
+    """The payload is checked against its sha256 line, which must be there,
+    before any parameter is sliced from it."""
+    ckpt = saved_checkpoint(tmp_path)
+    corrupt(ckpt)
+    with pytest.raises(DataError, match="payload does not match its sha256 line"):
+        s2vt.load_checkpoint(ckpt)
+
+
+def test_checkpoint_digest_is_not_metadata(tmp_path):
+    """load_checkpoint checks the sha256 line and leaves it out of the
+    metadata it returns; a save replaces any sha256 passed in."""
     ckpt = tmp_path / "ckpt"
+    s2vt.save_checkpoint(ckpt, {"w": np.ones(2)}, extra={"epoch": "3", "sha256": "0"})
+    assert s2vt.load_checkpoint(ckpt)[1] == {"epoch": "3"}
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, micro_model):
+    """A save that dies part-way through writing its temporary file, or at
+    the rename that commits it, leaves the checkpoint it was replacing
+    loadable to its old parameters and no temporary file behind; a save
+    that completes commits with one rename and loads the new parameters."""
+    ckpt = tmp_path / "best.ckpt"
     micro_model.save(ckpt)
     spec = np.random.default_rng(3).standard_normal(micro_model.cfg.geometry[:3])
-    expected = micro_model.predict(spec)
-    before = sorted(p.name for p in ckpt.iterdir())
-
-    def fail(path, array):
-        Path(path).write_bytes(b"S2VT")  # part of a header, then the disk fills
-        raise OSError("No space left on device")
-
-    monkeypatch.setattr(s2vt, "write_tensor", fail)
     other = Model(micro_model.cfg, seed=1)
-    with pytest.raises(OSError, match="No space"):
-        other.save(ckpt)
+
+    def assert_loads_as(model):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+        reloaded = Model.from_checkpoint(ckpt)
+        for name, array in model.store.named_arrays().items():
+            assert np.array_equal(reloaded.store.named_arrays()[name], array), name
+        assert np.array_equal(reloaded.predict(spec), model.predict(spec))
+
+    room = ckpt.stat().st_size // 2  # bytes, past the index, inside the payload's values
+
+    class DiskFills(io.FileIO):
+        """A file whose disk fills room bytes in."""
+
+        def write(self, data):
+            data = bytes(data)
+            if self.tell() + len(data) <= room:
+                return super().write(data)
+            super().write(data[:room - self.tell()])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def no_rename(src, dst):
+        raise OSError(errno.EIO, "Input/output error")
+
+    for target, name, failure in ((s2vt, "open", DiskFills), (os, "replace", no_rename)):
+        monkeypatch.setattr(target, name, failure, raising=False)
+        with pytest.raises(OSError):
+            other.save(ckpt)
+        monkeypatch.undo()
+        assert_loads_as(micro_model)
+
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda *a: renames.append(a) or replace(*a))
+    other.save(ckpt)
     monkeypatch.undo()
-    assert sorted(p.name for p in ckpt.iterdir()) == before
-    reloaded = Model.from_checkpoint(ckpt)
-    for name, array in micro_model.store.named_arrays().items():
-        assert np.array_equal(reloaded.store.named_arrays()[name], array), name
-    assert np.array_equal(reloaded.predict(spec), expected)
+    assert len(renames) == 1
+    assert_loads_as(other)
