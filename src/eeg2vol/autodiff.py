@@ -57,9 +57,12 @@ class Tape:
                     continue
                 if id(inp) not in recorded:  # leaf: accumulate into .grad
                     if inp.grad is None:
-                        inp.grad = gi.copy()
+                        # a private array (a 0-d product is a numpy scalar,
+                        # which gi.copy() would keep), so later
+                        # contributions add into it in place
+                        inp.grad = np.array(gi)
                     else:
-                        inp.grad = inp.grad + gi
+                        np.add(inp.grad, gi, out=inp.grad)
                 elif id(inp) in grads:
                     grads[id(inp)] = grads[id(inp)] + gi
                 else:
@@ -199,9 +202,7 @@ def reshape(a, shape):
 
 def permute(a, axes):
     return _make_output(
-        np.transpose(a.data, axes),
-        (a,),
-        lambda g: (np.moveaxis(g, range(len(axes)), axes),),
+        np.transpose(a.data, axes), (a,), lambda g: (g.transpose(np.argsort(axes)),)
     )
 
 
@@ -210,13 +211,23 @@ def flip(a, axis):
     return _make_output(np.flip(a.data, axis), (a,), lambda g: (np.flip(g, axis),))
 
 
+def _zero_pad(x, pad_width):
+    """x inside a new zero array, with pad_width[i] = (before, after) zeros
+    on axis i: the values of numpy.pad's constant mode, from one zeros call
+    and one slice assignment."""
+    out = np.zeros(
+        tuple(n + lo + hi for n, (lo, hi) in zip(x.shape, pad_width)), dtype=x.dtype
+    )
+    out[tuple(slice(lo, lo + n) for n, (lo, _hi) in zip(x.shape, pad_width))] = x
+    return out
+
+
 def pad(a, pad_width):
-    """Constant zero padding; pad_width as in numpy.pad."""
-    val = np.pad(a.data, pad_width)
+    """Constant zero padding; pad_width is one (before, after) pair per axis."""
     unpad = tuple(
         slice(lo, lo + n) for (lo, _hi), n in zip(pad_width, a.shape)
     )
-    return _make_output(val, (a,), lambda g: (g[unpad],))
+    return _make_output(_zero_pad(a.data, pad_width), (a,), lambda g: (g[unpad],))
 
 
 def concat(tensors, axis=0):
@@ -398,17 +409,30 @@ def attention(q, k, v, heads, keep=None, drop=0.0):
 # convolution
 # ---------------------------------------------------------------------------
 
+def _windows(xp, kh, kw, stride):
+    """Read-only [N, H', W', kh, kw, C] view of the NHWC xp (contiguous or
+    not): the kh x kw window under each output pixel of a stride-strided
+    correlation, from one as_strided call."""
+    n, hp, wp, c = xp.shape
+    s_n, s_h, s_w, s_c = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        (n, (hp - kh) // stride[0] + 1, (wp - kw) // stride[1] + 1, kh, kw, c),
+        (s_n, s_h * stride[0], s_w * stride[1], s_h, s_w, s_c),
+        writeable=False,
+    )
+
+
 def _tap_rows(xp, kh, kw, stride):
     """For each kernel row u, the [N*H'*W', kw*C] taps of that row under
     every output pixel of a stride-strided kh x kw correlation over the NHWC
-    xp: one contiguous buffer, refilled per row from one sliding-window view,
-    so no value of xp is copied more than kw times at once. Each row is
+    xp: one contiguous buffer, refilled per row from the _windows view, so
+    no value of xp is copied more than kw times at once. Each row is
     yielded in that same buffer: use it before asking for the next."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, :: stride[0], :: stride[1]]  # [N, H', W', C, kh, kw]
+    windows = _windows(xp, kh, kw, stride)
     rows = np.empty(windows.shape[:3] + (kw, xp.shape[3]))
     for u in range(kh):
-        np.copyto(rows, np.swapaxes(windows[..., u, :], -1, -2))
+        np.copyto(rows, windows[:, :, :, u])
         yield rows.reshape(-1, kw * xp.shape[3])
 
 
@@ -459,7 +483,7 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0)):
         raise DimensionError("conv2d: kernel larger than padded input")
 
     xb = x.data.reshape(n, h, w, c)
-    xp = xb if ph == pw == 0 else np.pad(xb, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xp = xb if ph == pw == 0 else _zero_pad(xb, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     val = _correlate(xp, kernel.data, stride)
 
     def backward(g):
@@ -526,7 +550,7 @@ def ssim(x, y, c1, c2, window=None):
         kernel = Tensor(np.full((1, 1, window, window), 1.0 / (window * window)))
         local = lambda a: conv2d(Tensor(a.reshape(d, h, w, 1)), kernel).data
         border = ((0, 0), (window - 1, window - 1), (window - 1, window - 1), (0, 0))
-        adjoint = lambda m: _correlate(np.pad(m, border), kernel.data, (1, 1)).reshape(d, h, w)
+        adjoint = lambda m: _correlate(_zero_pad(m, border), kernel.data, (1, 1)).reshape(d, h, w)
     mu_x, mu_y = local(x.data), local(y.data)
     e_xx, e_yy, e_xy = local(x.data * x.data), local(y.data * y.data), local(x.data * y.data)
     var_x = e_xx - mu_x * mu_x
@@ -562,16 +586,23 @@ def ssim(x, y, c1, c2, window=None):
 
 def _scan_sequential(a, x, h=None, prev=None):
     """h[t] = a[t] * h[t-1] + x[t] over the leading (time) axis, h[-1] = prev
-    (zeros when None), written into h (allocated time-major when None, so
-    each step writes one contiguous slice). Each step is one multiply into
-    h[t] and one in-place add, so the loop allocates nothing."""
+    (zeros when None), written into h: a new time-major copy of x when None,
+    so each step writes one contiguous slice, or else the caller's buffer,
+    which may be x itself. h starts as x; each step then multiplies a[t] by
+    h[t-1] into one scratch slice and adds that into h[t], so the loop walks
+    two views and allocates nothing. x[t] + a[t] h[t-1] is the same float
+    as a[t] h[t-1] + x[t], since addition commutes."""
     if h is None:
-        h = np.empty_like(x, order="C")
+        h = x.copy()
+    else:
+        np.copyto(h, x)  # nothing to copy when h is x
     if prev is None:
         prev = np.zeros(x.shape[1:], dtype=x.dtype)
-    for a_t, x_t, h_t in zip(a, x, h):
-        np.multiply(a_t, prev, out=h_t)
-        np.add(h_t, x_t, out=h_t)
+    step = np.empty_like(prev)
+    multiply, add = np.multiply, np.add  # local names: looked up L times
+    for a_t, h_t in zip(a, h):
+        multiply(a_t, prev, out=step)
+        add(h_t, step, out=h_t)
         prev = h_t
     return h
 
@@ -603,7 +634,8 @@ def _check_states(h, op, first_step=0):
 
 
 def linear_scan(a, x, mode="sequential"):
-    """h_t = a_t * h_{t-1} + x_t along the trailing axis, h_0 = 0.
+    """h_t = a_t * h_{t-1} + x_t along the trailing axis from h_{-1} = 0, so
+    h_0 = x_0.
 
     A plain forward that records no tape node, so no gradient reaches a or
     x: the program scans constants only. mode selects the kernel:
@@ -615,9 +647,11 @@ def linear_scan(a, x, mode="sequential"):
         raise DimensionError("linear_scan: coefficient/input shape mismatch")
     if x.shape[-1] < 1:
         raise DimensionError("linear_scan: empty sequence")
-    h_tm = _SCAN_KERNELS[mode](np.moveaxis(a.data, -1, 0), np.moveaxis(x.data, -1, 0))
+    last = x.ndim - 1
+    time_major = (last,) + tuple(range(last))
+    h_tm = _SCAN_KERNELS[mode](a.data.transpose(time_major), x.data.transpose(time_major))
     _check_states(h_tm, "linear_scan")
-    return Tensor(np.moveaxis(h_tm, 0, -1))
+    return Tensor(h_tm.transpose(tuple(range(1, last + 1)) + (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +668,15 @@ def _discretization(delta_pre, a_log):
 
 
 def _transitions(delta, a):
-    """Time-major [L, C, S] discretized transitions abar = exp(delta * A)."""
-    abar = delta[:, :, None] * a[None, :, :]
+    """Time-major [L, C, S] discretized transitions abar = exp(delta * A).
+
+    This and the scan's other outer products (the inputs delta u B and the
+    adjoint drive g C) are einsums, which cost less than a broadcast
+    multiply over the S-wide inner axis. Each element is the broadcast's one
+    product, except that einsum adds it into a zeroed output, so a -0.0
+    product comes out 0.0: exp, and the zero-started sums that every state
+    ends in, cannot tell the two apart."""
+    abar = np.einsum("tn,ns->tns", delta, a)
     np.exp(abar, out=abar)
     # delta >= 0 and A <= 0 put abar in [0, 1] (exp saturating to 0.0 or 1.0
     # is tolerated), so it can leave [0, 1] only as a NaN, which its sum keeps
@@ -650,10 +691,10 @@ def _selective_states(u, delta_pre, a_log, b):
     recurrence step reads one contiguous [C, S] slice."""
     delta, a = _discretization(delta_pre, a_log)
     abar = _transitions(delta, a)
-    bu = (delta * u)[:, :, None] * b[:, None, :]
+    bu = np.einsum("tn,ts->tns", delta * u, b)
     del delta  # free before the scan, the forward's memory peak
-    h = linear_scan(Tensor(np.moveaxis(abar, 0, -1)), Tensor(np.moveaxis(bu, 0, -1)))
-    return np.moveaxis(h.data, -1, 0)
+    h = linear_scan(Tensor(abar.transpose(1, 2, 0)), Tensor(bu.transpose(1, 2, 0)))
+    return h.data.transpose(2, 0, 1)
 
 
 def _projections(u, w_delta, b_delta, w_b, w_c):
@@ -687,9 +728,9 @@ def _selective_backward(g, u, delta_pre, a_log, b, c, d, entries):
     delta, a = _discretization(delta_pre, a_log)
     ud = delta * u
     rows = min(CHUNK, length)
-    # stacked recurrences: [:, 0] the states h, [:, 1] the adjoints lam
+    # stacked recurrences: [:, 0] the states h, [:, 1] the adjoints lam;
+    # states holds their drives until the scan overwrites them in place
     coef = np.empty((rows, 2, channels, state))
-    drive = np.empty_like(coef)
     states = np.empty_like(coef)
     carry = np.zeros((2, channels, state))
     q = np.empty((rows, channels, state))  # d loss / d(delta * A), per chunk
@@ -703,14 +744,14 @@ def _selective_backward(g, u, delta_pre, a_log, b, c, d, entries):
         abar = _transitions(delta[t0 : t1 + 1], a)  # and the next chunk's first row
         # state h_t = abar_t h_{t-1} + bu_t, t = t0 .. t1-1
         coef[:m, 0] = abar[:m]
-        np.multiply(ud[t0:t1, :, None], b[t0:t1, None, :], out=drive[:m, 0])
+        np.einsum("tn,ts->tns", ud[t0:t1], b[t0:t1], out=states[:m, 0])
         # adjoint lam_t = abar_{t+1} lam_{t+1} + c_t g_t, t = t1-1 .. t0;
         # abar_L is 0
         coef[0, 1] = abar[m] if t1 < length else 0.0
         coef[1:m, 1] = abar[m - 1 : 0 : -1]
-        np.multiply(g[t0:t1][::-1, :, None], c[t0:t1][::-1, None, :], out=drive[:m, 1])
+        np.einsum("tn,ts->tns", g[t0:t1][::-1], c[t0:t1][::-1], out=states[:m, 1])
         carry[0] = entries[k]
-        _scan_sequential(coef[:m], drive[:m], states[:m], carry)
+        _scan_sequential(coef[:m], states[:m], states[:m], carry)
         hk = states[:m, 0]
         _check_states(hk, "selective_scan", t0)
         lam = states[:m, 1][::-1]  # d loss / d bu

@@ -260,6 +260,41 @@ def linear_scan(a, x, mode="sequential"):
     return ad._make_output(h, (a, x), backward)
 
 
+def scan_two_op(a, x, h=None, prev=None):
+    """ad._scan_sequential as it was before it started h from x: each step
+    one multiply of a[t] and h[t-1] into h[t] and one in-place add of x[t].
+    The oracle of its step loop."""
+    if h is None:
+        h = np.empty_like(x, order="C")
+    if prev is None:
+        prev = np.zeros(x.shape[1:], dtype=x.dtype)
+    for a_t, x_t, h_t in zip(a, x, h):
+        np.multiply(a_t, prev, out=h_t)
+        np.add(h_t, x_t, out=h_t)
+        prev = h_t
+    return h
+
+
+def tap_rows_sliding(xp, kh, kw, stride):
+    """ad._tap_rows as it was, over one sliding_window_view of xp: the same
+    [N*H'*W', kw*C] rows per kernel row, each a new array."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, :: stride[0], :: stride[1]]  # [N, H', W', C, kh, kw]
+    for u in range(kh):
+        yield np.swapaxes(windows[..., u, :], -1, -2).reshape(-1, kw * xp.shape[3])
+
+
+def via_np_pad_and_sliding_windows(fn, *args):
+    """fn(*args) with ad's zero padding taken by np.pad and conv2d's tap rows
+    by tap_rows_sliding, the composition they replaced: the oracle of
+    conv2d, pad and ssim. fn must run the backward too, which looks both
+    helpers up when it runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_zero_pad", np.pad)
+        mp.setattr(ad, "_tap_rows", tap_rows_sliding)
+        return fn(*args)
+
+
 def conv2d_windowed(x, kernel, stride=(1, 1), padding=(0, 0)):
     """ad.conv2d as it was before it ran one GEMM per kernel row: one einsum
     over the [N, H', W', C, kh, kw] window view forward, and a backward that

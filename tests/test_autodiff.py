@@ -29,6 +29,7 @@ from conftest import (
     s6_scan_four_nodes,
     s6_scan_reference,
     scan_merge_composed,
+    scan_two_op,
     selective_scan_inputs,
     selective_scan_unchunked,
     softmax,
@@ -37,6 +38,7 @@ from conftest import (
     sqrt,
     tmean,
     tsum,
+    via_np_pad_and_sliding_windows,
 )
 
 
@@ -170,6 +172,79 @@ def test_conv2d_memory_is_bounded():
         _, backward = peak(lambda: tape.backward(y, seed=g))
     assert forward <= 10.0
     assert backward <= 15.0
+
+
+def bit_equal(got, want):
+    """Equal arrays, NaN for NaN; a zero's sign must match too."""
+    values = ~np.isnan(want)
+    return got.shape == want.shape and np.array_equal(got, want, equal_nan=True) and (
+        np.array_equal(np.signbit(got[values]), np.signbit(want[values]))
+    )
+
+
+def permuted_view(rng, shape):
+    """A standard-normal array of the given shape that is a permuted, not
+    C-contiguous, view of its buffer, as Model.forward hands the loss its
+    prediction."""
+    return rng.standard_normal(tuple(reversed(shape))).transpose()
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["contiguous", "permuted"])
+@pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+def test_conv2d_equals_np_pad_and_sliding_windows(stride, padding, permuted):
+    """conv2d's output and both gradients, from _zero_pad and the as_strided
+    windows, bit for bit those of np.pad and sliding_window_view."""
+    rng = np.random.default_rng(60)
+    shape = (2, 9, 8, 3)
+    data = permuted_view(rng, shape) if permuted else rng.standard_normal(shape)
+    assert data.flags.c_contiguous != permuted
+    x = ad.Tensor(data, requires_grad=True)
+    kernel = ad.Tensor(rng.standard_normal((4, 3, 3, 2)), requires_grad=True)
+    op = lambda x, k: ad.conv2d(x, k, stride, padding)
+    got = outputs_and_grads(op, [x, kernel], seed=1)
+    want = via_np_pad_and_sliding_windows(outputs_and_grads, op, [x, kernel], 1)
+    assert all(bit_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["contiguous", "permuted"])
+def test_pad_equals_np_pad(permuted):
+    rng = np.random.default_rng(61)
+    shape = (3, 4, 2)
+    a = ad.Tensor(
+        permuted_view(rng, shape) if permuted else rng.standard_normal(shape),
+        requires_grad=True,
+    )
+    op = lambda a: ad.pad(a, ((1, 2), (0, 3), (2, 0)))
+    got = outputs_and_grads(op, [a], seed=2)
+    want = via_np_pad_and_sliding_windows(outputs_and_grads, op, [a], 2)
+    assert got[0].shape == (6, 7, 4)
+    assert all(bit_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["contiguous", "permuted"])
+def test_ssim_window_7_equals_np_pad_and_sliding_windows(permuted):
+    """ad.ssim at window 7, whose box filters run conv2d forward and whose
+    adjoint zero-pads: value and both gradients bit for bit."""
+    rng = np.random.default_rng(62)
+    shape = (3, 12, 10)
+    x, y = (
+        ad.Tensor(permuted_view(rng, shape) if permuted else rng.random(shape), requires_grad=True)
+        for _ in range(2)
+    )
+    op = lambda x, y: ad.ssim(x, y, 1e-4, 9e-4, window=7)
+    got = outputs_and_grads(op, [x, y], seed=3)
+    want = via_np_pad_and_sliding_windows(outputs_and_grads, op, [x, y], 3)
+    assert all(bit_equal(a, b) for a, b in zip(got, want))
+
+
+def test_conv2d_windows_are_read_only():
+    xp = np.arange(2 * 7 * 6 * 3, dtype=np.float64).reshape(2, 7, 6, 3)
+    windows = ad._windows(xp, 3, 2, (2, 1))
+    assert windows.shape == (2, 3, 5, 3, 2, 3)
+    np.testing.assert_array_equal(windows[1, 2, 4], xp[1, 4:7, 4:6])
+    with pytest.raises(ValueError, match="read-only"):
+        windows[0, 0, 0, 0, 0, 0] = 1.0
 
 
 def test_linear_identity_and_bias():
@@ -411,6 +486,25 @@ def test_gradient_accumulation_of_sum_matches_separate_backwards():
     np.testing.assert_allclose(combined, x.grad, rtol=1e-12)
 
 
+def test_leaf_gradients_accumulate_in_place():
+    """A leaf's first gradient is copied once; every later contribution, in
+    the same backward or a later one, is added into that array in place."""
+    rng = np.random.default_rng(10)
+    x = ad.Tensor(rng.standard_normal(4), requires_grad=True)
+    with ad.Tape() as tape:
+        tape.backward(tsum(x * x))  # two contributions to one leaf
+    first = x.grad
+    want = first + np.exp(x.data)
+    with ad.Tape() as tape:
+        tape.backward(tsum(exp(x)))  # a second sample
+    assert x.grad is first
+    assert np.array_equal(x.grad, want)
+    scalar = ad.Tensor(3.0, requires_grad=True)
+    with ad.Tape() as tape:
+        tape.backward(scalar * scalar)  # 0-d products are numpy scalars
+    assert isinstance(scalar.grad, np.ndarray) and scalar.grad == 6.0
+
+
 @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, div])
 def test_constant_operand_gets_no_gradient(op):
     """A two-input op's backward computes nothing for an operand that needs
@@ -527,6 +621,42 @@ def test_linear_scan_matches_python_recurrence():
     for mode in ("sequential", "blocked"):
         out = ad.linear_scan(ad.Tensor(a), ad.Tensor(x), mode=mode)
         assert np.max(np.abs(out.data - want)) < 1e-12
+
+
+# time-major [L, C, S] of the decoder's three scan stages at noddi scale,
+# and one step
+SCAN_KERNEL_SHAPES = [(4096, 32, 8), (1024, 64, 8), (256, 128, 8), (1, 3, 2)]
+
+
+def scan_kernel_operands(shape, seed):
+    """a in [0, 1] with exact zeros, and x with a NaN, +-inf and -0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, shape)
+    a[:, 0, 0] = 0.0
+    x = rng.standard_normal(shape)
+    x[:, 1, :] = -0.0
+    length = shape[0]
+    x[length // 2, 0, 1] = np.nan
+    x[length // 3, 2, 0] = np.inf
+    x[-1, 2, 1] = -np.inf
+    return a, x, rng.standard_normal(shape[1:])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("shape", SCAN_KERNEL_SHAPES)
+def test_scan_sequential_equals_two_op_loop(shape):
+    """The step loop that starts h from x against the multiply-then-add loop
+    it replaced, in each calling form: h and prev omitted (linear_scan), h
+    and prev given (the selective-scan backward), and h aliasing x."""
+    a, x, prev = scan_kernel_operands(shape, seed=sum(shape))
+    x_before = x.copy()
+    want = scan_two_op(a, x)
+    assert bit_equal(ad._scan_sequential(a, x), want)
+    assert bit_equal(x, x_before)  # x is read only, unless h is x
+    want = scan_two_op(a, x, np.empty_like(x), prev)
+    h = np.empty_like(x)
+    assert ad._scan_sequential(a, x, h, prev) is h and bit_equal(h, want)
+    assert ad._scan_sequential(a, x, x, prev) is x and bit_equal(x, want)
 
 
 def test_linear_scan_records_no_node():

@@ -282,6 +282,28 @@ def test_micro_sample_tape_bytes_do_not_grow():
     assert nbytes <= MICRO_SAMPLE_TAPE_BYTES
 
 
+def test_training_and_predict_call_no_layout_helper(monkeypatch):
+    """One micro training sample (forward at attention dropout 0.2, hybrid
+    loss, backward) and one predict never call np.moveaxis, np.pad or
+    sliding_window_view: their argument handling cost more than the kernels
+    they served at micro scale."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a layout helper ran on the hot path")
+
+    monkeypatch.setattr(np, "moveaxis", forbidden)
+    monkeypatch.setattr(np, "pad", forbidden)
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", forbidden)
+    mcfg = micro_model_config()
+    mcfg.attention_dropout = 0.2
+    model = Model(mcfg, seed=0)
+    spec, vol = next(synth_pair_stream(MICRO_GEOMETRY, seed=0))
+    loss = _batch_grads(model, [("s0", spec, vol)], Config(), np.random.default_rng(0))
+    assert math.isfinite(loss)
+    assert all(t.grad is not None for t in model.store.params.values())
+    assert model.predict(spec).shape == MICRO_GEOMETRY[3:]
+
+
 # tracemalloc bytes of one noddi training sample on a fresh model: live once
 # its forward and hybrid loss are recorded, and the peak of its backward.
 # Measured at 118.9 and 140.2 MB. With the SSIM and MSE compositions on the
