@@ -208,7 +208,12 @@ def permute(a, axes):
 
 def flip(a, axis):
     """a reversed along axis: a view forward, and a view of g backward."""
-    return _make_output(np.flip(a.data, axis), (a,), lambda g: (np.flip(g, axis),))
+    ndim = a.data.ndim
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"flip: axis {axis} out of range for {ndim} dimensions")
+    # the view np.flip gives, without its axis normalization on every call
+    index = (slice(None),) * (axis % ndim) + (slice(None, None, -1),)
+    return _make_output(a.data[index], (a,), lambda g: (g[index],))
 
 
 def _zero_pad(x, pad_width):

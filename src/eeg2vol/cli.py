@@ -21,7 +21,6 @@ from .dsp import (
     build_pairs,
     read_manifest,
     spectrogram_geometry,
-    stft_params,
     window_samples,
     write_manifest,
     write_pairs,
@@ -156,9 +155,7 @@ def cmd_preprocess(args):
         window_samples(raw.fs, raw.tr_s)  # a TR window must hold at least one sample
     except ConfigError as exc:  # the data, not the config, is at fault
         raise DataError(f"{args.manifest_in}: raw manifest header {exc}") from exc
-    frame_len, hop = stft_params(raw.fs, cfg.frame_len, cfg.hop)
-    window = window_samples(raw.fs, raw.tr_s, cfg.pairing_mode, cfg.span_s)
-    t, f = spectrogram_geometry(window, raw.fs, frame_len, hop, cfg.cutoff_hz)
+    t, f = spectrogram_geometry(raw.fs, raw.tr_s, cfg)
     volume_target = cfg.volume_target_tuple()
     base = Path(args.manifest_in).parent
     c, d, h, w = _check_sessions(raw.subjects, base, volume_target)
@@ -169,8 +166,8 @@ def cmd_preprocess(args):
                 EegRecording(s2vt.read_tensor(base / eeg_path), raw.fs),
                 s2vt.read_tensor(base / vol_path),
                 raw.tr_s,
-                frame_len=frame_len,
-                hop=hop,
+                frame_len=cfg.frame_len,
+                hop=cfg.hop,
                 cutoff_hz=cfg.cutoff_hz,
                 pairing_mode=cfg.pairing_mode,
                 span_s=cfg.span_s,

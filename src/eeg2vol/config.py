@@ -60,7 +60,8 @@ SCHEMA = {
     "k_test": (4, int, ">= 1", "fixed-split test subjects"),
     "fold": (0, int, ">= 0", "which split fold to train/evaluate"),
     "seed": (0, int, ">= 0", "RNG seed"),
-    "workers": (1, int, (1,), "sample workers"),
+    "workers": (1, int, (1,),
+                "accepts only 1 and changes nothing: training runs one sample at a time"),
 }
 
 # domain -> (test, what a value must do)
@@ -111,29 +112,26 @@ def coerce(key, raw):
 
 
 class Config:
+    """The run configuration: one attribute per SCHEMA key, holding that
+    key's coerced value."""
+
     def __init__(self, values=None):
-        self._values = {k: v[0] for k, v in SCHEMA.items()}
-        if values:
-            for k, v in values.items():
-                self.set(k, v)
+        for key, spec in SCHEMA.items():
+            setattr(self, key, spec[0])
+        for key, raw in (values or {}).items():
+            self.set(key, raw)
 
     def set(self, key, raw):
         if key not in SCHEMA:
             valid = ", ".join(sorted(SCHEMA))
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-        self._values[key] = coerce(key, raw)
-
-    def __getattr__(self, key):
-        try:
-            return self.__dict__["_values"][key]
-        except KeyError:
-            raise AttributeError(key) from None
+        setattr(self, key, coerce(key, raw))
 
     def items(self):
-        return self._values.items()
+        return ((key, getattr(self, key)) for key in SCHEMA)
 
     def volume_target_tuple(self):
-        return tuple(int(v) for v in self._values["volume_target"].split()) or None
+        return tuple(int(v) for v in self.volume_target.split()) or None
 
     @classmethod
     def load(cls, path=None, overrides=()):

@@ -96,7 +96,7 @@ def hann_window(n):
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(window, fs, frame_len, hop):
+def stft(window, frame_len, hop):
     """Magnitude spectrogram [T, frame_len//2 + 1] with a per-frame Hann taper."""
     window = np.asarray(window, dtype=np.float64)
     if frame_len > window.shape[-1]:
@@ -133,10 +133,13 @@ def _kept_bins(fs, frame_len, cutoff_hz):
     return (freqs > 0) & (freqs <= cutoff + 1e-9)
 
 
-def spectrogram_geometry(n_samples, fs, frame_len, hop, cutoff_hz=250.0):
-    """(T, F) that stft + band_limit give a window of n_samples; both >= 1."""
+def spectrogram_geometry(fs, tr_s, cfg):
+    """(T, F) of the spectrograms build_pairs gives at sampling rate fs and
+    TR tr_s under the run Config's STFT and pairing keys; both >= 1."""
+    frame_len, hop = stft_params(fs, cfg.frame_len, cfg.hop)
+    n_samples = window_samples(fs, tr_s, cfg.pairing_mode, cfg.span_s)
     t = _frame_count(n_samples, frame_len, hop)
-    f = int(np.count_nonzero(_kept_bins(fs, frame_len, cutoff_hz)))
+    f = int(np.count_nonzero(_kept_bins(fs, frame_len, cfg.cutoff_hz)))
     if t < 1 or f < 1:
         raise ConfigError(
             f"empty {max(t, 0)}x{f} spectrogram: check frame_len, hop, cutoff_hz and span_s"
@@ -189,7 +192,7 @@ def dct_downsample(volume, target):
 
 def spectrogram_from_window(window, fs, frame_len, hop, cutoff_hz=250.0):
     """Per-channel STFT -> band limit -> min-max, giving a [C, T, F] tensor."""
-    spec = stft(window, fs, frame_len, hop)  # [C, T, F_full]
+    spec = stft(window, frame_len, hop)  # [C, T, F_full]
     spec = band_limit(spec, fs, frame_len, cutoff_hz)
     return minmax_normalize(spec)
 

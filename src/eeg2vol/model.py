@@ -64,9 +64,7 @@ class ModelConfig:
         if geometry is None:
             t, f = cfg.t_bins, cfg.f_bins
             if t == 0 or f == 0:
-                frame, hop = dsp.stft_params(cfg.fs, cfg.frame_len, cfg.hop)
-                n_samples = dsp.window_samples(cfg.fs, cfg.tr, cfg.pairing_mode, cfg.span_s)
-                t0, f0 = dsp.spectrogram_geometry(n_samples, cfg.fs, frame, hop, cfg.cutoff_hz)
+                t0, f0 = dsp.spectrogram_geometry(cfg.fs, cfg.tr, cfg)
                 t, f = t or t0, f or f0  # derive only the count that is 0
             geometry = (cfg.channels, t, f, cfg.depth, cfg.height, cfg.width)
         return cls(geometry, attention_dropout=cfg.attention_dropout,

@@ -1,6 +1,6 @@
-"""AdamW with decoupled weight decay and global-norm gradient clipping, the
-hard-restart cosine schedule, and train/test split planning, each reading
-its settings from the run Config."""
+"""AdamW with decoupled weight decay and global-norm gradient clipping, and
+the hard-restart cosine schedule, each reading its settings from the run
+Config."""
 
 from __future__ import annotations
 
@@ -96,24 +96,3 @@ class AdamW:
             out[f"moment2.{name}"] = self.v[name]
         return out
 
-
-def make_splits(manifest, cfg):
-    """Train/test folds [(train_ids, test_ids), ...] under the run Config's
-    split_mode: "loso" gives one fold per subject, "fixed" one split of
-    k_train and k_test subjects shuffled by seed."""
-    subjects = sorted(manifest.subject_ids)
-    if len(subjects) < 2:
-        raise ConfigError("need at least two subjects to build splits")
-    if cfg.split_mode == "loso":
-        return [
-            ([s for s in subjects if s != held_out], [held_out])
-            for held_out in subjects
-        ]
-    k_train, k_test = cfg.k_train, cfg.k_test
-    if k_train + k_test > len(subjects):
-        raise ConfigError(
-            f"{k_train}+{k_test} subjects requested, only {len(subjects)} available"
-        )
-    order = list(subjects)
-    np.random.default_rng(cfg.seed).shuffle(order)
-    return [(sorted(order[:k_train]), sorted(order[k_train : k_train + k_test]))]

@@ -22,7 +22,7 @@ from .losses import (
     REPORT_HEADER,
 )
 from .model import Model, ModelConfig
-from .optim import AdamW, check_lr_floor, lr_at, make_splits
+from .optim import AdamW, check_lr_floor, lr_at
 
 
 def load_pairs(manifest, base_dir, subjects):
@@ -90,11 +90,26 @@ def evaluate_samples(model, samples, cfg):
 
 
 def split_for(cfg, manifest):
-    """The (train_ids, test_ids) of the run Config's fold."""
-    folds = make_splits(manifest, cfg)
-    if not 0 <= cfg.fold < len(folds):
-        raise ConfigError(f"fold {cfg.fold} outside 0..{len(folds) - 1}")
-    return folds[cfg.fold]
+    """The (train_ids, test_ids) of the run Config's fold. Under split_mode
+    "loso", fold i holds out the i-th of the sorted subjects; under "fixed",
+    the one fold takes k_train and k_test subjects shuffled by seed."""
+    subjects = sorted(manifest.subject_ids)
+    if len(subjects) < 2:
+        raise ConfigError("need at least two subjects to build splits")
+    k_train, k_test = cfg.k_train, cfg.k_test
+    fixed = cfg.split_mode == "fixed"
+    if fixed and k_train + k_test > len(subjects):
+        raise ConfigError(
+            f"{k_train}+{k_test} subjects requested, only {len(subjects)} available"
+        )
+    n_folds = 1 if fixed else len(subjects)
+    if not 0 <= cfg.fold < n_folds:
+        raise ConfigError(f"fold {cfg.fold} outside 0..{n_folds - 1}")
+    if not fixed:
+        held_out = subjects[cfg.fold]
+        return [s for s in subjects if s != held_out], [held_out]
+    np.random.default_rng(cfg.seed).shuffle(subjects)
+    return sorted(subjects[:k_train]), sorted(subjects[k_train : k_train + k_test])
 
 
 def train_run(cfg, manifest, base_dir, out_dir):

@@ -549,6 +549,23 @@ UNARY_OPS = [
 ]
 
 
+def test_flip_is_np_flip_on_every_axis():
+    """flip gives np.flip's result on each axis, a negative one too, forward
+    and backward; an axis outside the array is a DimensionError."""
+    x = np.arange(24.0).reshape(2, 3, 4)
+    g = 2.0 * x + 1.0
+    for axis in range(-3, 3):
+        t = ad.Tensor(x, requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.flip(t, axis)
+        tape.backward(y, seed=g)
+        assert np.array_equal(y.data, np.flip(x, axis)), axis
+        assert np.array_equal(t.grad, np.flip(g, axis)), axis
+    for axis in (3, -4):
+        with pytest.raises(DimensionError, match=f"flip: axis {axis} out of range"):
+            ad.flip(ad.Tensor(x), axis)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_unary_op_gradients(seed):
     rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ from eeg2vol.presets import preset_config
 from eeg2vol.train import _batch_grads, evaluate_samples, load_pairs, train_run
 
 from conftest import MICRO_GEOMETRY, micro_model_config
+from model_arrays import sample_digests
 from program_paths import tree_hashes
 
 
@@ -282,17 +283,29 @@ def test_micro_sample_tape_bytes_do_not_grow():
     assert nbytes <= MICRO_SAMPLE_TAPE_BYTES
 
 
+def test_model_arrays_digests_every_array_of_a_micro_sample():
+    """tests/model_arrays.py digests the prediction, the loss and every
+    gradient, to the same digests twice, and counts the sample's tape."""
+    mcfg = micro_model_config()
+    first, second = (sample_digests(mcfg) for _ in range(2))
+    assert first == second
+    grads = {f"grad.{name}" for name in Model(mcfg).store.params}
+    assert first.keys() == grads | {"prediction", "loss", "nodes"}
+    assert first["nodes"] == len(micro_sample_tape().nodes)
+
+
 def test_training_and_predict_call_no_layout_helper(monkeypatch):
     """One micro training sample (forward at attention dropout 0.2, hybrid
-    loss, backward) and one predict never call np.moveaxis, np.pad or
-    sliding_window_view: their argument handling cost more than the kernels
-    they served at micro scale."""
+    loss, backward) and one predict never call np.moveaxis, np.pad, np.flip
+    or sliding_window_view: their argument handling cost more than the
+    kernels they served at micro scale."""
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("a layout helper ran on the hot path")
 
     monkeypatch.setattr(np, "moveaxis", forbidden)
     monkeypatch.setattr(np, "pad", forbidden)
+    monkeypatch.setattr(np, "flip", forbidden)
     monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", forbidden)
     mcfg = micro_model_config()
     mcfg.attention_dropout = 0.2
@@ -385,6 +398,22 @@ def test_train_workers_other_than_1_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "workers" in capsys.readouterr().err
     assert not (tmp_path / "run/train.log").exists()
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["fold=3"], "fold 3 outside 0..2"),
+    (["split_mode=fixed", "k_train=2", "k_test=1", "fold=1"], "fold 1 outside 0..0"),
+], ids=["loso", "fixed"])
+def test_train_fold_outside_the_split_exit_2(tmp_path, capsys, sets, message):
+    """A fold past the split's last (one fold per subject under loso, one
+    fold under fixed) exits 2 before --out is created."""
+    synth_dataset(MICRO_GEOMETRY, 3, 1, seed=3, out_dir=tmp_path / "data")
+    argv = ["train", "--manifest", str(tmp_path / "data/manifest.txt"),
+            "--out", str(tmp_path / "run")]
+    rc = cli.main(argv + [arg for item in sets for arg in ("--set", item)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eeg2vol import dsp
+from eeg2vol.config import Config
 from eeg2vol.errors import ConfigError, DataError, DimensionError
+from eeg2vol.presets import preset_config
 
 from conftest import dft_oracle
 
@@ -123,12 +125,12 @@ def test_stft_sinusoid_peaks_at_its_bin():
     k = 8
     t = np.arange(540) / fs
     signal = np.cos(2.0 * np.pi * (k * fs / frame) * t)
-    spec = dsp.stft(signal, fs, frame, 32)
+    spec = dsp.stft(signal, frame, 32)
     assert np.all(np.argmax(spec, axis=-1) == k)
 
 
 def test_stft_dc_energy():
-    spec = dsp.stft(np.ones(256), 250.0, 64, 32)
+    spec = dsp.stft(np.ones(256), 64, 32)
     # the Hann taper itself carries energy at bins 0 and 1; everything else
     # must vanish, and bin 0 dominates
     assert np.all(np.argmax(spec, axis=-1) == 0)
@@ -139,7 +141,7 @@ def test_stft_matches_brute_force_dft():
     rng = np.random.default_rng(0)
     window = rng.standard_normal(540)
     frame, hop = 64, 32
-    spec = dsp.stft(window, 250.0, frame, hop)
+    spec = dsp.stft(window, frame, hop)
     taper = dsp.hann_window(frame)
     n_frames = (540 - frame) // hop + 1
     assert spec.shape == (n_frames, frame // 2 + 1)
@@ -152,7 +154,7 @@ def test_stft_oracle_other_frame_lengths():
     rng = np.random.default_rng(1)
     for frame in (16, 50, 256):
         window = rng.standard_normal(frame * 2)
-        spec = dsp.stft(window, 1000.0, frame, frame)
+        spec = dsp.stft(window, frame, frame)
         taper = dsp.hann_window(frame)
         for i in range(spec.shape[0]):
             want = dft_oracle(window[i * frame : (i + 1) * frame] * taper)
@@ -161,7 +163,7 @@ def test_stft_oracle_other_frame_lengths():
 
 def test_stft_frame_longer_than_segment():
     with pytest.raises(DimensionError, match="frame"):
-        dsp.stft(np.zeros(32), 250.0, 64, 32)
+        dsp.stft(np.zeros(32), 64, 32)
 
 
 def test_stft_params():
@@ -202,9 +204,9 @@ def test_band_limit_never_keeps_dc():
 
 
 def test_spectrogram_geometry_matches_presets():
-    assert dsp.spectrogram_geometry(540, 250.0, 50, 25) == (20, 25)
-    assert dsp.spectrogram_geometry(2000, 1000.0, 200, 100) == (19, 50)
-    assert dsp.spectrogram_geometry(6400, 5000.0, 1000, 500) == (11, 50)
+    for name, want in (("noddi", (20, 25)), ("oddball", (19, 50)), ("cn-epfl", (11, 50))):
+        cfg = preset_config(name)
+        assert dsp.spectrogram_geometry(cfg.fs, cfg.tr, cfg) == want, name
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,7 +224,8 @@ def test_spectrogram_geometry_matches_computed_shape(frame, extra, hop, fs, cuto
     cutoff = fs / frame + cutoff_frac * fs / 2.0
     window = np.random.default_rng(0).standard_normal((2, n_samples))
     spec = dsp.spectrogram_from_window(window, fs, frame, hop, cutoff)
-    assert dsp.spectrogram_geometry(n_samples, fs, frame, hop, cutoff) == spec.shape[1:]
+    cfg = Config({"frame_len": frame, "hop": hop, "cutoff_hz": cutoff})
+    assert dsp.spectrogram_geometry(fs, n_samples / fs, cfg) == spec.shape[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from eeg2vol import autodiff as ad
 from eeg2vol.config import Config
 from eeg2vol.dsp import DatasetManifest
 from eeg2vol.errors import ConfigError, NumericError
-from eeg2vol.optim import AdamW, lr_at, make_splits
+from eeg2vol.optim import AdamW, lr_at
+from eeg2vol.train import split_for
 
 
 def manifest_with_subjects(n):
@@ -194,39 +195,46 @@ def test_schedule_config_validation():
 # splits
 # ---------------------------------------------------------------------------
 
-def fixed_split(k_train, k_test, seed):
-    return Config({"split_mode": "fixed", "k_train": k_train, "k_test": k_test, "seed": seed})
+def fixed_split(k_train, k_test, seed, fold=0):
+    return Config({"split_mode": "fixed", "k_train": k_train, "k_test": k_test,
+                   "seed": seed, "fold": fold})
 
 
 def test_loso_15_subjects():
-    folds = make_splits(manifest_with_subjects(15), Config({"split_mode": "loso"}))
-    assert len(folds) == 15
-    all_subjects = set(manifest_with_subjects(15).subject_ids)
+    manifest = manifest_with_subjects(15)
+    folds = [split_for(Config({"split_mode": "loso", "fold": i}), manifest)
+             for i in range(15)]
+    all_subjects = set(manifest.subject_ids)
     for train, test in folds:
         assert len(test) == 1
         assert set(train) | set(test) == all_subjects
         assert not set(train) & set(test)
-    held_out = {t[0] for _, t in folds}
-    assert held_out == all_subjects
+    held_out = [t[0] for _, t in folds]
+    assert held_out == sorted(all_subjects)
 
 
 def test_fixed_16_4_split():
-    folds = make_splits(manifest_with_subjects(20), fixed_split(16, 4, seed=3))
-    train, test = folds[0]
+    train, test = split_for(fixed_split(16, 4, seed=3), manifest_with_subjects(20))
     assert len(train) == 16 and len(test) == 4
     assert not set(train) & set(test)
 
 
 def test_fixed_split_deterministic_per_seed():
-    a = make_splits(manifest_with_subjects(8), fixed_split(5, 3, seed=1))
-    b = make_splits(manifest_with_subjects(8), fixed_split(5, 3, seed=1))
-    c = make_splits(manifest_with_subjects(8), fixed_split(5, 3, seed=2))
+    a = split_for(fixed_split(5, 3, seed=1), manifest_with_subjects(8))
+    b = split_for(fixed_split(5, 3, seed=1), manifest_with_subjects(8))
+    c = split_for(fixed_split(5, 3, seed=2), manifest_with_subjects(8))
     assert a == b
     assert a != c
 
 
 def test_split_errors():
-    with pytest.raises(ConfigError, match="two subjects"):
-        make_splits(manifest_with_subjects(1), Config({"split_mode": "loso"}))
-    with pytest.raises(ConfigError, match="available"):
-        make_splits(manifest_with_subjects(4), fixed_split(3, 2, seed=0))
+    """Too few subjects, then too few for the fixed split, then a fold
+    outside the split's folds: checked in that order."""
+    with pytest.raises(ConfigError, match="^need at least two subjects to build splits$"):
+        split_for(Config({"split_mode": "loso", "fold": 5}), manifest_with_subjects(1))
+    with pytest.raises(ConfigError, match=r"^3\+2 subjects requested, only 4 available$"):
+        split_for(fixed_split(3, 2, seed=0, fold=1), manifest_with_subjects(4))
+    with pytest.raises(ConfigError, match=r"^fold 4 outside 0\.\.3$"):
+        split_for(Config({"split_mode": "loso", "fold": 4}), manifest_with_subjects(4))
+    with pytest.raises(ConfigError, match=r"^fold 1 outside 0\.\.0$"):
+        split_for(fixed_split(3, 1, seed=0, fold=1), manifest_with_subjects(4))
