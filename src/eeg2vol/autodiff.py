@@ -100,8 +100,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+    # a float product commutes exactly, and so do mul's two gradient rules
+    __rmul__ = __mul__
 
 
 def _as_tensor(x):
@@ -179,15 +179,21 @@ def sigmoid(a):
     return _make_output(val, (a,), lambda g: (g * val * (1.0 - val),))
 
 
+def _silu(x):
+    """x * sigmoid(x) over an array: silu's forward."""
+    return x * _logistic(x)
+
+
+def _silu_grad(g, x):
+    """silu's backward over arrays: g * silu'(x), the sigmoid recomputed."""
+    s = _logistic(x)
+    return g * (s + x * s * (1.0 - s))
+
+
 def silu(a):
     """a * sigmoid(a), one node that keeps only its input: the backward
     recomputes the sigmoid instead of holding it."""
-
-    def backward(g):
-        s = _logistic(a.data)
-        return (g * (s + a.data * s * (1.0 - s)),)
-
-    return _make_output(a.data * _logistic(a.data), (a,), backward)
+    return _make_output(_silu(a.data), (a,), lambda g: (_silu_grad(g, a.data),))
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +273,63 @@ def _weight_grad(g, x):
     return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
+def _check_linear(op, x, weight, bias):
+    """Raise DimensionError naming op unless x [..., in], weight [out, in]
+    and bias (None or [out]) fit x @ weight.T + bias."""
+    if x.shape[-1] != weight.shape[-1]:
+        raise DimensionError(
+            f"{op}: input extent {x.shape[-1]} != weight in-extent "
+            f"{weight.shape[-1]}"
+        )
+    if bias is not None and bias.shape != weight.shape[:1]:
+        raise DimensionError(
+            f"{op}: bias shape {bias.shape} != ({weight.shape[0]},)"
+        )
+
+
+def _affine(x, weight, bias):
+    """x @ weight.T + bias over arrays (no bias when None): linear's forward."""
+    val = np.matmul(x, weight.T)
+    return val if bias is None else val + bias
+
+
+def _affine_grads(g, x, x_grad, weight, bias):
+    """linear's backward: the gradients (x, weight, bias) of x @ weight.T +
+    bias from the output gradient g and x's array, each None where it is not
+    wanted (x's unless x_grad)."""
+    return (
+        np.matmul(g, weight.data) if x_grad else None,
+        _weight_grad(g, x) if weight.requires_grad else None,
+        _leading_sum(g) if bias is not None and bias.requires_grad else None,
+    )
+
+
 def linear(x, weight, bias=None):
     """Affine map over the trailing axis: y = x @ weight.T + bias.
 
     One tape node; weight is [out, in], bias [out], x [..., in].
     """
-    if x.shape[-1] != weight.shape[-1]:
-        raise DimensionError(
-            f"linear: input extent {x.shape[-1]} != weight in-extent "
-            f"{weight.shape[-1]}"
-        )
-    if bias is not None and bias.shape != weight.shape[:1]:
-        raise DimensionError(
-            f"linear: bias shape {bias.shape} != ({weight.shape[0]},)"
-        )
-    val = np.matmul(x.data, weight.data.T)
-    if bias is not None:
-        val = val + bias.data
+    _check_linear("linear", x, weight, bias)
+    val = _affine(x.data, weight.data, None if bias is None else bias.data)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make_output(
+        val, inputs, lambda g: _affine_grads(g, x.data, x.requires_grad, weight, bias)
+    )
+
+
+def silu_linear(x, weight, bias):
+    """silu(linear(x, weight, bias)) as one tape node that keeps only its
+    inputs: the backward recomputes the pre-activation, then runs silu's and
+    linear's backward on it, so output and gradients equal the two nodes'
+    bit for bit."""
+    _check_linear("silu_linear", x, weight, bias)
 
     def backward(g):
-        gx = np.matmul(g, weight.data) if x.requires_grad else None
-        gw = _weight_grad(g, x.data) if weight.requires_grad else None
-        gb = _leading_sum(g) if bias is not None and bias.requires_grad else None
-        return (gx, gw, gb)
+        pre = _affine(x.data, weight.data, bias.data)
+        return _affine_grads(_silu_grad(g, pre), x.data, x.requires_grad, weight, bias)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make_output(val, inputs, backward)
+    val = _silu(_affine(x.data, weight.data, bias.data))
+    return _make_output(val, (x, weight, bias), backward)
 
 
 LN_EPS = 1e-5  # added to the variance under layer_norm's square root
@@ -306,29 +343,83 @@ def _normalized(x):
     return xc / std, 1.0 / std
 
 
+def _norm_affine(xn, gain, shift):
+    """layer_norm's output from the normalized array xn and its parameters."""
+    return xn * gain.data + shift.data
+
+
+def _norm_grads(g, xn, inv_std, gain, x_grad):
+    """layer_norm's backward: the gradients (x, gain, shift) from the output
+    gradient g and the recomputed xn and 1/std; x's is None unless x_grad."""
+    gx = None
+    if x_grad:
+        gn = g * gain.data
+        gx = inv_std * (
+            gn
+            - gn.mean(axis=-1, keepdims=True)
+            - xn * (gn * xn).mean(axis=-1, keepdims=True)
+        )
+    return (gx, _leading_sum(g * xn), _leading_sum(g))
+
+
+def _check_norm(op, x, gain, shift):
+    """Raise DimensionError naming op unless gain and shift are [x's width]."""
+    if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+        raise DimensionError(f"{op}: gain and shift must be [width]")
+
+
 def layer_norm(x, gain, shift):
     """Normalize the trailing axis to zero mean / unit variance, then affine.
 
     One tape node that keeps only its inputs: the closed-form backward
     recomputes the normalized input xn and 1/std from x.
     """
-    if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
-        raise DimensionError("layer_norm: gain and shift must be [width]")
+    _check_norm("layer_norm", x, gain, shift)
 
     def backward(g):
-        xn, inv_std = _normalized(x.data)
-        gx = None
-        if x.requires_grad:
-            gn = g * gain.data
-            gx = inv_std * (
-                gn
-                - gn.mean(axis=-1, keepdims=True)
-                - xn * (gn * xn).mean(axis=-1, keepdims=True)
-            )
-        return (gx, _leading_sum(g * xn), _leading_sum(g))
+        return _norm_grads(g, *_normalized(x.data), gain, x.requires_grad)
 
-    xn, _inv_std = _normalized(x.data)
-    return _make_output(xn * gain.data + shift.data, (x, gain, shift), backward)
+    val = _norm_affine(_normalized(x.data)[0], gain, shift)
+    return _make_output(val, (x, gain, shift), backward)
+
+
+def gated_residual(x, c, gate, gain, shift, weight, bias):
+    """x + linear(layer_norm(c, gain, shift) * gate, weight, bias): a VSS
+    block's output path, VMamba's out-norm times the gate, out-projection
+    and residual (arXiv:2401.10166), as one tape node.
+
+    It keeps c, gate and the parameters, never the normed c, the gated
+    product or the projection: the backward recomputes the first two, then
+    runs the backward of the add, linear, mul and layer_norm nodes this op
+    replaces on the same operands, so its output and gradients equal theirs
+    bit for bit. x's gradient is the incoming g itself, as add's is.
+    """
+    _check_norm("gated_residual", c, gain, shift)
+    _check_linear("gated_residual", c, weight, bias)
+    if gate.shape != c.shape or x.shape != c.shape[:-1] + weight.shape[:1]:
+        raise DimensionError(
+            f"gated_residual: shapes x {x.shape}, c {c.shape}, gate {gate.shape} do not fit "
+            f"a gate of c's shape and an x of c's shape with width {weight.shape[0]}"
+        )
+    # whether the normed c, and the gated product, take a gradient
+    norm_grad = c.requires_grad or gain.requires_grad or shift.requires_grad
+    gated_grad = norm_grad or gate.requires_grad
+
+    def backward(g):
+        xn, inv_std = _normalized(c.data)
+        normed = _norm_affine(xn, gain, shift)
+        g_gated, gw, gb = _affine_grads(g, normed * gate.data, gated_grad, weight, bias)
+        gc = g_gain = g_shift = None
+        if norm_grad:
+            gc, g_gain, g_shift = _norm_grads(
+                g_gated * gate.data, xn, inv_std, gain, c.requires_grad
+            )
+        g_gate = g_gated * normed if gate.requires_grad else None
+        return (g if x.requires_grad else None, gc, g_gate, g_gain, g_shift, gw, gb)
+
+    gated = _norm_affine(_normalized(c.data)[0], gain, shift) * gate.data
+    val = x.data + _affine(gated, weight.data, bias.data)
+    return _make_output(val, (x, c, gate, gain, shift, weight, bias), backward)
 
 
 def _softmax(x, axis, out=None):
@@ -704,11 +795,11 @@ def _selective_states(u, delta_pre, a_log, b):
 
 def _projections(u, w_delta, b_delta, w_b, w_c):
     """delta_pre, B and C of selective_scan from the tensors of its [L, C]
-    tokens u and its weights, by the expressions linear evaluates."""
+    tokens u and its weights, by linear's forward."""
     return (
-        np.matmul(u.data, w_delta.data.T) + b_delta.data,
-        np.matmul(u.data, w_b.data.T),
-        np.matmul(u.data, w_c.data.T),
+        _affine(u.data, w_delta.data, b_delta.data),
+        _affine(u.data, w_b.data, None),
+        _affine(u.data, w_c.data, None),
     )
 
 

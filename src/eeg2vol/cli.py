@@ -6,8 +6,11 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import traceback
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import s2vt
 from .config import Config, schema_help
@@ -25,7 +28,7 @@ from .dsp import (
     write_manifest,
     write_pairs,
 )
-from .errors import ConfigError, DataError, Eeg2VolError
+from .errors import ConfigError, DataError, Eeg2VolError, NumericError
 from .model import ARCH_KEYS, Model, ModelConfig
 from .train import evaluate_run, train_run
 
@@ -284,8 +287,16 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         _check_out(args.out)
-        _COMMANDS[args.command](args)
-    except Eeg2VolError as exc:
+        # a float overflow, invalid value or division by zero raises where it
+        # happens; underflow does not, as the scan's exp may saturate to 0
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            _COMMANDS[args.command](args)
+    except (FloatingPointError, Eeg2VolError) as exc:
+        if isinstance(exc, FloatingPointError):  # named by its innermost eeg2vol frame
+            *_, site = (f for f, _line in traceback.walk_tb(exc.__traceback__)
+                        if f.f_globals.get("__package__") == __package__)
+            where = f"{site.f_globals['__name__'].rpartition('.')[2]}.{site.f_code.co_name}"
+            exc = NumericError(f"floating-point fault in {where}: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0

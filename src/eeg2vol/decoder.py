@@ -78,19 +78,27 @@ class VssBlock:
         p.linear(f"{prefix}.out_proj", width, width, rng)
 
     def forward(self, x):
-        """Pre-norm -> projected/gated SS2D -> norm, gate, project -> residual."""
+        """Pre-norm -> projected/gated SS2D -> norm, gate, project -> residual.
+
+        The gate, silu(linear), is one ad.silu_linear node, and the output
+        path, x + linear(layer_norm(merged) * gate), one ad.gated_residual
+        node: the tape keeps neither the gate's pre-activation nor the
+        normed, gated or projected output.
+        """
         p, pre = self.store, self.prefix
         h, w, _ = x.shape
         normed = p.apply_norm(f"{pre}.ln", x)
         main = p.apply_linear(f"{pre}.in_proj", normed)
-        gate = ad.silu(p.apply_linear(f"{pre}.gate", normed))
+        gate = ad.silu_linear(normed, p[f"{pre}.gate.weight"], p[f"{pre}.gate.bias"])
         seqs = scan_expand(main)
         scanned = [
             s6_scan(seq, *(p[f"{pre}.dir{d}.{n}"] for n in S6_PARAMS))
             for d, seq in enumerate(seqs)
         ]
-        merged = p.apply_norm(f"{pre}.out_ln", scan_merge(scanned, h, w))
-        return x + p.apply_linear(f"{pre}.out_proj", merged * gate)
+        return ad.gated_residual(
+            x, scan_merge(scanned, h, w), gate, p[f"{pre}.out_ln.gain"],
+            p[f"{pre}.out_ln.shift"], p[f"{pre}.out_proj.weight"], p[f"{pre}.out_proj.bias"],
+        )
 
 
 def patch_merge(x):

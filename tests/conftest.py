@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from eeg2vol import autodiff as ad
+from eeg2vol import decoder
 from eeg2vol.decoder import s6_scan
 from eeg2vol.errors import NumericError
 from eeg2vol.model import Model, ModelConfig
@@ -437,6 +440,78 @@ def ssim_composed(x, y, c1, c2, window=None):
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return tmean(div(num, den))
+
+
+def silu_composed(a):
+    """ad.silu as the sigmoid and mul nodes it replaces."""
+    return a * ad.sigmoid(a)
+
+
+def silu_linear_composed(x, weight, bias):
+    """ad.silu_linear as the linear and silu nodes VssBlock recorded for its
+    gate before it was one node."""
+    return ad.silu(ad.linear(x, weight, bias))
+
+
+def gated_residual_composed(x, c, gate, gain, shift, weight, bias):
+    """ad.gated_residual as the layer_norm, mul, linear and add nodes
+    VssBlock recorded for its output path before it was one node."""
+    return x + ad.linear(ad.layer_norm(c, gain, shift) * gate, weight, bias)
+
+
+def conv2d_folded(x, kernel, stride=(1, 1), padding=(0, 0)):
+    """conv2d_windowed on the [..., H, W, C] grids ad.conv2d takes: its
+    leading axes reshaped into one batch axis and back."""
+    y = conv2d_windowed(ad.reshape(x, (-1,) + x.shape[-3:]), kernel, stride, padding)
+    return ad.reshape(y, x.shape[:-3] + y.shape[1:])
+
+
+# Each fused op the program calls, by the name its tape nodes are recorded
+# under: (the module the program looks it up in, that attribute, the oracle
+# composed of the nodes it replaces). The oracles look up the ops they are
+# composed of at call time, so with the table patched in a nested fused op
+# (ssim's conv2d, s6_scan's projections) runs composed too.
+COMPOSED_OPS = {
+    "linear": (ad, "linear", linear_composed),
+    "layer_norm": (ad, "layer_norm", layer_norm_composed),
+    "silu": (ad, "silu", silu_composed),
+    "silu_linear": (ad, "silu_linear", silu_linear_composed),
+    "gated_residual": (ad, "gated_residual", gated_residual_composed),
+    "attention": (ad, "attention", attention_composed),
+    "conv2d": (ad, "conv2d", conv2d_folded),
+    "mse": (ad, "mse", mse_composed),
+    "ssim": (ad, "ssim", ssim_composed),
+    "selective_scan": (decoder, "s6_scan", lambda u, *p: s6_scan_reference(u, S6(*p))),
+    "cross_merge": (decoder, "scan_merge", scan_merge_composed),
+}
+
+# the ops no oracle replaces: layout moves and the elementwise nodes each
+# composition is built from
+GENERIC_OPS = {"reshape", "permute", "flip", "pad", "concat", "add", "sub", "mul", "sigmoid"}
+
+
+@contextmanager
+def composed_ops():
+    """Every fused op of COMPOSED_OPS replaced by its oracle while the
+    context is open."""
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, attr, oracle in COMPOSED_OPS.values():
+            mp.setattr(owner, attr, oracle)
+        yield
+
+
+def record_tape_ops(mp, names):
+    """Through the MonkeyPatch mp, append to names the op (the function
+    that called ad._make_output) of each node recorded from then on."""
+    make_output = ad._make_output
+
+    def spy(value, inputs, backward_fn):
+        out = make_output(value, inputs, backward_fn)
+        if out.requires_grad:
+            names.append(sys._getframe(1).f_code.co_name)
+        return out
+
+    mp.setattr(ad, "_make_output", spy)
 
 
 def outputs_and_grads(op, inputs, seed=0):

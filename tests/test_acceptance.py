@@ -7,7 +7,6 @@ with diagnostics). Runtime budgets are asserted where the criterion states one.
 import ast
 import inspect
 import math
-import sys
 import time
 
 import numpy as np
@@ -36,6 +35,7 @@ from conftest import (
     micro_model_config,
     neg,
     projected_scan_inputs,
+    record_tape_ops,
     s6_scan_reference,
     s6_worst_vs_reference,
     selective_scan_inputs,
@@ -118,6 +118,13 @@ def per_op_gradient_pass(seed):
     gain = ad.Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
     shift = ad.Tensor(rng.standard_normal(3), requires_grad=True)
     fd_grad_check(lambda: scalarize(ad.layer_norm(x3, gain, shift)), [x3, gain, shift])
+    # a VSS block's one-node gate, and its output path from a [2, 2, 3]
+    # merged grid c and gate into a [2, 2, 2] residual
+    fd_grad_check(lambda: scalarize(ad.silu_linear(x3, w, b)), [x3, w, b])
+    res = ad.Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
+    gate = ad.Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+    out_path = [res, x3, gate, gain, shift, w, b]
+    fd_grad_check(lambda: scalarize(ad.gated_residual(*out_path)), out_path)
     # stride 2 leaves the last row and column of the input under no window:
     # their gradient is the zero the spread-out backward must leave there
     conv_x2 = ad.Tensor(rng.standard_normal((1, 5, 6, 2)), requires_grad=True)
@@ -201,20 +208,13 @@ def tape_ops():
 def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
     """Each op that records a tape node records one inside criterion 1's
     finite-difference pass, so a new op cannot land without a gradient case."""
-    recorded = set()
-    make_output = ad._make_output
-
-    def spy(value, inputs, backward_fn):
-        out = make_output(value, inputs, backward_fn)
-        if out.requires_grad:
-            recorded.add(sys._getframe(1).f_code.co_name)
-        return out
-
-    monkeypatch.setattr(ad, "_make_output", spy)
+    recorded = []
+    record_tape_ops(monkeypatch, recorded)
     per_op_gradient_pass(0)
     ops = tape_ops()
-    assert {"linear", "layer_norm", "selective_scan", "cross_merge", "ssim", "mse"} <= ops
-    missing = sorted(ops - recorded)
+    assert {"linear", "layer_norm", "silu_linear", "gated_residual", "selective_scan",
+            "cross_merge", "ssim", "mse"} <= ops
+    missing = sorted(ops - set(recorded))
     assert not missing, f"tape ops without a criterion 1 gradient case: {missing}"
 
 

@@ -19,6 +19,7 @@ from conftest import (
     div,
     exp,
     fd_grad_check,
+    gated_residual_composed,
     layer_norm_composed,
     linear_composed,
     linear_scan,
@@ -32,6 +33,7 @@ from conftest import (
     scan_two_op,
     selective_scan_inputs,
     selective_scan_unchunked,
+    silu_linear_composed,
     softmax,
     softmax_composed,
     softplus,
@@ -357,6 +359,84 @@ def test_softmax_matches_composition(shape, axis_pick, seed):
     fused = outputs_and_grads(lambda x: softmax(x, axis), inputs, seed)
     composed = outputs_and_grads(lambda x: softmax_composed(x, axis), inputs, seed)
     assert worst_gap(fused, composed) <= FUSED_TOL
+
+
+# a VSS block's [H, W, C] grid and an [L, C] token sequence
+VSS_SHAPES = [(4, 5, 3), (7, 3)]
+
+
+def assert_bit_equal(fused, composed):
+    """The output and every input gradient are equal, bit for bit."""
+    for i, (f, c) in enumerate(zip(fused, composed)):
+        assert np.array_equal(f, c), f"{'output' if i == 0 else f'gradient {i - 1}'} differs"
+
+
+@pytest.mark.parametrize("shape", VSS_SHAPES)
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-const"])
+def test_silu_linear_matches_composition_bit_for_bit(shape, x_grad):
+    rng = np.random.default_rng(len(shape))
+    inputs = leaves(rng, shape, (4, shape[-1]), (4,))
+    inputs[0].requires_grad = x_grad
+    assert_bit_equal(
+        outputs_and_grads(ad.silu_linear, inputs, 1),
+        outputs_and_grads(silu_linear_composed, inputs, 1),
+    )
+
+
+@pytest.mark.parametrize("shape", VSS_SHAPES)
+@pytest.mark.parametrize("const", [None, 0, 2], ids=["all-grad", "x-const", "gate-const"])
+def test_gated_residual_matches_composition_bit_for_bit(shape, const):
+    """Output and gradients of x, c, gate, gain, shift, weight and bias,
+    with every input taking a gradient and with x or the gate constant."""
+    rng = np.random.default_rng(len(shape))
+    width = shape[-1]
+    inputs = leaves(rng, shape, shape, shape, (width,), (width,), (width, width), (width,))
+    if const is not None:
+        inputs[const].requires_grad = False
+    assert_bit_equal(
+        outputs_and_grads(ad.gated_residual, inputs, 2),
+        outputs_and_grads(gated_residual_composed, inputs, 2),
+    )
+
+
+@pytest.mark.parametrize("shape", VSS_SHAPES)
+def test_vss_block_ops_sum_shared_gradients_as_composed(shape):
+    """A VSS block's node graph: x feeds the pre-norm and the residual, and
+    the normed x feeds in_proj and the gate. With the two fused ops, every
+    leaf's gradient equals the composed block's bit for bit, so each shared
+    input sums its two contributions in the composition's order."""
+    rng = np.random.default_rng(3)
+    width = shape[-1]
+    vec, mat = (width,), (width, width)
+    inputs = leaves(rng, shape, vec, vec, mat, vec, mat, vec, vec, vec, mat, vec)
+
+    def block(silu_linear, gated_residual):
+        def run(x, ln_gain, ln_shift, w_in, b_in, w_gate, b_gate, gain, shift, w_out, b_out):
+            normed = ad.layer_norm(x, ln_gain, ln_shift)
+            main = ad.linear(normed, w_in, b_in)
+            gate = silu_linear(normed, w_gate, b_gate)
+            return gated_residual(x, main, gate, gain, shift, w_out, b_out)
+
+        return run
+
+    assert_bit_equal(
+        outputs_and_grads(block(ad.silu_linear, ad.gated_residual), inputs, 4),
+        outputs_and_grads(block(silu_linear_composed, gated_residual_composed), inputs, 4),
+    )
+
+
+def test_gated_residual_rejects_misshapen_inputs():
+    rng = np.random.default_rng(5)
+    good = [(3, 4, 2), (3, 4, 2), (3, 4, 2), (2,), (2,), (2, 2), (2,)]
+    # x off the output width, a gate unlike c, a gain off c's width, a
+    # weight off c's width, a bias off the weight's rows
+    for index, shape in [(0, (3, 4, 3)), (2, (3, 2, 2)), (3, (3,)), (5, (2, 3)), (6, (3,))]:
+        shapes = list(good)
+        shapes[index] = shape
+        with pytest.raises(DimensionError, match="gated_residual"):
+            ad.gated_residual(*leaves(rng, *shapes))
+    with pytest.raises(DimensionError, match="silu_linear"):
+        ad.silu_linear(*leaves(rng, (3, 2), (2, 3), (2,)))
 
 
 def token_leaves(rng, tokens, width):
@@ -942,6 +1022,22 @@ def test_attention_backward_holds_one_head_at_a_time(masked):
         finally:
             tracemalloc.stop()
     assert peak <= 3.5 * tokens * tokens * 8
+
+
+def test_vss_gate_and_output_keep_only_their_inputs():
+    """Recorded on a tape at a noddi level-0 grid, silu_linear keeps no
+    pre-activation and gated_residual no normed, gated or projected array:
+    each grows memory by its output alone."""
+    rng = np.random.default_rng(14)
+    shape, width = (64, 64, 8), 8
+    x, c, gate = leaves(rng, shape, shape, shape)
+    gain, shift, bias = leaves(rng, (width,), (width,), (width,))
+    (weight,) = leaves(rng, (width, width))
+    with ad.Tape():
+        for op in (lambda: ad.silu_linear(x, weight, bias),
+                   lambda: ad.gated_residual(x, c, gate, gain, shift, weight, bias)):
+            out, grown = retained_bytes(op)
+            assert grown <= out.data.nbytes + NODE_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """End-to-end CLI behavior: subcommands, exit codes, and file artifacts."""
 
 import hashlib
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from eeg2vol import cli, s2vt
+from eeg2vol import cli, s2vt, train
 from eeg2vol.config import SCHEMA
 from eeg2vol.data import synth_raw_session
+from eeg2vol.model import Model
 
 from conftest import checkpoint_parts, index_line, index_lines, join_checkpoint, rewrite_index
 from program_paths import tree_hashes
@@ -321,6 +325,54 @@ def test_train_overflowing_gradient_exits_4(trained_run, tmp_path, capsys, extra
     err = capsys.readouterr().err
     assert err.startswith("error: squared gradient on ") and "overflows float64" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_train_with_overflowing_poles_exits_4_where_exp_overflows(
+        trained_run, tmp_path, capsys, monkeypatch):
+    """Every a_log at 800 overflows A = -exp(a_log) in the first training
+    sample's forward: train exits 4 with one error line naming that
+    function, and no RuntimeWarning is raised on the way."""
+
+    def model_with_poles_at_800(mcfg, seed):
+        model = Model(mcfg, seed=seed)
+        for name, t in model.store.params.items():
+            if name.endswith(".a_log"):
+                t.data[...] = 800.0
+        return model
+
+    monkeypatch.setattr(train, "Model", model_with_poles_at_800)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(train_args(trained_run, tmp_path / "run"))
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: floating-point fault in autodiff._discretization: overflow encountered in exp\n"
+    )
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_predict_with_huge_norm_gains_exits_4_without_warnings(trained_run, tmp_path):
+    """Every pre-norm gain at 1e200, through a written checkpoint: the
+    `predict` process exits 4 with one error line naming the function whose
+    product overflowed, and no RuntimeWarning reaches its stderr."""
+    params, extra = s2vt.load_checkpoint(trained_run / "run/best.ckpt")
+    for name in params:
+        if name.endswith(".ln.gain"):
+            params[name] = np.full_like(params[name], 1e200)
+    s2vt.save_checkpoint(tmp_path / "huge.ckpt", params, extra)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.abspath(p) for p in sys.path if p and os.path.isdir(p)))
+    done = subprocess.run(
+        [sys.executable, "-m", "eeg2vol.cli", "predict", "--checkpoint",
+         str(tmp_path / "huge.ckpt"), "--out", str(tmp_path / "pred"),
+         str(trained_run / "data/sub00/pair0000_spec.s2vt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == (
+        "error: floating-point fault in autodiff._selective_states: "
+        "overflow encountered in multiply\n"
+    )
 
 
 def test_train_attention_dropout_seeded(trained_run):

@@ -259,9 +259,10 @@ def test_dropped_sample_tape_is_freed_by_reference_counting():
 # Nodes and summed node-output bytes one micro training sample records
 # (forward plus hybrid loss); a layout permute around each linear or
 # LayerNorm, a head split around attention, a batch axis around each conv,
-# or a one-node op split back into its composition, would raise them.
-MICRO_SAMPLE_TAPE_NODES = 159
-MICRO_SAMPLE_TAPE_BYTES = 189_168  # summed node outputs
+# or a one-node op split back into its composition (a VSS block's gate or
+# output path included), would raise them.
+MICRO_SAMPLE_TAPE_NODES = 139
+MICRO_SAMPLE_TAPE_BYTES = 162_544  # summed node outputs
 
 
 def micro_sample_tape():
@@ -319,13 +320,15 @@ def test_training_and_predict_call_no_layout_helper(monkeypatch):
 
 # tracemalloc bytes of one noddi training sample on a fresh model: live once
 # its forward and hybrid loss are recorded, and the peak of its backward.
-# Measured at 118.9 and 140.2 MB. With the SSIM and MSE compositions on the
-# tape, a whole-length da buffer in the scan backward and attention's
-# backward over all heads at once they were 138.2 and 166.0 MB; with
+# Measured at 91.4 and 112.1 MB. With each VSS block's gate and output path
+# as six nodes (their pre-activation, normed, gated and projected arrays on
+# the tape) they were 118.7 and 139.4 MB; with the SSIM and MSE
+# compositions on the tape, a whole-length da buffer in the scan backward
+# and attention's backward over all heads at once, 138.2 and 166.0 MB; with
 # attention's scores and weights and layer_norm's normalized copy on the
 # tape too, 183.1 and 210.8 MB.
-NODDI_SAMPLE_LIVE_BYTES = 125_000_000
-NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 147_000_000
+NODDI_SAMPLE_LIVE_BYTES = 93_000_000
+NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 114_000_000
 # live bytes attention dropout may add: its boolean [heads, T*F, T*F] masks
 # (1.3 MB over both encoder stages; float64 masks held 10.2 MB)
 NODDI_DROPOUT_MASK_BYTES = 1_500_000
