@@ -174,9 +174,10 @@ def _logistic(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def sigmoid(a):
-    val = _logistic(a.data)
-    return _make_output(val, (a,), lambda g: (g * val * (1.0 - val),))
+def _logistic_grad(g, val):
+    """The logistic's backward over arrays: g * s * (1 - s), from its
+    output s."""
+    return g * val * (1.0 - val)
 
 
 def _silu(x):
@@ -329,6 +330,20 @@ def silu_linear(x, weight, bias):
         return _affine_grads(_silu_grad(g, pre), x.data, x.requires_grad, weight, bias)
 
     val = _silu(_affine(x.data, weight.data, bias.data))
+    return _make_output(val, (x, weight, bias), backward)
+
+
+def sigmoid_linear(x, weight, bias):
+    """sigmoid(linear(x, weight, bias)) as one tape node that keeps its
+    inputs and its output, never the pre-activation: the backward runs
+    sigmoid's and then linear's backward on the same operands, so output
+    and gradients equal the two nodes' bit for bit."""
+    _check_linear("sigmoid_linear", x, weight, bias)
+    val = _logistic(_affine(x.data, weight.data, bias.data))
+
+    def backward(g):
+        return _affine_grads(_logistic_grad(g, val), x.data, x.requires_grad, weight, bias)
+
     return _make_output(val, (x, weight, bias), backward)
 
 

@@ -160,7 +160,8 @@ class Decoder:
         return x
 
     def decode(self, fmap):
-        """[H, W, N] feature map -> [H, W, D] volume in (0, 1)."""
+        """[H, W, N] feature map -> [H, W, D] volume in (0, 1); the head,
+        sigmoid(linear), is one ad.sigmoid_linear node."""
         p = self.store
         x, skips = fmap, []
         for i, blocks in enumerate(self.down):
@@ -171,4 +172,4 @@ class Decoder:
             x = patch_expand(p.apply_linear(f"dec.expand{i}", x))
             x = p.apply_linear(f"dec.reduce{i}", ad.concat([x, skips.pop()], axis=-1))
             x = self._run(self.up[i], x)
-        return ad.sigmoid(p.apply_linear("dec.head", x))
+        return ad.sigmoid_linear(x, p["dec.head.weight"], p["dec.head.bias"])

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .config import check
 from .errors import ConfigError, DataError, DimensionError, read_text
@@ -167,10 +166,30 @@ def minmax_normalize(t):
 # volume down-sampling
 # ---------------------------------------------------------------------------
 
+def dct_matrix(n):
+    """The orthonormal type-II DCT matrix C [n, n]: C @ x is x's spectrum,
+    and C.T @ X inverts it. Each cosine's argument (2i+1)k pi / 2n is taken
+    modulo 2 pi in exact integers first, which keeps it small."""
+    k = np.arange(n)[:, None]
+    m = (2 * np.arange(n) + 1) * k % (4 * n)
+    scale = np.full((n, 1), np.sqrt(2.0 / n))
+    scale[0] = np.sqrt(1.0 / n)
+    return np.cos(np.pi * m / (2 * n)) * scale
+
+
+def apply_per_axis(volume, ops):
+    """The 3D volume with axis i mapped by the [n_i', n_i] matrix ops[i]:
+    one tensordot and two matmuls, with no axis moved."""
+    first, second, third = ops
+    return np.matmul(second, np.matmul(np.tensordot(first, volume, axes=(1, 0)), third.T))
+
+
 def dct_downsample(volume, target):
     """Resize by truncating the orthonormal 3D type-II DCT spectrum.
 
-    Scaling preserves constants exactly; target == source round-trips.
+    Each axis of extent n maps to n' by sqrt(n'/n) * C_{n'}.T @ C_n[:n'], so
+    constants are preserved up to rounding and target == source
+    round-trips.
     """
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3 or len(target) != 3:
@@ -179,11 +198,11 @@ def dct_downsample(volume, target):
         raise DimensionError(
             f"target {tuple(target)} exceeds source {volume.shape}"
         )
-    coeffs = scipy.fft.dctn(volume, type=2, norm="ortho")
-    d, h, w = target
-    truncated = coeffs[:d, :h, :w]
-    scale = np.sqrt(np.prod(target) / np.prod(volume.shape))
-    return scipy.fft.idctn(truncated * scale, type=2, norm="ortho")
+    ops = [
+        np.sqrt(t / s) * (dct_matrix(t).T @ dct_matrix(s)[:t])
+        for s, t in zip(volume.shape, target)
+    ]
+    return apply_per_axis(volume, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,12 @@ def matmul_oracle(a, b):
 # tape ops that the program no longer calls, kept as oracles
 # ---------------------------------------------------------------------------
 
+def sigmoid(a):
+    """The logistic as one tape node that keeps its output."""
+    val = ad._logistic(a.data)
+    return ad._make_output(val, (a,), lambda g: (ad._logistic_grad(g, val),))
+
+
 def exp(a):
     """Elementwise exp as one tape node that keeps its output."""
     val = np.exp(a.data)
@@ -444,13 +450,19 @@ def ssim_composed(x, y, c1, c2, window=None):
 
 def silu_composed(a):
     """ad.silu as the sigmoid and mul nodes it replaces."""
-    return a * ad.sigmoid(a)
+    return a * sigmoid(a)
 
 
 def silu_linear_composed(x, weight, bias):
     """ad.silu_linear as the linear and silu nodes VssBlock recorded for its
     gate before it was one node."""
     return ad.silu(ad.linear(x, weight, bias))
+
+
+def sigmoid_linear_composed(x, weight, bias):
+    """ad.sigmoid_linear as the linear and sigmoid nodes the decoder head
+    recorded before it was one node."""
+    return sigmoid(ad.linear(x, weight, bias))
 
 
 def gated_residual_composed(x, c, gate, gain, shift, weight, bias):
@@ -476,6 +488,7 @@ COMPOSED_OPS = {
     "layer_norm": (ad, "layer_norm", layer_norm_composed),
     "silu": (ad, "silu", silu_composed),
     "silu_linear": (ad, "silu_linear", silu_linear_composed),
+    "sigmoid_linear": (ad, "sigmoid_linear", sigmoid_linear_composed),
     "gated_residual": (ad, "gated_residual", gated_residual_composed),
     "attention": (ad, "attention", attention_composed),
     "conv2d": (ad, "conv2d", conv2d_folded),

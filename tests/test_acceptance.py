@@ -40,6 +40,7 @@ from conftest import (
     s6_worst_vs_reference,
     selective_scan_inputs,
     selective_scan_projected,
+    sigmoid,
     softmax,
     softplus,
     sqrt,
@@ -65,7 +66,7 @@ def per_op_gradient_pass(seed):
     rng = np.random.default_rng(seed)
     x = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 3)), requires_grad=True)
     y = ad.Tensor(rng.uniform(0.2, 1.5, size=(1, 3)), requires_grad=True)
-    scalarize = lambda t: tsum(ad.sigmoid(t))
+    scalarize = lambda t: tsum(sigmoid(t))
     cases = [
         (lambda: scalarize(x + y), [x, y]),
         (lambda: scalarize(ad.sub(x, y)), [x, y]),
@@ -74,7 +75,7 @@ def per_op_gradient_pass(seed):
         (lambda: scalarize(neg(x)), [x]),
         (lambda: scalarize(exp(x)), [x]),
         (lambda: scalarize(sqrt(x)), [x]),
-        (lambda: scalarize(ad.sigmoid(x)), [x]),
+        (lambda: scalarize(sigmoid(x)), [x]),
         (lambda: scalarize(ad.silu(x)), [x]),
         (lambda: scalarize(softplus(x)), [x]),
         (lambda: scalarize(softmax(x, axis=-1)), [x]),
@@ -99,7 +100,7 @@ def per_op_gradient_pass(seed):
     conv_x = ad.Tensor(rng.standard_normal((1, 4, 4, 2)), requires_grad=True)
     conv_k = ad.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
-        lambda: tsum(ad.sigmoid(ad.conv2d(conv_x, conv_k, padding=(1, 1)))),
+        lambda: tsum(sigmoid(ad.conv2d(conv_x, conv_k, padding=(1, 1)))),
         [conv_x, conv_k],
     )
     a = ad.Tensor(rng.uniform(0.1, 0.9, size=(2, 6)), requires_grad=True)
@@ -107,10 +108,10 @@ def per_op_gradient_pass(seed):
     sel = projected_scan_inputs(rng)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
-            lambda: tsum(ad.sigmoid(linear_scan(a, u, mode=mode))), [a, u]
+            lambda: tsum(sigmoid(linear_scan(a, u, mode=mode))), [a, u]
         )
     # the chunked scan core on leaves u, delta_pre, a_log, b, c and d
-    fd_grad_check(lambda: tsum(ad.sigmoid(selective_scan_projected(*sel))), sel)
+    fd_grad_check(lambda: tsum(sigmoid(selective_scan_projected(*sel))), sel)
     x3 = ad.Tensor(rng.uniform(0.2, 1.5, size=(2, 2, 3)), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
@@ -121,6 +122,8 @@ def per_op_gradient_pass(seed):
     # a VSS block's one-node gate, and its output path from a [2, 2, 3]
     # merged grid c and gate into a [2, 2, 2] residual
     fd_grad_check(lambda: scalarize(ad.silu_linear(x3, w, b)), [x3, w, b])
+    # the decoder head's one-node sigmoid(linear)
+    fd_grad_check(lambda: tsum(ad.sigmoid_linear(x3, w, b)), [x3, w, b])
     res = ad.Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
     gate = ad.Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
     out_path = [res, x3, gate, gain, shift, w, b]
@@ -130,7 +133,7 @@ def per_op_gradient_pass(seed):
     conv_x2 = ad.Tensor(rng.standard_normal((1, 5, 6, 2)), requires_grad=True)
     conv_k2 = ad.Tensor(rng.standard_normal((2, 2, 2, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
-        lambda: tsum(ad.sigmoid(ad.conv2d(conv_x2, conv_k2, stride=(2, 2)))),
+        lambda: tsum(sigmoid(ad.conv2d(conv_x2, conv_k2, stride=(2, 2)))),
         [conv_x2, conv_k2],
     )
     # the one-node selective scan on leaves u, a_log, w_delta, b_delta, w_b,
@@ -149,7 +152,7 @@ def per_op_gradient_pass(seed):
     # conv2d on one [H, W, C] grid, the layout the encoder hands it
     grid = ad.Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
     fd_grad_check(
-        lambda: tsum(ad.sigmoid(ad.conv2d(grid, conv_k, stride=(1, 2), padding=(1, 1)))),
+        lambda: tsum(sigmoid(ad.conv2d(grid, conv_k, stride=(1, 2), padding=(1, 1)))),
         [grid, conv_k],
     )
     # the one-node losses of two [2, 4, 5] volumes that both take a
@@ -212,8 +215,8 @@ def test_every_tape_op_has_a_criterion_1_case(monkeypatch):
     record_tape_ops(monkeypatch, recorded)
     per_op_gradient_pass(0)
     ops = tape_ops()
-    assert {"linear", "layer_norm", "silu_linear", "gated_residual", "selective_scan",
-            "cross_merge", "ssim", "mse"} <= ops
+    assert {"linear", "layer_norm", "silu_linear", "sigmoid_linear", "gated_residual",
+            "selective_scan", "cross_merge", "ssim", "mse"} <= ops
     missing = sorted(ops - set(recorded))
     assert not missing, f"tape ops without a criterion 1 gradient case: {missing}"
 

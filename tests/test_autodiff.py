@@ -33,6 +33,8 @@ from conftest import (
     scan_two_op,
     selective_scan_inputs,
     selective_scan_unchunked,
+    sigmoid,
+    sigmoid_linear_composed,
     silu_linear_composed,
     softmax,
     softmax_composed,
@@ -384,6 +386,18 @@ def test_silu_linear_matches_composition_bit_for_bit(shape, x_grad):
 
 
 @pytest.mark.parametrize("shape", VSS_SHAPES)
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-const"])
+def test_sigmoid_linear_matches_composition_bit_for_bit(shape, x_grad):
+    rng = np.random.default_rng(len(shape) + 1)
+    inputs = leaves(rng, shape, (4, shape[-1]), (4,))
+    inputs[0].requires_grad = x_grad
+    assert_bit_equal(
+        outputs_and_grads(ad.sigmoid_linear, inputs, 3),
+        outputs_and_grads(sigmoid_linear_composed, inputs, 3),
+    )
+
+
+@pytest.mark.parametrize("shape", VSS_SHAPES)
 @pytest.mark.parametrize("const", [None, 0, 2], ids=["all-grad", "x-const", "gate-const"])
 def test_gated_residual_matches_composition_bit_for_bit(shape, const):
     """Output and gradients of x, c, gate, gain, shift, weight and bias,
@@ -437,6 +451,8 @@ def test_gated_residual_rejects_misshapen_inputs():
             ad.gated_residual(*leaves(rng, *shapes))
     with pytest.raises(DimensionError, match="silu_linear"):
         ad.silu_linear(*leaves(rng, (3, 2), (2, 3), (2,)))
+    with pytest.raises(DimensionError, match="sigmoid_linear"):
+        ad.sigmoid_linear(*leaves(rng, (3, 2), (2, 2), (3,)))
 
 
 def token_leaves(rng, tokens, width):
@@ -615,7 +631,7 @@ def test_no_tape_means_plain_forward():
 UNARY_OPS = [
     exp,
     sqrt,
-    ad.sigmoid,
+    sigmoid,
     ad.silu,
     softplus,
     neg,
@@ -670,14 +686,14 @@ def test_matmul_linear_layernorm_gradients(seed):
     x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
-    fd_grad_check(lambda: tsum(ad.sigmoid(ad.linear(x, w, b))), [x, w, b])
+    fd_grad_check(lambda: tsum(sigmoid(ad.linear(x, w, b))), [x, w, b])
     gain = ad.Tensor(rng.standard_normal(4), requires_grad=True)
     shift = ad.Tensor(rng.standard_normal(4), requires_grad=True)
     fd_grad_check(
         lambda: tsum(ad.layer_norm(x, gain, shift) * 0.3), [x, gain, shift]
     )
     x1 = ad.Tensor(rng.standard_normal(4), requires_grad=True)
-    fd_grad_check(lambda: tsum(ad.sigmoid(ad.linear(x1, w, b))), [x1, w, b])
+    fd_grad_check(lambda: tsum(sigmoid(ad.linear(x1, w, b))), [x1, w, b])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -686,7 +702,7 @@ def test_conv2d_gradients(seed):
     x = ad.Tensor(rng.standard_normal((1, 4, 5, 2)), requires_grad=True)
     k = ad.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
     fd_grad_check(
-        lambda: tsum(ad.sigmoid(ad.conv2d(x, k, stride=(1, 2), padding=(1, 1)))),
+        lambda: tsum(sigmoid(ad.conv2d(x, k, stride=(1, 2), padding=(1, 1)))),
         [x, k],
     )
 
@@ -698,7 +714,7 @@ def test_scan_gradients_both_modes(seed):
     x = ad.Tensor(rng.standard_normal((2, 7)), requires_grad=True)
     for mode in ("sequential", "blocked"):
         fd_grad_check(
-            lambda: tsum(ad.sigmoid(linear_scan(a, x, mode=mode))), [a, x]
+            lambda: tsum(sigmoid(linear_scan(a, x, mode=mode))), [a, x]
         )
 
 
@@ -1040,6 +1056,16 @@ def test_vss_gate_and_output_keep_only_their_inputs():
             assert grown <= out.data.nbytes + NODE_SLACK
 
 
+def test_head_keeps_no_pre_activation():
+    """Recorded on a tape at the noddi head's shapes, sigmoid_linear grows
+    memory by its [64, 64, 30] output alone, not by its pre-activation too."""
+    rng = np.random.default_rng(15)
+    x, weight, bias = leaves(rng, (64, 64, 8), (30, 8), (30,))
+    with ad.Tape():
+        out, grown = retained_bytes(lambda: ad.sigmoid_linear(x, weight, bias))
+    assert grown <= out.data.nbytes + NODE_SLACK
+
+
 # ---------------------------------------------------------------------------
 # bounded-input stability property
 # ---------------------------------------------------------------------------
@@ -1052,7 +1078,7 @@ def test_bounded_ops_stay_finite():
     outputs = [
         (x + y).data,
         (x * y).data,
-        ad.sigmoid(x).data,
+        sigmoid(x).data,
         ad.silu(x).data,
         softplus(x).data,
         softmax(x, axis=-1).data,

@@ -7,16 +7,24 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.ndimage
 
 from eeg2vol import autodiff as ad
 from eeg2vol import cli
 from eeg2vol.config import Config
-from eeg2vol.data import synth_dataset, synth_pair_stream
+from eeg2vol.data import (
+    _smooth_volume_modes,
+    gaussian_filter,
+    gaussian_filter1d,
+    synth_dataset,
+    synth_pair_stream,
+)
 from eeg2vol.dsp import read_manifest
 from eeg2vol.errors import DataError, NumericError
 from eeg2vol.losses import hybrid_loss
 from eeg2vol.model import Model, ModelConfig
-from eeg2vol.presets import preset_config
+from eeg2vol.presets import CN_EPFL_RAW_VOLUME, preset_config
 from eeg2vol.train import _batch_grads, evaluate_samples, load_pairs, train_run
 
 from conftest import MICRO_GEOMETRY, micro_model_config
@@ -84,6 +92,62 @@ def test_planted_dependency_recoverable_by_ridge():
     ridge_mse = float(np.mean((x @ w - y) ** 2))
     mean_mse = float(np.mean((y - y.mean(axis=0)) ** 2))
     assert ridge_mse < mean_mse
+
+
+# the blurs the program draws, at the micro, noddi and cn-epfl shapes:
+# sigma (0, 1, 1) over [C, T, F] spectrograms, sigma 1 over volumes (the
+# cn-epfl raw one included), and sigma 3 along axis 1 of [C, samples] EEG
+# (the test sessions' and a cn-epfl benchmark session's)
+PROGRAM_BLURS = [
+    ((4, 5, 6), (0.0, 1.0, 1.0), None),
+    ((64, 20, 25), (0.0, 1.0, 1.0), None),
+    ((64, 11, 50), (0.0, 1.0, 1.0), None),
+    ((3, 8, 8), 1.0, None),
+    ((30, 64, 64), 1.0, None),
+    (CN_EPFL_RAW_VOLUME, 1.0, None),
+    ((4, 2500), 3.0, 1),
+    ((64, 12800), 3.0, 1),
+]
+
+
+@pytest.mark.parametrize("shape, sigma, axis", PROGRAM_BLURS)
+def test_gaussian_filters_equal_scipy_on_the_program_shapes(shape, sigma, axis):
+    x = np.random.default_rng(len(shape)).standard_normal(shape)
+    if axis is None:
+        got, want = gaussian_filter(x, sigma), scipy.ndimage.gaussian_filter(x, sigma)
+    else:
+        got = gaussian_filter1d(x, sigma, axis)
+        want = scipy.ndimage.gaussian_filter1d(x, sigma, axis=axis)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_gaussian_filters_equal_scipy_on_lines_shorter_than_the_radius(length):
+    """Lines of 1 to 5 samples, shorter than sigma 3's radius 12 and some
+    than sigma 1's radius 4, so the reflection repeats; along every axis."""
+    x = np.random.default_rng(length).standard_normal((length, length + 1, 3))
+    assert np.array_equal(gaussian_filter(x, 1.0), scipy.ndimage.gaussian_filter(x, 1.0))
+    for axis in range(x.ndim):
+        assert np.array_equal(
+            gaussian_filter1d(x, 3.0, axis), scipy.ndimage.gaussian_filter1d(x, 3.0, axis=axis)
+        )
+    line = x[:, 0, 0]
+    assert np.array_equal(gaussian_filter(line, 1.0), scipy.ndimage.gaussian_filter(line, 1.0))
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8), (30, 64, 64), (1, 2, 5)])
+def test_smooth_volume_modes_match_scipy_idctn(shape):
+    """Each mode is the inverse DCT of a spectrum zero outside its low
+    block, scaled to peak 1: within 1e-14 of scipy.fft.idctn's (measured
+    6.7e-16 at 30x64x64)."""
+    got = _smooth_volume_modes(shape, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    block = (min(shape[0], 2), min(shape[1], 3), min(shape[2], 3))
+    for mode in got:
+        coeffs = np.zeros(shape)
+        coeffs[: block[0], : block[1], : block[2]] = rng.standard_normal(block)
+        field = scipy.fft.idctn(coeffs, type=2, norm="ortho")
+        assert np.max(np.abs(mode - field / np.abs(field).max())) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +324,9 @@ def test_dropped_sample_tape_is_freed_by_reference_counting():
 # (forward plus hybrid loss); a layout permute around each linear or
 # LayerNorm, a head split around attention, a batch axis around each conv,
 # or a one-node op split back into its composition (a VSS block's gate or
-# output path included), would raise them.
-MICRO_SAMPLE_TAPE_NODES = 139
-MICRO_SAMPLE_TAPE_BYTES = 162_544  # summed node outputs
+# output path, or the decoder head, included), would raise them.
+MICRO_SAMPLE_TAPE_NODES = 138
+MICRO_SAMPLE_TAPE_BYTES = 161_008  # summed node outputs
 
 
 def micro_sample_tape():
@@ -320,15 +384,16 @@ def test_training_and_predict_call_no_layout_helper(monkeypatch):
 
 # tracemalloc bytes of one noddi training sample on a fresh model: live once
 # its forward and hybrid loss are recorded, and the peak of its backward.
-# Measured at 91.4 and 112.1 MB. With each VSS block's gate and output path
+# Measured at 90.4 and 111.1 MB. With the head's pre-activation on the tape
+# they were 91.4 and 112.1 MB; with each VSS block's gate and output path
 # as six nodes (their pre-activation, normed, gated and projected arrays on
-# the tape) they were 118.7 and 139.4 MB; with the SSIM and MSE
+# the tape) too, 118.7 and 139.4 MB; with the SSIM and MSE
 # compositions on the tape, a whole-length da buffer in the scan backward
 # and attention's backward over all heads at once, 138.2 and 166.0 MB; with
 # attention's scores and weights and layer_norm's normalized copy on the
 # tape too, 183.1 and 210.8 MB.
-NODDI_SAMPLE_LIVE_BYTES = 93_000_000
-NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 114_000_000
+NODDI_SAMPLE_LIVE_BYTES = 92_000_000
+NODDI_SAMPLE_BACKWARD_PEAK_BYTES = 113_000_000
 # live bytes attention dropout may add: its boolean [heads, T*F, T*F] masks
 # (1.3 MB over both encoder stages; float64 masks held 10.2 MB)
 NODDI_DROPOUT_MASK_BYTES = 1_500_000

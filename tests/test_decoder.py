@@ -26,6 +26,7 @@ from conftest import (
     rel_err,
     s6_scan_reference,
     s6_worst_vs_reference,
+    sigmoid,
     tmean,
     tsum,
 )
@@ -171,7 +172,7 @@ def test_s6_gradients():
     u = ad.Tensor(rng.standard_normal((5, 2)) * 0.5, requires_grad=True)
     leaves = [u, params.a_log, params.w_delta, params.b_delta, params.w_b,
               params.w_c, params.d_skip]
-    fd_grad_check(lambda: tmean(ad.sigmoid(s6_scan(u, *params))), leaves)
+    fd_grad_check(lambda: tmean(sigmoid(s6_scan(u, *params))), leaves)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "blocked"])

@@ -13,7 +13,7 @@ from eeg2vol.errors import ConfigError, DimensionError
 from eeg2vol.model import ModelConfig
 from eeg2vol.presets import DATASET_PRESETS, preset_config
 
-from conftest import conv2d_oracle, fd_grad_check, tmean, tsum
+from conftest import conv2d_oracle, fd_grad_check, sigmoid, tmean, tsum
 
 
 def make_encoder(in_channels=2, embed=4, heads=2, stages=2, plane=(8, 8), seed=0):
@@ -292,4 +292,4 @@ def test_encode_parameter_gradients_micro():
         enc.store["enc.stage1.fuse.bias"],
         enc.store["enc.stage1.down.kernel"],
     ]
-    fd_grad_check(lambda: tmean(ad.sigmoid(enc.encode(x))), leaves)
+    fd_grad_check(lambda: tmean(sigmoid(enc.encode(x))), leaves)

@@ -1,8 +1,11 @@
-"""Dead-code gate: every function in src/eeg2vol runs on some program path."""
+"""Dead-code gate: every function in src/eeg2vol runs on some program path;
+and the import guard: running the program loads no scipy."""
 
 import ast
 import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import eeg2vol
@@ -75,3 +78,36 @@ def test_every_function_runs_on_a_program_path(tmp_path):
     assert not missing, f"functions no program path runs: {missing}"
     stale = sorted(set(ALLOWED_UNCALLED) - uncalled)
     assert not stale, f"allowlisted functions that now run or no longer exist: {stale}"
+
+
+SCIPY_PROBE = textwrap.dedent("""
+    import importlib, pkgutil, sys, tempfile
+    import numpy as np
+    import eeg2vol
+    for info in pkgutil.iter_modules(eeg2vol.__path__):
+        importlib.import_module(f"eeg2vol.{info.name}")
+    from eeg2vol.data import synth_dataset, synth_raw_session
+    from eeg2vol.dsp import dct_downsample
+    from eeg2vol.model import Model, ModelConfig
+    geometry = (4, 5, 6, 3, 8, 8)
+    with tempfile.TemporaryDirectory() as out:
+        synth_dataset(geometry, 1, 2, seed=0, out_dir=out)
+    eeg, vols = synth_raw_session(4, 2500, 250.0, 2, (6, 8, 10), seed=0)
+    dct_downsample(vols[0], (3, 4, 5))
+    mcfg = ModelConfig(geometry=geometry, embed=4, heads=2, vss_blocks=1, state_dim=2)
+    Model(mcfg, seed=0).predict(np.zeros(geometry[:3]))
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+
+
+def test_the_program_imports_no_scipy():
+    """scipy is a test oracle only: a fresh interpreter that imports every
+    eeg2vol module and runs the data generators, the DCT resize and a
+    predict has loaded no scipy module."""
+    src = str(Path(eeg2vol.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]", done.stdout
